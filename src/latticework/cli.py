@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; all operations run single-threaded")
     parser.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,21 +3,23 @@
 The constructions are cheap; the value is in `certify`, which re-derives
 every claimed property (size, component structure, diamond shape,
 disconnection, maximality) from the raw masks rather than trusting the
-generator.  Small families get a brute-force comparability-graph rebuild;
-families too large for that get an exact structural certificate built from
-cover-edge union-find, full-interval verification, and a sum-over-subsets
-counting DP that proves no two claimed components see each other.
+generator.  Families of up to CERTIFY_BRUTE_CAP members are checked against
+the comparability components that `core.comparability_graph` computes with
+cube-wide closures; larger families get an exact structural certificate
+built from cover-edge union-find, full-interval verification, and a
+saturating sum-over-supersets DP that proves no two claimed components see
+each other.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .core import (
+    CLOSURE_GROUND_CAP,
     DomainError,
     ResourceLimitError,
     SetFamily,
@@ -27,6 +29,7 @@ from .core import (
     is_antichain,
     layer_masks,
     upset_bits,
+    _columns,
 )
 
 CERTIFY_BRUTE_CAP = 2048
@@ -212,15 +215,22 @@ def diamond_claim(d: Diamond) -> dict:
     }
 
 
-def _superset_counts(n: int, masks) -> np.ndarray:
-    counts = np.zeros(1 << n, dtype=np.int64)
+def _below_two(n: int, masks) -> int:
+    """Bitset of the sets contained in at least two of masks (n <= CLOSURE_GROUND_CAP).
+
+    A sum-over-supersets DP saturated at 2, kept as two bitsets: `once`
+    marks the sets below at least one mask, `twice` below at least two.
+    """
+    once = twice = 0
     for m in masks:
-        counts[m] += 1
-    for i in range(n):
-        step = 1 << i
-        view = counts.reshape(-1, 2, step)
-        view[:, 0, :] += view[:, 1, :]
-    return counts
+        bit = 1 << m
+        twice |= once & bit
+        once |= bit
+    for i, col in enumerate(_columns(n)):
+        from_above = (once & col) >> (1 << i)
+        twice |= ((twice & col) >> (1 << i)) | (once & from_above)
+        once |= from_above
+    return twice
 
 
 def _is_antichain_bitset(family: SetFamily) -> bool:
@@ -289,11 +299,14 @@ def _structured_diamond_checks(family, claim_height, checks):
             break
         intervals.append(iv)
     if all_ok and len(intervals) > 1:
-        top_counts = _superset_counts(family.n, [iv[1] for iv in intervals])
-        for bottom, _ in intervals:
-            if top_counts[bottom] >= 2:
-                all_ok = False
-                break
+        tops = [iv[1] for iv in intervals]
+        if family.n <= CLOSURE_GROUND_CAP:
+            twice = _below_two(family.n, tops)
+            all_ok = not any(twice >> bottom & 1 for bottom, _ in intervals)
+        else:
+            all_ok = all(
+                sum(bottom & top == bottom for top in tops) < 2 for bottom, _ in intervals
+            )
     checks.append(
         CheckResult(
             "diamond_components",
@@ -312,12 +325,13 @@ def _comparable_to_component_bits(n: int, members: list[int]) -> int:
     return downset_bits(n, bits) | upset_bits(n, bits)
 
 
-def _maximally_disconnected_check(family: SetFamily, component_members: list[list[int]]) -> bool:
-    """Adding any absent set must link every component to every other.
+def links_every_component(family: SetFamily, component_members: Sequence[Sequence[int]]) -> bool:
+    """True iff adding any one absent set links every component to every other.
 
-    A new set connects the graph iff it is comparable to at least one
-    member of each existing component, so one closure bitset per component
-    answers all absent sets at once.
+    A disconnected family is maximal exactly when this holds.  A new set
+    connects the graph iff it is comparable to at least one member of each
+    existing component, so one closure bitset per component answers all
+    absent sets at once.
     """
     n = family.n
     closures = [_comparable_to_component_bits(n, comp) for comp in component_members]
@@ -362,9 +376,7 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
 
     if len(family) <= CERTIFY_BRUTE_CAP:
         graph = comparability_graph(family)
-        comp_members = [
-            [family.members[v] for v in vs] for vs in graph.components()
-        ]
+        comp_members = graph.component_members
         orders = sorted(graph.component_orders)
         if "component_count" in claim:
             checks.append(
@@ -401,16 +413,16 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
         if "isolated_member" in claim:
             m = claim["isolated_member"]
             ok = m in family.member_set and any(
-                members == [m] for members in comp_members
+                members == (m,) for members in comp_members
             )
             checks.append(CheckResult("isolated_member", m, ok, ok))
         if "rest_connected" in claim:
             iso = claim.get("isolated_member")
-            rest_comps = [ms for ms in comp_members if ms != [iso]]
+            rest_comps = [ms for ms in comp_members if ms != (iso,)]
             ok = len(rest_comps) == 1
             checks.append(CheckResult("rest_connected", True, ok, ok))
         if "maximally_disconnected" in claim:
-            ok = graph.n_components >= 2 and _maximally_disconnected_check(
+            ok = graph.n_components >= 2 and links_every_component(
                 family, comp_members
             )
             checks.append(CheckResult("maximally_disconnected", True, ok, ok))
@@ -499,7 +511,7 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
             ok = bool(ok_iso) and bool(rest)
             checks.append(CheckResult("disconnected", True, ok, ok))
         if "maximally_disconnected" in claim:
-            ok = bool(ok_iso) and bool(ok_rest) and _maximally_disconnected_check(
+            ok = bool(ok_iso) and bool(ok_rest) and links_every_component(
                 family, [[iso], rest]
             )
             checks.append(CheckResult("maximally_disconnected", True, ok, ok))

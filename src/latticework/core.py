@@ -11,6 +11,12 @@ Conventions used across the package:
 * The comparability graph of a family has the members as vertices and an
   edge for every 2-chain X < Y (strict containment).  The cover graph keeps
   only the edges with |Y| - |X| = 1.
+* Components and 2-chain counts are computed bit-parallel over the whole
+  cube (a breadth-first search whose steps are down- and up-closures, and a
+  packed-lane subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every
+  pair of members beyond it, for families of a few members, and for what a
+  search of many small components leaves once its steps have cost as much
+  as the pairs would.  Edge lists are only built when asked for.
 """
 
 from __future__ import annotations
@@ -180,7 +186,19 @@ class SetFamily:
     def from_jsonable(cls, obj: dict) -> "SetFamily":
         if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
             raise DomainError('family JSON must be {"n": int, "sets": [[...]]}')
-        return cls.from_sets(int(obj["n"]), obj["sets"])
+        n, sets = obj["n"], obj["sets"]
+        if type(n) is not int:
+            raise DomainError(f"family JSON n must be an integer, got {n!r}")
+        if not isinstance(sets, list):
+            raise DomainError(f'family JSON "sets" must be a list, got {sets!r}')
+        for s in sets:
+            if not isinstance(s, list):
+                raise DomainError(f"family JSON set {s!r} is not a list of elements")
+            for e in s:
+                # bool is an int subclass, so True would otherwise read as 1
+                if type(e) is not int:
+                    raise DomainError(f"family JSON element {e!r} in set {s!r} is not an integer")
+        return cls.from_sets(n, sets)
 
     @classmethod
     def from_json(cls, text: str) -> "SetFamily":
@@ -216,8 +234,49 @@ def height(family: SetFamily) -> int:
     return max(sizes) - min(sizes)
 
 
+# ---------------------------------------------------------------------------
+# Comparability structure.  Both the components and the 2-chain count come
+# from the cube-wide bitsets below, or from loops over all pairs of members
+# where those are cheaper or the 2^n bitset is out of reach.  The tests use
+# the pairwise loops as the reference for the bit-parallel versions.
+
+
+def _pairwise_is_cheaper(family: SetFamily) -> bool:
+    # s^2 pair tests cost about as much as the bitset route over a cube of
+    # 2^n bits (measured); 256 covers the sweeps' fixed cost on small cubes.
+    s = len(family)
+    return family.n > CLOSURE_GROUND_CAP or s * s <= max(256, 1 << family.n)
+
+
 def count_two_chains(family: SetFamily) -> int:
     """Number of comparable pairs (2-chains) inside the family."""
+    if _pairwise_is_cheaper(family):
+        return _pairwise_two_chains(family)
+    return _lane_two_chains(family)
+
+
+def _lane_two_chains(family: SetFamily) -> int:
+    n, s = family.n, len(family)
+    # Sum over subsets in 2^n packed byte lanes: lane Y ends up holding the
+    # number of members contained in Y.  Lane values never exceed s, so
+    # adding whole integers never carries from one lane into the next.
+    width = s.bit_length() // 8 + 1
+    lanes = bytearray(width << n)
+    for m in family.members:
+        lanes[m * width] = 1
+    counts = int.from_bytes(lanes, "little")
+    for i in range(n):
+        run = width << i
+        clear = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (n - 1 - i)), "little")
+        counts += (counts & clear) << (8 * run)
+    lanes = counts.to_bytes(width << n, "little")
+    below_or_equal = sum(
+        int.from_bytes(lanes[m * width:(m + 1) * width], "little") for m in family.members
+    )
+    return below_or_equal - s
+
+
+def _pairwise_two_chains(family: SetFamily) -> int:
     total = 0
     ms = family.members
     for i, x in enumerate(ms):
@@ -232,20 +291,44 @@ class ComparabilityGraph:
     """Comparability (or cover) graph of a family, with its components.
 
     Vertices are member indices into family.members.  component_id maps each
-    vertex to a component number in 0..n_components-1; component_orders[c]
-    and component_sizes[c] are the vertex and edge counts of component c.
+    vertex to a component number in 0..n_components-1, numbered in order of
+    their least members.  component_orders[c] and component_sizes[c] are
+    the vertex and edge counts of component c, and component_members[c]
+    holds its masks, ascending.  component_members, edges and
+    component_sizes are computed on first use, edges by testing the pairs
+    inside each component.
     """
 
     family: SetFamily
-    edges: tuple[tuple[int, int], ...]
     component_id: tuple[int, ...]
     component_orders: tuple[int, ...]
-    component_sizes: tuple[int, ...]
     cover_only: bool = field(default=False)
 
     @property
     def n_components(self) -> int:
         return len(self.component_orders)
+
+    @cached_property
+    def component_members(self) -> tuple[tuple[int, ...], ...]:
+        groups: list[list[int]] = [[] for _ in range(self.n_components)]
+        for m, c in zip(self.family.members, self.component_id):
+            groups[c].append(m)
+        return tuple(tuple(g) for g in groups)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        out = []
+        for vs, ms in zip(self.components(), self.component_members):
+            part = SetFamily(self.family.n, ms)
+            out += [(vs[i], vs[j]) for i, j in _pairwise_graph(part, self.cover_only)[0]]
+        return tuple(sorted(out))
+
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        sizes = [0] * self.n_components
+        for i, _ in self.edges:
+            sizes[self.component_id[i]] += 1
+        return tuple(sizes)
 
     def components(self) -> list[list[int]]:
         out = [[] for _ in range(self.n_components)]
@@ -254,8 +337,7 @@ class ComparabilityGraph:
         return out
 
     def component_family(self, c: int) -> SetFamily:
-        ms = [self.family.members[v] for v, cid in enumerate(self.component_id) if cid == c]
-        return SetFamily.from_masks(self.family.n, ms)
+        return SetFamily(self.family.n, self.component_members[c])
 
     def max_component_order(self) -> int:
         return max(self.component_orders, default=0)
@@ -263,6 +345,72 @@ class ComparabilityGraph:
 
 def comparability_graph(family: SetFamily, cover_only: bool = False) -> ComparabilityGraph:
     """Build the comparability graph (all 2-chains) or cover graph of a family."""
+    if _pairwise_is_cheaper(family):
+        _, comp_id, orders, _ = _pairwise_graph(family, cover_only)
+    else:
+        comp_id = tuple(_closure_component_ids(family, cover_only))
+        counts = [0] * (max(comp_id, default=-1) + 1)
+        for c in comp_id:
+            counts[c] += 1
+        orders = tuple(counts)
+    return ComparabilityGraph(family, comp_id, orders, cover_only)
+
+
+def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
+    """Component number of each member, by breadth-first search on bitsets.
+
+    Members comparable to no other member are split off first in one pass,
+    so an antichain costs four sweeps however many members it has.  Each
+    remaining component grows from its least member; one step adds every
+    member comparable to (or, for the cover graph, one element away from)
+    the frontier, through one down-closure and one up-closure of it.
+
+    A step costs about as much as 2^n / 64 pair tests (measured), so many
+    small components in a large cube make the search dearer than testing
+    pairs.  Once the steps taken would have paid for testing every pair of
+    the members it started with, the members left are split pairwise.
+    """
+    n = family.n
+    bits = family_bits(family)
+    below, above = shadow_bits(n, bits), shade_bits(n, bits)
+    if cover_only:
+        def reach(front):
+            return shadow_bits(n, front) | shade_bits(n, front)
+    else:
+        below, above = downset_bits(n, below), upset_bits(n, above)
+
+        def reach(front):
+            return downset_bits(n, front) | upset_bits(n, front)
+
+    rest = bits & (below | above)
+    budget = rest.bit_count() ** 2 // 2
+    step_cost = max(1, (1 << n) >> 6)
+    # A component's key is the number of members labelled before it, which
+    # grows with every component, so keys never repeat.
+    label: dict[int, int] = {}
+    while rest and budget > 0:
+        front = component = rest & -rest
+        while front:
+            front = reach(front) & rest & ~component
+            component |= front
+            budget -= step_cost
+        rest ^= component
+        key = len(label)
+        for m in iter_bits(component):
+            label[m] = key
+    if rest:
+        left = SetFamily(n, tuple(iter_bits(rest)))
+        key = len(label)
+        for m, c in zip(left.members, _pairwise_graph(left, cover_only)[1]):
+            label[m] = key + c
+    # Isolated members get keys of their own; numbering in member order
+    # then numbers the components by least member.
+    number: dict[int, int] = {}
+    return [number.setdefault(label.get(m, -1 - m), len(number)) for m in family.members]
+
+
+def _pairwise_graph(family: SetFamily, cover_only: bool = False):
+    """Edges, component ids, orders and sizes by testing every pair of members."""
     ms = family.members
     s = len(ms)
     parent = list(range(s))
@@ -300,14 +448,7 @@ def comparability_graph(family: SetFamily, cover_only: bool = False) -> Comparab
         orders[c] += 1
     for i, j in edges:
         sizes[comp_id[i]] += 1
-    return ComparabilityGraph(
-        family=family,
-        edges=tuple(edges),
-        component_id=tuple(comp_id),
-        component_orders=tuple(orders),
-        component_sizes=tuple(sizes),
-        cover_only=cover_only,
-    )
+    return tuple(edges), tuple(comp_id), tuple(orders), tuple(sizes)
 
 
 def cover_graph(family: SetFamily) -> ComparabilityGraph:
@@ -349,12 +490,13 @@ def _check_closure_ground(n):
 
 
 def _bit_column(n: int, i: int) -> int:
-    # Positions m (0 <= m < 2^n) whose i-th ground bit is set.
-    block = ((1 << (1 << i)) - 1) << (1 << i)
-    step = 1 << (i + 1)
-    col = 0
-    for start in range(0, 1 << n, step):
-        col |= block << start
+    # Positions m (0 <= m < 2^n) whose i-th ground bit is set: one block of
+    # 2^i ones above 2^i zeros, doubled until it spans the cube.
+    col = ((1 << (1 << i)) - 1) << (1 << i)
+    width = 2 << i
+    while width < 1 << n:
+        col |= col << width
+        width <<= 1
     return col
 
 
@@ -386,6 +528,23 @@ def upset_bits(n: int, bits: int) -> int:
     return bits
 
 
+def shadow_bits(n: int, bits: int) -> int:
+    """Bitset of the masks one element below some mask in bits."""
+    out = 0
+    for i, col in enumerate(_columns(n)):
+        out |= (bits & col) >> (1 << i)
+    return out
+
+
+def shade_bits(n: int, bits: int) -> int:
+    """Bitset of the masks one element above some mask in bits."""
+    full = (1 << (1 << n)) - 1
+    out = 0
+    for i, col in enumerate(_columns(n)):
+        out |= (bits & (full ^ col)) << (1 << i)
+    return out
+
+
 def iter_bits(bits: int):
     """Yield the positions of the set bits of a bitset-of-masks."""
     while bits:
@@ -397,9 +556,7 @@ def iter_bits(bits: int):
 def is_antichain(family: SetFamily) -> bool:
     """True iff no member strictly contains another."""
     bits = family_bits(family)
-    shadow = 0
-    for i, col in enumerate(_columns(family.n)):
-        shadow |= (bits & col) >> (1 << i)
+    shadow = shadow_bits(family.n, bits)
     strict_down = downset_bits(family.n, shadow) if shadow else 0
     return (bits & strict_down) == 0
 

@@ -27,7 +27,7 @@ from .core import (
     is_comparable,
     layer_masks,
 )
-from .constructions import sharp_family, disconnected_extremal
+from .constructions import links_every_component, sharp_family
 from .colouring import EdgeColouredGraph, LayerPairGraph, avg_degree, is_proper
 
 LA_NODE_BUDGET = 30_000_000
@@ -441,22 +441,12 @@ def disconnected_splits(
         seen.add(key)
         family_masks = [universe[i] for i in _bit_indices(extent | intent)]
         family = SetFamily.from_masks(n, family_masks)
-        if not _is_maximal_disconnected(family):
+        if not links_every_component(family, comparability_graph(family).component_members):
             continue
         a = SetFamily.from_masks(n, [universe[i] for i in _bit_indices(extent)])
         b = SetFamily.from_masks(n, [universe[i] for i in _bit_indices(intent)])
         out.append((a, b))
     return out
-
-
-def _is_maximal_disconnected(family: SetFamily) -> bool:
-    members = family.member_set
-    for extra in range(1 << family.n):
-        if extra in members:
-            continue
-        if comparability_graph(family.add(extra)).n_components >= 2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

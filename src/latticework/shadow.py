@@ -17,8 +17,9 @@ from .core import (
     downset_bits,
     family_bits,
     is_comparable,
+    shade_bits,
+    shadow_bits,
     upset_bits,
-    _columns,
 )
 
 
@@ -61,21 +62,6 @@ def up_closure(family: SetFamily) -> SetFamily:
     return bits_to_family(n, upset_bits(n, family_bits(family)))
 
 
-def _one_step_down(n: int, bits: int) -> int:
-    out = 0
-    for i, col in enumerate(_columns(n)):
-        out |= (bits & col) >> (1 << i)
-    return out
-
-
-def _one_step_up(n: int, bits: int) -> int:
-    full = (1 << (1 << n)) - 1
-    out = 0
-    for i, col in enumerate(_columns(n)):
-        out |= (bits & (full ^ col)) << (1 << i)
-    return out
-
-
 def lower_shadow(family: SetFamily) -> SetFamily:
     """All (k-1)-subsets of the members of a single-layer family."""
     if not family.members:
@@ -85,7 +71,7 @@ def lower_shadow(family: SetFamily) -> SetFamily:
         raise DomainError("lower_shadow needs all members on one layer")
     if k < 1:
         raise DomainError("lower_shadow needs layer k >= 1")
-    return bits_to_family(family.n, _one_step_down(family.n, family_bits(family)))
+    return bits_to_family(family.n, shadow_bits(family.n, family_bits(family)))
 
 
 def kk_cascade(m: int, k: int) -> CascadeRep:
@@ -159,9 +145,9 @@ def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
     full = (1 << (1 << n)) - 1
     missed_below = full ^ downset_bits(n, family_bits(a) | family_bits(b))
     # complement of a downset is an upset: minimal members have no lower cover inside
-    fplus = missed_below & ~_one_step_up(n, missed_below)
+    fplus = missed_below & ~shade_bits(n, missed_below)
     missed_above = full ^ upset_bits(n, family_bits(a) | family_bits(b))
-    fminus = missed_above & ~_one_step_down(n, missed_above)
+    fminus = missed_above & ~shadow_bits(n, missed_above)
     # the whole set and the empty set are never reachable from a true split
     assert fplus and fminus
     return BoundaryPair(bits_to_family(n, fplus), bits_to_family(n, fminus))

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from latticework.blym import diamond_blym_sum
 from latticework.constructions import (
     Diamond,
+    _below_two,
     certify,
     diamond_claim,
     diamond_family,
@@ -10,6 +13,7 @@ from latticework.constructions import (
     disconnected_extremal,
     disconnected_extremal_size,
     full_layer_pair,
+    links_every_component,
     sharp_claim,
     sharp_family,
 )
@@ -80,6 +84,19 @@ def test_certify_large_sharp_family_structured_path():
     assert all(c.passed for c in report.checks)
 
 
+def test_certify_structured_path_beyond_closure_cap():
+    n = 22
+    free = mask_of(range(12, 23))
+    diamonds = [Diamond(mask_of(b), mask_of(b) | free) for b in ([1], [2], [1, 2, 3])]
+    masks = [m for d in diamonds for m in diamond_family(d, n).members]
+    claim = {"component_count": 2, "diamond_components": {"height": 11}}
+    report = certify(SetFamily.from_masks(n, masks[: 2 << 11]), claim)
+    assert report.ok
+    # {1} lies below the top of [{1,2,3}, {1,2,3} + free]: not cover-linked, but comparable
+    report = certify(SetFamily.from_masks(n, masks), claim)
+    assert [c.name for c in report.failures()] == ["diamond_components", "component_count"]
+
+
 def test_certify_disconnected():
     for n in (2, 3, 4, 6):
         report = certify(disconnected_extremal(n), disconnected_claim(n))
@@ -107,3 +124,36 @@ def test_sharp_families_are_tight_for_the_interval_sum():
     for n in range(2, 9):
         for k in range(n + 1):
             assert diamond_blym_sum(sharp_family(n, k)) == 1
+
+
+def test_below_two_matches_plain_count():
+    rng = random.Random(20241113)
+    for n in range(1, 9):
+        for _ in range(20):
+            # repeated masks count twice, as in any sum over supersets
+            tops = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12))]
+            twice = _below_two(n, tops)
+            for m in range(1 << n):
+                count = sum(m & top == m for top in tops)
+                assert (twice >> m & 1) == (count >= 2)
+
+
+def test_links_every_component_matches_single_additions():
+    rng = random.Random(20241114)
+    fams = [disconnected_extremal(n) for n in range(2, 6)]
+    fams += [fam.remove(fam.members[-1]) for fam in fams]
+    for n in range(2, 6):
+        for _ in range(25):
+            size = rng.randint(0, (1 << n) - 1)
+            fams.append(SetFamily.from_masks(n, rng.sample(range(1 << n), size)))
+    verdicts = set()
+    for fam in fams:
+        brute = all(
+            comparability_graph(fam.add(x)).n_components == 1
+            for x in range(1 << fam.n)
+            if x not in fam
+        )
+        g = comparability_graph(fam)
+        assert links_every_component(fam, g.component_members) == brute
+        verdicts.add(brute)
+    assert verdicts == {False, True}

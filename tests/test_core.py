@@ -1,8 +1,21 @@
+import random
+
 import pytest
 
+from latticework.constructions import (
+    disconnected_extremal,
+    disconnected_extremal_size,
+    sharp_claim,
+    sharp_family,
+)
 from latticework.core import (
+    CLOSURE_GROUND_CAP,
     DomainError,
     SetFamily,
+    _bit_column,
+    _closure_component_ids,
+    _lane_two_chains,
+    _pairwise_graph,
     binomial,
     bits_to_family,
     comparability_graph,
@@ -48,6 +61,21 @@ def test_family_json_round_trip():
     assert SetFamily.from_json(fam.to_json()) == fam
     assert fam.digest() == again.digest()
     assert fam.digest() != fam.add(4).digest()
+
+
+@pytest.mark.parametrize(
+    "obj, bad",
+    [
+        ({"n": 3, "sets": [[1.5]]}, "1.5"),
+        ({"n": 3, "sets": [[True, 2]]}, "True"),
+        ({"n": 3, "sets": [[1], "12"]}, "'12'"),
+        ({"n": 3, "sets": 7}, "7"),
+        ({"n": "3", "sets": [[1]]}, "'3'"),
+    ],
+)
+def test_family_json_rejects_non_integer_elements(obj, bad):
+    with pytest.raises(DomainError, match=bad):
+        SetFamily.from_jsonable(obj)
 
 
 def test_relabel_is_an_action():
@@ -126,3 +154,70 @@ def test_bitset_round_trip_and_closures():
         (2, 3),
         (1, 2, 3),
     ]
+
+
+def _assert_matches_pairwise(fam):
+    # the public functions pick a route by size; the bitset kernels are
+    # also called directly, so small families exercise them too
+    for cover_only in (False, True):
+        g = comparability_graph(fam, cover_only=cover_only)
+        edges, comp_id, orders, sizes = _pairwise_graph(fam, cover_only)
+        assert tuple(_closure_component_ids(fam, cover_only)) == comp_id
+        assert g.component_id == comp_id
+        assert g.component_orders == orders
+        assert g.component_sizes == sizes
+        assert g.edges == edges
+        assert [list(ms) for ms in g.component_members] == [
+            [fam.members[v] for v in vs] for vs in g.components()
+        ]
+        if not cover_only:
+            # the comparability edges are exactly the 2-chains
+            assert count_two_chains(fam) == _lane_two_chains(fam) == len(edges)
+
+
+def test_components_match_pairwise_oracle_on_random_families():
+    rng = random.Random(20241112)
+    for n in range(1, 9):
+        for _ in range(40):
+            size = rng.randint(0, min(1 << n, 60))
+            _assert_matches_pairwise(SetFamily.from_masks(n, rng.sample(range(1 << n), size)))
+    _assert_matches_pairwise(full_cube(5))
+
+
+def test_components_match_pairwise_oracle_on_constructions():
+    for n in range(1, 17):
+        if 2 <= n and disconnected_extremal_size(n) <= 2048:
+            _assert_matches_pairwise(disconnected_extremal(n))
+        for k in range(n + 1):
+            # the two middles coincide when n - k is even
+            for ceil in {False, (n - k) % 2 == 1}:
+                if sharp_claim(n, k, ceil)["size"] <= 2048:
+                    _assert_matches_pairwise(sharp_family(n, k, ceil))
+
+
+def test_components_of_many_small_components_in_a_large_cube():
+    # 300 two-member components at n = 16: the search runs out of step
+    # budget part way and splits the members left by testing pairs
+    rng = random.Random(20241115)
+    bottoms = rng.sample(layer_masks(15, 7), 300)
+    fam = SetFamily.from_masks(16, [m for b in bottoms for m in (b, b | 1 << 15)])
+    _assert_matches_pairwise(fam)
+    assert comparability_graph(fam).component_orders == (2,) * 300
+
+
+def test_bit_columns_match_definition():
+    for n in range(1, 11):
+        for i in range(n):
+            assert _bit_column(n, i) == sum(1 << m for m in range(1 << n) if m >> i & 1)
+
+
+def test_comparability_beyond_closure_cap():
+    n = 40
+    assert n > CLOSURE_GROUND_CAP
+    fam = SetFamily.from_sets(n, [(1,), (1, 40), (2, 3)])
+    g = comparability_graph(fam)
+    assert g.component_id == (0, 1, 0)
+    assert g.component_members == ((1, 1 | 1 << 39), (6,))
+    assert g.edges == ((0, 2),)
+    assert cover_graph(fam).component_sizes == (1, 0)
+    assert count_two_chains(fam) == 1
