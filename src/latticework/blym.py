@@ -18,6 +18,7 @@ from .core import (
     is_antichain,
 )
 from .constructions import Diamond
+from .lubell import lubell
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,7 @@ def blym_sum(family: SetFamily) -> Fraction:
     """Sum of 1/C(n, |F|) over an antichain; always at most 1."""
     if not is_antichain(family):
         raise PreconditionError("family contains a 2-chain")
-    n = family.n
-    total = Fraction(0)
-    for m in family.members:
-        total += Fraction(1, binomial(n, m.bit_count()))
+    total = lubell(family)
     assert total <= 1
     return total
 

@@ -12,6 +12,7 @@ failure), 2 (usage error), 3 (budget exceeded).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -56,7 +57,7 @@ from .search import (
     xi_star_exact,
 )
 from .shadow import boundary_report
-from .verify import REPRODUCTIONS, run_reproduction, run_verifier
+from .verify import REPRODUCTIONS, VERIFIERS, run_reproduction, run_verifier
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,29 +157,32 @@ def _require(args, *names) -> None:
             raise _UsageError(f"--{name.replace('_', '-')} is required here")
 
 
+def _diamond(args) -> SetFamily:
+    bottom = mask_of(_parse_elements(args.bottom))
+    top = mask_of(_parse_elements(args.top))
+    return diamond_family(Diamond(bottom, top), args.n)
+
+
+def _layer_pair(args) -> SetFamily:
+    a, b = full_layer_pair(args.n, args.k)
+    return SetFamily.from_masks(args.n, a.members + b.members)
+
+
+# name -> (builder taking the parsed arguments, arguments it requires)
+CONSTRUCTIONS = {
+    "sharp": (lambda args: sharp_family(args.n, args.k, ceil_middle=args.ceil_middle), ("n", "k")),
+    "disconnected": (lambda args: disconnected_extremal(args.n), ("n",)),
+    "diamond": (_diamond, ("n", "top")),
+    "full-cube": (lambda args: full_cube(args.n), ("n",)),
+    "layer-pair": (_layer_pair, ("n", "k")),
+}
+
+
 def cmd_construct(args) -> tuple[dict, dict, int]:
-    name = args.name
-    if name == "sharp":
-        _require(args, "n", "k")
-        fam = sharp_family(args.n, args.k, ceil_middle=args.ceil_middle)
-    elif name == "disconnected":
-        _require(args, "n")
-        fam = disconnected_extremal(args.n)
-    elif name == "diamond":
-        _require(args, "n", "top")
-        bottom = mask_of(_parse_elements(args.bottom))
-        top = mask_of(_parse_elements(args.top))
-        fam = diamond_family(Diamond(bottom, top), args.n)
-    elif name == "full-cube":
-        _require(args, "n")
-        fam = full_cube(args.n)
-    elif name == "layer-pair":
-        _require(args, "n", "k")
-        a, b = full_layer_pair(args.n, args.k)
-        fam = SetFamily.from_masks(args.n, a.members + b.members)
-    else:
-        raise _UsageError(f"unknown construction {name!r}")
-    params = {"name": name, "n": args.n, "k": args.k}
+    build, required = CONSTRUCTIONS[args.name]
+    _require(args, *required)
+    fam = build(args)
+    params = {"name": args.name, "n": args.n, "k": args.k}
     results = {"family": fam.to_jsonable(), "size": len(fam), "digest": fam.digest()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -232,6 +236,11 @@ def cmd_normalize(args) -> tuple[dict, dict, int]:
     return {"family": args.family, "t": args.t, "trace": bool(args.trace)}, results, EXIT_OK
 
 
+def _is_index_list(value) -> bool:
+    # bool is an int subclass, so true would otherwise read as index 1
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
 def cmd_boundary(args) -> tuple[dict, dict, int]:
     fam = _load_family(args.family)
     try:
@@ -243,10 +252,11 @@ def cmd_boundary(args) -> tuple[dict, dict, int]:
         raise _UsageError(
             f"parse error in {args.split_file} at line {exc.lineno}: {exc.msg}"
         ) from exc
-    if not isinstance(split, dict) or "a" not in split or "b" not in split:
+    if not (isinstance(split, dict) and _is_index_list(split.get("a"))
+            and _is_index_list(split.get("b"))):
         raise _UsageError('split file must be {"a": [component indices], "b": [...]}')
     g = comparability_graph(fam)
-    side_a, side_b = list(split["a"]), list(split["b"])
+    side_a, side_b = split["a"], split["b"]
     chosen = side_a + side_b
     if sorted(chosen) != list(range(g.n_components)):
         raise _UsageError(
@@ -266,66 +276,37 @@ def cmd_boundary(args) -> tuple[dict, dict, int]:
     return params, results, EXIT_OK
 
 
-_VERIFY_PARAM_NAMES = {
-    "blym": ("n", "samples", "seed", "family"),
-    "diamond-blym": ("n", "samples", "seed", "sharp_n", "family"),
-    "kk": ("n", "k", "samples", "seed"),
-    "technical": ("nmax", "kmax"),
-    "colouring": ("n", "k", "samples", "seed"),
-    "fact-ab": ("n", "budget_nodes"),
-    "key-lemma": ("n", "budget_nodes"),
-}
-
-
 def cmd_verify(args) -> tuple[dict, dict, int]:
-    allowed = _VERIFY_PARAM_NAMES.get(args.name)
-    if allowed is None:
-        raise _UsageError(f"unknown suite {args.name!r}; choose from {sorted(_VERIFY_PARAM_NAMES)}")
+    # A suite takes those of its parameters that the command line sets.
     kwargs = {}
-    for key in allowed:
-        if key == "family":
-            if args.family is not None:
-                kwargs["family"] = _load_family(args.family)
-        elif key == "seed":
-            kwargs["seed"] = args.seed
-        elif key == "budget_nodes":
-            if args.budget_nodes is not None:
-                kwargs["budget_nodes"] = args.budget_nodes
-        elif getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
+    for key in inspect.signature(VERIFIERS[args.name]).parameters:
+        value = getattr(args, key, None)
+        if value is not None:
+            kwargs[key] = _load_family(value) if key == "family" else value
     results = run_verifier(args.name, **kwargs)
     params = {k: (args.family if k == "family" else v) for k, v in kwargs.items()}
     return {"suite": args.name, **params}, results, EXIT_OK if results["passed"] else EXIT_FAIL
 
 
+# operation -> (search, the arguments it takes positionally, all required)
+SEARCHES = {
+    "la": (la_exact, ("n", "t")),
+    "la-restricted": (la_exact_restricted, ("n", "t", "kmin", "kmax")),
+    "lambda-star": (lambda_star_exact, ("n", "t")),
+    "disconnected": (max_disconnected, ("n",)),
+    "xi-star": (xi_star_exact, ("n", "m")),
+    "min2chains": (min_two_chains, ("n", "m")),
+    "madstar": (mad_star_probe, ("t",)),
+}
+
+
 def cmd_search(args) -> tuple[dict, dict, int]:
+    search, positional = SEARCHES[args.op]
+    _require(args, *positional)
     budget = {} if args.budget_nodes is None else {"budget_nodes": args.budget_nodes}
-    op = args.op
-    if op == "la":
-        _require(args, "n", "t")
-        res = la_exact(args.n, args.t, **budget)
-    elif op == "la-restricted":
-        _require(args, "n", "t", "kmin", "kmax")
-        res = la_exact_restricted(args.n, args.t, args.kmin, args.kmax, **budget)
-    elif op == "lambda-star":
-        _require(args, "n", "t")
-        res = lambda_star_exact(args.n, args.t, **budget)
-    elif op == "disconnected":
-        _require(args, "n")
-        res = max_disconnected(args.n, **budget)
-    elif op == "xi-star":
-        _require(args, "n", "m")
-        res = xi_star_exact(args.n, args.m, **budget)
-    elif op == "min2chains":
-        _require(args, "n", "m")
-        res = min_two_chains(args.n, args.m, **budget)
-    elif op == "madstar":
-        _require(args, "t")
-        res = mad_star_probe(args.t, **budget)
-    else:
-        raise _UsageError(f"unknown search operation {op!r}")
+    res = search(*(getattr(args, k) for k in positional), **budget)
     params = {
-        "op": op,
+        "op": args.op,
         **{k: getattr(args, k) for k in ("n", "t", "m", "kmin", "kmax") if getattr(args, k) is not None},
     }
     results = {
@@ -363,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named construction as family JSON")
-    p.add_argument("name", choices=("sharp", "disconnected", "diamond", "full-cube", "layer-pair"))
+    p.add_argument("name", choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--ceil-middle", action="store_true", dest="ceil_middle")
@@ -390,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    p.add_argument("name", choices=sorted(_VERIFY_PARAM_NAMES))
+    p.add_argument("name", choices=sorted(VERIFIERS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--samples", type=int)
@@ -401,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exact extremal searches with explicit budgets")
-    p.add_argument("op", choices=("la", "la-restricted", "lambda-star", "disconnected",
-                                  "xi-star", "min2chains", "madstar"))
+    p.add_argument("op", choices=tuple(SEARCHES))
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--m", type=int)
@@ -421,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         params, results, code = args.func(args)
     except _UsageError as exc:
@@ -444,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "seed": args.seed,
         "version": __version__,
-        "timing_seconds": round(time.time() - started, 6),
+        "timing_seconds": round(time.perf_counter() - started, 6),
     }
     _emit(report, args.format)
     return code

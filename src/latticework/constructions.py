@@ -6,9 +6,10 @@ disconnection, maximality) from the raw masks rather than trusting the
 generator.  Families of up to CERTIFY_BRUTE_CAP members are checked against
 the comparability components that `core.comparability_graph` computes with
 cube-wide closures; larger families get an exact structural certificate
-built from cover-edge union-find, full-interval verification, and a
-saturating sum-over-supersets DP that proves no two claimed components see
-each other.
+built from cover-edge union-find (`core._union_find_ids`), full-interval
+verification, and a saturating sum-over-supersets DP that proves no two
+claimed components see each other.  Bitsets of members come from
+`core.family_bits`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     layer_masks,
     upset_bits,
     _columns,
+    _union_find_ids,
 )
 
 CERTIFY_BRUTE_CAP = 2048
@@ -233,34 +235,21 @@ def _below_two(n: int, masks) -> int:
     return twice
 
 
-def _is_antichain_bitset(family: SetFamily) -> bool:
-    return is_antichain(family)
-
-
 def _cover_groups(family: SetFamily) -> list[list[int]]:
-    members = family.member_set
-    parent: dict[int, int] = {m: m for m in family.members}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for m in family.members:
-        mm = m
-        while mm:
-            low = mm & -mm
-            below = m ^ low
-            if below in members:
-                ra, rb = find(m), find(below)
-                if ra != rb:
-                    parent[ra] = rb
-            mm ^= low
-    groups: dict[int, list[int]] = {}
-    for m in family.members:
-        groups.setdefault(find(m), []).append(m)
-    return list(groups.values())
+    """Components of the cover graph, in order of their least members."""
+    index = {m: i for i, m in enumerate(family.members)}
+    singles = [1 << e for e in range(family.n)]
+    covers = (
+        (i, j)
+        for i, m in enumerate(family.members)
+        for low in singles
+        if m & low and (j := index.get(m ^ low)) is not None
+    )
+    comp_id = _union_find_ids(len(index), covers)
+    groups: list[list[int]] = [[] for _ in range(max(comp_id, default=-1) + 1)]
+    for m, c in zip(family.members, comp_id):
+        groups[c].append(m)
+    return groups
 
 
 def _group_as_interval(group: list[int]) -> tuple[int, int] | None:
@@ -318,10 +307,8 @@ def _structured_diamond_checks(family, claim_height, checks):
     return [len(g) for g in groups] if all_ok else None
 
 
-def _comparable_to_component_bits(n: int, members: list[int]) -> int:
-    bits = 0
-    for m in members:
-        bits |= 1 << m
+def _comparable_to_component_bits(n: int, members: Sequence[int]) -> int:
+    bits = family_bits(members)
     return downset_bits(n, bits) | upset_bits(n, bits)
 
 
@@ -334,13 +321,12 @@ def links_every_component(family: SetFamily, component_members: Sequence[Sequenc
     absent sets at once.
     """
     n = family.n
-    closures = [_comparable_to_component_bits(n, comp) for comp in component_members]
     absent = ((1 << (1 << n)) - 1) & ~family_bits(family)
-    for cl in closures:
-        absent &= cl
-        # absent now holds sets comparable to all closures seen so far
-    remaining = ((1 << (1 << n)) - 1) & ~family_bits(family)
-    return absent == remaining
+    linking = absent
+    for comp in component_members:
+        # linking holds the absent sets comparable to every component so far
+        linking &= _comparable_to_component_bits(n, comp)
+    return linking == absent
 
 
 def certify(family: SetFamily, claim: dict) -> CertificationReport:
@@ -358,7 +344,7 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
         h = _height(family)
         checks.append(CheckResult("height", claim["height"], h, h == claim["height"]))
     if "antichain" in claim:
-        ok = _is_antichain_bitset(family)
+        ok = is_antichain(family)
         checks.append(CheckResult("antichain", True, ok, ok))
 
     component_keys = {
@@ -488,13 +474,10 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
                                 break
                 ok_rest = linked == set(hubs)
             if ok_rest:
-                hub_closure = 0
-                hub_bits = 0
-                for h in hubs:
-                    hub_closure |= _comparable_to_component_bits(n, [h])
-                    hub_bits |= 1 << h
+                # closures distribute over unions, and contain their sets
+                hub_closure = _comparable_to_component_bits(n, hubs)
                 rest_bits = family_bits(family) & ~(1 << iso)
-                if rest_bits & ~(hub_closure | hub_bits):
+                if rest_bits & ~hub_closure:
                     ok_rest = False
             checks.append(CheckResult("rest_connected", True, ok_rest, bool(ok_rest)))
 

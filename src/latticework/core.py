@@ -17,6 +17,11 @@ Conventions used across the package:
   pair of members beyond it, for families of a few members, and for what a
   search of many small components leaves once its steps have cost as much
   as the pairs would.  Edge lists are only built when asked for.
+* The bit-level helpers here are the package's only copies of their ideas:
+  `iter_bits` walks the set bits of a bitset, `family_bits` and
+  `bits_to_family` convert between a family and its bitset-of-masks,
+  `_mask_relabel_table` maps every mask under a permutation of [n], and
+  `_union_find_ids` numbers the components of a vertex set joined by pairs.
 """
 
 from __future__ import annotations
@@ -399,7 +404,7 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
         for m in iter_bits(component):
             label[m] = key
     if rest:
-        left = SetFamily(n, tuple(iter_bits(rest)))
+        left = bits_to_family(n, rest)
         key = len(label)
         for m, c in zip(left.members, _pairwise_graph(left, cover_only)[1]):
             label[m] = key + c
@@ -413,14 +418,6 @@ def _pairwise_graph(family: SetFamily, cover_only: bool = False):
     """Edges, component ids, orders and sizes by testing every pair of members."""
     ms = family.members
     s = len(ms)
-    parent = list(range(s))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     edges = []
     for i in range(s):
         x = ms[i]
@@ -431,24 +428,39 @@ def _pairwise_graph(family: SetFamily, cover_only: bool = False):
                 if cover_only and abs(y.bit_count() - px) != 1:
                     continue
                 edges.append((i, j))
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-
-    roots = {}
-    comp_id = []
-    for v in range(s):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp_id.append(roots[r])
-    orders = [0] * len(roots)
-    sizes = [0] * len(roots)
+    comp_id = _union_find_ids(s, edges)
+    orders = [0] * (max(comp_id, default=-1) + 1)
+    sizes = [0] * len(orders)
     for c in comp_id:
         orders[c] += 1
     for i, j in edges:
         sizes[comp_id[i]] += 1
     return tuple(edges), tuple(comp_id), tuple(orders), tuple(sizes)
+
+
+def _union_find_ids(s: int, pairs) -> list[int]:
+    """Component number of each vertex 0..s-1 of the graph with edges pairs.
+
+    Components are numbered in order of their least vertex.  The union-find
+    halves paths on every lookup (`parent[i] = i = g` points the old i at its
+    grandparent g, then steps to g); the lookups are written out inline
+    because a function call per lookup was most of the cost.
+    """
+    parent = list(range(s))
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+    roots: dict[int, int] = {}
+    ids = []
+    for v in range(s):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        ids.append(roots.setdefault(v, len(roots)))
+    return ids
 
 
 def cover_graph(family: SetFamily) -> ComparabilityGraph:
@@ -465,20 +477,18 @@ def cover_graph(family: SetFamily) -> ComparabilityGraph:
 CLOSURE_GROUND_CAP = 20
 
 
-def family_bits(family: SetFamily) -> int:
-    bits = 0
-    for m in family.members:
-        bits |= 1 << m
-    return bits
+def family_bits(masks) -> int:
+    """Bitset with bit m set for each mask m of a family or collection of masks."""
+    # One byte array filled in place and converted once: OR-ing 1 << m into
+    # a growing integer would copy up to 2^n bits per member.
+    buf = bytearray(max(masks, default=-1) // 8 + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
 
 
 def bits_to_family(n: int, bits: int) -> SetFamily:
-    masks = []
-    while bits:
-        low = bits & -bits
-        masks.append(low.bit_length() - 1)
-        bits ^= low
-    return SetFamily(n, tuple(masks))
+    return SetFamily(n, tuple(iter_bits(bits)))
 
 
 def _check_closure_ground(n):

@@ -11,11 +11,17 @@ prefixes, so the canonical copy of every optimal family survives.
 
 Budgets are node counts, never wall clocks; an exceeded budget returns
 the incumbent with proven_optimal=False instead of a silent answer.
+
+Every search over a fixed universe of masks reads its pairwise relation
+from `_comparability_rows`, and the relabelling tables come from
+`core._mask_relabel_table`.  Bitsets of universe indices outside the inner
+loops are walked with `core.iter_bits`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .core import (
     DomainError,
@@ -25,7 +31,9 @@ from .core import (
     comparability_graph,
     count_two_chains,
     is_comparable,
+    iter_bits,
     layer_masks,
+    _mask_relabel_table,
 )
 from .constructions import links_every_component, sharp_family
 from .colouring import EdgeColouredGraph, LayerPairGraph, avg_degree, is_proper
@@ -62,16 +70,8 @@ def _group_tables(n: int, with_complement: bool) -> list[list[int]]:
         return tables
     tables = []
     full = (1 << n) - 1
-    for perm in permutations(range(n)):
-        table = [0] * (1 << n)
-        for m in range(1 << n):
-            img = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                img |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            table[m] = img
+    for perm in permutations(range(1, n + 1)):
+        table = _mask_relabel_table(n, perm)
         tables.append(table)
         if with_complement:
             tables.append([full ^ v for v in table])
@@ -93,6 +93,20 @@ def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
     return best
 
 
+def _comparability_rows(universe: list[int]) -> list[int]:
+    """Row i has bit j set iff universe[i] and universe[j] are comparable.
+
+    The masks of universe must be distinct; no row has its own bit set.
+    """
+    rows = [0] * len(universe)
+    for i, x in enumerate(universe):
+        for j in range(i + 1, len(universe)):
+            if is_comparable(x, universe[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
 def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
     if not 0 <= kmin <= kmax <= n:
         raise DomainError("layer band must satisfy 0 <= kmin <= kmax <= n")
@@ -110,13 +124,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
         universe = [m for m in universe if m not in (0, (1 << n) - 1)]
     universe.sort()
     size = len(universe)
-    order_index = {m: i for i, m in enumerate(universe)}
-    cmp_bits = [0] * size
-    for i, x in enumerate(universe):
-        for j in range(i + 1, size):
-            if is_comparable(x, universe[j]):
-                cmp_bits[i] |= 1 << j
-                cmp_bits[j] |= 1 << i
+    cmp_bits = _comparability_rows(universe)
 
     # relabelling preserves layers; complementation flips the band, so it is a
     # symmetry of the universe only when the band is centred
@@ -251,16 +259,9 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     if t < 1:
         raise DomainError("component order bound must be >= 1")
     cube = 1 << n
-    factorial_n = 1
-    for i in range(2, n + 1):
-        factorial_n *= i
+    factorial_n = factorial(n)
     weight = [factorial_n // binomial(n, m.bit_count()) for m in range(cube)]
-    cmp_rows = [0] * cube
-    for x in range(cube):
-        for y in range(x + 1, cube):
-            if is_comparable(x, y):
-                cmp_rows[x] |= 1 << y
-                cmp_rows[y] |= 1 << x
+    cmp_rows = _comparability_rows(list(range(cube)))
 
     limit = budget_nodes if budget_nodes is not None else 1 << cube
     best_num = 0
@@ -329,23 +330,13 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
 # enumerates every such closed split exactly once.
 
 
-def _incomparability_rows(n: int) -> tuple[list[int], list[int]]:
-    universe = [m for m in range(1, (1 << n) - 1)]
-    rows = []
-    for x in universe:
-        row = 0
-        for j, y in enumerate(universe):
-            if x != y and not is_comparable(x, y):
-                row |= 1 << j
-        rows.append(row)
-    return universe, rows
-
-
 def _closed_splits(n: int, budget_nodes: int):
     """Yield (extent, common incomparables) index-bitmask pairs, plus node count."""
-    universe, rows = _incomparability_rows(n)
+    universe = list(range(1, (1 << n) - 1))
     size = len(universe)
     full = (1 << size) - 1
+    # row i: the universe members incomparable to universe[i]
+    rows = [full ^ row ^ (1 << i) for i, row in enumerate(_comparability_rows(universe))]
 
     def common(bits):
         out = full
@@ -399,22 +390,13 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
         if v > best_val:
             best_val = v
             best_bits = (extent, intent)
-    masks = [universe[i] for i in _bit_indices(best_bits[0] | best_bits[1])]
+    masks = [universe[i] for i in iter_bits(best_bits[0] | best_bits[1])]
     witness = SetFamily.from_masks(n, masks)
     if witness.members:
         graph = comparability_graph(witness)
         assert len(witness) == best_val
         assert graph.n_components >= 2
     return SearchResult(best_val, witness, nodes, exhausted)
-
-
-def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def disconnected_splits(
@@ -439,12 +421,12 @@ def disconnected_splits(
         if key in seen:
             continue
         seen.add(key)
-        family_masks = [universe[i] for i in _bit_indices(extent | intent)]
+        family_masks = [universe[i] for i in iter_bits(extent | intent)]
         family = SetFamily.from_masks(n, family_masks)
         if not links_every_component(family, comparability_graph(family).component_members):
             continue
-        a = SetFamily.from_masks(n, [universe[i] for i in _bit_indices(extent)])
-        b = SetFamily.from_masks(n, [universe[i] for i in _bit_indices(intent)])
+        a = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent)])
+        b = SetFamily.from_masks(n, [universe[i] for i in iter_bits(intent)])
         out.append((a, b))
     return out
 
@@ -497,7 +479,7 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
             val = Fraction(2 * edges, m)
             if val > best or best_pair is None:
                 best = val
-                a_fam = SetFamily.from_masks(n, [bottoms[i] for i in _bit_indices(a_bits)])
+                a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
                 b_fam = SetFamily.from_masks(n, [tops[j] for _, j in degs[:bsize]])
                 best_pair = LayerPairGraph(a_fam, b_fam)
         if not proven:
@@ -519,11 +501,9 @@ def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchRes
     cube = 1 << n
     if not 0 <= m <= cube:
         raise DomainError(f"no family of size {m} in a cube of {cube} sets")
-    subs_row = [0] * cube
-    for x in range(cube):
-        for y in range(x + 1, cube):
-            if x & y == x:
-                subs_row[y] |= 1 << x
+    # for masks x < y, comparable means x is a subset of y
+    rows = _comparability_rows(list(range(cube)))
+    subs_row = [row & ((1 << y) - 1) for y, row in enumerate(rows)]
     best = None
     best_combo = None
     nodes = 0
@@ -569,7 +549,7 @@ def _graphs_of_order(t: int):
 
 def _has_triangle(adj: list[int], t: int) -> bool:
     for u in range(t):
-        for v in _bit_indices(adj[u]):
+        for v in iter_bits(adj[u]):
             if v > u and adj[u] & adj[v]:
                 return True
     return False

@@ -155,11 +155,7 @@ def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
 
 def excluded_count(a: SetFamily, b: SetFamily) -> int:
     """|up_closure(fplus)| + |down_closure(fminus)| for the split's boundary pair."""
-    pair = boundary_pair(a, b)
-    n = a.n
-    up = upset_bits(n, family_bits(pair.fplus))
-    down = downset_bits(n, family_bits(pair.fminus))
-    return up.bit_count() + down.bit_count()
+    return boundary_report(a, b)["excluded_count"]
 
 
 def boundary_report(a: SetFamily, b: SetFamily) -> dict:

@@ -285,12 +285,6 @@ def verify_colouring(
     }
 
 
-def _excluded_floor(n: int) -> int:
-    if n % 2 == 0:
-        return 2 ** (n // 2 + 1) - 2
-    return 3 * 2 ** ((n - 1) // 2) - 2
-
-
 def verify_fact_ab(n: int = 3, budget_nodes: int | None = None) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
     kwargs = {} if budget_nodes is None else {"budget_nodes": budget_nodes}
@@ -298,7 +292,8 @@ def verify_fact_ab(n: int = 3, budget_nodes: int | None = None) -> dict:
     failures: list[dict] = []
     extremal_hits = 0
     best = disconnected_extremal_size(n)
-    floor = _excluded_floor(n)
+    # the extremal family meets the size bound 2^n - excluded with equality
+    floor = (1 << n) - best
     for a, b in splits:
         ab = family_bits(a) | family_bits(b)
         ua, da = family_bits(up_closure(a)), family_bits(down_closure(a))
@@ -411,10 +406,6 @@ class Reproduction:
     run: Callable[[], object]
 
 
-def _result_value(res) -> object:
-    return res.value
-
-
 REPRODUCTIONS: dict[str, Reproduction] = {}
 
 
@@ -426,85 +417,85 @@ _register(
     "sperner-n3",
     "largest family of [3] with all comparability components trivial",
     3,
-    lambda: _result_value(la_exact(3, 1)),
+    lambda: la_exact(3, 1).value,
 )
 _register(
     "sperner-n4",
     "largest family of [4] with all comparability components trivial",
     6,
-    lambda: _result_value(la_exact(4, 1)),
+    lambda: la_exact(4, 1).value,
 )
 _register(
     "katona-tarjan-n4",
     "largest family of [4] with components of order at most 2",
     6,
-    lambda: _result_value(la_exact(4, 2)),
+    lambda: la_exact(4, 2).value,
 )
 _register(
     "katona-tarjan-n5",
     "largest family of [5] with components of order at most 2",
     12,
-    lambda: _result_value(la_exact(5, 2)),
+    lambda: la_exact(5, 2).value,
 )
 _register(
     "k2-n3",
     "largest family of [3] with components of order at most 2",
     4,
-    lambda: _result_value(la_exact(3, 2)),
+    lambda: la_exact(3, 2).value,
 )
 _register(
     "la-n4-t4",
     "largest family of [4] with components of order at most 4",
     8,
-    lambda: _result_value(la_exact(4, 4)),
+    lambda: la_exact(4, 4).value,
 )
 _register(
     "disconnected-n3",
     "largest disconnected family of [3] containing no isolated vertex split",
     4,
-    lambda: _result_value(max_disconnected(3)),
+    lambda: max_disconnected(3).value,
 )
 _register(
     "disconnected-n4",
     "largest disconnected family of [4]",
     10,
-    lambda: _result_value(max_disconnected(4)),
+    lambda: max_disconnected(4).value,
 )
 _register(
     "disconnected-n5",
     "largest disconnected family of [5]",
     22,
-    lambda: _result_value(max_disconnected(5)),
+    lambda: max_disconnected(5).value,
 )
 _register(
     "kleitman-n3-q1",
     "fewest 2-chains over families of [3] with one set past the middle layer",
     2,
-    lambda: _result_value(min_two_chains(3, 4)),
+    lambda: min_two_chains(3, 4).value,
 )
 _register(
     "kleitman-n4-q2",
     "fewest 2-chains over families of [4] with two sets past the middle layer",
     6,
-    lambda: _result_value(min_two_chains(4, 8)),
+    lambda: min_two_chains(4, 8).value,
 )
 _register(
     "xi-star-n5-m6",
     "densest 6-vertex subgraph of an adjacent layer pair of [5]",
     Fraction(2),
-    lambda: _result_value(xi_star_exact(5, 6)),
+    lambda: xi_star_exact(5, 6).value,
 )
 _register(
     "madstar-t4",
     "max average degree of a 4-vertex graph with a rainbow-cycle-free colouring",
     Fraction(2),
-    lambda: _result_value(mad_star_probe(4)),
+    lambda: mad_star_probe(4).value,
 )
 _register(
     "lambda-star-n3-t2",
     "max Lubell value over families of [3] with components of order at most 2",
     Fraction(2),
-    lambda: _result_value(lambda_star_exact(3, 2)),
+    lambda: lambda_star_exact(3, 2).value,
 )
 _register(
     "sharp-size-n12-k3",

@@ -109,6 +109,17 @@ def test_boundary_rejects_bad_split(capsys, tmp_path):
     assert "nonempty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "split", [{"a": [0], "b": ["1"]}, {"a": 0, "b": [1]}, {"a": [True], "b": [0]}]
+)
+def test_boundary_rejects_malformed_split_file(capsys, tmp_path, split):
+    path = write_family(tmp_path, disconnected_extremal(3))
+    split_file = tmp_path / "split.json"
+    split_file.write_text(json.dumps(split))
+    assert main(["boundary", "--family", path, "--split-file", str(split_file)]) == 2
+    assert "split file must be" in capsys.readouterr().err
+
+
 def test_verify_pass_and_fail_exit_codes(capsys, tmp_path):
     assert main(["verify", "technical", "--nmax", "3", "--kmax", "1"]) == 0
     capsys.readouterr()

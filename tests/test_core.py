@@ -211,6 +211,20 @@ def test_bit_columns_match_definition():
             assert _bit_column(n, i) == sum(1 << m for m in range(1 << n) if m >> i & 1)
 
 
+def test_family_bits_matches_definition():
+    rng = random.Random(20241118)
+    fams = [SetFamily(3, ()), SetFamily(20, ()), SetFamily.from_masks(20, [0, (1 << 20) - 1])]
+    for n in (1, 2, 3, 5, 8, 13, 20):
+        for _ in range(6):
+            size = rng.randint(1, min(1 << n, 1000))
+            fams.append(SetFamily.from_masks(n, rng.sample(range(1 << n), size)))
+    for fam in fams:
+        want = sum(1 << m for m in fam.members)
+        assert family_bits(fam) == want
+        # any collection of masks, in any order
+        assert family_bits(list(reversed(fam.members))) == want
+
+
 def test_comparability_beyond_closure_cap():
     n = 40
     assert n > CLOSURE_GROUND_CAP

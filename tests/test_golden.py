@@ -1,0 +1,113 @@
+"""Byte-level golden outputs of the CLI and the demos.
+
+`golden.json` beside this file holds, for every case below, the exit code,
+stderr and JSON report (timing removed) that `main` produced, the `--help`
+text of the dispatching subcommands, and the stdout of every demo script.
+Refactors that must not change behaviour are checked against it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from latticework.cli import main
+from latticework.constructions import sharp_family
+from latticework.core import SetFamily, layer_masks
+
+HERE = Path(__file__).parent
+ROOT = HERE.parent
+GOLDEN = json.loads((HERE / "golden.json").read_text())
+
+FAMILY_FILES = {
+    "antichain.json": SetFamily.from_masks(4, layer_masks(4, 2)),
+    "chain.json": SetFamily.from_sets(3, [(1,), (1, 2)]),
+    "sharp.json": sharp_family(5, 1),
+}
+
+CASES = [
+    ["construct", "sharp", "--n", "6", "--k", "2", "--out", "out.json"],
+    ["construct", "sharp", "--n", "7", "--k", "2", "--ceil-middle", "--out", "out.json"],
+    ["construct", "disconnected", "--n", "5", "--out", "out.json"],
+    ["construct", "diamond", "--n", "5", "--bottom", "1", "--top", "1,3,4", "--out", "out.json"],
+    ["construct", "diamond", "--n", "4", "--top", "2,3", "--out", "out.json"],
+    ["construct", "full-cube", "--n", "3", "--out", "out.json"],
+    ["construct", "layer-pair", "--n", "5", "--k", "2", "--out", "out.json"],
+    ["construct", "diamond", "--n", "4"],
+    ["construct", "layer-pair", "--n", "4"],
+    ["search", "la", "--n", "4", "--t", "2"],
+    ["search", "la-restricted", "--n", "4", "--t", "2", "--kmin", "2", "--kmax", "3"],
+    ["search", "lambda-star", "--n", "3", "--t", "2"],
+    ["search", "disconnected", "--n", "4"],
+    ["search", "xi-star", "--n", "5", "--m", "6"],
+    ["search", "min2chains", "--n", "3", "--m", "4"],
+    ["search", "madstar", "--t", "4"],
+    ["--budget-nodes", "3", "search", "la", "--n", "4", "--t", "4"],
+    ["search", "la-restricted", "--n", "4", "--t", "2"],
+    ["--seed", "3", "verify", "blym", "--n", "5", "--samples", "30"],
+    ["verify", "blym", "--family", "antichain.json"],
+    ["verify", "blym", "--family", "chain.json"],
+    ["--seed", "1", "verify", "diamond-blym", "--n", "5", "--samples", "30", "--sharp-n", "5"],
+    ["verify", "diamond-blym", "--family", "sharp.json"],
+    ["verify", "kk", "--n", "4", "--k", "2", "--samples", "50"],
+    ["--seed", "2", "verify", "kk", "--n", "6", "--k", "3", "--samples", "40"],
+    ["verify", "technical", "--nmax", "4", "--kmax", "2"],
+    ["--seed", "5", "verify", "colouring", "--n", "4", "--samples", "10"],
+    ["verify", "colouring", "--n", "4", "--k", "1", "--samples", "10"],
+    ["verify", "fact-ab", "--n", "3"],
+    ["--budget-nodes", "100000", "verify", "key-lemma", "--n", "3"],
+    ["verify", "fact-ab", "--n", "4", "--samples", "7"],
+]
+
+HELP = [["construct", "--help"], ["search", "--help"], ["verify", "--help"]]
+
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+def run_case(argv, capsys):
+    code = main(["--format", "json", *argv])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out) if captured.out else None
+    if report is not None:
+        del report["timing_seconds"]
+    return {"code": code, "stderr": captured.err, "report": report}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, fam in FAMILY_FILES.items():
+        (tmp_path / name).write_text(fam.to_json())
+    return tmp_path
+
+
+def test_cli_reports_match_golden(workdir, capsys):
+    assert [" ".join(argv) for argv in CASES] == list(GOLDEN["cli"])
+    for argv in CASES:
+        got = run_case(argv, capsys)
+        want = GOLDEN["cli"][" ".join(argv)]
+        # dumping both keeps dict key order in the comparison
+        assert json.dumps(got) == json.dumps(want), argv
+
+
+def test_help_choices_match_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in HELP:
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().out == GOLDEN["help"][" ".join(argv)], argv
+
+
+def test_demo_stdout_matches_golden():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    assert DEMOS == list(GOLDEN["demos"])
+    for name in DEMOS:
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / name)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == GOLDEN["demos"][name], name
