@@ -168,21 +168,26 @@ def _layer_pair(args) -> SetFamily:
     return SetFamily.from_masks(args.n, a.members + b.members)
 
 
-# name -> (builder taking the parsed arguments, arguments it requires)
+# name -> (builder taking the parsed arguments, arguments it reads, those it requires)
 CONSTRUCTIONS = {
-    "sharp": (lambda args: sharp_family(args.n, args.k, ceil_middle=args.ceil_middle), ("n", "k")),
-    "disconnected": (lambda args: disconnected_extremal(args.n), ("n",)),
-    "diamond": (_diamond, ("n", "top")),
-    "full-cube": (lambda args: full_cube(args.n), ("n",)),
-    "layer-pair": (_layer_pair, ("n", "k")),
+    "sharp": (
+        lambda args: sharp_family(args.n, args.k, ceil_middle=args.ceil_middle),
+        ("n", "k", "ceil_middle"),
+        ("n", "k"),
+    ),
+    "disconnected": (lambda args: disconnected_extremal(args.n), ("n",), ("n",)),
+    "diamond": (_diamond, ("n", "bottom", "top"), ("n", "top")),
+    "full-cube": (lambda args: full_cube(args.n), ("n",), ("n",)),
+    "layer-pair": (_layer_pair, ("n", "k"), ("n", "k")),
 }
 
 
 def cmd_construct(args) -> tuple[dict, dict, int]:
-    build, required = CONSTRUCTIONS[args.name]
+    build, reads, required = CONSTRUCTIONS[args.name]
     _require(args, *required)
     fam = build(args)
-    params = {"name": args.name, "n": args.n, "k": args.k}
+    # an unset optional argument (no --bottom) is left out, as verify does
+    params = {"name": args.name, **{k: v for k in reads if (v := getattr(args, k)) is not None}}
     results = {"family": fam.to_jsonable(), "size": len(fam), "digest": fam.digest()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -305,10 +310,7 @@ def cmd_search(args) -> tuple[dict, dict, int]:
     _require(args, *positional)
     budget = {} if args.budget_nodes is None else {"budget_nodes": args.budget_nodes}
     res = search(*(getattr(args, k) for k in positional), **budget)
-    params = {
-        "op": args.op,
-        **{k: getattr(args, k) for k in ("n", "t", "m", "kmin", "kmax") if getattr(args, k) is not None},
-    }
+    params = {"op": args.op, **{k: getattr(args, k) for k in positional}, **budget}
     results = {
         "value": res.value,
         "nodes_explored": res.nodes_explored,

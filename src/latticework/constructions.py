@@ -3,13 +3,11 @@
 The constructions are cheap; the value is in `certify`, which re-derives
 every claimed property (size, component structure, diamond shape,
 disconnection, maximality) from the raw masks rather than trusting the
-generator.  Families of up to CERTIFY_BRUTE_CAP members are checked against
-the comparability components that `core.comparability_graph` computes with
-cube-wide closures; larger families get an exact structural certificate
-built from cover-edge union-find (`core._union_find_ids`), full-interval
-verification, and a saturating sum-over-supersets DP that proves no two
-claimed components see each other.  Bitsets of members come from
-`core.family_bits`.
+generator.  Every claim about components is checked against the
+comparability components that `core.comparability_graph` computes from
+the masks, whatever the family's size; a component is a diamond when its
+members fill the interval between their meet and their join.  Bitsets of
+members come from `core.family_bits`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from itertools import combinations
 from math import comb
 
 from .core import (
-    CLOSURE_GROUND_CAP,
     DomainError,
     ResourceLimitError,
     SetFamily,
@@ -30,11 +27,7 @@ from .core import (
     is_antichain,
     layer_masks,
     upset_bits,
-    _columns,
-    _union_find_ids,
 )
-
-CERTIFY_BRUTE_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -198,13 +191,12 @@ def sharp_claim(n: int, k: int, ceil_middle: bool = False) -> dict:
 
 def disconnected_claim(n: int) -> dict:
     a_star = (1 << (n // 2)) - 1
-    hubs = [1 << b for b in range(n // 2, n)]
     return {
         "size": disconnected_extremal_size(n),
         "component_count": 2,
         "disconnected": True,
         "isolated_member": a_star,
-        "rest_connected": {"hubs": hubs},
+        "rest_connected": True,
         "maximally_disconnected": True,
     }
 
@@ -215,41 +207,6 @@ def diamond_claim(d: Diamond) -> dict:
         "component_count": 1,
         "diamond_components": {"height": d.height},
     }
-
-
-def _below_two(n: int, masks) -> int:
-    """Bitset of the sets contained in at least two of masks (n <= CLOSURE_GROUND_CAP).
-
-    A sum-over-supersets DP saturated at 2, kept as two bitsets: `once`
-    marks the sets below at least one mask, `twice` below at least two.
-    """
-    once = twice = 0
-    for m in masks:
-        bit = 1 << m
-        twice |= once & bit
-        once |= bit
-    for i, col in enumerate(_columns(n)):
-        from_above = (once & col) >> (1 << i)
-        twice |= ((twice & col) >> (1 << i)) | (once & from_above)
-        once |= from_above
-    return twice
-
-
-def _cover_groups(family: SetFamily) -> list[list[int]]:
-    """Components of the cover graph, in order of their least members."""
-    index = {m: i for i, m in enumerate(family.members)}
-    singles = [1 << e for e in range(family.n)]
-    covers = (
-        (i, j)
-        for i, m in enumerate(family.members)
-        for low in singles
-        if m & low and (j := index.get(m ^ low)) is not None
-    )
-    comp_id = _union_find_ids(len(index), covers)
-    groups: list[list[int]] = [[] for _ in range(max(comp_id, default=-1) + 1)]
-    for m, c in zip(family.members, comp_id):
-        groups[c].append(m)
-    return groups
 
 
 def _group_as_interval(group: list[int]) -> tuple[int, int] | None:
@@ -267,51 +224,6 @@ def _group_as_interval(group: list[int]) -> tuple[int, int] | None:
     return bottom, top
 
 
-def _structured_diamond_checks(family, claim_height, checks):
-    """Certify 'all components are diamonds' without the O(s^2) graph.
-
-    Cover-edge union-find recovers candidate components (a true diamond
-    component is cover-connected); each group must be a full interval; the
-    counting DP then proves no bottom corner sits under a foreign top
-    corner, which rules out any comparability between groups.
-    """
-    groups = _cover_groups(family)
-    intervals = []
-    all_ok = True
-    for g in groups:
-        iv = _group_as_interval(g)
-        if iv is None:
-            all_ok = False
-            break
-        if claim_height is not None and (iv[1] ^ iv[0]).bit_count() != claim_height:
-            all_ok = False
-            break
-        intervals.append(iv)
-    if all_ok and len(intervals) > 1:
-        tops = [iv[1] for iv in intervals]
-        if family.n <= CLOSURE_GROUND_CAP:
-            twice = _below_two(family.n, tops)
-            all_ok = not any(twice >> bottom & 1 for bottom, _ in intervals)
-        else:
-            all_ok = all(
-                sum(bottom & top == bottom for top in tops) < 2 for bottom, _ in intervals
-            )
-    checks.append(
-        CheckResult(
-            "diamond_components",
-            {"height": claim_height} if claim_height is not None else True,
-            all_ok,
-            all_ok,
-        )
-    )
-    return [len(g) for g in groups] if all_ok else None
-
-
-def _comparable_to_component_bits(n: int, members: Sequence[int]) -> int:
-    bits = family_bits(members)
-    return downset_bits(n, bits) | upset_bits(n, bits)
-
-
 def links_every_component(family: SetFamily, component_members: Sequence[Sequence[int]]) -> bool:
     """True iff adding any one absent set links every component to every other.
 
@@ -324,15 +236,15 @@ def links_every_component(family: SetFamily, component_members: Sequence[Sequenc
     absent = ((1 << (1 << n)) - 1) & ~family_bits(family)
     linking = absent
     for comp in component_members:
+        bits = family_bits(comp)
         # linking holds the absent sets comparable to every component so far
-        linking &= _comparable_to_component_bits(n, comp)
+        linking &= downset_bits(n, bits) | upset_bits(n, bits)
     return linking == absent
 
 
 def certify(family: SetFamily, claim: dict) -> CertificationReport:
     """Re-derive each claimed property from the raw masks; report per check."""
     checks: list[CheckResult] = []
-    n = family.n
 
     if "size" in claim:
         checks.append(
@@ -360,147 +272,55 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
     if not component_keys & claim.keys():
         return CertificationReport(family_size=len(family), checks=tuple(checks))
 
-    if len(family) <= CERTIFY_BRUTE_CAP:
-        graph = comparability_graph(family)
-        comp_members = graph.component_members
-        orders = sorted(graph.component_orders)
-        if "component_count" in claim:
-            checks.append(
-                CheckResult(
-                    "component_count",
-                    claim["component_count"],
-                    graph.n_components,
-                    graph.n_components == claim["component_count"],
-                )
+    graph = comparability_graph(family)
+    comp_members = graph.component_members
+    orders = sorted(graph.component_orders)
+    if "component_count" in claim:
+        checks.append(
+            CheckResult(
+                "component_count",
+                claim["component_count"],
+                graph.n_components,
+                graph.n_components == claim["component_count"],
             )
-        if "component_order" in claim:
-            want = claim["component_order"]
-            ok = all(o == want for o in orders)
-            checks.append(CheckResult("component_order", want, orders, ok))
-        if "max_component_order" in claim:
-            want = claim["max_component_order"]
-            actual = max(orders, default=0)
-            checks.append(
-                CheckResult("max_component_order", f"<= {want}", actual, actual <= want)
-            )
-        if "diamond_components" in claim:
-            want = claim["diamond_components"]
-            want_h = want.get("height") if isinstance(want, dict) else None
-            ok = True
-            for members in comp_members:
-                iv = _group_as_interval(members)
-                if iv is None or (want_h is not None and (iv[1] ^ iv[0]).bit_count() != want_h):
-                    ok = False
-                    break
-            checks.append(CheckResult("diamond_components", want, ok, ok))
-        if "disconnected" in claim:
-            ok = graph.n_components >= 2
-            checks.append(CheckResult("disconnected", True, graph.n_components, ok))
-        if "isolated_member" in claim:
-            m = claim["isolated_member"]
-            ok = m in family.member_set and any(
-                members == (m,) for members in comp_members
-            )
-            checks.append(CheckResult("isolated_member", m, ok, ok))
-        if "rest_connected" in claim:
-            iso = claim.get("isolated_member")
-            rest_comps = [ms for ms in comp_members if ms != (iso,)]
-            ok = len(rest_comps) == 1
-            checks.append(CheckResult("rest_connected", True, ok, ok))
-        if "maximally_disconnected" in claim:
-            ok = graph.n_components >= 2 and links_every_component(
-                family, comp_members
-            )
-            checks.append(CheckResult("maximally_disconnected", True, ok, ok))
-        return CertificationReport(family_size=len(family), checks=tuple(checks))
-
-    # Structured route for families too large to rebuild the full graph.
-    group_orders = None
+        )
+    if "component_order" in claim:
+        want = claim["component_order"]
+        ok = all(o == want for o in orders)
+        checks.append(CheckResult("component_order", want, orders, ok))
+    if "max_component_order" in claim:
+        want = claim["max_component_order"]
+        actual = max(orders, default=0)
+        checks.append(
+            CheckResult("max_component_order", f"<= {want}", actual, actual <= want)
+        )
     if "diamond_components" in claim:
         want = claim["diamond_components"]
         want_h = want.get("height") if isinstance(want, dict) else None
-        group_orders = _structured_diamond_checks(family, want_h, checks)
-        if group_orders is not None:
-            if "component_count" in claim:
-                checks.append(
-                    CheckResult(
-                        "component_count",
-                        claim["component_count"],
-                        len(group_orders),
-                        len(group_orders) == claim["component_count"],
-                    )
-                )
-            if "component_order" in claim:
-                want_o = claim["component_order"]
-                ok = all(o == want_o for o in group_orders)
-                checks.append(CheckResult("component_order", want_o, sorted(set(group_orders)), ok))
-            if "disconnected" in claim:
-                ok = len(group_orders) >= 2
-                checks.append(CheckResult("disconnected", True, len(group_orders), ok))
-        else:
-            for key in ("component_count", "component_order", "disconnected"):
-                if key in claim:
-                    checks.append(CheckResult(key, claim[key], "not certified", False))
-        return CertificationReport(family_size=len(family), checks=tuple(checks))
-
+        ok = True
+        for members in comp_members:
+            iv = _group_as_interval(members)
+            if iv is None or (want_h is not None and (iv[1] ^ iv[0]).bit_count() != want_h):
+                ok = False
+                break
+        checks.append(CheckResult("diamond_components", want, ok, ok))
+    if "disconnected" in claim:
+        ok = graph.n_components >= 2
+        checks.append(CheckResult("disconnected", True, graph.n_components, ok))
     if "isolated_member" in claim:
-        iso = claim["isolated_member"]
-        rest = [m for m in family.members if m != iso]
-        ok_iso = iso in family.member_set and all(
-            (m & iso) != m and (m & iso) != iso for m in rest
+        m = claim["isolated_member"]
+        ok = m in family.member_set and any(
+            members == (m,) for members in comp_members
         )
-        checks.append(CheckResult("isolated_member", iso, ok_iso, ok_iso))
-
-        ok_rest = None
-        if "rest_connected" in claim:
-            hubs = list(claim["rest_connected"]["hubs"])
-            rest_set = set(rest)
-            ok_rest = all(h in rest_set for h in hubs)
-            if ok_rest and len(hubs) > 1:
-                # Hubs must form one cluster: direct comparability or a
-                # two-step bridge through a verified member.
-                linked = {hubs[0]}
-                changed = True
-                while changed:
-                    changed = False
-                    for h in hubs:
-                        if h in linked:
-                            continue
-                        for g in list(linked):
-                            bridge = h | g
-                            if bridge in rest_set or (h & g) in (h, g):
-                                linked.add(h)
-                                changed = True
-                                break
-                ok_rest = linked == set(hubs)
-            if ok_rest:
-                # closures distribute over unions, and contain their sets
-                hub_closure = _comparable_to_component_bits(n, hubs)
-                rest_bits = family_bits(family) & ~(1 << iso)
-                if rest_bits & ~hub_closure:
-                    ok_rest = False
-            checks.append(CheckResult("rest_connected", True, ok_rest, bool(ok_rest)))
-
-        if "component_count" in claim:
-            ok = bool(ok_iso) and (ok_rest is None or bool(ok_rest))
-            actual = 2 if ok else "not certified"
-            checks.append(
-                CheckResult(
-                    "component_count", claim["component_count"], actual,
-                    ok and claim["component_count"] == 2,
-                )
-            )
-        if "disconnected" in claim:
-            ok = bool(ok_iso) and bool(rest)
-            checks.append(CheckResult("disconnected", True, ok, ok))
-        if "maximally_disconnected" in claim:
-            ok = bool(ok_iso) and bool(ok_rest) and links_every_component(
-                family, [[iso], rest]
-            )
-            checks.append(CheckResult("maximally_disconnected", True, ok, ok))
-        return CertificationReport(family_size=len(family), checks=tuple(checks))
-
-    raise ResourceLimitError(
-        f"family of size {len(family)} exceeds the brute-force certification cap "
-        f"({CERTIFY_BRUTE_CAP}) and the claim offers no structural route"
-    )
+        checks.append(CheckResult("isolated_member", m, ok, ok))
+    if "rest_connected" in claim:
+        iso = claim.get("isolated_member")
+        rest_comps = [ms for ms in comp_members if ms != (iso,)]
+        ok = len(rest_comps) == 1
+        checks.append(CheckResult("rest_connected", True, ok, ok))
+    if "maximally_disconnected" in claim:
+        ok = graph.n_components >= 2 and links_every_component(
+            family, comp_members
+        )
+        checks.append(CheckResult("maximally_disconnected", True, ok, ok))
+    return CertificationReport(family_size=len(family), checks=tuple(checks))

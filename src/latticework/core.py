@@ -14,9 +14,12 @@ Conventions used across the package:
 * Components and 2-chain counts are computed bit-parallel over the whole
   cube (a breadth-first search whose steps are down- and up-closures, and a
   packed-lane subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every
-  pair of members beyond it, for families of a few members, and for what a
-  search of many small components leaves once its steps have cost as much
-  as the pairs would.  Edge lists are only built when asked for.
+  pair of members beyond it and for families of a few members.  What a
+  search of many small components leaves, once its steps have cost as much
+  as the union-find would, goes to a union-find over the cube-cover edges
+  of the family's hull (the sets lying between two members), whose
+  components are the comparability components.  Edge lists are only built
+  when asked for.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` walks the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
@@ -370,10 +373,12 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
     member comparable to (or, for the cover graph, one element away from)
     the frontier, through one down-closure and one up-closure of it.
 
-    A step costs about as much as 2^n / 64 pair tests (measured), so many
-    small components in a large cube make the search dearer than testing
-    pairs.  Once the steps taken would have paid for testing every pair of
-    the members it started with, the members left are split pairwise.
+    A step, with its share of labelling, costs about as much as 2^n / 300
+    to 2^n / 550 hull points or edges of `_hull_component_ids` at n = 14..18
+    (measured); counting 2^n / 256 errs towards the union-find.  Many small
+    components in a large cube make the search dearer than the union-find,
+    so once the steps taken would have paid for it over the members the
+    search started with, the members left go to it.
     """
     n = family.n
     bits = family_bits(family)
@@ -388,8 +393,10 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
             return downset_bits(n, front) | upset_bits(n, front)
 
     rest = bits & (below | above)
-    budget = rest.bit_count() ** 2 // 2
-    step_cost = max(1, (1 << n) >> 6)
+    # The hull of the members left: they and every set strictly between two.
+    hull = rest if cover_only else rest | (below & above)
+    budget = hull.bit_count() + sum(low.bit_count() for low in _cover_edge_lows(n, hull))
+    step_cost = max(1, (1 << n) >> 8)
     # A component's key is the number of members labelled before it, which
     # grows with every component, so keys never repeat.
     label: dict[int, int] = {}
@@ -404,14 +411,44 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
         for m in iter_bits(component):
             label[m] = key
     if rest:
-        left = bits_to_family(n, rest)
         key = len(label)
-        for m, c in zip(left.members, _pairwise_graph(left, cover_only)[1]):
+        for m, c in _hull_component_ids(n, rest, cover_only).items():
             label[m] = key + c
     # Isolated members get keys of their own; numbering in member order
     # then numbers the components by least member.
     number: dict[int, int] = {}
     return [number.setdefault(label.get(m, -1 - m), len(number)) for m in family.members]
+
+
+def _cover_edge_lows(n: int, hull: int) -> list[int]:
+    # Bitset i marks the sets Y of hull without element i whose Y + {i} is
+    # also in hull: the lower ends of the cube-cover edges along element i.
+    return [hull & ~col & (hull >> (1 << i)) for i, col in enumerate(_columns(n))]
+
+
+def _hull_component_ids(n: int, bits: int, cover_only: bool) -> dict[int, int]:
+    """Component number of each member of a bitset-of-masks, by union-find.
+
+    Two members are in one comparability component iff they are in one
+    component of the cube-cover graph on the hull of the family, the sets
+    lying between two members: if X < Z, the whole interval [X, Z] lies in
+    the hull and is cover-connected, and each hull point lies between two
+    members of its component.  The cover graph's hull is the family itself.
+    The hull's points are numbered in ascending order for the union-find.
+    """
+    hull = bits if cover_only else downset_bits(n, bits) & upset_bits(n, bits)
+    points = list(iter_bits(hull))
+    # a list indexed by mask looks ranks up faster than a dict (measured)
+    rank = [0] * (1 << n)
+    for r, p in enumerate(points):
+        rank[p] = r
+    pairs = (
+        (rank[y], rank[y | 1 << i])
+        for i, low in enumerate(_cover_edge_lows(n, hull))
+        for y in iter_bits(low)
+    )
+    ids = _union_find_ids(len(points), pairs)
+    return {m: ids[rank[m]] for m in iter_bits(bits)}
 
 
 def _pairwise_graph(family: SetFamily, cover_only: bool = False):
@@ -556,11 +593,15 @@ def shade_bits(n: int, bits: int) -> int:
 
 
 def iter_bits(bits: int):
-    """Yield the positions of the set bits of a bitset-of-masks."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """Yield the positions of the set bits of a bitset-of-masks, ascending."""
+    # One pass over the binary digits, lowest first: stepping with bits & -bits
+    # would copy the whole integer once per set bit.
+    digits = bin(bits)
+    last = len(digits) - 1
+    i = digits.rfind("1")
+    while i > 0:
+        yield last - i
+        i = digits.rfind("1", 0, i)
 
 
 def is_antichain(family: SetFamily) -> bool:

@@ -5,7 +5,6 @@ import pytest
 from latticework.blym import diamond_blym_sum
 from latticework.constructions import (
     Diamond,
-    _below_two,
     certify,
     diamond_claim,
     diamond_family,
@@ -79,12 +78,14 @@ def test_certify_sharp_families():
 
 
 def test_certify_large_sharp_family_structured_path():
-    # big enough that certification uses the counting certificate
+    # 13,728 members in 3,432 components: the search leaves most of them to
+    # the hull union-find
     report = certify(sharp_family(16, 2), sharp_claim(16, 2))
     assert all(c.passed for c in report.checks)
 
 
 def test_certify_structured_path_beyond_closure_cap():
+    # beyond the closure cap the components come from testing every pair
     n = 22
     free = mask_of(range(12, 23))
     diamonds = [Diamond(mask_of(b), mask_of(b) | free) for b in ([1], [2], [1, 2, 3])]
@@ -94,7 +95,7 @@ def test_certify_structured_path_beyond_closure_cap():
     assert report.ok
     # {1} lies below the top of [{1,2,3}, {1,2,3} + free]: not cover-linked, but comparable
     report = certify(SetFamily.from_masks(n, masks), claim)
-    assert [c.name for c in report.failures()] == ["diamond_components", "component_count"]
+    assert [c.name for c in report.failures()] == ["component_count", "diamond_components"]
 
 
 def test_certify_disconnected():
@@ -124,18 +125,6 @@ def test_sharp_families_are_tight_for_the_interval_sum():
     for n in range(2, 9):
         for k in range(n + 1):
             assert diamond_blym_sum(sharp_family(n, k)) == 1
-
-
-def test_below_two_matches_plain_count():
-    rng = random.Random(20241113)
-    for n in range(1, 9):
-        for _ in range(20):
-            # repeated masks count twice, as in any sum over supersets
-            tops = [rng.randrange(1 << n) for _ in range(rng.randint(0, 12))]
-            twice = _below_two(n, tops)
-            for m in range(1 << n):
-                count = sum(m & top == m for top in tops)
-                assert (twice >> m & 1) == (count >= 2)
 
 
 def test_links_every_component_matches_single_additions():

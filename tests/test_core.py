@@ -14,6 +14,7 @@ from latticework.core import (
     SetFamily,
     _bit_column,
     _closure_component_ids,
+    _hull_component_ids,
     _lane_two_chains,
     _pairwise_graph,
     binomial,
@@ -28,6 +29,7 @@ from latticework.core import (
     height,
     is_antichain,
     is_comparable,
+    iter_bits,
     layer_masks,
     mask_of,
     upset_bits,
@@ -163,6 +165,8 @@ def _assert_matches_pairwise(fam):
         g = comparability_graph(fam, cover_only=cover_only)
         edges, comp_id, orders, sizes = _pairwise_graph(fam, cover_only)
         assert tuple(_closure_component_ids(fam, cover_only)) == comp_id
+        hull_ids = _hull_component_ids(fam.n, family_bits(fam), cover_only)
+        assert tuple(hull_ids[m] for m in fam.members) == comp_id
         assert g.component_id == comp_id
         assert g.component_orders == orders
         assert g.component_sizes == sizes
@@ -197,12 +201,43 @@ def test_components_match_pairwise_oracle_on_constructions():
 
 def test_components_of_many_small_components_in_a_large_cube():
     # 300 two-member components at n = 16: the search runs out of step
-    # budget part way and splits the members left by testing pairs
+    # budget part way and leaves the members left to the hull union-find
     rng = random.Random(20241115)
     bottoms = rng.sample(layer_masks(15, 7), 300)
     fam = SetFamily.from_masks(16, [m for b in bottoms for m in (b, b | 1 << 15)])
     _assert_matches_pairwise(fam)
     assert comparability_graph(fam).component_orders == (2,) * 300
+
+
+def test_hull_union_find_links_comparable_members_without_cover_path():
+    # {1} lies below the top of [{1,2,3}, {1,2,3} + free] and {2} below it
+    # too, so the comparability graph is connected while no member of one
+    # diamond is one element away from a member of another
+    free = mask_of(range(4, 11))
+    masks = [b | sub for b in (0b1, 0b10, 0b111) for sub in range(free + 1) if sub & free == sub]
+    fam = SetFamily.from_masks(10, masks)
+    _assert_matches_pairwise(fam)
+    bits = family_bits(fam)
+    assert set(_hull_component_ids(10, bits, False).values()) == {0}
+    assert set(_hull_component_ids(10, bits, True).values()) == {0, 1, 2}
+
+
+def _plain_iter_bits(bits):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def test_iter_bits_matches_plain_loop():
+    rng = random.Random(20241119)
+    cases = [0, 1, 1 << 200, (1 << (1 << 16)) - 1]
+    for width in (1, 2, 3, 8, 64, 256, 1 << 16):
+        for _ in range(3):
+            cases.append(rng.getrandbits(width))
+            cases.append(family_bits(rng.sample(range(width), rng.randint(0, min(width, 40)))))
+    for bits in cases:
+        assert list(iter_bits(bits)) == list(_plain_iter_bits(bits))
 
 
 def test_bit_columns_match_definition():
