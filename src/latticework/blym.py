@@ -17,7 +17,7 @@ from .core import (
     comparability_graph,
     is_antichain,
 )
-from .constructions import Diamond
+from .constructions import Diamond, detect_diamond
 from .lubell import lubell
 
 
@@ -42,21 +42,6 @@ def blym_sum(family: SetFamily) -> Fraction:
     total = lubell(family)
     assert total <= 1
     return total
-
-
-def detect_diamond(component: SetFamily) -> Diamond | None:
-    """The interval [intersection, union] if the component fills it, else None."""
-    if not component.members:
-        return None
-    bottom = component.members[0]
-    top = 0
-    for m in component.members:
-        bottom &= m
-        top |= m
-    # every member sits inside [bottom, top], so filling is a cardinality check
-    if len(component) == 1 << (top ^ bottom).bit_count():
-        return Diamond(bottom, top)
-    return None
 
 
 def family_diamonds(family: SetFamily) -> list[Diamond]:

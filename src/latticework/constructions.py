@@ -12,9 +12,8 @@ members come from `core.family_bits`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 from .core import (
@@ -24,9 +23,11 @@ from .core import (
     comparability_graph,
     downset_bits,
     family_bits,
+    height,
     is_antichain,
     layer_masks,
     upset_bits,
+    _layer_iter,
 )
 
 
@@ -50,6 +51,24 @@ class Diamond:
         return self.bottom.bit_count()
 
 
+def detect_diamond(component: Iterable[int]) -> Diamond | None:
+    """The interval [intersection, union] if the component fills it, else None.
+
+    The component is a SetFamily or any duplicate-free collection of masks.
+    """
+    masks = tuple(component)
+    if not masks:
+        return None
+    bottom = top = masks[0]
+    for m in masks:
+        bottom &= m
+        top |= m
+    # every member sits inside [bottom, top], so filling is a cardinality check
+    if len(masks) == 1 << (top ^ bottom).bit_count():
+        return Diamond(bottom, top)
+    return None
+
+
 def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
     """Disjoint diamonds of order 2^k tiling the middle layer of [n-k].
 
@@ -65,18 +84,10 @@ def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
         raise ResourceLimitError("sharp_family materialisation capped at n=20")
     base = n - k
     mid = (base + 1) // 2 if ceil_middle else base // 2
-    tail_bits = [1 << b for b in range(base, n)]
-    masks = []
-    for tup in combinations(range(base), mid):
-        bottom = 0
-        for b in tup:
-            bottom |= 1 << b
-        for sub in range(1 << k):
-            m = bottom
-            for i in range(k):
-                if sub >> i & 1:
-                    m |= tail_bits[i]
-            masks.append(m)
+    # the k tail elements are the bits base..n-1; the layer iterator, unlike
+    # layer_masks, also takes the empty ground set that k = n leaves
+    tails = [sub << base for sub in range(1 << k)]
+    masks = [bottom | tail for bottom in _layer_iter(base, mid) for tail in tails]
     return SetFamily.from_masks(n, masks)
 
 
@@ -85,14 +96,12 @@ def diamond_family(d: Diamond, n: int) -> SetFamily:
     if d.top >= 1 << n:
         raise DomainError("diamond does not fit in the ground set")
     free = d.top ^ d.bottom
-    free_bits = [1 << b for b in range(n) if free >> b & 1]
-    masks = []
-    for sub in range(1 << len(free_bits)):
-        m = d.bottom
-        for i, fb in enumerate(free_bits):
-            if sub >> i & 1:
-                m |= fb
-        masks.append(m)
+    # every submask of free, from free itself down to 0
+    masks = [d.top]
+    sub = free
+    while sub:
+        sub = (sub - 1) & free
+        masks.append(d.bottom | sub)
     return SetFamily.from_masks(n, masks)
 
 
@@ -209,21 +218,6 @@ def diamond_claim(d: Diamond) -> dict:
     }
 
 
-def _group_as_interval(group: list[int]) -> tuple[int, int] | None:
-    bottom = group[0]
-    top = group[0]
-    for m in group[1:]:
-        bottom &= m
-        top |= m
-    h = (top ^ bottom).bit_count()
-    if len(group) != 1 << h:
-        return None
-    for m in group:
-        if (m & ~top) or (bottom & ~m):
-            return None
-    return bottom, top
-
-
 def links_every_component(family: SetFamily, component_members: Sequence[Sequence[int]]) -> bool:
     """True iff adding any one absent set links every component to every other.
 
@@ -251,9 +245,7 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
             CheckResult("size", claim["size"], len(family), len(family) == claim["size"])
         )
     if "height" in claim:
-        from .core import height as _height
-
-        h = _height(family)
+        h = height(family)
         checks.append(CheckResult("height", claim["height"], h, h == claim["height"]))
     if "antichain" in claim:
         ok = is_antichain(family)
@@ -299,8 +291,8 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
         want_h = want.get("height") if isinstance(want, dict) else None
         ok = True
         for members in comp_members:
-            iv = _group_as_interval(members)
-            if iv is None or (want_h is not None and (iv[1] ^ iv[0]).bit_count() != want_h):
+            d = detect_diamond(members)
+            if d is None or (want_h is not None and d.height != want_h):
                 ok = False
                 break
         checks.append(CheckResult("diamond_components", want, ok, ok))

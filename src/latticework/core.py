@@ -33,6 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 MAX_GROUND = 63
@@ -108,8 +109,6 @@ def layer_masks(n: int, k: int) -> list[int]:
 def _layer_iter(n, k):
     # Gosper-style iteration would be fancier than needed; n <= 63 but layers
     # are only materialised for small n in practice.
-    from itertools import combinations
-
     for tup in combinations(range(n), k):
         m = 0
         for b in tup:

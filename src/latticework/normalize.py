@@ -5,9 +5,12 @@ A skip of a family F is a set Y outside F squeezed between two members
 and deletes an inclusion-maximal member of the affected component, which
 keeps the cardinality, keeps every component order within the bound, and
 strictly decreases the number of skips.  Iterating reaches a skipless
-family of the same size.  Every step is validated after execution instead
-of trusted: the size, the skip-count decrease, the order bound, and the
-shape of the rewritten component are all re-checked.
+family of the same size.  A step reads the affected component from the
+family's comparability graph and the skip from its skip bitset; the
+reduced family's graph and skip bitset re-check the step and serve the
+next one.  Every step is validated after execution instead of trusted:
+the size, the skip-count decrease, the order bound, and the shape of the
+rewritten component are all re-checked.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (
+    ComparabilityGraph,
     DomainError,
     LatticeError,
     PreconditionError,
@@ -49,14 +53,16 @@ class StepRecord:
     removed: int
 
 
+def _skip_bits(family: SetFamily) -> int:
+    # The sets between two members that are not members themselves.
+    bits = family_bits(family)
+    return downset_bits(family.n, bits) & upset_bits(family.n, bits) & ~bits
+
+
 def find_skips(family: SetFamily) -> list[SkipReport]:
     """All skips of the family, sorted by (cardinality, mask value)."""
-    bits = family_bits(family)
-    down = downset_bits(family.n, bits)
-    up = upset_bits(family.n, bits)
-    candidates = (down & up) & ~bits
     out = []
-    for y in iter_bits(candidates):
+    for y in iter_bits(_skip_bits(family)):
         below = min(x for x in family.members if (x & y) == x)
         above = min(z for z in family.members if (y & z) == y)
         out.append(SkipReport(skip=y, witness_below=below, witness_above=above))
@@ -66,55 +72,37 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
 
 def skip_count(family: SetFamily) -> int:
     """Number of skips (cheaper than materialising witness reports)."""
-    bits = family_bits(family)
-    down = downset_bits(family.n, bits)
-    up = upset_bits(family.n, bits)
-    return ((down & up) & ~bits).bit_count()
+    return _skip_bits(family).bit_count()
 
 
-def _component_with(members: list[int], seed: int) -> set[int]:
-    # Connected component of `seed` in the comparability graph over
-    # members + seed; plain BFS, the families here are small.
-    universe = list(members)
-    if seed not in universe:
-        universe.append(seed)
-    comp = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for y in universe:
-            if y not in comp and ((x & y) == x or (x & y) == y):
-                comp.add(y)
-                frontier.append(y)
-    return comp
+def _component_below(graph: ComparabilityGraph, y: int) -> tuple[int, ...]:
+    """Members of the component of the members contained in y, a member or a skip.
+
+    A skip y lies strictly between members X < Z of one component C, and a
+    member W < y has W < Z, a member W > y has W > X: y's component in F + y
+    is C + {y}.
+    """
+    i = next(i for i, m in enumerate(graph.family.members) if (m & y) == m)
+    return graph.component_members[graph.component_id[i]]
 
 
-def _step_detail(family: SetFamily):
-    skips = find_skips(family)
-    if not skips:
-        raise PreconditionError("family is already skipless")
-    y = skips[0].skip
-
-    extended = family.add(y)
-    comp = _component_with(list(family.members), y)
-    # Inclusion-maximal members of the affected component.  The chosen skip
-    # itself always has a strict superset witness in the component, so it is
-    # never maximal and never the removal candidate.
-    in_comp = [m for m in comp if m != y]
-    maximal = [
-        m for m in in_comp
-        if not any(m != o and (m & o) == m for o in in_comp)
-    ]
-    x_max = max(maximal, key=lambda m: (m.bit_count(), -m))
-    reduced = extended.remove(x_max)
-
+def _step(
+    family: SetFamily, graph: ComparabilityGraph, skips: int
+) -> tuple[SetFamily, int, StepRecord]:
+    """One validated step: the reduced family, its skip bitset and the step taken."""
+    # iter_bits ascends, so min keeps the smallest mask of least cardinality
+    y = min(iter_bits(skips), key=int.bit_count)
+    # a member of largest cardinality is inclusion-maximal in the component
+    x_max = max(_component_below(graph, y), key=lambda m: (m.bit_count(), -m))
+    reduced = family.add(y).remove(x_max)
     if len(reduced) != len(family):
         raise NormalizationError("step changed the family cardinality")
-    if skip_count(reduced) >= len(skips):
+    reduced_skips = _skip_bits(reduced)
+    if reduced_skips.bit_count() >= skips.bit_count():
         raise NormalizationError(
             f"skip count failed to decrease: added {y}, removed {x_max}"
         )
-    return reduced, y, x_max, comp
+    return reduced, reduced_skips, StepRecord(added=y, removed=x_max)
 
 
 def skipless_step(family: SetFamily) -> SetFamily:
@@ -124,7 +112,10 @@ def skipless_step(family: SetFamily) -> SetFamily:
     minimum cardinality; the removed member is an inclusion-maximal member
     of the affected component (largest cardinality, then smallest mask).
     """
-    reduced, _, _, _ = _step_detail(family)
+    skips = _skip_bits(family)
+    if not skips:
+        raise PreconditionError("family is already skipless")
+    reduced, _, _ = _step(family, comparability_graph(family), skips)
     return reduced
 
 
@@ -142,33 +133,33 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
         raise PreconditionError(
             f"a component has order {graph.max_component_order()} > t = {t}"
         )
-    current = family
+    current, skips = family, _skip_bits(family)
     trace: list[StepRecord] = []
-    while True:
-        if not find_skips(current):
-            return current, trace
-        reduced, y, x_max, comp = _step_detail(current)
-        graph = comparability_graph(reduced)
-        if graph.max_component_order() > t:
+    while skips:
+        reduced, skips, step = _step(current, graph, skips)
+        y, x_max = step.added, step.removed
+        reduced_graph = comparability_graph(reduced)
+        if reduced_graph.max_component_order() > t:
             raise NormalizationError(
                 "order bound violated after step "
                 f"{len(trace)}: added {y}, removed {x_max}, "
-                f"max order {graph.max_component_order()} > {t}"
+                f"max order {reduced_graph.max_component_order()} > {t}"
             )
         # The rewritten component is claimed to be exactly the old one with
         # the skip swapped in for the removed member.  A failure here does
         # not invalidate the output (size and order bound are re-checked
         # above), so it is surfaced as a warning, not an error.
-        expected = (comp | {y}) - {x_max}
-        actual = _component_with(list(reduced.members), y)
+        expected = (set(_component_below(graph, y)) - {x_max}) | {y}
+        actual = set(_component_below(reduced_graph, y))
         if actual != expected:
             warnings.warn(
                 f"component shape deviated at step {len(trace)}: "
                 f"expected {sorted(expected)}, got {sorted(actual)}",
                 stacklevel=2,
             )
-        trace.append(StepRecord(added=y, removed=x_max))
-        current = reduced
+        trace.append(step)
+        current, graph = reduced, reduced_graph
+    return current, trace
 
 
 def make_skipless(family: SetFamily, t: int) -> SetFamily:

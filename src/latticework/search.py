@@ -36,7 +36,14 @@ from .core import (
     _mask_relabel_table,
 )
 from .constructions import links_every_component, sharp_family
-from .colouring import EdgeColouredGraph, LayerPairGraph, avg_degree, is_proper
+from .colouring import (
+    EdgeColouredGraph,
+    LayerPairGraph,
+    avg_degree,
+    find_rainbow_cycle,
+    is_proper,
+)
+from .lubell import lubell
 
 LA_NODE_BUDGET = 30_000_000
 CONCEPT_NODE_BUDGET = 5_000_000
@@ -312,7 +319,6 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     masks = [m for m in range(cube) if (best_bits >> m) & 1]
     witness = SetFamily.from_masks(n, masks)
     value = Fraction(best_num, factorial_n)
-    from .lubell import lubell
 
     assert lubell(witness) == value
     assert (
@@ -674,7 +680,6 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
                 t, tuple((u, v, c + 1) for (u, v), c in sorted(colouring.items()))
             )
             break
-    from .colouring import find_rainbow_cycle
 
     assert is_proper(best_witness)
     if best_witness.edges and t >= 3:

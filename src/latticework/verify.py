@@ -23,9 +23,11 @@ from .core import (
     PreconditionError,
     SetFamily,
     binomial,
+    downset_bits,
     family_bits,
     is_antichain,
     layer_masks,
+    upset_bits,
 )
 from .sampling import (
     random_all_diamond_family,
@@ -47,7 +49,6 @@ from .shadow import (
     kk_shadow_bound,
     lower_shadow,
     technical_bound_check,
-    up_closure,
 )
 
 MAX_REPORTED_FAILURES = 5
@@ -295,19 +296,20 @@ def verify_fact_ab(n: int = 3, budget_nodes: int | None = None) -> dict:
     # the extremal family meets the size bound 2^n - excluded with equality
     floor = (1 << n) - best
     for a, b in splits:
-        ab = family_bits(a) | family_bits(b)
-        ua, da = family_bits(up_closure(a)), family_bits(down_closure(a))
-        ub, db = family_bits(up_closure(b)), family_bits(down_closure(b))
+        bits_a, bits_b = family_bits(a), family_bits(b)
+        ab = bits_a | bits_b
+        ua, da = upset_bits(n, bits_a), downset_bits(n, bits_a)
+        ub, db = upset_bits(n, bits_b), downset_bits(n, bits_b)
         label = {"a": a.to_jsonable(), "b": b.to_jsonable()}
-        if ua & da != family_bits(a) or ub & db != family_bits(b):
+        if ua & da != bits_a or ub & db != bits_b:
             _push(failures, {**label, "reason": "closure meet is not the side itself"})
             continue
         if ua & db or da & ub:
             _push(failures, {**label, "reason": "cross-side closures intersect"})
             continue
         bp = boundary_pair(a, b)
-        up_plus = family_bits(up_closure(bp.fplus))
-        down_minus = family_bits(down_closure(bp.fminus))
+        up_plus = upset_bits(n, family_bits(bp.fplus))
+        down_minus = downset_bits(n, family_bits(bp.fminus))
         if up_plus & ab or down_minus & ab:
             _push(failures, {**label, "reason": "boundary closure touches the family"})
             continue

@@ -36,6 +36,7 @@ def test_detect_diamond():
     d = detect_diamond(interval)
     assert (d.bottom, d.top) == (0b001, 0b111)
     assert d.height == 2
+    assert detect_diamond(interval.members) == d
     # missing one corner: not an interval
     assert detect_diamond(interval.remove(0b011)) is None
     single = detect_diamond(SetFamily.from_sets(3, [(2,)]))

@@ -42,6 +42,24 @@ def test_sharp_family_component_structure():
     assert min(fam.sizes()) == 1 and max(fam.sizes()) == 3
 
 
+def test_sharp_and_diamond_families_match_their_definitions():
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for ceil_middle in (False, True):
+                base = n - k
+                mid = (base + 1) // 2 if ceil_middle else base // 2
+                # the middle layer of [n-k], each set with every subset of the tail
+                want = [m for m in range(1 << n) if (m & ((1 << base) - 1)).bit_count() == mid]
+                assert sharp_family(n, k, ceil_middle).members == tuple(want), (n, k)
+    for n in range(1, 5):
+        for top in range(1 << n):
+            for bottom in range(top + 1):
+                if bottom & ~top:
+                    continue
+                want = [m for m in range(1 << n) if m & bottom == bottom and m | top == top]
+                assert diamond_family(Diamond(bottom, top), n).members == tuple(want)
+
+
 def test_sharp_ceil_middle_differs_only_on_odd_gap():
     assert sharp_family(5, 2) != sharp_family(5, 2, ceil_middle=True)
     assert sharp_family(6, 2) == sharp_family(6, 2, ceil_middle=True)

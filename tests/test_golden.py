@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from latticework.cli import main
-from latticework.constructions import sharp_family
+from latticework.constructions import disconnected_extremal, sharp_family
 from latticework.core import SetFamily, layer_masks
 
 HERE = Path(__file__).parent
@@ -26,7 +26,14 @@ FAMILY_FILES = {
     "antichain.json": SetFamily.from_masks(4, layer_masks(4, 2)),
     "chain.json": SetFamily.from_sets(3, [(1,), (1, 2)]),
     "sharp.json": sharp_family(5, 1),
+    "disconnected.json": disconnected_extremal(4),
+    # three skipless steps, two of which change the component shape
+    "skips.json": SetFamily.from_sets(
+        5, [(2, 4), (3, 4), (1, 3, 4), (5,), (2, 3, 5), (1, 3, 4, 5), (1, 2, 3, 4, 5)]
+    ),
 }
+
+SPLIT_FILES = {"split.json": {"a": [1], "b": [0]}}
 
 CASES = [
     ["construct", "sharp", "--n", "6", "--k", "2", "--out", "out.json"],
@@ -60,6 +67,13 @@ CASES = [
     ["verify", "fact-ab", "--n", "3"],
     ["--budget-nodes", "100000", "verify", "key-lemma", "--n", "3"],
     ["verify", "fact-ab", "--n", "4", "--samples", "7"],
+    ["analyze", "--family", "sharp.json"],
+    ["analyze", "--family", "skips.json"],
+    ["normalize", "--family", "skips.json", "--t", "7", "--trace"],
+    ["normalize", "--family", "skips.json", "--t", "7", "--out", "out.json"],
+    ["normalize", "--family", "chain.json", "--t", "2", "--trace"],
+    ["normalize", "--family", "skips.json", "--t", "6"],
+    ["boundary", "--family", "disconnected.json", "--split-file", "split.json"],
 ]
 
 HELP = [["construct", "--help"], ["search", "--help"], ["verify", "--help"]]
@@ -81,6 +95,8 @@ def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, fam in FAMILY_FILES.items():
         (tmp_path / name).write_text(fam.to_json())
+    for name, split in SPLIT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(split))
     return tmp_path
 
 

@@ -1,8 +1,9 @@
 import random
+import warnings
 
 import pytest
 
-from latticework.core import SetFamily, comparability_graph, full_cube
+from latticework.core import PreconditionError, SetFamily, comparability_graph, full_cube
 from latticework.normalize import (
     find_skips,
     make_skipless,
@@ -36,6 +37,12 @@ def test_single_step_swaps_one_set():
     out = skipless_step(fam)
     assert len(out) == len(fam)
     assert skip_count(out) < skip_count(fam)
+
+
+def test_step_on_a_skipless_family_is_refused():
+    for fam in (full_cube(3), SetFamily.from_sets(4, [(1,), (1, 2), (3,)])):
+        with pytest.raises(PreconditionError):
+            skipless_step(fam)
 
 
 def test_make_skipless_hand_case():
@@ -73,3 +80,62 @@ def test_randomized_size_and_order_preservation():
             assert len(out) == len(fam)
             assert skip_count(out) == 0
             assert comparability_graph(out).max_component_order() <= t
+
+
+def _reference_skipless(fam, t):
+    """The normalization written out from its definition, pairwise throughout.
+
+    Returns the result, the (added, removed) steps and the number of steps
+    whose rewritten component is not the old one with the skip swapped in.
+    """
+
+    def comparable(x, y):
+        return (x & y) == x or (x & y) == y
+
+    def component(members, seed):
+        comp, frontier = {seed}, [seed]
+        while frontier:
+            x = frontier.pop()
+            for y in members:
+                if y not in comp and comparable(x, y):
+                    comp.add(y)
+                    frontier.append(y)
+        return comp
+
+    def skips(members):
+        return [
+            y for y in range(1 << fam.n)
+            if y not in members
+            and any(x & y == x for x in members) and any(y & z == y for z in members)
+        ]
+
+    members, steps, deviations = set(fam.members), [], 0
+    while found := skips(members):
+        y = min(found, key=lambda m: (m.bit_count(), m))
+        comp = component(members | {y}, y) - {y}
+        maximal = [m for m in comp if not any(m != o and m & o == m for o in comp)]
+        x = max(maximal, key=lambda m: (m.bit_count(), -m))
+        members = (members - {x}) | {y}
+        assert len(skips(members)) < len(found)
+        assert max(len(component(members, m)) for m in members) <= t
+        deviations += component(members, y) != (comp - {x}) | {y}
+        steps.append((y, x))
+    return SetFamily.from_masks(fam.n, members), steps, deviations
+
+
+def test_normalization_matches_the_reference_step():
+    rng = random.Random(17)
+    total_deviations = 0
+    for i in range(300):
+        fam, t = random_order_bounded_family(rng, 3 + i % 4)
+        want, want_steps, want_deviations = _reference_skipless(fam, t)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out, steps = make_skipless_with_trace(fam, t)
+        assert out == want
+        assert [(s.added, s.removed) for s in steps] == want_steps
+        shape = [w for w in caught if "component shape deviated" in str(w.message)]
+        assert len(shape) == len(caught) == want_deviations
+        total_deviations += want_deviations
+    # the seed reaches the warning path, so the count comparison is not vacuous
+    assert total_deviations > 0
