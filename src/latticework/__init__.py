@@ -15,6 +15,7 @@ from .core import (
     LatticeError,
     PreconditionError,
     ResourceLimitError,
+    VerificationError,
     SetFamily,
     binomial,
     comparability_graph,

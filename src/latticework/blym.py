@@ -13,6 +13,7 @@ from .core import (
     DomainError,
     PreconditionError,
     SetFamily,
+    VerificationError,
     binomial,
     comparability_graph,
     is_antichain,
@@ -40,7 +41,8 @@ def blym_sum(family: SetFamily) -> Fraction:
     if not is_antichain(family):
         raise PreconditionError("family contains a 2-chain")
     total = lubell(family)
-    assert total <= 1
+    if total > 1:
+        raise VerificationError(f"BLYM sum {total} of an antichain exceeds 1")
     return total
 
 
@@ -63,7 +65,8 @@ def diamond_profile(family: SetFamily) -> DiamondProfile:
         key = (d.bottom_layer, d.height)
         census[key] = census.get(key, 0) + 1
     profile = DiamondProfile(family.n, tuple(sorted((i, j, c) for (i, j), c in census.items())))
-    assert profile.member_total() == len(family)
+    if profile.member_total() != len(family):
+        raise VerificationError("diamond census does not account for every member")
     return profile
 
 
@@ -74,7 +77,8 @@ def diamond_blym_sum(family: SetFamily) -> Fraction:
     total = Fraction(0)
     for i, j, c in profile.counts:
         total += Fraction(c, binomial(n - j, i))
-    assert total <= 1
+    if total > 1:
+        raise VerificationError(f"diamond BLYM sum {total} exceeds 1")
     return total
 
 

@@ -6,7 +6,8 @@ Every command other than a bare `construct` wraps its results in a run
 report that echoes the command, parameters, seed, version, and timing, so
 a report is reproducible from its own content.  Exact rationals are
 rendered as strings like "4/3"; exit codes are 0 (pass), 1 (verification
-failure), 2 (usage error), 3 (budget exceeded).
+failure, including a result that fails its own re-check), 2 (usage
+error), 3 (budget exceeded).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     PreconditionError,
     ResourceLimitError,
     SetFamily,
+    VerificationError,
     comparability_graph,
     count_two_chains,
     full_cube,
@@ -415,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if args.command == "construct" and not args.out:
         # Bare construct emits the family file format itself, so the output
         # pipes straight back into --family arguments.

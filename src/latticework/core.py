@@ -55,6 +55,10 @@ class ResourceLimitError(LatticeError):
     """The request exceeds a documented size cap for exact computation."""
 
 
+class VerificationError(LatticeError):
+    """A computed result failed its independent re-check: a defect, not bad input."""
+
+
 def mask_of(elements) -> int:
     """Encode an iterable of elements from [n] as a mask.
 

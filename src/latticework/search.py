@@ -1,16 +1,21 @@
 """Exact searches for the small-n extremal thresholds.
 
-The family searches run depth-first over masks in increasing numeric
-order, so every family is visited through exactly one (sorted) tuple.
-Components are tracked by a union-find with an undo stack, subtrees die
-when current size plus the surviving candidate pool cannot beat the
-incumbent, and shallow prefixes that are not lexicographically minimal
-under ground-element relabelling (plus complementation when the layer
-band is symmetric) are discarded.  Min-lex canonicity is inherited by
-prefixes, so the canonical copy of every optimal family survives.
+The order-bounded searches run depth-first over masks in increasing
+numeric order, so every family is visited through exactly one (sorted)
+tuple.  Each chosen mask records the bitset of its comparability
+component; a new member joins the components of its chosen neighbours,
+and only the candidates comparable to that joined component need their
+order checked again.  In `la_exact`, subtrees die when current size plus
+the surviving candidate pool cannot beat the incumbent, and shallow
+prefixes that are not lexicographically minimal under ground-element
+relabelling (plus complementation when the layer band is symmetric) are
+discarded.  Min-lex canonicity is inherited by prefixes, so the canonical
+copy of every optimal family survives.
 
 Budgets are node counts, never wall clocks; an exceeded budget returns
 the incumbent with proven_optimal=False instead of a silent answer.
+Every witness is re-checked by independent code before it is returned,
+and a failed check raises VerificationError, under `python -O` too.
 
 Every search over a fixed universe of masks reads its pairwise relation
 from `_comparability_rows`, and the relabelling tables come from
@@ -27,6 +32,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     SetFamily,
+    VerificationError,
     binomial,
     comparability_graph,
     count_two_chains,
@@ -35,7 +41,7 @@ from .core import (
     layer_masks,
     _mask_relabel_table,
 )
-from .constructions import links_every_component, sharp_family
+from .constructions import sharp_family
 from .colouring import (
     EdgeColouredGraph,
     LayerPairGraph,
@@ -66,24 +72,61 @@ class _BudgetExceeded(Exception):
 # order-bounded family maximisation
 
 
-_PERM_TABLE_CACHE: dict[tuple[int, bool], list[list[int]]] = {}
+_GROUP_LANES_CACHE: dict[tuple[int, bool], tuple[list[int], int, int]] = {}
 
 
-def _group_tables(n: int, with_complement: bool) -> list[list[int]]:
-    """Mask translation tables for S_n, optionally composed with complementation."""
+def _group_lanes(n: int, with_complement: bool) -> tuple[list[int], int, int]:
+    """The group S_n, optionally composed with complementation, bit-parallel.
+
+    Element g owns a lane of 2^n + 1 bits.  Column m holds 1 << g(m) in
+    lane g for every g, so OR-ing the columns of a family gives all its
+    images at once.  Also returned: the lanes' bit 0 (`ones`, which
+    replicates a family into every lane by multiplication) and their
+    top bit (`guards`, which no image reaches).
+    """
     key = (n, with_complement)
-    tables = _PERM_TABLE_CACHE.get(key)
-    if tables is not None:
-        return tables
-    tables = []
+    got = _GROUP_LANES_CACHE.get(key)
+    if got is not None:
+        return got
+    width = (1 << n) + 1
     full = (1 << n) - 1
+    columns = [0] * (1 << n)
+    lane = 0
     for perm in permutations(range(1, n + 1)):
         table = _mask_relabel_table(n, perm)
-        tables.append(table)
-        if with_complement:
-            tables.append([full ^ v for v in table])
-    _PERM_TABLE_CACHE[key] = tables
-    return tables
+        for image in (table, [full ^ v for v in table]) if with_complement else (table,):
+            for m, v in enumerate(image):
+                columns[m] |= 1 << (lane * width + v)
+            lane += 1
+    ones = sum(1 << (g * width) for g in range(lane))
+    got = (columns, ones, ones << (width - 1))
+    _GROUP_LANES_CACHE[key] = got
+    return got
+
+
+def _join(comp: list[int], low: int, nb: int) -> tuple[int, list[int]]:
+    """The component formed when the one-bit set `low` joins its chosen
+    neighbours `nb`, and the components it absorbs.
+
+    comp[j] is the component bitset of each chosen index j.
+    """
+    merged = []
+    joined = low
+    while nb:
+        c = comp[(nb & -nb).bit_length() - 1]
+        merged.append(c)
+        joined |= c
+        nb &= ~c
+    return joined, merged
+
+
+def _assign(comp: list[int], members: int) -> None:
+    """Record `members` as the component of each of its indices."""
+    rest = members
+    while rest:
+        low = rest & -rest
+        comp[low.bit_length() - 1] = members
+        rest ^= low
 
 
 def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
@@ -135,59 +178,29 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
 
     # relabelling preserves layers; complementation flips the band, so it is a
     # symmetry of the universe only when the band is centred
-    tables = _group_tables(n, with_complement=(kmin + kmax == n))
-
-    parent = list(range(size))
-    compsize = [1] * size
-    undo: list[tuple[int, int]] = []
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if compsize[ra] < compsize[rb]:
-            ra, rb = rb, ra
-        undo.append((rb, ra))
-        parent[rb] = ra
-        compsize[ra] += compsize[rb]
-
-    def rollback(mark):
-        while len(undo) > mark:
-            rb, ra = undo.pop()
-            parent[rb] = rb
-            compsize[ra] -= compsize[rb]
+    columns, ones, guards = _group_lanes(n, with_complement=(kmin + kmax == n))
 
     chosen: list[int] = []
     chosen_bits = 0
     nodes = 0
-
-    def merged_order(i, extra_bits):
-        """Order of the component formed if index i joins the current family."""
-        total = 1
-        seen_roots = []
-        nb = cmp_bits[i] & extra_bits
-        while nb:
-            low = nb & -nb
-            r = find(low.bit_length() - 1)
-            if r not in seen_roots:
-                seen_roots.append(r)
-                total += compsize[r]
-            nb ^= low
-        return total
+    # comp[j] is the component bitset of chosen index j
+    comp = [0] * size
 
     def canonical(masks):
-        for table in tables:
-            image = sorted(table[m] for m in masks)
-            if image < masks:
-                return False
-        return True
+        """True iff no group element sends masks to a lexicographically smaller sorted tuple."""
+        images = 0
+        family = 0
+        for m in masks:
+            images |= columns[m]
+            family |= 1 << m
+        # of two sets of equal size, the sorted one holding the least mask of
+        # their symmetric difference comes first; the guard bit stands in for
+        # an empty difference, and x & ~(x - 1) is the least bit of each lane
+        diff = (images ^ family * ones) | guards
+        return not diff & ~(diff - ones) & images
 
     def expand(pool):
+        """Branch on each index of pool; every member joins chosen within order t."""
         nonlocal nodes, best_val, best_masks, chosen_bits
         while pool:
             if len(chosen) + pool.bit_count() <= best_val:
@@ -198,32 +211,50 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
             nodes += 1
             if nodes > budget_nodes:
                 raise _BudgetExceeded
-            if merged_order(i, chosen_bits) > t:
-                continue
-            mark = len(undo)
-            nb = cmp_bits[i] & chosen_bits
-            while nb:
-                lo = nb & -nb
-                union(i, lo.bit_length() - 1)
-                nb ^= lo
+            joined, merged = _join(comp, low, cmp_bits[i] & chosen_bits)
+            # _assign, inlined, also collecting the joined component's neighbours
+            near = 0
+            rest = joined
+            while rest:
+                lo = rest & -rest
+                j = lo.bit_length() - 1
+                comp[j] = joined
+                near |= cmp_bits[j]
+                rest ^= lo
             chosen.append(i)
-            chosen_bits |= 1 << i
+            chosen_bits |= low
             if len(chosen) > best_val:
                 best_val = len(chosen)
                 best_masks = [universe[j] for j in chosen]
             if len(chosen) > canon_depth or canonical([universe[j] for j in chosen]):
-                child = 0
-                rest = pool
-                while rest:
-                    lo = rest & -rest
-                    j = lo.bit_length() - 1
-                    if merged_order(j, chosen_bits) <= t:
-                        child |= lo
-                    rest ^= lo
+                # a candidate away from the joined component keeps the order
+                # checked one level up; one comparable to it would form the
+                # joined component, itself and the other components it meets
+                child = pool
+                touched = pool & near
+                base = joined.bit_count() + 1
+                apart = chosen_bits ^ joined
+                if base > t:
+                    child ^= touched
+                    touched = 0
+                elif base + apart.bit_count() <= t:
+                    touched = 0
+                while touched:
+                    lo = touched & -touched
+                    touched ^= lo
+                    nb = cmp_bits[lo.bit_length() - 1] & apart
+                    order = base
+                    while nb:
+                        c = comp[(nb & -nb).bit_length() - 1]
+                        order += c.bit_count()
+                        nb &= ~c
+                    if order > t:
+                        child ^= lo
                 expand(child)
             chosen.pop()
-            chosen_bits ^= 1 << i
-            rollback(mark)
+            chosen_bits ^= low
+            for c in merged:
+                _assign(comp, c)
 
     proven = True
     try:
@@ -232,10 +263,12 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
         proven = False
 
     witness = SetFamily.from_masks(n, best_masks)
-    graph = comparability_graph(witness)
-    assert len(witness) == best_val
-    assert graph.max_component_order() <= t
-    assert all(kmin <= m.bit_count() <= kmax for m in witness.members)
+    if len(witness) != best_val:
+        raise VerificationError(f"witness has {len(witness)} members, not {best_val}")
+    if comparability_graph(witness).max_component_order() > t:
+        raise VerificationError(f"witness has a component of order above {t}")
+    if not all(kmin <= m.bit_count() <= kmax for m in witness.members):
+        raise VerificationError(f"witness leaves the layer band [{kmin}, {kmax}]")
     return SearchResult(best_val, witness, nodes, proven)
 
 
@@ -258,8 +291,14 @@ def la_exact_restricted(
 def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> SearchResult:
     """Exact maximum of the Lubell sum over families with component order <= t.
 
-    Plain exhaustion over all 2^(2^n) families with integer weights
-    (n! / C(n,k) per layer-k member), so n is capped at 4.
+    Exhausts all 2^(2^n) families, with integer weights n! / C(n,k) per
+    layer-k member, so n is capped at 4.  A depth-first walk decides the
+    masks from the top down, leaving a mask out before putting it in, so
+    families come in increasing order of their bitsets and family number b
+    is node b.  A node is one family decided, either alone or inside a
+    refuted block: a subtree whose chosen masks already form a component of
+    order > t, or whose chosen weight plus all weight still open cannot
+    strictly beat the incumbent.
     """
     if n > 4:
         raise DomainError("Lubell maximisation enumerates all families; n <= 4 only")
@@ -268,63 +307,63 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     cube = 1 << n
     factorial_n = factorial(n)
     weight = [factorial_n // binomial(n, m.bit_count()) for m in range(cube)]
+    # open_weight[m]: the weight of the masks below m, all still undecided
+    open_weight = [sum(weight[:m]) for m in range(cube + 1)]
     cmp_rows = _comparability_rows(list(range(cube)))
 
-    limit = budget_nodes if budget_nodes is not None else 1 << cube
+    # a negative budget stops at the first family, as zero does
+    limit = max(budget_nodes, 0) if budget_nodes is not None else 1 << cube
     best_num = 0
     best_bits = 0
     nodes = 0
-    proven = True
-    for bits in range(1, 1 << cube):
-        nodes += 1
-        if nodes > limit:
-            proven = False
-            break
-        total = 0
-        rest = bits
-        ok = True
-        # union-find over members, sizes tracked inline
-        parent = {}
-        size = {}
+    # comp[m] is the component bitset of a chosen mask m
+    comp = [0] * cube
 
-        def find(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
+    def decided(last):
+        """Account every family up to bitset `last` as a node."""
+        nonlocal nodes
+        if last > limit:
+            nodes = limit + 1
+            raise _BudgetExceeded
+        nodes = last
 
-        while rest:
-            low = rest & -rest
-            m = low.bit_length() - 1
-            rest ^= low
-            total += weight[m]
-            parent[m] = m
-            size[m] = 1
-            nb = cmp_rows[m] & bits & (low - 1)
-            while nb:
-                nlow = nb & -nb
-                r1, r2 = find(m), find(nlow.bit_length() - 1)
-                if r1 != r2:
-                    parent[r2] = r1
-                    size[r1] += size[r2]
-                    if size[r1] > t:
-                        ok = False
-                        break
-                nb ^= nlow
-            if not ok:
-                break
-        if ok and total > best_num:
+    def walk(m, bits, total):
+        """Decide masks m-1 .. 0 below the chosen masks `bits` of weight total."""
+        nonlocal best_num, best_bits
+        if total + open_weight[m] <= best_num:
+            decided(bits + (1 << m) - 1)
+            return
+        if not m:
+            decided(bits)
             best_num = total
             best_bits = bits
+            return
+        m -= 1
+        walk(m, bits, total)
+        low = 1 << m
+        joined, merged = _join(comp, low, cmp_rows[m] & bits)
+        if joined.bit_count() > t:
+            decided(bits + low + low - 1)
+            return
+        _assign(comp, joined)
+        walk(m, bits | low, total + weight[m])
+        for c in merged:
+            _assign(comp, c)
+
+    proven = True
+    try:
+        walk(cube, 0, 0)
+    except _BudgetExceeded:
+        proven = False
 
     masks = [m for m in range(cube) if (best_bits >> m) & 1]
     witness = SetFamily.from_masks(n, masks)
     value = Fraction(best_num, factorial_n)
 
-    assert lubell(witness) == value
-    assert (
-        not witness.members
-        or comparability_graph(witness).max_component_order() <= t
-    )
+    if lubell(witness) != value:
+        raise VerificationError(f"witness has Lubell sum {lubell(witness)}, not {value}")
+    if witness.members and comparability_graph(witness).max_component_order() > t:
+        raise VerificationError(f"witness has a component of order above {t}")
     return SearchResult(value, witness, nodes, proven)
 
 
@@ -337,12 +376,14 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
 
 
 def _closed_splits(n: int, budget_nodes: int):
-    """Yield (extent, common incomparables) index-bitmask pairs, plus node count."""
+    """(extent, common incomparables) index-bitmask pairs, with the universe,
+    its comparability rows, the node count and whether the enumeration ended."""
     universe = list(range(1, (1 << n) - 1))
     size = len(universe)
     full = (1 << size) - 1
+    cmp_rows = _comparability_rows(universe)
     # row i: the universe members incomparable to universe[i]
-    rows = [full ^ row ^ (1 << i) for i, row in enumerate(_comparability_rows(universe))]
+    rows = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
 
     def common(bits):
         out = full
@@ -379,7 +420,7 @@ def _closed_splits(n: int, budget_nodes: int):
                 return
 
     cbo(0, full, 0)
-    return universe, found, nodes, exhausted
+    return universe, cmp_rows, found, nodes, exhausted
 
 
 def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchResult:
@@ -388,7 +429,7 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
         raise DomainError("no disconnected family exists below n = 2")
     if n > 5:
         raise DomainError("split enumeration is exhaustive only up to n = 5")
-    universe, found, nodes, exhausted = _closed_splits(n, budget_nodes)
+    universe, _, found, nodes, exhausted = _closed_splits(n, budget_nodes)
     best_val = 0
     best_bits = (0, 0)
     for extent, intent in found:
@@ -399,9 +440,10 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
     masks = [universe[i] for i in iter_bits(best_bits[0] | best_bits[1])]
     witness = SetFamily.from_masks(n, masks)
     if witness.members:
-        graph = comparability_graph(witness)
-        assert len(witness) == best_val
-        assert graph.n_components >= 2
+        if len(witness) != best_val:
+            raise VerificationError(f"witness has {len(witness)} members, not {best_val}")
+        if comparability_graph(witness).n_components < 2:
+            raise VerificationError("witness is connected")
     return SearchResult(best_val, witness, nodes, exhausted)
 
 
@@ -417,7 +459,7 @@ def disconnected_splits(
     """
     if n > 5:
         raise DomainError("split enumeration is exhaustive only up to n = 5")
-    universe, found, nodes, exhausted = _closed_splits(n, budget_nodes)
+    universe, cmp_rows, found, nodes, exhausted = _closed_splits(n, budget_nodes)
     if not exhausted:
         raise ResourceLimitError(f"split enumeration stopped after {nodes} nodes")
     out = []
@@ -427,14 +469,37 @@ def disconnected_splits(
         if key in seen:
             continue
         seen.add(key)
-        family_masks = [universe[i] for i in iter_bits(extent | intent)]
-        family = SetFamily.from_masks(n, family_masks)
-        if not links_every_component(family, comparability_graph(family).component_members):
-            continue
-        a = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent)])
-        b = SetFamily.from_masks(n, [universe[i] for i in iter_bits(intent)])
-        out.append((a, b))
+        if _links_every_component(extent | intent, cmp_rows):
+            a = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent)])
+            b = SetFamily.from_masks(n, [universe[i] for i in iter_bits(intent)])
+            out.append((a, b))
     return out
+
+
+def _links_every_component(members: int, cmp_rows: list[int]) -> bool:
+    """`constructions.links_every_component` on a bitset of universe indices.
+
+    The empty set and [n] lie outside the universe and are comparable to
+    everything, so only the absent universe members can fail to link.
+    """
+    absent = ((1 << len(cmp_rows)) - 1) ^ members
+    left = members
+    while left:
+        comp = frontier = left & -left
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            row = cmp_rows[low.bit_length() - 1]
+            reach |= row
+            grown = row & left & ~comp
+            comp |= grown
+            frontier |= grown
+        left ^= comp
+        # an absent set links the components only if it reaches each one
+        if absent & ~reach:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +555,12 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
                 best_pair = LayerPairGraph(a_fam, b_fam)
         if not proven:
             break
-    assert best_pair is not None
-    assert best_pair.order() == m
-    assert avg_degree(best_pair) == best
+    if best_pair is None:
+        raise VerificationError("no layer pair was examined")
+    if best_pair.order() != m:
+        raise VerificationError(f"witness has order {best_pair.order()}, not {m}")
+    if avg_degree(best_pair) != best:
+        raise VerificationError(f"witness has average degree {avg_degree(best_pair)}, not {best}")
     return SearchResult(best, best_pair, nodes, proven)
 
 
@@ -531,7 +599,8 @@ def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchRes
             if best == 0:
                 break
     witness = SetFamily.from_masks(n, best_combo)
-    assert count_two_chains(witness) == best
+    if count_two_chains(witness) != best:
+        raise VerificationError(f"witness has {count_two_chains(witness)} 2-chains, not {best}")
     return SearchResult(best, witness, nodes, proven)
 
 
@@ -681,7 +750,12 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
             )
             break
 
-    assert is_proper(best_witness)
-    if best_witness.edges and t >= 3:
-        assert find_rainbow_cycle(best_witness, max_len=max(3, t)) is None
+    if not is_proper(best_witness):
+        raise VerificationError("witness colouring is not proper")
+    if (
+        best_witness.edges
+        and t >= 3
+        and find_rainbow_cycle(best_witness, max_len=max(3, t)) is not None
+    ):
+        raise VerificationError("witness colouring has a rainbow cycle")
     return SearchResult(best, best_witness, node_box[0], proven)

@@ -12,6 +12,7 @@ from .core import (
     DomainError,
     PreconditionError,
     SetFamily,
+    VerificationError,
     binomial,
     bits_to_family,
     downset_bits,
@@ -92,8 +93,10 @@ def kk_cascade(m: int, k: int) -> CascadeRep:
         level -= 1
     rep = CascadeRep(k, tuple(terms))
     # greedy must reproduce m and strictly decrease the upper indices
-    assert rep.value == m
-    assert all(a > b for (a, _), (b, _) in zip(terms, terms[1:]))
+    if rep.value != m:
+        raise VerificationError(f"cascade of m={m} at k={k} sums to {rep.value}")
+    if not all(a > b for (a, _), (b, _) in zip(terms, terms[1:])):
+        raise VerificationError(f"cascade of m={m} at k={k} has non-decreasing tops")
     return rep
 
 
@@ -149,7 +152,8 @@ def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
     missed_above = full ^ upset_bits(n, family_bits(a) | family_bits(b))
     fminus = missed_above & ~shadow_bits(n, missed_above)
     # the whole set and the empty set are never reachable from a true split
-    assert fplus and fminus
+    if not (fplus and fminus):
+        raise VerificationError("split has an empty boundary side")
     return BoundaryPair(bits_to_family(n, fplus), bits_to_family(n, fminus))
 
 

@@ -153,6 +153,18 @@ def test_search_budget_exit(capsys):
     assert report["results"]["value"] <= 8
 
 
+def test_failed_witness_check_exits_one(capsys, monkeypatch):
+    from latticework import search
+
+    # a Lubell oracle that disagrees with the search's own weights
+    monkeypatch.setattr(search, "lubell", lambda family: -1)
+    code = main(["search", "lambda-star", "--n", "2", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: witness has Lubell sum -1")
+
+
 def test_search_rational_values_as_strings(capsys):
     code, report = run_json(capsys, "search", "madstar", "--t", "3")
     assert code == 0

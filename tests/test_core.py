@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +272,15 @@ def test_comparability_beyond_closure_cap():
     assert g.edges == ((0, 2),)
     assert cover_graph(fam).component_sizes == (1, 0)
     assert count_two_chains(fam) == 1
+
+
+def test_no_bare_assert_under_src():
+    # python -O strips assert statements; result checks raise VerificationError
+    src = Path(__file__).parent.parent / "src"
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

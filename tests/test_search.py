@@ -1,19 +1,30 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from latticework.colouring import find_rainbow_cycle, is_proper
-from latticework.constructions import disconnected_extremal_size, sharp_family
+from latticework.constructions import (
+    disconnected_extremal_size,
+    links_every_component,
+    sharp_family,
+)
 from latticework.core import (
     DomainError,
     ResourceLimitError,
+    SetFamily,
     binomial,
     comparability_graph,
     count_two_chains,
+    family_bits,
+    iter_bits,
 )
 from latticework.lubell import lubell
 from latticework.normalize import make_skipless, skip_count
 from latticework.search import (
+    CONCEPT_NODE_BUDGET,
+    _closed_splits,
+    _comparability_rows,
     disconnected_splits,
     la_exact,
     la_exact_restricted,
@@ -24,7 +35,6 @@ from latticework.search import (
     xi_star_exact,
 )
 from latticework.shadow import up_closure, down_closure
-from latticework.core import family_bits
 
 # Exact values, frozen after exhaustive / cross-validated runs.  The n=2,3
 # columns were checked against a direct scan of all 2^(2^n) subfamilies;
@@ -132,6 +142,133 @@ def test_lambda_star_frozen_table():
         assert comparability_graph(fam).max_component_order() <= t
 
 
+# Node counts of the order-bounded searches.  Speeding up a node must not
+# change which nodes are visited; perfbench/expected.json pins them as well.
+LA_NODES = {
+    (1, 1): 1, (1, 2): 0, (1, 3): 0, (1, 4): 0, (1, 5): 0, (1, 6): 0, (1, 7): 0, (1, 8): 0,
+    (2, 1): 0, (2, 2): 5, (2, 3): 3, (2, 4): 0, (2, 5): 0, (2, 6): 0, (2, 7): 0, (2, 8): 0,
+    (3, 1): 4, (3, 2): 5, (3, 3): 8, (3, 4): 36, (3, 5): 33, (3, 6): 21, (3, 7): 7, (3, 8): 0,
+    (4, 1): 17, (4, 2): 45, (4, 3): 69, (4, 4): 77,
+    (4, 5): 115, (4, 6): 198, (4, 7): 377, (4, 8): 2667,
+    (5, 1): 78, (5, 2): 284, (5, 3): 1293, (5, 4): 3575,
+    (5, 5): 9465, (5, 6): 15597, (5, 7): 28510, (5, 8): 39791,
+}
+
+# (n, t, kmin, kmax) -> nodes, the layer bands of the benchmark's search workload
+LA_RESTRICTED_NODES = {
+    (5, 4, 1, 3): 1824, (5, 8, 2, 3): 1488, (5, 3, 1, 4): 1293, (4, 4, 1, 2): 31,
+    (5, 6, 0, 3): 4602, (5, 2, 2, 3): 103, (5, 2, 1, 3): 238, (5, 3, 2, 3): 361,
+    (5, 4, 2, 3): 379,
+}
+
+# (n, t) -> (value, witness) of la_exact under every budget: the seed
+# construction is already optimal, so a cut search returns it
+LA_BUDGET_SWEEP = {
+    (4, 4): (8, (1, 2, 5, 6, 9, 10, 13, 14)),
+    (5, 3): (12, (3, 5, 6, 9, 10, 12, 19, 21, 22, 25, 26, 28)),
+}
+
+# t -> witness of lambda_star_exact(4, t); every run decides all 65,535 families
+LAMBDA_STAR_N4_WITNESSES = {
+    1: (0,), 2: (0, 15), 3: (0, 1, 15), 4: (0, 1, 2, 15),
+    8: (0, 1, 2, 4, 7, 8, 11, 15), 16: tuple(range(16)),
+}
+
+# (t, budget) -> (value, witness, nodes) of lambda_star_exact(4, t, budget)
+LAMBDA_STAR_N4_CUTOFFS = {
+    (1, 0): (Fraction(0), (), 1),
+    (2, 1): (Fraction(1), (0,), 2),
+    (2, 1000): (Fraction(5, 4), (0, 1), 1001),
+    (2, 32768): (Fraction(5, 4), (0, 1), 32769),
+    (2, 32769): (Fraction(2), (0, 15), 32770),
+    (3, 4096): (Fraction(3, 2), (0, 1, 2), 4097),
+    (4, 32774): (Fraction(9, 4), (0, 1, 15), 32775),
+    (4, 32775): (Fraction(5, 2), (0, 1, 2, 15), 32776),
+    (4, 65534): (Fraction(5, 2), (0, 1, 2, 15), 65535),
+    (8, 30000): (Fraction(11, 4), (0, 1, 2, 4, 7, 8, 11, 13), 30001),
+    (16, 65533): (Fraction(29, 6), (*range(12), 13, 14, 15), 65534),
+}
+
+
+def lambda_star_by_exhaustion(n, t, budget_nodes=None):
+    """Reference for lambda_star_exact: every family in increasing bitset
+    order, one node each, components by a fresh union-find per family.
+
+    Returns (value, witness masks, nodes, proven_optimal).
+    """
+    cube = 1 << n
+    weight = [factorial(n) // binomial(n, m.bit_count()) for m in range(cube)]
+    cmp_rows = _comparability_rows(list(range(cube)))
+    limit = budget_nodes if budget_nodes is not None else 1 << cube
+    best_num = best_bits = nodes = 0
+    proven = True
+    for bits in range(1, 1 << cube):
+        nodes += 1
+        if nodes > limit:
+            proven = False
+            break
+        parent = {}
+        size = {}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        total = 0
+        ok = True
+        for m in iter_bits(bits):
+            total += weight[m]
+            parent[m] = m
+            size[m] = 1
+            for other in iter_bits(cmp_rows[m] & bits & ((1 << m) - 1)):
+                r1, r2 = find(m), find(other)
+                if r1 != r2:
+                    parent[r2] = r1
+                    size[r1] += size[r2]
+                    ok = ok and size[r1] <= t
+        if ok and total > best_num:
+            best_num, best_bits = total, bits
+    return Fraction(best_num, factorial(n)), tuple(iter_bits(best_bits)), nodes, proven
+
+
+def test_lambda_star_matches_exhaustion_for_every_budget():
+    for n in (1, 2, 3):
+        for t in range(1, 10):
+            for budget in (None, 0, 1, 2, 3, 5, 100, 254, 255, 256):
+                res = lambda_star_exact(n, t, budget)
+                got = (res.value, res.witness.members, res.nodes_explored, res.proven_optimal)
+                assert got == lambda_star_by_exhaustion(n, t, budget), (n, t, budget)
+
+
+def test_lambda_star_n4_nodes_and_cutoffs():
+    for t, witness in LAMBDA_STAR_N4_WITNESSES.items():
+        res = lambda_star_exact(4, t)
+        assert (res.witness.members, res.nodes_explored, res.proven_optimal) == (
+            witness, 65535, True), t
+    for (t, budget), want in LAMBDA_STAR_N4_CUTOFFS.items():
+        res = lambda_star_exact(4, t, budget)
+        assert (res.value, res.witness.members, res.nodes_explored) == want, (t, budget)
+        assert not res.proven_optimal
+
+
+def test_la_node_counts_frozen():
+    for (n, t), nodes in LA_NODES.items():
+        assert la_exact(n, t).nodes_explored == nodes, (n, t)
+    for args, nodes in LA_RESTRICTED_NODES.items():
+        assert la_exact_restricted(*args).nodes_explored == nodes, args
+
+
+def test_la_budget_sweep():
+    for (n, t), (value, witness) in LA_BUDGET_SWEEP.items():
+        total = LA_NODES[(n, t)]
+        for budget in range(1, 1001):
+            res = la_exact(n, t, budget_nodes=budget)
+            assert res.nodes_explored == min(budget + 1, total), (n, t, budget)
+            assert res.proven_optimal == (budget >= total)
+            assert (res.value, res.witness.members) == (value, witness)
+
+
 def test_lambda_star_sandwich():
     for (n, t), lam in LAMBDA_STAR_TABLE.items():
         if (n, t) in LA_TABLE:
@@ -160,6 +297,27 @@ def test_disconnected_splits_census():
         side_b = family_bits(up_closure(b)) | family_bits(down_closure(b))
         absent = ((1 << 8) - 1) & ~(family_bits(a) | family_bits(b))
         assert absent & ~(side_a & side_b) == 0
+
+
+def test_disconnected_splits_match_graph_filter():
+    # the maximality filter of disconnected_splits, restated through the
+    # family-level comparability graph and links_every_component
+    for n in range(1, 6):
+        universe, _, found, _, _ = _closed_splits(n, CONCEPT_NODE_BUDGET)
+        want = []
+        seen = set()
+        for extent, intent in found:
+            if (intent, extent) in seen:
+                continue
+            seen.add((extent, intent))
+            family = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent | intent)])
+            if links_every_component(family, comparability_graph(family).component_members):
+                want.append((
+                    tuple(universe[i] for i in iter_bits(extent)),
+                    tuple(universe[i] for i in iter_bits(intent)),
+                ))
+        got = [(a.members, b.members) for a, b in disconnected_splits(n)]
+        assert got == want, n
 
 
 def test_disconnected_splits_budget():
