@@ -50,11 +50,11 @@ def family_diamonds(family: SetFamily) -> list[Diamond]:
     """One Diamond per comparability component; error on any non-diamond component."""
     graph = comparability_graph(family)
     out = []
-    for c in range(graph.n_components):
-        part = graph.component_family(c)
-        d = detect_diamond(part)
+    for c, members in enumerate(graph.component_members):
+        d = detect_diamond(members)
         if d is None:
-            raise PreconditionError(f"component {part.to_sets()} is not a diamond")
+            part = graph.component_family(c).to_sets()
+            raise PreconditionError(f"component {part} is not a diamond")
         out.append(d)
     return out
 

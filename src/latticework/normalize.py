@@ -16,6 +16,7 @@ rewritten component are all re-checked.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (
@@ -61,11 +62,16 @@ def _skip_bits(family: SetFamily) -> int:
 
 def find_skips(family: SetFamily) -> list[SkipReport]:
     """All skips of the family, sorted by (cardinality, mask value)."""
+    members = family.members
     out = []
     for y in iter_bits(_skip_bits(family)):
-        below = min(x for x in family.members if (x & y) == x)
-        above = min(z for z in family.members if (y & z) == y)
-        out.append(SkipReport(skip=y, witness_below=below, witness_above=above))
+        # members ascend, so the first one inside y is the least, and the least
+        # one around y comes after y's own place: each scan stops at its witness
+        below = next(x for x in members if x & y == x)
+        i = bisect_left(members, y)
+        while members[i] & y != y:
+            i += 1
+        out.append(SkipReport(skip=y, witness_below=below, witness_above=members[i]))
     out.sort(key=lambda r: (r.skip.bit_count(), r.skip))
     return out
 

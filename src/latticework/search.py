@@ -12,8 +12,10 @@ relabelling (plus complementation when the layer band is symmetric) are
 discarded.  Min-lex canonicity is inherited by prefixes, so the canonical
 copy of every optimal family survives.
 
-Budgets are node counts, never wall clocks; an exceeded budget returns
-the incumbent with proven_optimal=False instead of a silent answer.
+Budgets are node counts, never wall clocks, counted by one `_Budget`: None
+is unbounded, a negative budget acts as 0, and the node after the budget
+stops the search at max(budget, 0) + 1 nodes, proven_optimal=False, with
+its incumbent (value and witness None before the first candidate).
 Every witness is re-checked by independent code before it is returned,
 and a failed check raises VerificationError, under `python -O` too.
 
@@ -26,7 +28,7 @@ loops are walked with `core.iter_bits`.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, inf
 
 from .core import (
     DomainError,
@@ -66,6 +68,40 @@ class SearchResult:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+class _Budget:
+    """The node counter of one search, which runs under `with budget:`; the
+    node after the limit ends that block, leaving nodes == limit + 1."""
+
+    __slots__ = ("limit", "nodes")
+
+    def __init__(self, budget_nodes: int | None):
+        self.limit = inf if budget_nodes is None else max(budget_nodes, 0)
+        self.nodes = 0
+
+    def tick(self) -> None:
+        """Count one node."""
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise _BudgetExceeded
+
+    def reach(self, last: int) -> None:
+        """Count every node up to number `last`, for a block settled at once."""
+        if last > self.limit:
+            self.nodes = self.limit + 1
+            raise _BudgetExceeded
+        self.nodes = last
+
+    @property
+    def proven(self) -> bool:
+        return self.nodes <= self.limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        return kind is _BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +218,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
 
     chosen: list[int] = []
     chosen_bits = 0
-    nodes = 0
+    budget = _Budget(budget_nodes)
     # comp[j] is the component bitset of chosen index j
     comp = [0] * size
 
@@ -201,16 +237,14 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
 
     def expand(pool):
         """Branch on each index of pool; every member joins chosen within order t."""
-        nonlocal nodes, best_val, best_masks, chosen_bits
+        nonlocal best_val, best_masks, chosen_bits
         while pool:
             if len(chosen) + pool.bit_count() <= best_val:
                 return
             low = pool & -pool
             i = low.bit_length() - 1
             pool ^= low
-            nodes += 1
-            if nodes > budget_nodes:
-                raise _BudgetExceeded
+            budget.tick()
             joined, merged = _join(comp, low, cmp_bits[i] & chosen_bits)
             # _assign, inlined, also collecting the joined component's neighbours
             near = 0
@@ -256,11 +290,8 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
             for c in merged:
                 _assign(comp, c)
 
-    proven = True
-    try:
+    with budget:
         expand((1 << size) - 1 if size else 0)
-    except _BudgetExceeded:
-        proven = False
 
     witness = SetFamily.from_masks(n, best_masks)
     if len(witness) != best_val:
@@ -269,7 +300,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
         raise VerificationError(f"witness has a component of order above {t}")
     if not all(kmin <= m.bit_count() <= kmax for m in witness.members):
         raise VerificationError(f"witness leaves the layer band [{kmin}, {kmax}]")
-    return SearchResult(best_val, witness, nodes, proven)
+    return SearchResult(best_val, witness, budget.nodes, budget.proven)
 
 
 def la_exact(n: int, t: int, budget_nodes: int = LA_NODE_BUDGET) -> SearchResult:
@@ -295,7 +326,7 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     layer-k member, so n is capped at 4.  A depth-first walk decides the
     masks from the top down, leaving a mask out before putting it in, so
     families come in increasing order of their bitsets and family number b
-    is node b.  A node is one family decided, either alone or inside a
+    is node b.  A node is one family settled, either alone or inside a
     refuted block: a subtree whose chosen masks already form a component of
     order > t, or whose chosen weight plus all weight still open cannot
     strictly beat the incumbent.
@@ -307,34 +338,24 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     cube = 1 << n
     factorial_n = factorial(n)
     weight = [factorial_n // binomial(n, m.bit_count()) for m in range(cube)]
-    # open_weight[m]: the weight of the masks below m, all still undecided
+    # open_weight[m]: the weight of the masks below m, all still open
     open_weight = [sum(weight[:m]) for m in range(cube + 1)]
     cmp_rows = _comparability_rows(list(range(cube)))
 
-    # a negative budget stops at the first family, as zero does
-    limit = max(budget_nodes, 0) if budget_nodes is not None else 1 << cube
+    budget = _Budget(budget_nodes)
     best_num = 0
     best_bits = 0
-    nodes = 0
     # comp[m] is the component bitset of a chosen mask m
     comp = [0] * cube
-
-    def decided(last):
-        """Account every family up to bitset `last` as a node."""
-        nonlocal nodes
-        if last > limit:
-            nodes = limit + 1
-            raise _BudgetExceeded
-        nodes = last
 
     def walk(m, bits, total):
         """Decide masks m-1 .. 0 below the chosen masks `bits` of weight total."""
         nonlocal best_num, best_bits
         if total + open_weight[m] <= best_num:
-            decided(bits + (1 << m) - 1)
+            budget.reach(bits + (1 << m) - 1)
             return
         if not m:
-            decided(bits)
+            budget.reach(bits)
             best_num = total
             best_bits = bits
             return
@@ -343,18 +364,15 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
         low = 1 << m
         joined, merged = _join(comp, low, cmp_rows[m] & bits)
         if joined.bit_count() > t:
-            decided(bits + low + low - 1)
+            budget.reach(bits + low + low - 1)
             return
         _assign(comp, joined)
         walk(m, bits | low, total + weight[m])
         for c in merged:
             _assign(comp, c)
 
-    proven = True
-    try:
+    with budget:
         walk(cube, 0, 0)
-    except _BudgetExceeded:
-        proven = False
 
     masks = [m for m in range(cube) if (best_bits >> m) & 1]
     witness = SetFamily.from_masks(n, masks)
@@ -364,7 +382,7 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
         raise VerificationError(f"witness has Lubell sum {lubell(witness)}, not {value}")
     if witness.members and comparability_graph(witness).max_component_order() > t:
         raise VerificationError(f"witness has a component of order above {t}")
-    return SearchResult(value, witness, nodes, proven)
+    return SearchResult(value, witness, budget.nodes, budget.proven)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +393,9 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
 # enumerates every such closed split exactly once.
 
 
-def _closed_splits(n: int, budget_nodes: int):
-    """(extent, common incomparables) index-bitmask pairs, with the universe,
-    its comparability rows, the node count and whether the enumeration ended."""
+def _closed_splits(n: int, budget: _Budget):
+    """The universe, its comparability rows and the (extent, common
+    incomparables) index-bitmask pairs, as many as the budget reached."""
     universe = list(range(1, (1 << n) - 1))
     size = len(universe)
     full = (1 << size) - 1
@@ -394,11 +412,8 @@ def _closed_splits(n: int, budget_nodes: int):
         return out
 
     found: list[tuple[int, int]] = []
-    nodes = 0
-    exhausted = True
 
     def cbo(extent, intent, start):
-        nonlocal nodes, exhausted
         if extent and intent:
             found.append((extent, intent))
         for y in range(start, size):
@@ -407,20 +422,16 @@ def _closed_splits(n: int, budget_nodes: int):
             shrunk = intent & rows[y]
             if not shrunk:
                 continue
-            nodes += 1
-            if nodes > budget_nodes:
-                exhausted = False
-                return
+            budget.tick()
             closed = common(shrunk)
             below = (1 << y) - 1
             if (closed & below) != (extent & below):
                 continue
             cbo(closed, shrunk, y + 1)
-            if not exhausted:
-                return
 
-    cbo(0, full, 0)
-    return universe, cmp_rows, found, nodes, exhausted
+    with budget:
+        cbo(0, full, 0)
+    return universe, cmp_rows, found
 
 
 def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchResult:
@@ -429,7 +440,8 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
         raise DomainError("no disconnected family exists below n = 2")
     if n > 5:
         raise DomainError("split enumeration is exhaustive only up to n = 5")
-    universe, _, found, nodes, exhausted = _closed_splits(n, budget_nodes)
+    budget = _Budget(budget_nodes)
+    universe, _, found = _closed_splits(n, budget)
     best_val = 0
     best_bits = (0, 0)
     for extent, intent in found:
@@ -444,7 +456,7 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
             raise VerificationError(f"witness has {len(witness)} members, not {best_val}")
         if comparability_graph(witness).n_components < 2:
             raise VerificationError("witness is connected")
-    return SearchResult(best_val, witness, nodes, exhausted)
+    return SearchResult(best_val, witness, budget.nodes, budget.proven)
 
 
 def disconnected_splits(
@@ -459,9 +471,10 @@ def disconnected_splits(
     """
     if n > 5:
         raise DomainError("split enumeration is exhaustive only up to n = 5")
-    universe, cmp_rows, found, nodes, exhausted = _closed_splits(n, budget_nodes)
-    if not exhausted:
-        raise ResourceLimitError(f"split enumeration stopped after {nodes} nodes")
+    budget = _Budget(budget_nodes)
+    universe, cmp_rows, found = _closed_splits(n, budget)
+    if not budget.proven:
+        raise ResourceLimitError(f"split enumeration stopped after {budget.nodes} nodes")
     out = []
     seen = set()
     for extent, intent in found:
@@ -509,7 +522,7 @@ def _links_every_component(members: int, cmp_rows: list[int]) -> bool:
 def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResult:
     """Exact maximum average degree over adjacent-layer pairs of total order m.
 
-    The bottom side is exhausted; for a fixed bottom side the best top
+    Every bottom side is tried; for a fixed bottom side the best top
     side is exactly the m - |A| tops of largest containment degree.
     """
     if n > 5:
@@ -518,50 +531,36 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
         raise DomainError("order m out of range for adjacent layer pairs")
     if m > max(binomial(n, k) + binomial(n, k + 1) for k in range(n)):
         raise DomainError(f"no adjacent layer pair of [{n}] has order {m}")
-    best = Fraction(0)
-    best_pair = None
-    nodes = 0
-    limit = budget_nodes if budget_nodes is not None else 1 << 62
-    proven = True
-    for k in range(n):
-        bottoms = layer_masks(n, k)
-        tops = layer_masks(n, k + 1)
-        sub_rows = []
-        for top in tops:
-            row = 0
-            for i, b in enumerate(bottoms):
-                if b & top == b:
-                    row |= 1 << i
-            sub_rows.append(row)
-        max_a = min(len(bottoms), m)
-        for a_bits in range(1 << len(bottoms)):
-            asize = a_bits.bit_count()
-            bsize = m - asize
-            if asize > max_a or bsize < 0 or bsize > len(tops):
-                continue
-            nodes += 1
-            if nodes > limit:
-                proven = False
-                break
-            degs = sorted(
-                ((sub_rows[j] & a_bits).bit_count(), j) for j in range(len(tops))
-            )[::-1]
-            edges = sum(d for d, _ in degs[:bsize])
-            val = Fraction(2 * edges, m)
-            if val > best or best_pair is None:
-                best = val
-                a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
-                b_fam = SetFamily.from_masks(n, [tops[j] for _, j in degs[:bsize]])
-                best_pair = LayerPairGraph(a_fam, b_fam)
-        if not proven:
-            break
-    if best_pair is None:
-        raise VerificationError("no layer pair was examined")
-    if best_pair.order() != m:
+    best = best_pair = None
+    budget = _Budget(budget_nodes)
+    with budget:
+        for k in range(n):
+            bottoms = layer_masks(n, k)
+            tops = layer_masks(n, k + 1)
+            # row j: the bottoms inside tops[j], as no two tops are comparable
+            sub_rows = _comparability_rows(bottoms + tops)[len(bottoms):]
+            max_a = min(len(bottoms), m)
+            for a_bits in range(1 << len(bottoms)):
+                asize = a_bits.bit_count()
+                bsize = m - asize
+                if asize > max_a or bsize < 0 or bsize > len(tops):
+                    continue
+                budget.tick()
+                degs = sorted(
+                    ((sub_rows[j] & a_bits).bit_count(), j) for j in range(len(tops))
+                )[::-1]
+                edges = sum(d for d, _ in degs[:bsize])
+                val = Fraction(2 * edges, m)
+                if best is None or val > best:
+                    best = val
+                    a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
+                    b_fam = SetFamily.from_masks(n, [tops[j] for _, j in degs[:bsize]])
+                    best_pair = LayerPairGraph(a_fam, b_fam)
+    if best_pair is not None and best_pair.order() != m:
         raise VerificationError(f"witness has order {best_pair.order()}, not {m}")
-    if avg_degree(best_pair) != best:
+    if best_pair is not None and avg_degree(best_pair) != best:
         raise VerificationError(f"witness has average degree {avg_degree(best_pair)}, not {best}")
-    return SearchResult(best, best_pair, nodes, proven)
+    return SearchResult(best, best_pair, budget.nodes, budget.proven)
 
 
 # ---------------------------------------------------------------------------
@@ -578,30 +577,25 @@ def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchRes
     # for masks x < y, comparable means x is a subset of y
     rows = _comparability_rows(list(range(cube)))
     subs_row = [row & ((1 << y) - 1) for y, row in enumerate(rows)]
-    best = None
-    best_combo = None
-    nodes = 0
-    limit = budget_nodes if budget_nodes is not None else 1 << 62
-    proven = True
-    for combo in combinations(range(cube), m):
-        nodes += 1
-        if nodes > limit:
-            proven = False
-            break
-        bits = 0
-        cnt = 0
-        for mask in combo:
-            cnt += (subs_row[mask] & bits).bit_count()
-            bits |= 1 << mask
-        if best is None or cnt < best:
-            best = cnt
-            best_combo = combo
-            if best == 0:
-                break
-    witness = SetFamily.from_masks(n, best_combo)
-    if count_two_chains(witness) != best:
+    best = best_combo = None
+    budget = _Budget(budget_nodes)
+    with budget:
+        for combo in combinations(range(cube), m):
+            budget.tick()
+            bits = 0
+            cnt = 0
+            for mask in combo:
+                cnt += (subs_row[mask] & bits).bit_count()
+                bits |= 1 << mask
+            if best is None or cnt < best:
+                best = cnt
+                best_combo = combo
+                if best == 0:
+                    break
+    witness = None if best_combo is None else SetFamily.from_masks(n, best_combo)
+    if witness is not None and count_two_chains(witness) != best:
         raise VerificationError(f"witness has {count_two_chains(witness)} 2-chains, not {best}")
-    return SearchResult(best, witness, nodes, proven)
+    return SearchResult(best, witness, budget.nodes, budget.proven)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +643,7 @@ def _edge_order(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return ordered
 
 
-def _rainbow_free_colouring(edges, t, node_box, budget_nodes):
+def _rainbow_free_colouring(edges, t, budget):
     """A proper edge colouring with no rainbow cycle, or None; exhaustive.
 
     Colours are assigned in restricted-growth order, properness is
@@ -685,9 +679,7 @@ def _rainbow_free_colouring(edges, t, node_box, budget_nodes):
         return walk(u, 1 << colour, 0)
 
     def assign(pos, used):
-        node_box[0] += 1
-        if node_box[0] > budget_nodes:
-            raise _BudgetExceeded
+        budget.tick()
         if pos == m:
             return True
         u, v = order[pos]
@@ -717,7 +709,7 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
     proper edge colouring; exhaustive over all graphs on t vertices.
 
     Graphs with a triangle never qualify (a properly coloured triangle is
-    always rainbow), the rest are decided by exhaustive colouring search
+    always rainbow), the rest are settled by exhaustive colouring search
     in decreasing order of average degree.
     """
     if not 1 <= t <= 7:
@@ -727,28 +719,24 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
         edges = sorted(tuple(sorted(e)) for e in g.edges())
         candidates.append((Fraction(2 * len(edges), t), edges))
     candidates.sort(key=lambda pair: (-pair[0], pair[1]))
-    node_box = [0]
-    proven = True
     best = Fraction(0)
     best_witness = EdgeColouredGraph(t, ())
-    for avg, edges in candidates:
-        adj = [0] * t
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _has_triangle(adj, t):
-            continue
-        try:
-            colouring = _rainbow_free_colouring(edges, t, node_box, budget_nodes)
-        except _BudgetExceeded:
-            proven = False
-            break
-        if colouring is not None:
-            best = avg
-            best_witness = EdgeColouredGraph(
-                t, tuple((u, v, c + 1) for (u, v), c in sorted(colouring.items()))
-            )
-            break
+    budget = _Budget(budget_nodes)
+    with budget:
+        for avg, edges in candidates:
+            adj = [0] * t
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if _has_triangle(adj, t):
+                continue
+            colouring = _rainbow_free_colouring(edges, t, budget)
+            if colouring is not None:
+                best = avg
+                best_witness = EdgeColouredGraph(
+                    t, tuple((u, v, c + 1) for (u, v), c in sorted(colouring.items()))
+                )
+                break
 
     if not is_proper(best_witness):
         raise VerificationError("witness colouring is not proper")
@@ -758,4 +746,4 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
         and find_rainbow_cycle(best_witness, max_len=max(3, t)) is not None
     ):
         raise VerificationError("witness colouring has a rainbow cycle")
-    return SearchResult(best, best_witness, node_box[0], proven)
+    return SearchResult(best, best_witness, budget.nodes, budget.proven)

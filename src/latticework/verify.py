@@ -35,6 +35,7 @@ from .sampling import (
     random_layer_pair,
 )
 from .search import (
+    CONCEPT_NODE_BUDGET,
     disconnected_splits,
     la_exact,
     lambda_star_exact,
@@ -286,10 +287,9 @@ def verify_colouring(
     }
 
 
-def verify_fact_ab(n: int = 3, budget_nodes: int | None = None) -> dict:
+def verify_fact_ab(n: int = 3, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
-    kwargs = {} if budget_nodes is None else {"budget_nodes": budget_nodes}
-    splits = disconnected_splits(n, **kwargs)
+    splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
     extremal_hits = 0
     best = disconnected_extremal_size(n)
@@ -338,15 +338,14 @@ def verify_fact_ab(n: int = 3, budget_nodes: int | None = None) -> dict:
     }
 
 
-def verify_key_lemma(n: int = 4, budget_nodes: int | None = None) -> dict:
+def verify_key_lemma(n: int = 4, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dict:
     """Each minimal missing set above forces many near-size sets below.
 
     For every maximal split and every F in the upper boundary of size k, the
     lower boundary holds at least k-1 sets of size at least k-2; dually, F of
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
-    kwargs = {} if budget_nodes is None else {"budget_nodes": budget_nodes}
-    splits = disconnected_splits(n, **kwargs)
+    splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
     checked = 0
     for a, b in splits:

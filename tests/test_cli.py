@@ -151,6 +151,13 @@ def test_search_budget_exit(capsys):
     assert code == 3
     assert not report["results"]["proven_optimal"]
     assert report["results"]["value"] <= 8
+    # a budget that ends before the first candidate leaves no incumbent
+    for argv in (("xi-star", "--n", "5", "--m", "4"), ("min2chains", "--n", "3", "--m", "4")):
+        code, report = run_json(capsys, "--budget-nodes", "0", "search", *argv)
+        assert code == 3, argv
+        res = report["results"]
+        assert (res["value"], res["witness"], res["nodes_explored"]) == (None, None, 1), argv
+        assert not res["proven_optimal"]
 
 
 def test_failed_witness_check_exits_one(capsys, monkeypatch):

@@ -27,6 +27,26 @@ def test_skip_detection_hand_case():
         assert s.skip & s.witness_above == s.skip
 
 
+def test_skip_witnesses_match_member_scans():
+    # find_skips stops each witness scan early; the reference finds the skips
+    # and their least members below and above by scanning every member
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        masks = rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1)))
+        fam = SetFamily.from_masks(n, sorted(masks))
+        want = [
+            (y, min(x for x in masks if x & y == x), min(z for z in masks if y & z == y))
+            for y in range(1 << n)
+            if y not in masks
+            and any(x & y == x for x in masks)
+            and any(y & z == y for z in masks)
+        ]
+        want.sort(key=lambda w: (w[0].bit_count(), w[0]))
+        got = [(s.skip, s.witness_below, s.witness_above) for s in find_skips(fam)]
+        assert got == want, (n, masks)
+
+
 def test_skipless_families_have_no_skips():
     assert skip_count(full_cube(3)) == 0
     assert skip_count(SetFamily.from_sets(4, [(1,), (2,), (3, 4)])) == 0

@@ -3,7 +3,12 @@ from math import factorial
 
 import pytest
 
-from latticework.colouring import find_rainbow_cycle, is_proper
+from latticework.colouring import (
+    EdgeColouredGraph,
+    LayerPairGraph,
+    find_rainbow_cycle,
+    is_proper,
+)
 from latticework.constructions import (
     disconnected_extremal_size,
     links_every_component,
@@ -22,7 +27,7 @@ from latticework.core import (
 from latticework.lubell import lubell
 from latticework.normalize import make_skipless, skip_count
 from latticework.search import (
-    CONCEPT_NODE_BUDGET,
+    _Budget,
     _closed_splits,
     _comparability_rows,
     disconnected_splits,
@@ -161,12 +166,55 @@ LA_RESTRICTED_NODES = {
     (5, 4, 2, 3): 379,
 }
 
-# (n, t) -> (value, witness) of la_exact under every budget: the seed
-# construction is already optimal, so a cut search returns it
-LA_BUDGET_SWEEP = {
-    (4, 4): (8, (1, 2, 5, 6, 9, 10, 13, 14)),
-    (5, 3): (12, (3, 5, 6, 9, 10, 12, 19, 21, 22, 25, 26, 28)),
-}
+# (search, arguments, nodes of the whole search, {budget: (value, witness)}):
+# a search cut at budget b returns the entry of the largest key <= b, and
+# (None, None) below the first key, where it has examined no candidate.
+# la_exact's seed construction is already optimal, so a cut search returns it.
+BUDGET_SWEEP = [
+    (la_exact, (4, 4), 77, {-1: (8, (1, 2, 5, 6, 9, 10, 13, 14))}),
+    (la_exact, (5, 3), 1293, {-1: (12, (3, 5, 6, 9, 10, 12, 19, 21, 22, 25, 26, 28))}),
+    (la_exact_restricted, (4, 4, 1, 2), 31, {
+        -1: (6, (3, 5, 6, 9, 10, 12)),
+        22: (7, (1, 2, 5, 6, 9, 10, 12)),
+    }),
+    (lambda_star_exact, (3, 2), 255, {
+        -1: (Fraction(0), ()),
+        1: (Fraction(1), (0,)),
+        3: (Fraction(4, 3), (0, 1)),
+        129: (Fraction(2), (0, 7)),
+    }),
+    (max_disconnected, (4,), 568, {
+        -1: (0, ()),
+        1: (8, (1, 2, 4, 6, 8, 10, 12, 14)),
+        5: (10, (1, 2, 3, 5, 6, 7, 9, 10, 11, 12)),
+    }),
+    (xi_star_exact, (4, 6), 73, {
+        1: (Fraction(0), ((), (3, 5, 6, 9, 10, 12))),
+        2: (Fraction(1), ((1,), (3, 5, 9, 10, 12))),
+        4: (Fraction(5, 3), ((1, 2), (3, 6, 9, 10))),
+        8: (Fraction(2), ((1, 2, 4), (3, 5, 6))),
+    }),
+    (min_two_chains, (3, 4), 70, {
+        1: (5, (0, 1, 2, 3)),
+        2: (3, (0, 1, 2, 4)),
+        36: (2, (1, 2, 3, 4)),
+    }),
+    (mad_star_probe, (5,), 8, {
+        -1: (Fraction(0), ()),
+        8: (Fraction(12, 5), ((0, 2, 1), (0, 3, 2), (0, 4, 3), (1, 2, 2), (1, 3, 3), (1, 4, 1))),
+    }),
+]
+
+
+def plain_witness(witness):
+    """A search witness as masks (or coloured edges), None as itself."""
+    if isinstance(witness, SetFamily):
+        return witness.members
+    if isinstance(witness, LayerPairGraph):
+        return (witness.a.members, witness.b.members)
+    if isinstance(witness, EdgeColouredGraph):
+        return witness.edges
+    return witness
 
 # t -> witness of lambda_star_exact(4, t); every run decides all 65,535 families
 LAMBDA_STAR_N4_WITNESSES = {
@@ -259,14 +307,28 @@ def test_la_node_counts_frozen():
         assert la_exact_restricted(*args).nodes_explored == nodes, args
 
 
-def test_la_budget_sweep():
-    for (n, t), (value, witness) in LA_BUDGET_SWEEP.items():
-        total = LA_NODES[(n, t)]
-        for budget in range(1, 1001):
-            res = la_exact(n, t, budget_nodes=budget)
-            assert res.nodes_explored == min(budget + 1, total), (n, t, budget)
-            assert res.proven_optimal == (budget >= total)
-            assert (res.value, res.witness.members) == (value, witness)
+def test_budget_sweep():
+    # None is unbounded, a negative budget acts as 0, and the node after the
+    # budget stops the search
+    for search, args, total, results in BUDGET_SWEEP:
+        res = search(*args, None)
+        assert (res.nodes_explored, res.proven_optimal) == (total, True), search.__name__
+        for budget in range(-1, total + 2):
+            res = search(*args, budget)
+            case = (search.__name__, args, budget)
+            assert res.nodes_explored == min(max(budget, 0) + 1, total), case
+            assert res.proven_optimal == (budget >= total), case
+            want = (None, None)
+            for first, got in results.items():
+                if first <= budget:
+                    want = got
+            assert (res.value, plain_witness(res.witness)) == want, case
+    for budget in range(-1, 570):
+        if budget < 568:
+            with pytest.raises(ResourceLimitError, match=f"after {max(budget, 0) + 1} nodes"):
+                disconnected_splits(4, budget)
+        else:
+            assert len(disconnected_splits(4, budget)) == 78
 
 
 def test_lambda_star_sandwich():
@@ -303,7 +365,7 @@ def test_disconnected_splits_match_graph_filter():
     # the maximality filter of disconnected_splits, restated through the
     # family-level comparability graph and links_every_component
     for n in range(1, 6):
-        universe, _, found, _, _ = _closed_splits(n, CONCEPT_NODE_BUDGET)
+        universe, _, found = _closed_splits(n, _Budget(None))
         want = []
         seen = set()
         for extent, intent in found:
