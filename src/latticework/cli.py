@@ -86,18 +86,31 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _load_family(path: str) -> SetFamily:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(
             f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _write_family(path: str, family: SetFamily) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(family.to_jsonable(), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_family(path: str) -> SetFamily:
+    data = _read_json(path)
     try:
         return SetFamily.from_jsonable(data)
     except (LatticeError, KeyError, TypeError, ValueError) as exc:
@@ -192,9 +205,7 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
     params = {"name": args.name, **{k: v for k in reads if (v := getattr(args, k)) is not None}}
     results = {"family": fam.to_jsonable(), "size": len(fam), "digest": fam.digest()}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(fam.to_jsonable(), fh, indent=2)
-            fh.write("\n")
+        _write_family(args.out, fam)
         results["written_to"] = args.out
     return params, results, EXIT_OK
 
@@ -236,9 +247,7 @@ def cmd_normalize(args) -> tuple[dict, dict, int]:
     if trace is not None:
         results["trace"] = trace
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out.to_jsonable(), fh, indent=2)
-            fh.write("\n")
+        _write_family(args.out, out)
         results["written_to"] = args.out
     return {"family": args.family, "t": args.t, "trace": bool(args.trace)}, results, EXIT_OK
 
@@ -250,15 +259,7 @@ def _is_index_list(value) -> bool:
 
 def cmd_boundary(args) -> tuple[dict, dict, int]:
     fam = _load_family(args.family)
-    try:
-        with open(args.split_file, "r", encoding="utf-8") as fh:
-            split = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.split_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"parse error in {args.split_file} at line {exc.lineno}: {exc.msg}"
-        ) from exc
+    split = _read_json(args.split_file)
     if not (isinstance(split, dict) and _is_index_list(split.get("a"))
             and _is_index_list(split.get("b"))):
         raise _UsageError('split file must be {"a": [component indices], "b": [...]}')

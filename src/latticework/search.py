@@ -193,7 +193,11 @@ def _comparability_rows(universe: list[int]) -> list[int]:
     return rows
 
 
-def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
+# prefixes of up to this many members are tested for min-lex canonicity
+_CANON_DEPTH = 4
+
+
+def _la_search(n, t, kmin, kmax, budget_nodes):
     if not 0 <= kmin <= kmax <= n:
         raise DomainError("layer band must satisfy 0 <= kmin <= kmax <= n")
     if n > 5:
@@ -260,7 +264,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes, canon_depth=4):
             if len(chosen) > best_val:
                 best_val = len(chosen)
                 best_masks = [universe[j] for j in chosen]
-            if len(chosen) > canon_depth or canonical([universe[j] for j in chosen]):
+            if len(chosen) > _CANON_DEPTH or canonical([universe[j] for j in chosen]):
                 # a candidate away from the joined component keeps the order
                 # checked one level up; one comparable to it would form the
                 # joined component, itself and the other components it meets
@@ -331,8 +335,8 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     order > t, or whose chosen weight plus all weight still open cannot
     strictly beat the incumbent.
     """
-    if n > 4:
-        raise DomainError("Lubell maximisation enumerates all families; n <= 4 only")
+    if not 1 <= n <= 4:
+        raise DomainError("Lubell maximisation enumerates all families; 1 <= n <= 4 only")
     if t < 1:
         raise DomainError("component order bound must be >= 1")
     cube = 1 << n
@@ -469,8 +473,8 @@ def disconnected_splits(
     disconnected (single additions suffice, because any disconnected
     superset yields one).
     """
-    if n > 5:
-        raise DomainError("split enumeration is exhaustive only up to n = 5")
+    if not 1 <= n <= 5:
+        raise DomainError("split enumeration is exhaustive only for 1 <= n <= 5")
     budget = _Budget(budget_nodes)
     universe, cmp_rows, found = _closed_splits(n, budget)
     if not budget.proven:
@@ -525,8 +529,8 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
     Every bottom side is tried; for a fixed bottom side the best top
     side is exactly the m - |A| tops of largest containment degree.
     """
-    if n > 5:
-        raise DomainError("layer-pair exhaustion is limited to n <= 5")
+    if not 1 <= n <= 5:
+        raise DomainError("layer-pair exhaustion is limited to 1 <= n <= 5")
     if not 1 <= m <= 2 * binomial(n, n // 2):
         raise DomainError("order m out of range for adjacent layer pairs")
     if m > max(binomial(n, k) + binomial(n, k + 1) for k in range(n)):
@@ -569,8 +573,8 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
 
 def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchResult:
     """Exact minimum 2-chain count over families of exactly m subsets of [n]."""
-    if n > 4:
-        raise DomainError("2-chain minimisation exhausts all families; n <= 4 only")
+    if not 1 <= n <= 4:
+        raise DomainError("2-chain minimisation exhausts all families; 1 <= n <= 4 only")
     cube = 1 << n
     if not 0 <= m <= cube:
         raise DomainError(f"no family of size {m} in a cube of {cube} sets")
@@ -602,26 +606,39 @@ def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchRes
 # rainbow-free max average degree at tiny order
 
 
-_ATLAS_CACHE: dict[int, list] = {}
+# The triangle-free graphs of the graph atlas (Read and Wilson, "An Atlas
+# of Graphs") on t <= 7 vertices, one per isomorphism class, in atlas order
+# and labelling: 1, 2, 3, 7, 14, 38 and 107 of them (OEIS A006785).  A graph
+# is one edge code, whose bit i is the i-th pair of combinations(range(t), 2).
+_TRIANGLE_FREE = {
+    1: (0,),
+    2: (0, 1),
+    3: (0, 4, 3),
+    4: (0, 32, 48, 33, 52, 13, 45),
+    5: (0, 512, 17, 514, 672, 648, 529, 149, 840, 680, 153, 481, 665, 126),
+    6: (0, 16384, 16388, 96, 28, 20496, 6400, 16420, 24588, 10512, 4680, 8290, 60,
+        20528, 8266, 4776, 4649, 26896, 929, 12295, 9313, 4696, 21009, 24620, 1731, 126,
+        8302, 15426, 1752, 4905, 21041, 23202, 26850, 21045, 12857, 15768, 23217,
+        23221),
+    7: (0, 1048576, 2112, 262176, 49, 1310752, 1050688, 1048712, 270656, 833, 24641,
+        34881, 4145, 1310880, 24588, 264288, 460, 34889, 336400, 3649, 19264, 36416,
+        428096, 1343521, 1190144, 1049025, 1048653, 24652, 1083457, 1312864, 266834,
+        30732, 1452096, 399372, 1450304, 1442177, 297041, 1721376, 30785, 25025, 393665,
+        1057217, 25032, 24653, 409985, 29060, 1054796, 393293, 297057, 1189897, 1083465,
+        332370, 266838, 1448512, 1452352, 1996, 1452112, 31105, 393676, 9676, 1181723,
+        1100353, 1321033, 198931, 1443922, 25036, 1055116, 417868, 1065420, 1181978,
+        1345633, 111384, 811121, 30797, 399756, 285068, 31116, 14764, 1100609, 822849,
+        1317260, 1100616, 1448520, 268916, 1063308, 1625105, 1452105, 1346641, 428145,
+        305493, 635672, 112408, 1354065, 305521, 1448530, 1452555, 428339, 854373,
+        1448013, 837745, 305525, 2046, 991692, 824534, 436593, 989773, 1690779),
+}
 
 
-def _graphs_of_order(t: int):
-    """Every graph on exactly t vertices, up to isomorphism (atlas-backed, t <= 7)."""
-    got = _ATLAS_CACHE.get(t)
-    if got is None:
-        import networkx as nx
-
-        got = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == t]
-        _ATLAS_CACHE[t] = got
-    return got
-
-
-def _has_triangle(adj: list[int], t: int) -> bool:
-    for u in range(t):
-        for v in iter_bits(adj[u]):
-            if v > u and adj[u] & adj[v]:
-                return True
-    return False
+def _graphs_of_order(t: int) -> list[list[tuple[int, int]]]:
+    """Every triangle-free graph on exactly t vertices, up to isomorphism, as a
+    sorted edge list."""
+    pairs = list(combinations(range(t), 2))
+    return [[p for i, p in enumerate(pairs) if code >> i & 1] for code in _TRIANGLE_FREE[t]]
 
 
 def _edge_order(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -709,27 +726,20 @@ def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
     proper edge colouring; exhaustive over all graphs on t vertices.
 
     Graphs with a triangle never qualify (a properly coloured triangle is
-    always rainbow), the rest are settled by exhaustive colouring search
-    in decreasing order of average degree.
+    always rainbow), so only the triangle-free ones are tried, each by
+    exhaustive colouring search, in decreasing order of average degree.
     """
     if not 1 <= t <= 7:
         raise DomainError("graph-by-graph exhaustion is limited to t <= 7")
-    candidates = []
-    for g in _graphs_of_order(t):
-        edges = sorted(tuple(sorted(e)) for e in g.edges())
-        candidates.append((Fraction(2 * len(edges), t), edges))
-    candidates.sort(key=lambda pair: (-pair[0], pair[1]))
+    candidates = sorted(
+        ((Fraction(2 * len(edges), t), edges) for edges in _graphs_of_order(t)),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
     best = Fraction(0)
     best_witness = EdgeColouredGraph(t, ())
     budget = _Budget(budget_nodes)
     with budget:
         for avg, edges in candidates:
-            adj = [0] * t
-            for u, v in edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if _has_triangle(adj, t):
-                continue
             colouring = _rainbow_free_colouring(edges, t, budget)
             if colouring is not None:
                 best = avg

@@ -207,11 +207,48 @@ def test_bad_family_file_is_usage_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "line" in err
     assert main(["analyze", "--family", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    path.write_bytes(b'\xff{"n": 3, "sets": []}')
+    assert main(["analyze", "--family", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_domain_error_is_usage_error(capsys):
     # sharp needs 0 <= k <= n
     assert main(["construct", "sharp", "--n", "3", "--k", "9"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "lambda-star", "--n", "-1", "--t", "2"],
+    ["search", "min2chains", "--n", "-1", "--m", "2"],
+    ["search", "xi-star", "--n", "0", "--m", "1"],
+    ["verify", "key-lemma", "--n", "-1"],
+    ["verify", "key-lemma", "--n", "0"],
+    ["verify", "fact-ab", "--n", "0"],
+])
+def test_bad_ground_size_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1 <= n" in captured.err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "out.json")
+    assert main(["construct", "sharp", "--n", "4", "--k", "1", "--out", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+    path = write_family(tmp_path, sharp_family(4, 1))
+    assert main(["normalize", "--family", path, "--t", "2", "--out", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+
+def test_truncated_split_file_is_usage_error(capsys, tmp_path):
+    path = write_family(tmp_path, disconnected_extremal(3))
+    split = tmp_path / "split.json"
+    split.write_text('{"a": [0], "b": [')
+    assert main(["boundary", "--family", path, "--split-file", str(split)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse error in {split} at line 1 column ")
 
 
 def test_text_format_flattens(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -27,9 +28,11 @@ from latticework.core import (
 from latticework.lubell import lubell
 from latticework.normalize import make_skipless, skip_count
 from latticework.search import (
+    _TRIANGLE_FREE,
     _Budget,
     _closed_splits,
     _comparability_rows,
+    _graphs_of_order,
     disconnected_splits,
     la_exact,
     la_exact_restricted,
@@ -461,3 +464,68 @@ def test_mad_star_domain():
         mad_star_probe(8)
     with pytest.raises(DomainError):
         mad_star_probe(0)
+
+
+def pair_index(t):
+    return {pair: i for i, pair in enumerate(combinations(range(t), 2))}
+
+
+def has_triangle(t, code):
+    index = pair_index(t)
+    return any(
+        all(code >> index[pair] & 1 for pair in combinations(triple, 2))
+        for triple in combinations(range(t), 3)
+    )
+
+
+def min_codes(t, codes):
+    """The least edge code of each graph over all t! relabellings."""
+    index = pair_index(t)
+    members = [[i for i in index.values() if code >> i & 1] for code in codes]
+    best = list(codes)
+    for p in permutations(range(t)):
+        moved = [1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index]
+        for g, bits in enumerate(members):
+            image = sum(moved[i] for i in bits)
+            if image < best[g]:
+                best[g] = image
+    return best
+
+
+def test_triangle_free_table_counts_and_decoding():
+    # OEIS A006785: triangle-free graphs on t unlabelled vertices
+    assert {t: len(codes) for t, codes in _TRIANGLE_FREE.items()} == {
+        1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107,
+    }
+    for t, codes in _TRIANGLE_FREE.items():
+        index = pair_index(t)
+        graphs = _graphs_of_order(t)
+        assert all(edges == sorted(edges) for edges in graphs)
+        assert [sum(1 << index[e] for e in edges) for edges in graphs] == list(codes)
+
+
+def test_triangle_free_table_has_no_triangle():
+    for t, codes in _TRIANGLE_FREE.items():
+        assert not any(has_triangle(t, code) for code in codes), t
+
+
+def test_triangle_free_table_has_no_isomorphic_pair():
+    for t, codes in _TRIANGLE_FREE.items():
+        assert len(set(min_codes(t, codes))) == len(codes), t
+
+
+def test_triangle_free_table_is_complete_up_to_t5():
+    # every triangle-free labelled graph is isomorphic to one in the table
+    for t in range(1, 6):
+        labelled = [c for c in range(1 << len(pair_index(t))) if not has_triangle(t, c)]
+        assert set(min_codes(t, labelled)) == set(min_codes(t, _TRIANGLE_FREE[t])), t
+
+
+def test_triangle_free_table_is_the_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for g in nx.graph_atlas_g():
+        t = g.number_of_nodes()
+        if 1 <= t <= 7 and not any(nx.triangles(g).values()):
+            atlas.setdefault(t, []).append(sorted(tuple(sorted(e)) for e in g.edges()))
+    assert atlas == {t: _graphs_of_order(t) for t in _TRIANGLE_FREE}
