@@ -5,12 +5,13 @@ numeric order, so every family is visited through exactly one (sorted)
 tuple.  Each chosen mask records the bitset of its comparability
 component; a new member joins the components of its chosen neighbours,
 and only the candidates comparable to that joined component need their
-order checked again.  In `la_exact`, subtrees die when current size plus
-the surviving candidate pool cannot beat the incumbent, and shallow
-prefixes that are not lexicographically minimal under ground-element
-relabelling (plus complementation when the layer band is symmetric) are
-discarded.  Min-lex canonicity is inherited by prefixes, so the canonical
-copy of every optimal family survives.
+order checked again.  Each child gets its own copy of these bitsets, so
+nothing is undone on the way back.  In `la_exact`, subtrees die when
+current size plus the surviving candidate pool cannot beat the incumbent,
+and shallow prefixes that are not lexicographically minimal under
+ground-element relabelling (plus complementation when the layer band is
+symmetric) are discarded.  Min-lex canonicity is inherited by prefixes, so
+the canonical copy of every optimal family survives.
 
 Budgets are node counts, never wall clocks, counted by one `_Budget`: None
 is unbounded, a negative budget acts as 0, and the node after the budget
@@ -19,8 +20,10 @@ its incumbent (value and witness None before the first candidate).
 Every witness is re-checked by independent code before it is returned,
 and a failed check raises VerificationError, under `python -O` too.
 
-Every search over a fixed universe of masks reads its pairwise relation
-from `_comparability_rows`, and the relabelling tables come from
+Closed splits take each closure from byte tables: one AND of the
+incomparability rows per byte of the shrunk intent.  Every search over a
+fixed universe of masks reads its pairwise relation from
+`_comparability_rows`, and the relabelling tables come from
 `core._mask_relabel_table`.  Bitsets of universe indices outside the inner
 loops are walked with `core.iter_bits`.
 """
@@ -140,20 +143,16 @@ def _group_lanes(n: int, with_complement: bool) -> tuple[list[int], int, int]:
     return got
 
 
-def _join(comp: list[int], low: int, nb: int) -> tuple[int, list[int]]:
+def _join(comp: list[int], low: int, nb: int) -> int:
     """The component formed when the one-bit set `low` joins its chosen
-    neighbours `nb`, and the components it absorbs.
-
-    comp[j] is the component bitset of each chosen index j.
+    neighbours `nb`; comp[j] is the component bitset of each chosen index j.
     """
-    merged = []
     joined = low
     while nb:
         c = comp[(nb & -nb).bit_length() - 1]
-        merged.append(c)
         joined |= c
         nb &= ~c
-    return joined, merged
+    return joined
 
 
 def _assign(comp: list[int], members: int) -> None:
@@ -223,8 +222,6 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     chosen: list[int] = []
     chosen_bits = 0
     budget = _Budget(budget_nodes)
-    # comp[j] is the component bitset of chosen index j
-    comp = [0] * size
 
     def canonical(masks):
         """True iff no group element sends masks to a lexicographically smaller sorted tuple."""
@@ -239,8 +236,9 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
         diff = (images ^ family * ones) | guards
         return not diff & ~(diff - ones) & images
 
-    def expand(pool):
-        """Branch on each index of pool; every member joins chosen within order t."""
+    def expand(pool, comp):
+        """Branch on each index of pool; every member joins chosen within order t.
+        comp[j] is the component bitset of chosen index j."""
         nonlocal best_val, best_masks, chosen_bits
         while pool:
             if len(chosen) + pool.bit_count() <= best_val:
@@ -249,22 +247,24 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
             i = low.bit_length() - 1
             pool ^= low
             budget.tick()
-            joined, merged = _join(comp, low, cmp_bits[i] & chosen_bits)
-            # _assign, inlined, also collecting the joined component's neighbours
-            near = 0
-            rest = joined
-            while rest:
-                lo = rest & -rest
-                j = lo.bit_length() - 1
-                comp[j] = joined
-                near |= cmp_bits[j]
-                rest ^= lo
+            joined = _join(comp, low, cmp_bits[i] & chosen_bits)
             chosen.append(i)
             chosen_bits |= low
             if len(chosen) > best_val:
                 best_val = len(chosen)
                 best_masks = [universe[j] for j in chosen]
             if len(chosen) > _CANON_DEPTH or canonical([universe[j] for j in chosen]):
+                # the child's comp: _assign, inlined, also collecting the
+                # joined component's neighbours
+                child_comp = comp[:]
+                near = 0
+                rest = joined
+                while rest:
+                    lo = rest & -rest
+                    j = lo.bit_length() - 1
+                    child_comp[j] = joined
+                    near |= cmp_bits[j]
+                    rest ^= lo
                 # a candidate away from the joined component keeps the order
                 # checked one level up; one comparable to it would form the
                 # joined component, itself and the other components it meets
@@ -283,19 +283,17 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
                     nb = cmp_bits[lo.bit_length() - 1] & apart
                     order = base
                     while nb:
-                        c = comp[(nb & -nb).bit_length() - 1]
+                        c = child_comp[(nb & -nb).bit_length() - 1]
                         order += c.bit_count()
                         nb &= ~c
                     if order > t:
                         child ^= lo
-                expand(child)
+                expand(child, child_comp)
             chosen.pop()
             chosen_bits ^= low
-            for c in merged:
-                _assign(comp, c)
 
     with budget:
-        expand((1 << size) - 1 if size else 0)
+        expand((1 << size) - 1 if size else 0, [0] * size)
 
     witness = SetFamily.from_masks(n, best_masks)
     if len(witness) != best_val:
@@ -349,11 +347,10 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
     budget = _Budget(budget_nodes)
     best_num = 0
     best_bits = 0
-    # comp[m] is the component bitset of a chosen mask m
-    comp = [0] * cube
 
-    def walk(m, bits, total):
-        """Decide masks m-1 .. 0 below the chosen masks `bits` of weight total."""
+    def walk(m, bits, total, comp):
+        """Decide masks m-1 .. 0 below the chosen masks `bits` of weight total;
+        comp[x] is the component bitset of each chosen mask x."""
         nonlocal best_num, best_bits
         if total + open_weight[m] <= best_num:
             budget.reach(bits + (1 << m) - 1)
@@ -364,19 +361,18 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> Search
             best_bits = bits
             return
         m -= 1
-        walk(m, bits, total)
+        walk(m, bits, total, comp)
         low = 1 << m
-        joined, merged = _join(comp, low, cmp_rows[m] & bits)
+        joined = _join(comp, low, cmp_rows[m] & bits)
         if joined.bit_count() > t:
             budget.reach(bits + low + low - 1)
             return
-        _assign(comp, joined)
-        walk(m, bits | low, total + weight[m])
-        for c in merged:
-            _assign(comp, c)
+        child_comp = comp[:]
+        _assign(child_comp, joined)
+        walk(m, bits | low, total + weight[m], child_comp)
 
     with budget:
-        walk(cube, 0, 0)
+        walk(cube, 0, 0, [0] * cube)
 
     masks = [m for m in range(cube) if (best_bits >> m) & 1]
     witness = SetFamily.from_masks(n, masks)
@@ -406,35 +402,39 @@ def _closed_splits(n: int, budget: _Budget):
     cmp_rows = _comparability_rows(universe)
     # row i: the universe members incomparable to universe[i]
     rows = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
-
-    def common(bits):
-        out = full
-        while bits:
-            low = bits & -bits
-            out &= rows[low.bit_length() - 1]
-            bits ^= low
-        return out
+    # tables[c][b]: the AND of the rows of the set bits of byte b of index
+    # chunk c; n <= 5 leaves at most 30 indices, so four chunks cover them
+    tables = []
+    for c in range(0, 32, 8):
+        tab = [full]
+        for b in range(1, 1 << min(max(size - c, 0), 8)):
+            low = b & -b
+            tab.append(tab[b ^ low] & rows[c + low.bit_length() - 1])
+        tables.append(tab)
+    t0, t1, t2, t3 = tables
 
     found: list[tuple[int, int]] = []
 
     def cbo(extent, intent, start):
         if extent and intent:
             found.append((extent, intent))
-        for y in range(start, size):
-            if (extent >> y) & 1:
-                continue
-            shrunk = intent & rows[y]
+        # the indices outside extent, from the one-bit set `start` up
+        free = (full ^ extent) & -start
+        while free:
+            low = free & -free
+            free ^= low
+            shrunk = intent & rows[low.bit_length() - 1]
             if not shrunk:
                 continue
             budget.tick()
-            closed = common(shrunk)
-            below = (1 << y) - 1
-            if (closed & below) != (extent & below):
+            closed = (t0[shrunk & 255] & t1[shrunk >> 8 & 255]
+                      & t2[shrunk >> 16 & 255] & t3[shrunk >> 24])
+            if (closed ^ extent) & (low - 1):
                 continue
-            cbo(closed, shrunk, y + 1)
+            cbo(closed, shrunk, low << 1)
 
     with budget:
-        cbo(0, full, 0)
+        cbo(0, full, 1)
     return universe, cmp_rows, found
 
 
@@ -536,6 +536,7 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
     if m > max(binomial(n, k) + binomial(n, k + 1) for k in range(n)):
         raise DomainError(f"no adjacent layer pair of [{n}] has order {m}")
     best = best_pair = None
+    best_edges = -1
     budget = _Budget(budget_nodes)
     with budget:
         for k in range(n):
@@ -550,15 +551,18 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
                 if asize > max_a or bsize < 0 or bsize > len(tops):
                     continue
                 budget.tick()
-                degs = sorted(
-                    ((sub_rows[j] & a_bits).bit_count(), j) for j in range(len(tops))
-                )[::-1]
-                edges = sum(d for d, _ in degs[:bsize])
-                val = Fraction(2 * edges, m)
-                if best is None or val > best:
-                    best = val
+                # m is fixed, so the edge count ranks nodes as 2 * edges / m does
+                degs = sorted([(row & a_bits).bit_count() for row in sub_rows], reverse=True)
+                edges = sum(degs[:bsize])
+                if edges > best_edges:
+                    best_edges = edges
+                    best = Fraction(2 * edges, m)
+                    # ties among tops go to the larger index
+                    ranked = sorted(
+                        ((sub_rows[j] & a_bits).bit_count(), j) for j in range(len(tops))
+                    )[::-1]
                     a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
-                    b_fam = SetFamily.from_masks(n, [tops[j] for _, j in degs[:bsize]])
+                    b_fam = SetFamily.from_masks(n, [tops[j] for _, j in ranked[:bsize]])
                     best_pair = LayerPairGraph(a_fam, b_fam)
     if best_pair is not None and best_pair.order() != m:
         raise VerificationError(f"witness has order {best_pair.order()}, not {m}")

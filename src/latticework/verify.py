@@ -82,6 +82,8 @@ def verify_blym(
             "passed": s <= 1,
             "failures": [],
         }
+    if n < 1:
+        raise DomainError(f"need 1 <= n, got n={n}")
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -132,6 +134,8 @@ def verify_diamond_blym(
             "passed": s <= 1,
             "failures": [],
         }
+    if n < 1:
+        raise DomainError(f"need 1 <= n, got n={n}")
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -214,6 +218,8 @@ def verify_kk(
 
 def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
     """Down-closure floors hold for every qualifying family, exhaustively."""
+    if nmax < 2 or kmax < 1:
+        raise DomainError(f"need 2 <= nmax and 1 <= kmax, got nmax={nmax}, kmax={kmax}")
     failures: list[dict] = []
     checked = 0
     for n in range(2, nmax + 1):
@@ -253,6 +259,8 @@ def verify_colouring(
     seed: int = 0,
 ) -> dict:
     """Element colourings of layer pairs are proper and rainbow-cycle-free."""
+    if n < 1:
+        raise DomainError(f"need 1 <= n, got n={n}")
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -345,6 +353,9 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dic
     lower boundary holds at least k-1 sets of size at least k-2; dually, F of
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
+    # disconnected_splits refuses n <= 0, but passes n = 1 with no split
+    if n == 1:
+        raise DomainError("disconnected families need n >= 2")
     splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
     checked = 0

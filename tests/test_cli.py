@@ -233,6 +233,21 @@ def test_bad_ground_size_is_usage_error(capsys, argv):
     assert captured.err.startswith("error: ") and "1 <= n" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "blym", "--n", "-1"],
+    ["verify", "diamond-blym", "--n", "-1"],
+    ["verify", "key-lemma", "--n", "1"],
+    ["verify", "technical", "--nmax", "-1", "--kmax", "1"],
+    ["verify", "colouring", "--n", "0"],
+])
+def test_degenerate_suite_size_is_usage_error(capsys, argv):
+    # each used to end in a traceback or to pass with nothing checked
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "missing" / "out.json")
     assert main(["construct", "sharp", "--n", "4", "--k", "1", "--out", missing]) == 2

@@ -74,6 +74,11 @@ CASES = [
     ["normalize", "--family", "chain.json", "--t", "2", "--trace"],
     ["normalize", "--family", "skips.json", "--t", "6"],
     ["boundary", "--family", "disconnected.json", "--split-file", "split.json"],
+    ["search", "disconnected", "--n", "5"],
+    ["search", "xi-star", "--n", "5", "--m", "8"],
+    ["search", "lambda-star", "--n", "4", "--t", "3"],
+    ["search", "la", "--n", "5", "--t", "4"],
+    ["--budget-nodes", "100000", "verify", "key-lemma", "--n", "4"],
 ]
 
 HELP = [["construct", "--help"], ["search", "--help"], ["verify", "--help"]]

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
@@ -168,6 +168,37 @@ LA_RESTRICTED_NODES = {
     (5, 6, 0, 3): 4602, (5, 2, 2, 3): 103, (5, 2, 1, 3): 238, (5, 3, 2, 3): 361,
     (5, 4, 2, 3): 379,
 }
+
+# (kmin, kmax) -> nodes of la_exact_restricted(5, t, kmin, kmax) for t = 1..8,
+# every layer band at n = 5
+LA_BAND_NODES_N5 = {
+    (0, 0): (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1): (0, 0, 0, 0, 5, 6, 6, 6),
+    (0, 2): (16, 30, 56, 63, 93, 145, 155, 242),
+    (0, 3): (100, 238, 965, 1824, 3635, 4602, 6771, 13275),
+    (0, 4): (128, 362, 1689, 4250, 11105, 17489, 30462, 41485),
+    (0, 5): (78, 284, 1293, 3575, 9465, 15597, 28510, 39791),
+    (1, 1): (0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 2): (16, 30, 56, 63, 93, 145, 155, 242),
+    (1, 3): (100, 238, 965, 1824, 3635, 4602, 6771, 13275),
+    (1, 4): (78, 284, 1293, 3575, 9465, 15597, 28510, 39791),
+    (1, 5): (128, 362, 1689, 4250, 11105, 17489, 30462, 41485),
+    (2, 2): (0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 3): (37, 103, 361, 379, 769, 738, 916, 1488),
+    (2, 4): (91, 222, 998, 1669, 4202, 4741, 5142, 9475),
+    (2, 5): (91, 222, 998, 1669, 4202, 4741, 5142, 9475),
+    (3, 3): (0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 4): (12, 30, 77, 55, 80, 114, 174, 248),
+    (3, 5): (12, 30, 77, 55, 80, 114, 174, 248),
+    (4, 4): (0, 0, 0, 0, 0, 0, 0, 0),
+    (4, 5): (0, 0, 0, 0, 5, 6, 6, 6),
+    (5, 5): (0, 0, 0, 0, 0, 0, 0, 0),
+}
+LA_RESTRICTED_NODES.update(
+    ((5, t, kmin, kmax), nodes)
+    for (kmin, kmax), row in LA_BAND_NODES_N5.items()
+    for t, nodes in enumerate(row, start=1)
+)
 
 # (search, arguments, nodes of the whole search, {budget: (value, witness)}):
 # a search cut at budget b returns the entry of the largest key <= b, and
@@ -388,6 +419,117 @@ def test_disconnected_splits_match_graph_filter():
 def test_disconnected_splits_budget():
     with pytest.raises(ResourceLimitError):
         disconnected_splits(4, budget_nodes=5)
+
+
+class _Stop(Exception):
+    pass
+
+
+def closed_splits_by_common(n, budget_nodes):
+    """Reference for _closed_splits: close-by-one over the universe of
+    proper nonempty subsets, each closure the AND of the incomparability
+    rows of the shrunk intent's bits, one by one.
+
+    Returns (found, nodes).
+    """
+    universe = list(range(1, (1 << n) - 1))
+    size = len(universe)
+    full = (1 << size) - 1
+    rows = [
+        sum(1 << j for j, y in enumerate(universe) if x & y not in (x, y))
+        for x in universe
+    ]
+    limit = inf if budget_nodes is None else max(budget_nodes, 0)
+    found = []
+    nodes = 0
+
+    def common(bits):
+        out = full
+        for i in range(size):
+            if (bits >> i) & 1:
+                out &= rows[i]
+        return out
+
+    def cbo(extent, intent, start):
+        nonlocal nodes
+        if extent and intent:
+            found.append((extent, intent))
+        for y in range(start, size):
+            if (extent >> y) & 1:
+                continue
+            shrunk = intent & rows[y]
+            if not shrunk:
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise _Stop
+            closed = common(shrunk)
+            below = (1 << y) - 1
+            if (closed & below) != (extent & below):
+                continue
+            cbo(closed, shrunk, y + 1)
+
+    try:
+        cbo(0, full, 0)
+    except _Stop:
+        pass
+    return found, nodes
+
+
+def test_closed_splits_match_common_loop():
+    for n in range(2, 6):
+        total = closed_splits_by_common(n, None)[1]
+        for budget in (-1, 0, 1, 5, 1000, total - 1, total, None):
+            budget_counter = _Budget(budget)
+            universe, _, found = _closed_splits(n, budget_counter)
+            assert universe == list(range(1, (1 << n) - 1))
+            want = closed_splits_by_common(n, budget)
+            assert (found, budget_counter.nodes) == want, (n, budget)
+
+
+def xi_star_by_fractions(n, m, budget_nodes):
+    """Reference for xi_star_exact: every bottom side of every adjacent layer
+    pair, its tops ranked by (degree, index) in decreasing order, each node
+    valued as a Fraction.
+
+    Returns (value, (bottom masks, top masks), nodes, proven_optimal).
+    """
+    limit = inf if budget_nodes is None else max(budget_nodes, 0)
+    best = best_pair = None
+    nodes = 0
+    try:
+        for k in range(n):
+            bottoms = [x for x in range(1 << n) if x.bit_count() == k]
+            tops = [y for y in range(1 << n) if y.bit_count() == k + 1]
+            for a_bits in range(1 << len(bottoms)):
+                a = [x for i, x in enumerate(bottoms) if (a_bits >> i) & 1]
+                bsize = m - len(a)
+                if not 0 <= bsize <= len(tops):
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise _Stop
+                degs = sorted(
+                    (sum(1 for x in a if x & y == x), j) for j, y in enumerate(tops)
+                )[::-1]
+                val = Fraction(2 * sum(d for d, _ in degs[:bsize]), m)
+                if best is None or val > best:
+                    best = val
+                    best_pair = (tuple(a), tuple(sorted(tops[j] for _, j in degs[:bsize])))
+    except _Stop:
+        return best, best_pair, nodes, False
+    return best, best_pair, nodes, True
+
+
+def test_xi_star_matches_fraction_loop():
+    for n in range(1, 6):
+        orders = max(binomial(n, k) + binomial(n, k + 1) for k in range(n))
+        for m in range(1, orders + 1):
+            for budget in (None, 0, 1, 7, 300):
+                res = xi_star_exact(n, m, budget)
+                got = (res.value, plain_witness(res.witness), res.nodes_explored,
+                       res.proven_optimal)
+                assert got == xi_star_by_fractions(n, m, budget), (n, m, budget)
 
 
 def test_xi_star_frozen_values():
