@@ -44,7 +44,6 @@ from .core import (
 )
 from .lubell import lubell
 from .normalize import (
-    NormalizationError,
     make_skipless,
     make_skipless_with_trace,
     skip_count,
@@ -274,10 +273,7 @@ def cmd_boundary(args) -> tuple[dict, dict, int]:
         raise _UsageError("both sides of the split must be nonempty")
 
     def side(indices: list[int]) -> SetFamily:
-        masks: list[int] = []
-        for i in indices:
-            masks.extend(g.component_family(i).members)
-        return SetFamily.from_masks(fam.n, masks)
+        return SetFamily.from_masks(fam.n, (m for i in indices for m in g.component_members[i]))
 
     results = boundary_report(side(side_a), side(side_b))
     params = {"family": args.family, "split_file": args.split_file, "a": side_a, "b": side_b}
@@ -412,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, PreconditionError, NormalizationError) as exc:
+    except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -18,8 +18,10 @@ Conventions used across the package:
   search of many small components leaves, once its steps have cost as much
   as the union-find would, goes to a union-find over the cube-cover edges
   of the family's hull (the sets lying between two members), whose
-  components are the comparability components.  Edge lists are only built
-  when asked for.
+  components are the comparability components.  A component is stored as
+  the ascending tuple of its members, and components are numbered by least
+  member; per-member component numbers and edge lists are only built when
+  asked for.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` walks the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
@@ -301,30 +303,31 @@ def _pairwise_two_chains(family: SetFamily) -> int:
 class ComparabilityGraph:
     """Comparability (or cover) graph of a family, with its components.
 
-    Vertices are member indices into family.members.  component_id maps each
-    vertex to a component number in 0..n_components-1, numbered in order of
-    their least members.  component_orders[c] and component_sizes[c] are
-    the vertex and edge counts of component c, and component_members[c]
-    holds its masks, ascending.  component_members, edges and
-    component_sizes are computed on first use, edges by testing the pairs
-    inside each component.
+    component_members[c] holds the masks of component c, ascending, and the
+    components are numbered in order of their least members.  Vertices are
+    member indices into family.members: component_id maps each vertex to
+    its component number, and component_orders[c] and component_sizes[c]
+    are the vertex and edge counts of component c.  All of these but the
+    members are derived on first use, edges by testing the pairs inside
+    each component.
     """
 
     family: SetFamily
-    component_id: tuple[int, ...]
-    component_orders: tuple[int, ...]
+    component_members: tuple[tuple[int, ...], ...]
     cover_only: bool = field(default=False)
 
     @property
     def n_components(self) -> int:
-        return len(self.component_orders)
+        return len(self.component_members)
 
     @cached_property
-    def component_members(self) -> tuple[tuple[int, ...], ...]:
-        groups: list[list[int]] = [[] for _ in range(self.n_components)]
-        for m, c in zip(self.family.members, self.component_id):
-            groups[c].append(m)
-        return tuple(tuple(g) for g in groups)
+    def component_orders(self) -> tuple[int, ...]:
+        return tuple(len(ms) for ms in self.component_members)
+
+    @cached_property
+    def component_id(self) -> tuple[int, ...]:
+        component_of = {m: c for c, ms in enumerate(self.component_members) for m in ms}
+        return tuple(component_of[m] for m in self.family.members)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -357,18 +360,16 @@ class ComparabilityGraph:
 def comparability_graph(family: SetFamily, cover_only: bool = False) -> ComparabilityGraph:
     """Build the comparability graph (all 2-chains) or cover graph of a family."""
     if _pairwise_is_cheaper(family):
-        _, comp_id, orders, _ = _pairwise_graph(family, cover_only)
+        _, components = _pairwise_graph(family, cover_only)
     else:
-        comp_id = tuple(_closure_component_ids(family, cover_only))
-        counts = [0] * (max(comp_id, default=-1) + 1)
-        for c in comp_id:
-            counts[c] += 1
-        orders = tuple(counts)
-    return ComparabilityGraph(family, comp_id, orders, cover_only)
+        # least members are distinct, so tuple order is least-member order
+        components = tuple(sorted(_closure_components(family, cover_only)))
+    return ComparabilityGraph(family, components, cover_only)
 
 
-def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
-    """Component number of each member, by breadth-first search on bitsets.
+def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, ...]]:
+    """The components' ascending member tuples, in no set order, by
+    breadth-first search on bitsets.
 
     Members comparable to no other member are split off first in one pass,
     so an antichain costs four sweeps however many members it has.  Each
@@ -376,12 +377,12 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
     member comparable to (or, for the cover graph, one element away from)
     the frontier, through one down-closure and one up-closure of it.
 
-    A step, with its share of labelling, costs about as much as 2^n / 300
-    to 2^n / 550 hull points or edges of `_hull_component_ids` at n = 14..18
-    (measured); counting 2^n / 256 errs towards the union-find.  Many small
-    components in a large cube make the search dearer than the union-find,
-    so once the steps taken would have paid for it over the members the
-    search started with, the members left go to it.
+    A step, with its share of listing members, costs about as much as
+    2^n / 300 to 2^n / 550 hull points or edges of `_hull_components` at
+    n = 14..18 (measured); counting 2^n / 256 errs towards the union-find.
+    Many small components in a large cube make the search dearer than the
+    union-find, so once the steps taken would have paid for it over the
+    members the search started with, the members left go to it.
     """
     n = family.n
     bits = family_bits(family)
@@ -396,13 +397,11 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
             return downset_bits(n, front) | upset_bits(n, front)
 
     rest = bits & (below | above)
+    components = [(m,) for m in iter_bits(bits ^ rest)]
     # The hull of the members left: they and every set strictly between two.
     hull = rest if cover_only else rest | (below & above)
     budget = hull.bit_count() + sum(low.bit_count() for low in _cover_edge_lows(n, hull))
     step_cost = max(1, (1 << n) >> 8)
-    # A component's key is the number of members labelled before it, which
-    # grows with every component, so keys never repeat.
-    label: dict[int, int] = {}
     while rest and budget > 0:
         front = component = rest & -rest
         while front:
@@ -410,17 +409,10 @@ def _closure_component_ids(family: SetFamily, cover_only: bool) -> list[int]:
             component |= front
             budget -= step_cost
         rest ^= component
-        key = len(label)
-        for m in iter_bits(component):
-            label[m] = key
+        components.append(tuple(iter_bits(component)))
     if rest:
-        key = len(label)
-        for m, c in _hull_component_ids(n, rest, cover_only).items():
-            label[m] = key + c
-    # Isolated members get keys of their own; numbering in member order
-    # then numbers the components by least member.
-    number: dict[int, int] = {}
-    return [number.setdefault(label.get(m, -1 - m), len(number)) for m in family.members]
+        components += _hull_components(n, rest, cover_only)
+    return components
 
 
 def _cover_edge_lows(n: int, hull: int) -> list[int]:
@@ -429,8 +421,8 @@ def _cover_edge_lows(n: int, hull: int) -> list[int]:
     return [hull & ~col & (hull >> (1 << i)) for i, col in enumerate(_columns(n))]
 
 
-def _hull_component_ids(n: int, bits: int, cover_only: bool) -> dict[int, int]:
-    """Component number of each member of a bitset-of-masks, by union-find.
+def _hull_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ...]]:
+    """The components' ascending member tuples of a bitset-of-masks, by union-find.
 
     Two members are in one comparability component iff they are in one
     component of the cube-cover graph on the hull of the family, the sets
@@ -451,11 +443,12 @@ def _hull_component_ids(n: int, bits: int, cover_only: bool) -> dict[int, int]:
         for y in iter_bits(low)
     )
     ids = _union_find_ids(len(points), pairs)
-    return {m: ids[rank[m]] for m in iter_bits(bits)}
+    members = list(iter_bits(bits))
+    return _group(members, (ids[rank[m]] for m in members))
 
 
 def _pairwise_graph(family: SetFamily, cover_only: bool = False):
-    """Edges, component ids, orders and sizes by testing every pair of members."""
+    """Edges and components' member tuples by testing every pair of members."""
     ms = family.members
     s = len(ms)
     edges = []
@@ -468,14 +461,15 @@ def _pairwise_graph(family: SetFamily, cover_only: bool = False):
                 if cover_only and abs(y.bit_count() - px) != 1:
                     continue
                 edges.append((i, j))
-    comp_id = _union_find_ids(s, edges)
-    orders = [0] * (max(comp_id, default=-1) + 1)
-    sizes = [0] * len(orders)
-    for c in comp_id:
-        orders[c] += 1
-    for i, j in edges:
-        sizes[comp_id[i]] += 1
-    return tuple(edges), tuple(comp_id), tuple(orders), tuple(sizes)
+    return tuple(edges), tuple(_group(ms, _union_find_ids(s, edges)))
+
+
+def _group(masks, ids) -> list[tuple[int, ...]]:
+    """The masks with equal ids as tuples, in order of their first mask."""
+    groups: dict[int, list[int]] = {}
+    for m, c in zip(masks, ids):
+        groups.setdefault(c, []).append(m)
+    return [tuple(g) for g in groups.values()]
 
 
 def _union_find_ids(s: int, pairs) -> list[int]:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from .core import (
     ComparabilityGraph,
     DomainError,
-    LatticeError,
     PreconditionError,
     SetFamily,
+    VerificationError,
     comparability_graph,
     downset_bits,
     family_bits,
@@ -33,8 +33,8 @@ from .core import (
 )
 
 
-class NormalizationError(LatticeError):
-    """A validated property of the normalization step failed at runtime."""
+class NormalizationError(VerificationError):
+    """A validated property of the normalization step failed its re-check."""
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,9 @@ def _component_below(graph: ComparabilityGraph, y: int) -> tuple[int, ...]:
 
     A skip y lies strictly between members X < Z of one component C, and a
     member W < y has W < Z, a member W > y has W > X: y's component in F + y
-    is C + {y}.
+    is C + {y}, and C is the one component with a member contained in y.
     """
-    i = next(i for i, m in enumerate(graph.family.members) if (m & y) == m)
-    return graph.component_members[graph.component_id[i]]
+    return next(ms for ms in graph.component_members if any((m & y) == m for m in ms))
 
 
 def _step(

@@ -13,10 +13,11 @@ ground-element relabelling (plus complementation when the layer band is
 symmetric) are discarded.  Min-lex canonicity is inherited by prefixes, so
 the canonical copy of every optimal family survives.
 
-Budgets are node counts, never wall clocks, counted by one `_Budget`: None
-is unbounded, a negative budget acts as 0, and the node after the budget
-stops the search at max(budget, 0) + 1 nodes, proven_optimal=False, with
-its incumbent (value and witness None before the first candidate).
+Budgets are node counts, never wall clocks, counted by one `_Budget`: every
+search defaults to NODE_BUDGET, None is unbounded, a negative budget acts
+as 0, and the node after the budget stops the search at max(budget, 0) + 1
+nodes, proven_optimal=False, with its incumbent (value and witness None
+before the first candidate).
 Every witness is re-checked by independent code before it is returned,
 and a failed check raises VerificationError, under `python -O` too.
 
@@ -56,9 +57,9 @@ from .colouring import (
 )
 from .lubell import lubell
 
-LA_NODE_BUDGET = 30_000_000
-CONCEPT_NODE_BUDGET = 5_000_000
-MAD_NODE_BUDGET = 20_000_000
+# The default budget of every search.  Only the la searches can reach it; every
+# other search needs under 100,000 nodes on any input of its domain.
+NODE_BUDGET = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -305,13 +306,13 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     return SearchResult(best_val, witness, budget.nodes, budget.proven)
 
 
-def la_exact(n: int, t: int, budget_nodes: int = LA_NODE_BUDGET) -> SearchResult:
+def la_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Largest family of subsets of [n] whose comparability components have order <= t."""
     return _la_search(n, t, 0, n, budget_nodes)
 
 
 def la_exact_restricted(
-    n: int, t: int, kmin: int, kmax: int, budget_nodes: int = LA_NODE_BUDGET
+    n: int, t: int, kmin: int, kmax: int, budget_nodes: int = NODE_BUDGET
 ) -> SearchResult:
     """la_exact with member sizes confined to the layer band [kmin, kmax]."""
     return _la_search(n, t, kmin, kmax, budget_nodes)
@@ -321,7 +322,7 @@ def la_exact_restricted(
 # maximum Lubell value over order-bounded families
 
 
-def lambda_star_exact(n: int, t: int, budget_nodes: int | None = None) -> SearchResult:
+def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Exact maximum of the Lubell sum over families with component order <= t.
 
     Exhausts all 2^(2^n) families, with integer weights n! / C(n,k) per
@@ -438,7 +439,7 @@ def _closed_splits(n: int, budget: _Budget):
     return universe, cmp_rows, found
 
 
-def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchResult:
+def max_disconnected(n: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Exact maximum size of a family whose comparability graph is disconnected."""
     if n < 2:
         raise DomainError("no disconnected family exists below n = 2")
@@ -464,7 +465,7 @@ def max_disconnected(n: int, budget_nodes: int = CONCEPT_NODE_BUDGET) -> SearchR
 
 
 def disconnected_splits(
-    n: int, budget_nodes: int = CONCEPT_NODE_BUDGET
+    n: int, budget_nodes: int = NODE_BUDGET
 ) -> list[tuple[SetFamily, SetFamily]]:
     """All maximal disconnected families at ground size n, as (side, side) splits.
 
@@ -523,7 +524,7 @@ def _links_every_component(members: int, cmp_rows: list[int]) -> bool:
 # densest adjacent-layer pair of a given order
 
 
-def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResult:
+def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Exact maximum average degree over adjacent-layer pairs of total order m.
 
     Every bottom side is tried; for a fixed bottom side the best top
@@ -575,7 +576,7 @@ def xi_star_exact(n: int, m: int, budget_nodes: int | None = None) -> SearchResu
 # fewest 2-chains at a forced size
 
 
-def min_two_chains(n: int, m: int, budget_nodes: int | None = None) -> SearchResult:
+def min_two_chains(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Exact minimum 2-chain count over families of exactly m subsets of [n]."""
     if not 1 <= n <= 4:
         raise DomainError("2-chain minimisation exhausts all families; 1 <= n <= 4 only")
@@ -725,7 +726,7 @@ def _rainbow_free_colouring(edges, t, budget):
     return None
 
 
-def mad_star_probe(t: int, budget_nodes: int = MAD_NODE_BUDGET) -> SearchResult:
+def mad_star_probe(t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """Largest average degree of an order-t graph with a rainbow-cycle-free
     proper edge colouring; exhaustive over all graphs on t vertices.
 

@@ -35,7 +35,7 @@ from .sampling import (
     random_layer_pair,
 )
 from .search import (
-    CONCEPT_NODE_BUDGET,
+    NODE_BUDGET,
     disconnected_splits,
     la_exact,
     lambda_star_exact,
@@ -53,6 +53,9 @@ from .shadow import (
 )
 
 MAX_REPORTED_FAILURES = 5
+# verify_kk checks every subfamily of a layer of at most this many sets and
+# samples wider layers.
+KK_EXHAUSTIVE_CAP = 12
 
 
 def _push(failures: list, item: dict) -> None:
@@ -82,8 +85,8 @@ def verify_blym(
             "passed": s <= 1,
             "failures": [],
         }
-    if n < 1:
-        raise DomainError(f"need 1 <= n, got n={n}")
+    if n < 1 or samples < 0:
+        raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -134,8 +137,11 @@ def verify_diamond_blym(
             "passed": s <= 1,
             "failures": [],
         }
-    if n < 1:
-        raise DomainError(f"need 1 <= n, got n={n}")
+    if n < 1 or samples < 0 or sharp_n < 2:
+        raise DomainError(
+            "need 1 <= n, 0 <= samples and 2 <= sharp_n, "
+            f"got n={n}, samples={samples}, sharp_n={sharp_n}"
+        )
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -173,7 +179,6 @@ def verify_kk(
     k: int = 2,
     samples: int = 2000,
     seed: int = 0,
-    exhaustive_cap: int = 12,
 ) -> dict:
     """Iterated shadows of single-layer families meet the cascade bound."""
     if not 1 <= k <= n:
@@ -182,7 +187,13 @@ def verify_kk(
     width = len(layer)
     failures: list[dict] = []
     checked = 0
-    exhaustive = width <= exhaustive_cap
+    exhaustive = width <= KK_EXHAUSTIVE_CAP
+    # a layer too wide to exhaust is only sampled, so it needs a sample
+    least = 0 if exhaustive else 1
+    if samples < least:
+        raise DomainError(
+            f"need {least} <= samples for a layer of {width} sets, got samples={samples}"
+        )
 
     def check(masks: tuple[int, ...]) -> None:
         nonlocal checked
@@ -259,8 +270,8 @@ def verify_colouring(
     seed: int = 0,
 ) -> dict:
     """Element colourings of layer pairs are proper and rainbow-cycle-free."""
-    if n < 1:
-        raise DomainError(f"need 1 <= n, got n={n}")
+    if n < 1 or samples < 0:
+        raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
@@ -295,7 +306,7 @@ def verify_colouring(
     }
 
 
-def verify_fact_ab(n: int = 3, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dict:
+def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
     splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
@@ -346,7 +357,7 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dict:
     }
 
 
-def verify_key_lemma(n: int = 4, budget_nodes: int = CONCEPT_NODE_BUDGET) -> dict:
+def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     """Each minimal missing set above forces many near-size sets below.
 
     For every maximal split and every F in the upper boundary of size k, the

@@ -87,6 +87,21 @@ def test_normalize_trace_replays(capsys, tmp_path):
     assert current == SetFamily.from_jsonable(res["family"])
 
 
+def test_failed_normalization_check_exits_one(capsys, monkeypatch, tmp_path):
+    from latticework import normalize
+
+    def failing_step(family, graph, skips):
+        raise normalize.NormalizationError("skip count failed to decrease")
+
+    monkeypatch.setattr(normalize, "_step", failing_step)
+    path = write_family(tmp_path, SetFamily.from_sets(3, [(), (1,), (1, 2, 3)]))
+    code = main(["normalize", "--family", path, "--t", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: skip count failed to decrease")
+
+
 def test_boundary_on_extremal_split(capsys, tmp_path):
     path = write_family(tmp_path, disconnected_extremal(4))
     split = tmp_path / "split.json"
@@ -239,6 +254,13 @@ def test_bad_ground_size_is_usage_error(capsys, argv):
     ["verify", "key-lemma", "--n", "1"],
     ["verify", "technical", "--nmax", "-1", "--kmax", "1"],
     ["verify", "colouring", "--n", "0"],
+    ["verify", "diamond-blym", "--n", "3", "--samples", "0", "--sharp-n", "1"],
+    ["verify", "blym", "--n", "3", "--samples", "-1"],
+    ["verify", "diamond-blym", "--n", "3", "--samples", "-1"],
+    ["verify", "colouring", "--n", "3", "--samples", "-4"],
+    ["verify", "kk", "--n", "3", "--k", "1", "--samples", "-1"],
+    ["verify", "kk", "--n", "6", "--k", "3", "--samples", "-5"],
+    ["verify", "kk", "--n", "6", "--k", "3", "--samples", "0"],
 ])
 def test_degenerate_suite_size_is_usage_error(capsys, argv):
     # each used to end in a traceback or to pass with nothing checked

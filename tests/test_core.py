@@ -15,10 +15,11 @@ from latticework.core import (
     DomainError,
     SetFamily,
     _bit_column,
-    _closure_component_ids,
-    _hull_component_ids,
+    _closure_components,
+    _hull_components,
     _lane_two_chains,
     _pairwise_graph,
+    _union_find_ids,
     binomial,
     bits_to_family,
     comparability_graph,
@@ -165,13 +166,21 @@ def _assert_matches_pairwise(fam):
     # also called directly, so small families exercise them too
     for cover_only in (False, True):
         g = comparability_graph(fam, cover_only=cover_only)
-        edges, comp_id, orders, sizes = _pairwise_graph(fam, cover_only)
-        assert tuple(_closure_component_ids(fam, cover_only)) == comp_id
-        hull_ids = _hull_component_ids(fam.n, family_bits(fam), cover_only)
-        assert tuple(hull_ids[m] for m in fam.members) == comp_id
+        edges, components = _pairwise_graph(fam, cover_only)
+        assert sorted(_closure_components(fam, cover_only)) == list(components)
+        assert sorted(_hull_components(fam.n, family_bits(fam), cover_only)) == list(components)
+        assert g.component_members == components
+        # ids, orders and sizes from the oracle's edges alone
+        comp_id = tuple(_union_find_ids(len(fam), edges))
+        orders = [0] * len(components)
+        sizes = [0] * len(components)
+        for c in comp_id:
+            orders[c] += 1
+        for i, _ in edges:
+            sizes[comp_id[i]] += 1
         assert g.component_id == comp_id
-        assert g.component_orders == orders
-        assert g.component_sizes == sizes
+        assert g.component_orders == tuple(orders)
+        assert g.component_sizes == tuple(sizes)
         assert g.edges == edges
         assert [list(ms) for ms in g.component_members] == [
             [fam.members[v] for v in vs] for vs in g.components()
@@ -220,8 +229,8 @@ def test_hull_union_find_links_comparable_members_without_cover_path():
     fam = SetFamily.from_masks(10, masks)
     _assert_matches_pairwise(fam)
     bits = family_bits(fam)
-    assert set(_hull_component_ids(10, bits, False).values()) == {0}
-    assert set(_hull_component_ids(10, bits, True).values()) == {0, 1, 2}
+    assert len(_hull_components(10, bits, False)) == 1
+    assert len(_hull_components(10, bits, True)) == 3
 
 
 def _plain_iter_bits(bits):
