@@ -7,7 +7,8 @@ report that echoes the command, parameters, seed, version, and timing, so
 a report is reproducible from its own content.  Exact rationals are
 rendered as strings like "4/3"; exit codes are 0 (pass), 1 (verification
 failure, including a result that fails its own re-check), 2 (usage
-error), 3 (budget exceeded).
+error), 3 (budget exceeded).  A reader that closes stdout early ends the
+command quietly with its own exit code.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -158,11 +160,19 @@ def _flatten(obj, prefix: str, lines: list[str]) -> None:
 def _emit(report: dict, fmt: str) -> None:
     report = _jsonify(report)
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        text = json.dumps(report, indent=2)
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point stdout at devnull so the
+        # interpreter's flush at exit has nowhere to fail either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _require(args, *names) -> None:
@@ -222,7 +232,12 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
     results["component_size_histogram"] = dict(sorted(Counter(g.component_sizes).items()))
     results["two_chains"] = count_two_chains(fam)
     results["lubell"] = lubell(fam)
-    results["skips"] = skip_count(fam)
+    try:
+        results["skips"] = skip_count(fam)
+    except ResourceLimitError as exc:
+        # skips need cube-wide closures; every other field has a pairwise route
+        results["skips"] = None
+        results["skips_reason"] = str(exc)
     return {"family": args.family}, results, EXIT_OK
 
 
@@ -420,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "construct" and not args.out:
         # Bare construct emits the family file format itself, so the output
         # pipes straight back into --family arguments.
-        print(json.dumps(results["family"], indent=2))
+        _emit(results["family"], "json")
         return code
     report = {
         "command": args.command,

@@ -25,8 +25,9 @@ Conventions used across the package:
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` walks the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
-  `_mask_relabel_table` maps every mask under a permutation of [n], and
-  `_union_find_ids` numbers the components of a vertex set joined by pairs.
+  `_mask_relabel_table` maps every mask under a permutation of [n],
+  `_union_find_ids` numbers the components of a vertex set joined by pairs,
+  and `_columns`, cached per n, holds the masks having each ground bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -544,15 +545,9 @@ def _bit_column(n: int, i: int) -> int:
     return col
 
 
-_COLUMN_CACHE: dict[int, list[int]] = {}
-
-
-def _columns(n: int) -> list[int]:
-    cols = _COLUMN_CACHE.get(n)
-    if cols is None:
-        cols = [_bit_column(n, i) for i in range(n)]
-        _COLUMN_CACHE[n] = cols
-    return cols
+@cache
+def _columns(n: int) -> tuple[int, ...]:
+    return tuple(_bit_column(n, i) for i in range(n))
 
 
 def downset_bits(n: int, bits: int) -> int:

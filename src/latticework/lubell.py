@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -20,7 +21,6 @@ from .core import DomainError, ResourceLimitError, SetFamily
 
 ENUMERATION_GROUND_CAP = 10
 _CHAIN_CACHE_CAP = 8
-_chain_cache: dict[int, list[tuple[int, ...]]] = {}
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,18 @@ def lubell(family: SetFamily) -> Fraction:
     return total
 
 
-def _chains(n: int) -> list[tuple[int, ...]]:
-    chains = _chain_cache.get(n)
-    if chains is None:
-        chains = []
-        for perm in permutations(range(n)):
-            prefix = 0
-            ch = [0]
-            for b in perm:
-                prefix |= 1 << b
-                ch.append(prefix)
-            chains.append(tuple(ch))
-        if n <= _CHAIN_CACHE_CAP:
-            _chain_cache[n] = chains
-    return chains
+@cache
+def _chains(n: int) -> tuple[tuple[int, ...], ...]:
+    """The maximal chain of every permutation of [n], as its n + 1 prefixes."""
+    chains = []
+    for perm in permutations(range(n)):
+        prefix = 0
+        ch = [0]
+        for b in perm:
+            prefix |= 1 << b
+            ch.append(prefix)
+        chains.append(tuple(ch))
+    return tuple(chains)
 
 
 def meet_profile(family: SetFamily) -> MeetProfile:

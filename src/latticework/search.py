@@ -22,15 +22,17 @@ Every witness is re-checked by independent code before it is returned,
 and a failed check raises VerificationError, under `python -O` too.
 
 Closed splits take each closure from byte tables: one AND of the
-incomparability rows per byte of the shrunk intent.  Every search over a
-fixed universe of masks reads its pairwise relation from
-`_comparability_rows`, and the relabelling tables come from
-`core._mask_relabel_table`.  Bitsets of universe indices outside the inner
-loops are walked with `core.iter_bits`.
+incomparability rows per byte of the shrunk intent.  The searches over a
+band of layers read its masks and pairwise relation from `_band`, built
+once per (n, band); it and the other reusable tables are cached with
+`functools.cache`, never a search's result.  The relabelling tables come
+from `core._mask_relabel_table`.  Bitsets of universe indices outside the
+inner loops are walked with `core.iter_bits`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial, inf
 
@@ -42,7 +44,6 @@ from .core import (
     binomial,
     comparability_graph,
     count_two_chains,
-    is_comparable,
     iter_bits,
     layer_masks,
     _mask_relabel_table,
@@ -112,10 +113,8 @@ class _Budget:
 # order-bounded family maximisation
 
 
-_GROUP_LANES_CACHE: dict[tuple[int, bool], tuple[list[int], int, int]] = {}
-
-
-def _group_lanes(n: int, with_complement: bool) -> tuple[list[int], int, int]:
+@cache
+def _group_lanes(n: int, with_complement: bool) -> tuple[tuple[int, ...], int, int]:
     """The group S_n, optionally composed with complementation, bit-parallel.
 
     Element g owns a lane of 2^n + 1 bits.  Column m holds 1 << g(m) in
@@ -124,10 +123,6 @@ def _group_lanes(n: int, with_complement: bool) -> tuple[list[int], int, int]:
     replicates a family into every lane by multiplication) and their
     top bit (`guards`, which no image reaches).
     """
-    key = (n, with_complement)
-    got = _GROUP_LANES_CACHE.get(key)
-    if got is not None:
-        return got
     width = (1 << n) + 1
     full = (1 << n) - 1
     columns = [0] * (1 << n)
@@ -139,9 +134,7 @@ def _group_lanes(n: int, with_complement: bool) -> tuple[list[int], int, int]:
                 columns[m] |= 1 << (lane * width + v)
             lane += 1
     ones = sum(1 << (g * width) for g in range(lane))
-    got = (columns, ones, ones << (width - 1))
-    _GROUP_LANES_CACHE[key] = got
-    return got
+    return tuple(columns), ones, ones << (width - 1)
 
 
 def _join(comp: list[int], low: int, nb: int) -> int:
@@ -179,18 +172,17 @@ def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
     return best
 
 
-def _comparability_rows(universe: list[int]) -> list[int]:
-    """Row i has bit j set iff universe[i] and universe[j] are comparable.
-
-    The masks of universe must be distinct; no row has its own bit set.
+@cache
+def _band(n: int, kmin: int, kmax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of sizes kmin..kmax in ascending order, and their
+    comparability rows: bit j of row i is set iff masks i and j are
+    comparable, so no row has its own bit set.  Shared by every caller.
     """
-    rows = [0] * len(universe)
-    for i, x in enumerate(universe):
-        for j in range(i + 1, len(universe)):
-            if is_comparable(x, universe[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+    masks = tuple(sorted(m for k in range(kmin, kmax + 1) for m in layer_masks(n, k)))
+    rows = tuple(
+        sum(1 << j for j, y in enumerate(masks) if y != x and x & y in (x, y)) for x in masks
+    )
+    return masks, rows
 
 
 # prefixes of up to this many members are tested for min-lex canonicity
@@ -208,13 +200,13 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     best_val = len(seed)
     best_masks = list(seed.members)
 
-    universe = [m for k in range(kmin, kmax + 1) for m in layer_masks(n, k)]
-    # a mask comparable to every other cannot sit in a family larger than t
+    # a mask comparable to every other, the empty set or [n], cannot sit in a
+    # family larger than t
     if best_val > t:
-        universe = [m for m in universe if m not in (0, (1 << n) - 1)]
-    universe.sort()
+        universe, cmp_bits = _band(n, max(kmin, 1), min(kmax, n - 1))
+    else:
+        universe, cmp_bits = _band(n, kmin, kmax)
     size = len(universe)
-    cmp_bits = _comparability_rows(universe)
 
     # relabelling preserves layers; complementation flips the band, so it is a
     # symmetry of the universe only when the band is centred
@@ -294,7 +286,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
             chosen_bits ^= low
 
     with budget:
-        expand((1 << size) - 1 if size else 0, [0] * size)
+        expand((1 << size) - 1, [0] * size)
 
     witness = SetFamily.from_masks(n, best_masks)
     if len(witness) != best_val:
@@ -343,7 +335,7 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
     weight = [factorial_n // binomial(n, m.bit_count()) for m in range(cube)]
     # open_weight[m]: the weight of the masks below m, all still open
     open_weight = [sum(weight[:m]) for m in range(cube + 1)]
-    cmp_rows = _comparability_rows(list(range(cube)))
+    _, cmp_rows = _band(n, 0, n)
 
     budget = _Budget(budget_nodes)
     best_num = 0
@@ -397,10 +389,9 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
 def _closed_splits(n: int, budget: _Budget):
     """The universe, its comparability rows and the (extent, common
     incomparables) index-bitmask pairs, as many as the budget reached."""
-    universe = list(range(1, (1 << n) - 1))
+    universe, cmp_rows = _band(n, 1, n - 1)
     size = len(universe)
     full = (1 << size) - 1
-    cmp_rows = _comparability_rows(universe)
     # row i: the universe members incomparable to universe[i]
     rows = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
     # tables[c][b]: the AND of the rows of the set bits of byte b of index
@@ -543,8 +534,8 @@ def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResu
         for k in range(n):
             bottoms = layer_masks(n, k)
             tops = layer_masks(n, k + 1)
-            # row j: the bottoms inside tops[j], as no two tops are comparable
-            sub_rows = _comparability_rows(bottoms + tops)[len(bottoms):]
+            # row j: the bottoms inside tops[j]
+            sub_rows = [sum(1 << i for i, b in enumerate(bottoms) if b & top == b) for top in tops]
             max_a = min(len(bottoms), m)
             for a_bits in range(1 << len(bottoms)):
                 asize = a_bits.bit_count()
@@ -584,7 +575,7 @@ def min_two_chains(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchRes
     if not 0 <= m <= cube:
         raise DomainError(f"no family of size {m} in a cube of {cube} sets")
     # for masks x < y, comparable means x is a subset of y
-    rows = _comparability_rows(list(range(cube)))
+    _, rows = _band(n, 0, n)
     subs_row = [row & ((1 << y) - 1) for y, row in enumerate(rows)]
     best = best_combo = None
     budget = _Budget(budget_nodes)

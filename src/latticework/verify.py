@@ -219,7 +219,7 @@ def verify_kk(
             check(tuple(sorted(rng.sample(layer, m))))
     return {
         "suite": "kk",
-        "params": {"n": n, "k": k, "seed": seed},
+        "params": {"n": n, "k": k, "samples": samples, "seed": seed},
         "exhaustive": exhaustive,
         "checked": checked,
         "passed": not failures,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,18 @@ def test_analyze_empty_family(capsys, tmp_path):
     assert code == 0
     res = report["results"]
     assert res["size"] == 0 and res["height"] is None and res["lubell"] == "0"
+
+
+def test_analyze_past_closure_cap_reports_null_skips(capsys, tmp_path):
+    # skips need cube-wide closures, capped at n = 20; the rest is pairwise
+    path = write_family(tmp_path, SetFamily.from_sets(30, [(1,), (1, 2)]))
+    code, report = run_json(capsys, "analyze", "--family", path)
+    assert code == 0
+    res = report["results"]
+    assert res["skips"] is None
+    assert "capped at n=20" in res["skips_reason"]
+    assert res["height"] == 1 and res["component_orders"] == [2]
+    assert res["two_chains"] == 1 and res["lubell"] == "31/870"
 
 
 def test_normalize_trace_replays(capsys, tmp_path):
@@ -293,3 +309,23 @@ def test_text_format_flattens(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "results.value: 2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "search", "xi-star", "--n", "4", "--m", "4"],
+    ["construct", "sharp", "--n", "14", "--k", "0"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader goes away before the first byte, as `| true` does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latticework.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -1,0 +1,22 @@
+"""No module of the package checks anything with `assert`.
+
+`python -O` strips assert statements, so a witness check written as one
+would silently stop running; checks raise `VerificationError` instead.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latticework"
+
+
+def test_package_has_no_assert_statement():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -20,19 +20,21 @@ from latticework.core import (
     ResourceLimitError,
     SetFamily,
     binomial,
+    _columns,
     comparability_graph,
     count_two_chains,
     family_bits,
     iter_bits,
 )
-from latticework.lubell import lubell
+from latticework.lubell import _chains, lubell, lubell_by_permutations
 from latticework.normalize import make_skipless, skip_count
 from latticework.search import (
     _TRIANGLE_FREE,
     _Budget,
+    _band,
     _closed_splits,
-    _comparability_rows,
     _graphs_of_order,
+    _group_lanes,
     disconnected_splits,
     la_exact,
     la_exact_restricted,
@@ -280,7 +282,9 @@ def lambda_star_by_exhaustion(n, t, budget_nodes=None):
     """
     cube = 1 << n
     weight = [factorial(n) // binomial(n, m.bit_count()) for m in range(cube)]
-    cmp_rows = _comparability_rows(list(range(cube)))
+    cmp_rows = [
+        sum(1 << y for y in range(cube) if y != x and x & y in (x, y)) for x in range(cube)
+    ]
     limit = budget_nodes if budget_nodes is not None else 1 << cube
     best_num = best_bits = nodes = 0
     proven = True
@@ -339,6 +343,52 @@ def test_la_node_counts_frozen():
         assert la_exact(n, t).nodes_explored == nodes, (n, t)
     for args, nodes in LA_RESTRICTED_NODES.items():
         assert la_exact_restricted(*args).nodes_explored == nodes, args
+
+
+def test_band_matches_pairwise_definition():
+    # every band, the narrowed ones without the empty set or [n] and the
+    # empty bands among them (n = 1 narrows [0, 1] to [1, 0])
+    for n in range(1, 6):
+        for kmin in range(n + 1):
+            for kmax in range(kmin - 1, n + 1):
+                masks = [m for m in range(1 << n) if kmin <= m.bit_count() <= kmax]
+                rows = [
+                    sum(1 << j for j, y in enumerate(masks)
+                        if x != y and (x & ~y == 0 or y & ~x == 0))
+                    for x in masks
+                ]
+                assert _band(n, kmin, kmax) == (tuple(masks), tuple(rows)), (n, kmin, kmax)
+    assert _band(1, 1, 0) == ((), ())
+
+
+def test_searches_leave_cached_tables_as_built():
+    for n in range(1, 5):
+        for t in (1, 2, 5):
+            la_exact(n, t)
+            la_exact_restricted(n, t, 1, n)
+            la_exact_restricted(n, t, n // 2, n // 2)
+            min_two_chains(n, min(t, 1 << n))
+        if n <= 3:
+            lambda_star_exact(n, 2)
+        xi_star_exact(n, 2)
+        disconnected_splits(n)
+        if n >= 2:
+            max_disconnected(n)
+        # the core and lubell tables, through their callers
+        skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
+        lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
+    mad_star_probe(4)
+    for table in (_band, _group_lanes, _columns, _chains):
+        assert table.cache_info().currsize > 0, table
+    for n in range(1, 5):
+        for kmin in range(n + 1):
+            for kmax in range(kmin - 1, n + 1):
+                assert _band(n, kmin, kmax) == _band.__wrapped__(n, kmin, kmax)
+        for with_complement in (False, True):
+            got = _group_lanes(n, with_complement)
+            assert got == _group_lanes.__wrapped__(n, with_complement)
+        assert _columns(n) == _columns.__wrapped__(n)
+        assert _chains(n) == _chains.__wrapped__(n)
 
 
 def test_budget_sweep():
@@ -482,7 +532,7 @@ def test_closed_splits_match_common_loop():
         for budget in (-1, 0, 1, 5, 1000, total - 1, total, None):
             budget_counter = _Budget(budget)
             universe, _, found = _closed_splits(n, budget_counter)
-            assert universe == list(range(1, (1 << n) - 1))
+            assert universe == tuple(range(1, (1 << n) - 1))
             want = closed_splits_by_common(n, budget)
             assert (found, budget_counter.nodes) == want, (n, budget)
 

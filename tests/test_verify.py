@@ -58,6 +58,7 @@ def test_kk_suite_passes():
     assert rep["passed"]
     rep = verify_kk(n=4, k=2, samples=50, seed=0)
     assert rep["passed"]
+    assert rep["params"] == {"n": 4, "k": 2, "samples": 50, "seed": 0}
 
 
 def test_technical_suite_passes():
