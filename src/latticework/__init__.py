@@ -10,6 +10,7 @@ extremal thresholds.
 """
 
 from .core import (
+    BudgetExhaustedError,
     ComparabilityGraph,
     DomainError,
     LatticeError,

@@ -7,8 +7,9 @@ report that echoes the command, parameters, seed, version, and timing, so
 a report is reproducible from its own content.  Exact rationals are
 rendered as strings like "4/3"; exit codes are 0 (pass), 1 (verification
 failure, including a result that fails its own re-check), 2 (usage
-error), 3 (budget exceeded).  A reader that closes stdout early ends the
-command quietly with its own exit code.
+error), 3 (a search budget ran out), 4 (a size cap was exceeded).  A
+reader that closes stdout early ends the command quietly with its own exit
+code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .constructions import (
     sharp_family,
 )
 from .core import (
+    BudgetExhaustedError,
     DomainError,
     LatticeError,
     PreconditionError,
@@ -66,6 +68,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CAP = 4
 
 
 class _UsageError(Exception):
@@ -426,9 +429,12 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
+    except BudgetExhaustedError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ResourceLimitError as exc:
+        print(f"size cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -12,18 +12,16 @@ Conventions used across the package:
   edge for every 2-chain X < Y (strict containment).  The cover graph keeps
   only the edges with |Y| - |X| = 1.
 * Components and 2-chain counts are computed bit-parallel over the whole
-  cube (a breadth-first search whose steps are down- and up-closures, and a
-  packed-lane subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every
-  pair of members beyond it and for families of a few members.  What a
-  search of many small components leaves, once its steps have cost as much
-  as the union-find would, goes to a union-find over the cube-cover edges
-  of the family's hull (the sets lying between two members), whose
-  components are the comparability components.  A component is stored as
-  the ascending tuple of its members, and components are numbered by least
-  member; per-member component numbers and edge lists are only built when
-  asked for.
+  cube (reach-closures through down- and up-closures, and a packed-lane
+  subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
+  members beyond it and for families of a few members.  On the cube, a
+  search takes components one at a time until its steps reach n, and the
+  members left are labelled with their component's least member, one
+  ground bit per reach-closure.  A component is stored as the ascending
+  tuple of its members, and components are numbered by least member;
+  per-member component numbers and edge lists are built only when asked.
 * The bit-level helpers here are the package's only copies of their ideas:
-  `iter_bits` walks the set bits of a bitset, `family_bits` and
+  `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
   `_mask_relabel_table` maps every mask under a permutation of [n],
   `_union_find_ids` numbers the components of a vertex set joined by pairs,
@@ -36,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 MAX_GROUND = 63
@@ -56,6 +54,10 @@ class PreconditionError(LatticeError):
 
 class ResourceLimitError(LatticeError):
     """The request exceeds a documented size cap for exact computation."""
+
+
+class BudgetExhaustedError(ResourceLimitError):
+    """A search's node budget ran out before it finished."""
 
 
 class VerificationError(LatticeError):
@@ -370,82 +372,79 @@ def comparability_graph(family: SetFamily, cover_only: bool = False) -> Comparab
 
 def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, ...]]:
     """The components' ascending member tuples, in no set order, by
-    breadth-first search on bitsets.
+    reach-closures on bitsets.
 
     Members comparable to no other member are split off first in one pass,
     so an antichain costs four sweeps however many members it has.  Each
-    remaining component grows from its least member; one step adds every
-    member comparable to (or, for the cover graph, one element away from)
-    the frontier, through one down-closure and one up-closure of it.
-
-    A step, with its share of listing members, costs about as much as
-    2^n / 300 to 2^n / 550 hull points or edges of `_hull_components` at
-    n = 14..18 (measured); counting 2^n / 256 errs towards the union-find.
-    Many small components in a large cube make the search dearer than the
-    union-find, so once the steps taken would have paid for it over the
-    members the search started with, the members left go to it.
+    other component grows from its least member, a step adding every member
+    comparable to (or one element from) the frontier.  Once the steps reach
+    n, the members left go to `_plane_components`, whatever their number.
     """
     n = family.n
     bits = family_bits(family)
     below, above = shadow_bits(n, bits), shade_bits(n, bits)
-    if cover_only:
-        def reach(front):
-            return shadow_bits(n, front) | shade_bits(n, front)
-    else:
+    if not cover_only:
         below, above = downset_bits(n, below), upset_bits(n, above)
-
-        def reach(front):
-            return downset_bits(n, front) | upset_bits(n, front)
-
     rest = bits & (below | above)
     components = [(m,) for m in iter_bits(bits ^ rest)]
-    # The hull of the members left: they and every set strictly between two.
-    hull = rest if cover_only else rest | (below & above)
-    budget = hull.bit_count() + sum(low.bit_count() for low in _cover_edge_lows(n, hull))
-    step_cost = max(1, (1 << n) >> 8)
-    while rest and budget > 0:
-        front = component = rest & -rest
-        while front:
-            front = reach(front) & rest & ~component
-            component |= front
-            budget -= step_cost
+    steps = 0
+    while rest and steps < n:
+        component, taken = _reach_closure(n, rest & -rest, rest, cover_only)
+        steps += taken
         rest ^= component
         components.append(tuple(iter_bits(component)))
-    if rest:
-        components += _hull_components(n, rest, cover_only)
-    return components
+    return components + _plane_components(n, rest, cover_only)
 
 
-def _cover_edge_lows(n: int, hull: int) -> list[int]:
-    # Bitset i marks the sets Y of hull without element i whose Y + {i} is
-    # also in hull: the lower ends of the cube-cover edges along element i.
-    return [hull & ~col & (hull >> (1 << i)) for i, col in enumerate(_columns(n))]
+def _reach_closure(n: int, seeds: int, bits: int, cover_only: bool) -> tuple[int, int]:
+    """The members of bits joined to seeds by a path inside bits, and the steps taken."""
+    down, up = (shadow_bits, shade_bits) if cover_only else (downset_bits, upset_bits)
+    closure = front = seeds
+    steps = 0
+    while front:
+        front = (down(n, front) | up(n, front)) & bits & ~closure
+        closure |= front
+        steps += 1
+    return closure, steps
 
 
-def _hull_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ...]]:
-    """The components' ascending member tuples of a bitset-of-masks, by union-find.
+_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
 
-    Two members are in one comparability component iff they are in one
-    component of the cube-cover graph on the hull of the family, the sets
-    lying between two members: if X < Z, the whole interval [X, Z] lies in
-    the hull and is cover-connected, and each hull point lies between two
-    members of its component.  The cover graph's hull is the family itself.
-    The hull's points are numbered in ascending order for the union-find.
+
+def _spread(bits: int, j: int = 0) -> bytes:
+    """Bit i of bits as byte i, lowest first: 2^j for a 1 and 0 for a 0."""
+    return bin(bits)[:1:-1].encode().translate(_SPREAD[j])
+
+
+def _plane_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ...]]:
+    """The components' ascending member tuples of a bitset-of-masks, by
+    least-member bit planes: about n reach-closures however many components.
+
+    Bit t of a member's label, found from the highest t down, is bit t of
+    its component's least member.  Before bit t, a component's candidates
+    are its members agreeing with its least member above t.  Z, the
+    reach-closure of the candidates without t, is the union of the
+    components having one: their least members lack t, and their
+    candidates with t drop out.  A component outside Z has only candidates
+    with t, its least member among them, so its members get bit t = 1.
+    Equal labels thus mean one component.  Z is skipped when every
+    candidate lacks t.  The planes are spread to a byte per cube point and
+    added eight to a byte lane, where each member reads its label.
     """
-    hull = bits if cover_only else downset_bits(n, bits) & upset_bits(n, bits)
-    points = list(iter_bits(hull))
-    # a list indexed by mask looks ranks up faster than a dict (measured)
-    rank = [0] * (1 << n)
-    for r, p in enumerate(points):
-        rank[p] = r
-    pairs = (
-        (rank[y], rank[y | 1 << i])
-        for i, low in enumerate(_cover_edge_lows(n, hull))
-        for y in iter_bits(low)
-    )
-    ids = _union_find_ids(len(points), pairs)
-    members = list(iter_bits(bits))
-    return _group(members, (ids[rank[m]] for m in members))
+    candidates = bits
+    planes = [0] * n
+    for t, col in reversed(tuple(enumerate(_columns(n)))):
+        seeds = candidates & ~col
+        if seeds != candidates:
+            z, _ = _reach_closure(n, seeds, bits, cover_only)
+            planes[t] = bits & ~z
+            candidates &= z ^ col
+    members = iter_bits(bits)
+    lanes = []
+    for g in range(0, n, 8):
+        lane = sum(int.from_bytes(_spread(p, j), "little") for j, p in enumerate(planes[g:g + 8]))
+        lanes.append(list(map(lane.to_bytes(1 << n, "little").__getitem__, members)))
+    return _group(members, zip(*lanes))
 
 
 def _pairwise_graph(family: SetFamily, cover_only: bool = False):
@@ -584,16 +583,21 @@ def shade_bits(n: int, bits: int) -> int:
     return out
 
 
-def iter_bits(bits: int):
-    """Yield the positions of the set bits of a bitset-of-masks, ascending."""
-    # One pass over the binary digits, lowest first: stepping with bits & -bits
-    # would copy the whole integer once per set bit.
+def iter_bits(bits: int) -> list[int]:
+    """The positions of the set bits of a bitset-of-masks, ascending."""
+    # One pass over the binary digits: stepping with bits & -bits would copy
+    # the whole integer per set bit.  Past one set bit in eight (break-even,
+    # measured at 2^10 and 2^16 bits) read a byte per digit, else skip to each.
+    if bits.bit_count() * 8 > bits.bit_length():
+        return list(compress(range(bits.bit_length()), _spread(bits)))
     digits = bin(bits)
+    out = []
     last = len(digits) - 1
     i = digits.rfind("1")
     while i > 0:
-        yield last - i
+        out.append(last - i)
         i = digits.rfind("1", 0, i)
+    return out
 
 
 def is_antichain(family: SetFamily) -> bool:

@@ -11,6 +11,7 @@ the point: the enumeration is the oracle for the closed form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -51,11 +52,10 @@ class MeetProfile:
 
 def lubell(family: SetFamily) -> Fraction:
     """Closed-form Lubell value: sum over members of 1/C(n, |F|)."""
+    # one fraction per layer met, not per member
     n = family.n
-    total = Fraction(0)
-    for m in family.members:
-        total += Fraction(1, comb(n, m.bit_count()))
-    return total
+    layers = Counter(map(int.bit_count, family.members))
+    return sum((Fraction(c, comb(n, k)) for k, c in layers.items()), Fraction(0))
 
 
 @cache

@@ -64,7 +64,8 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
     """All skips of the family, sorted by (cardinality, mask value)."""
     members = family.members
     out = []
-    for y in iter_bits(_skip_bits(family)):
+    # iter_bits ascends and the sort is stable: (cardinality, mask) order
+    for y in sorted(iter_bits(_skip_bits(family)), key=int.bit_count):
         # members ascend, so the first one inside y is the least, and the least
         # one around y comes after y's own place: each scan stops at its witness
         below = next(x for x in members if x & y == x)
@@ -72,7 +73,6 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
         while members[i] & y != y:
             i += 1
         out.append(SkipReport(skip=y, witness_below=below, witness_above=members[i]))
-    out.sort(key=lambda r: (r.skip.bit_count(), r.skip))
     return out
 
 

@@ -37,8 +37,8 @@ from itertools import combinations, permutations
 from math import factorial, inf
 
 from .core import (
+    BudgetExhaustedError,
     DomainError,
-    ResourceLimitError,
     SetFamily,
     VerificationError,
     binomial,
@@ -470,7 +470,7 @@ def disconnected_splits(
     budget = _Budget(budget_nodes)
     universe, cmp_rows, found = _closed_splits(n, budget)
     if not budget.proven:
-        raise ResourceLimitError(f"split enumeration stopped after {budget.nodes} nodes")
+        raise BudgetExhaustedError(f"split enumeration stopped after {budget.nodes} nodes")
     out = []
     seen = set()
     for extent, intent in found:

@@ -191,6 +191,24 @@ def test_search_budget_exit(capsys):
         assert not res["proven_optimal"]
 
 
+def test_spent_enumeration_budget_exits_three(capsys):
+    code = main(["--budget-nodes", "3", "verify", "fact-ab"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: split enumeration stopped")
+
+
+def test_size_cap_exits_four(capsys):
+    for argv in (("construct", "full-cube", "--n", "21"), ("construct", "sharp", "--n", "21", "--k", "0")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 4, argv
+        assert captured.out == ""
+        assert captured.err.startswith("size cap exceeded: "), argv
+        assert "capped at n=20" in captured.err, argv
+
+
 def test_failed_witness_check_exits_one(capsys, monkeypatch):
     from latticework import search
 

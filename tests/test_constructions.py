@@ -97,7 +97,7 @@ def test_certify_sharp_families():
 
 def test_certify_large_sharp_family_structured_path():
     # 13,728 members in 3,432 components: the search leaves most of them to
-    # the hull union-find
+    # the plane labeller
     report = certify(sharp_family(16, 2), sharp_claim(16, 2))
     assert all(c.passed for c in report.checks)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from latticework import core
 from latticework.constructions import (
     disconnected_extremal,
     disconnected_extremal_size,
@@ -16,9 +17,9 @@ from latticework.core import (
     SetFamily,
     _bit_column,
     _closure_components,
-    _hull_components,
     _lane_two_chains,
     _pairwise_graph,
+    _plane_components,
     _union_find_ids,
     binomial,
     bits_to_family,
@@ -168,7 +169,7 @@ def _assert_matches_pairwise(fam):
         g = comparability_graph(fam, cover_only=cover_only)
         edges, components = _pairwise_graph(fam, cover_only)
         assert sorted(_closure_components(fam, cover_only)) == list(components)
-        assert sorted(_hull_components(fam.n, family_bits(fam), cover_only)) == list(components)
+        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == list(components)
         assert g.component_members == components
         # ids, orders and sizes from the oracle's edges alone
         comp_id = tuple(_union_find_ids(len(fam), edges))
@@ -211,8 +212,8 @@ def test_components_match_pairwise_oracle_on_constructions():
 
 
 def test_components_of_many_small_components_in_a_large_cube():
-    # 300 two-member components at n = 16: the search runs out of step
-    # budget part way and leaves the members left to the hull union-find
+    # 300 two-member components at n = 16: the search stops once its steps
+    # reach n and leaves the members left to the plane labeller
     rng = random.Random(20241115)
     bottoms = rng.sample(layer_masks(15, 7), 300)
     fam = SetFamily.from_masks(16, [m for b in bottoms for m in (b, b | 1 << 15)])
@@ -220,7 +221,35 @@ def test_components_of_many_small_components_in_a_large_cube():
     assert comparability_graph(fam).component_orders == (2,) * 300
 
 
-def test_hull_union_find_links_comparable_members_without_cover_path():
+def test_components_past_the_search_match_pairwise_oracle(monkeypatch):
+    # 2-chains B < B + {n} (B in one layer of [n - 1]) are pairwise
+    # incomparable, and a few random sets join some of them up: more
+    # components than the search takes before it stops at n steps, so the
+    # plane labeller sorts the rest
+    labelled = []
+
+    def spy(n, bits, cover_only):
+        labelled.append(bits.bit_count())
+        return _plane_components(n, bits, cover_only)
+
+    monkeypatch.setattr(core, "_plane_components", spy)
+    rng = random.Random(20241120)
+    cases = 0
+    for n in range(5, 11):
+        for _ in range(10):
+            layer = layer_masks(n - 1, rng.randint(1, n - 2))
+            bottoms = rng.sample(layer, rng.randint(min(n, len(layer)), len(layer)))
+            top = 1 << (n - 1)
+            extra = rng.sample(range(1 << n), rng.randint(0, 3))
+            fam = SetFamily.from_masks(n, [m for b in bottoms for m in (b, b | top)] + extra)
+            _assert_matches_pairwise(fam)
+            labelled.clear()
+            _closure_components(fam, cover_only=False)
+            cases += labelled[0] > 0
+    assert cases >= 50
+
+
+def test_plane_labels_link_comparable_members_without_cover_path():
     # {1} lies below the top of [{1,2,3}, {1,2,3} + free] and {2} below it
     # too, so the comparability graph is connected while no member of one
     # diamond is one element away from a member of another
@@ -229,8 +258,8 @@ def test_hull_union_find_links_comparable_members_without_cover_path():
     fam = SetFamily.from_masks(10, masks)
     _assert_matches_pairwise(fam)
     bits = family_bits(fam)
-    assert len(_hull_components(10, bits, False)) == 1
-    assert len(_hull_components(10, bits, True)) == 3
+    assert len(_plane_components(10, bits, False)) == 1
+    assert len(_plane_components(10, bits, True)) == 3
 
 
 def _plain_iter_bits(bits):
@@ -243,6 +272,12 @@ def _plain_iter_bits(bits):
 def test_iter_bits_matches_plain_loop():
     rng = random.Random(20241119)
     cases = [0, 1, 1 << 200, (1 << (1 << 16)) - 1]
+    # a bitset is read densely once its popcount times 8 passes its bit
+    # length: here 129 of 1,024 bits is dense and 128 sparse
+    for count in (128, 129, 128, 129):
+        bits = 1 << 1023 | family_bits(rng.sample(range(1023), count - 1))
+        assert (bits.bit_count() * 8 > bits.bit_length()) == (count == 129)
+        cases.append(bits)
     for width in (1, 2, 3, 8, 64, 256, 1 << 16):
         for _ in range(3):
             cases.append(rng.getrandbits(width))
