@@ -4,7 +4,9 @@ Commands: construct, analyze, normalize, boundary, verify, search,
 reproduce.  Families travel as {"n": int, "sets": [[elements]...]} JSON.
 Every command other than a bare `construct` wraps its results in a run
 report that echoes the command, parameters, seed, version, and timing, so
-a report is reproducible from its own content.  Exact rationals are
+a report is reproducible from its own content.  `timing_seconds` covers
+the command itself, including the imports of the modules only it uses:
+each command imports what it runs when it runs.  Exact rationals are
 rendered as strings like "4/3"; exit codes are 0 (pass), 1 (verification
 failure, including a result that fails its own re-check), 2 (usage
 error), 3 (a search budget ran out), 4 (a size cap was exceeded).  A
@@ -24,14 +26,6 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .colouring import EdgeColouredGraph, LayerPairGraph
-from .constructions import (
-    Diamond,
-    diamond_family,
-    disconnected_extremal,
-    full_layer_pair,
-    sharp_family,
-)
 from .core import (
     BudgetExhaustedError,
     DomainError,
@@ -46,22 +40,6 @@ from .core import (
     height,
     mask_of,
 )
-from .lubell import lubell
-from .normalize import (
-    make_skipless,
-    make_skipless_with_trace,
-    skip_count,
-)
-from .search import (
-    la_exact,
-    la_exact_restricted,
-    lambda_star_exact,
-    mad_star_probe,
-    max_disconnected,
-    min_two_chains,
-    xi_star_exact,
-)
-from .shadow import boundary_report
 from .verify import REPRODUCTIONS, VERIFIERS, run_reproduction, run_verifier
 
 EXIT_OK = 0
@@ -132,6 +110,8 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
 
 
 def _witness_jsonable(witness) -> dict | None:
+    from .colouring import EdgeColouredGraph, LayerPairGraph
+
     if witness is None:
         return None
     if isinstance(witness, SetFamily):
@@ -184,25 +164,37 @@ def _require(args, *names) -> None:
             raise _UsageError(f"--{name.replace('_', '-')} is required here")
 
 
+def _sharp(args) -> SetFamily:
+    from .constructions import sharp_family
+
+    return sharp_family(args.n, args.k, ceil_middle=args.ceil_middle)
+
+
+def _disconnected(args) -> SetFamily:
+    from .constructions import disconnected_extremal
+
+    return disconnected_extremal(args.n)
+
+
 def _diamond(args) -> SetFamily:
+    from .constructions import Diamond, diamond_family
+
     bottom = mask_of(_parse_elements(args.bottom))
     top = mask_of(_parse_elements(args.top))
     return diamond_family(Diamond(bottom, top), args.n)
 
 
 def _layer_pair(args) -> SetFamily:
+    from .constructions import full_layer_pair
+
     a, b = full_layer_pair(args.n, args.k)
     return SetFamily.from_masks(args.n, a.members + b.members)
 
 
 # name -> (builder taking the parsed arguments, arguments it reads, those it requires)
 CONSTRUCTIONS = {
-    "sharp": (
-        lambda args: sharp_family(args.n, args.k, ceil_middle=args.ceil_middle),
-        ("n", "k", "ceil_middle"),
-        ("n", "k"),
-    ),
-    "disconnected": (lambda args: disconnected_extremal(args.n), ("n",), ("n",)),
+    "sharp": (_sharp, ("n", "k", "ceil_middle"), ("n", "k")),
+    "disconnected": (_disconnected, ("n",), ("n",)),
     "diamond": (_diamond, ("n", "bottom", "top"), ("n", "top")),
     "full-cube": (lambda args: full_cube(args.n), ("n",), ("n",)),
     "layer-pair": (_layer_pair, ("n", "k"), ("n", "k")),
@@ -223,6 +215,9 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
 
 
 def cmd_analyze(args) -> tuple[dict, dict, int]:
+    from .lubell import lubell
+    from .normalize import skip_count
+
     fam = _load_family(args.family)
     results: dict = {"n": fam.n, "size": len(fam), "digest": fam.digest()}
     if len(fam) == 0:
@@ -245,6 +240,8 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
 
 
 def cmd_normalize(args) -> tuple[dict, dict, int]:
+    from .normalize import make_skipless, make_skipless_with_trace, skip_count
+
     _require(args, "t")
     fam = _load_family(args.family)
     before = skip_count(fam)
@@ -275,6 +272,8 @@ def _is_index_list(value) -> bool:
 
 
 def cmd_boundary(args) -> tuple[dict, dict, int]:
+    from .shadow import boundary_report
+
     fam = _load_family(args.family)
     split = _read_json(args.split_file)
     if not (isinstance(split, dict) and _is_index_list(split.get("a"))
@@ -310,23 +309,26 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
     return {"suite": args.name, **params}, results, EXIT_OK if results["passed"] else EXIT_FAIL
 
 
-# operation -> (search, the arguments it takes positionally, all required)
+# operation -> (function name in `search`, the arguments it takes positionally,
+# all required)
 SEARCHES = {
-    "la": (la_exact, ("n", "t")),
-    "la-restricted": (la_exact_restricted, ("n", "t", "kmin", "kmax")),
-    "lambda-star": (lambda_star_exact, ("n", "t")),
-    "disconnected": (max_disconnected, ("n",)),
-    "xi-star": (xi_star_exact, ("n", "m")),
-    "min2chains": (min_two_chains, ("n", "m")),
-    "madstar": (mad_star_probe, ("t",)),
+    "la": ("la_exact", ("n", "t")),
+    "la-restricted": ("la_exact_restricted", ("n", "t", "kmin", "kmax")),
+    "lambda-star": ("lambda_star_exact", ("n", "t")),
+    "disconnected": ("max_disconnected", ("n",)),
+    "xi-star": ("xi_star_exact", ("n", "m")),
+    "min2chains": ("min_two_chains", ("n", "m")),
+    "madstar": ("mad_star_probe", ("t",)),
 }
 
 
 def cmd_search(args) -> tuple[dict, dict, int]:
-    search, positional = SEARCHES[args.op]
+    from . import search
+
+    name, positional = SEARCHES[args.op]
     _require(args, *positional)
     budget = {} if args.budget_nodes is None else {"budget_nodes": args.budget_nodes}
-    res = search(*(getattr(args, k) for k in positional), **budget)
+    res = getattr(search, name)(*(getattr(args, k) for k in positional), **budget)
     params = {"op": args.op, **{k: getattr(args, k) for k in positional}, **budget}
     results = {
         "value": res.value,

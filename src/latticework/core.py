@@ -30,7 +30,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -38,6 +37,9 @@ from itertools import combinations, compress
 from math import comb
 
 MAX_GROUND = 63
+# The default node budget of every search.  Only the la searches can reach it;
+# every other search needs under 100,000 nodes on any input of its domain.
+NODE_BUDGET = 30_000_000
 
 
 class LatticeError(Exception):
@@ -222,6 +224,8 @@ class SetFamily:
 
     def digest(self) -> str:
         """Stable sha256 of the canonical JSON encoding."""
+        import hashlib  # only here, so most processes never load _hashlib
+
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 

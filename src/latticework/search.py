@@ -37,6 +37,7 @@ from itertools import combinations, permutations
 from math import factorial, inf
 
 from .core import (
+    NODE_BUDGET,
     BudgetExhaustedError,
     DomainError,
     SetFamily,
@@ -57,10 +58,6 @@ from .colouring import (
     is_proper,
 )
 from .lubell import lubell
-
-# The default budget of every search.  Only the la searches can reach it; every
-# other search needs under 100,000 nodes on any input of its domain.
-NODE_BUDGET = 30_000_000
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .blym import diamond_blym_sum, blym_sum
-from .colouring import LayerPairGraph, find_rainbow_cycle, is_proper, layer_colouring
-from .constructions import disconnected_extremal_size, full_layer_pair, sharp_family
 from .core import (
+    NODE_BUDGET,
     DomainError,
     PreconditionError,
     SetFamily,
@@ -28,28 +26,6 @@ from .core import (
     is_antichain,
     layer_masks,
     upset_bits,
-)
-from .sampling import (
-    random_all_diamond_family,
-    random_antichain,
-    random_layer_pair,
-)
-from .search import (
-    NODE_BUDGET,
-    disconnected_splits,
-    la_exact,
-    lambda_star_exact,
-    mad_star_probe,
-    max_disconnected,
-    min_two_chains,
-    xi_star_exact,
-)
-from .shadow import (
-    boundary_pair,
-    down_closure,
-    kk_shadow_bound,
-    lower_shadow,
-    technical_bound_check,
 )
 
 MAX_REPORTED_FAILURES = 5
@@ -70,6 +46,9 @@ def verify_blym(
     family: SetFamily | None = None,
 ) -> dict:
     """Antichain sums stay at most 1; every full layer is tight."""
+    from .blym import blym_sum
+    from .sampling import random_antichain
+
     if family is not None:
         if not is_antichain(family):
             return {
@@ -125,6 +104,10 @@ def verify_diamond_blym(
     family: SetFamily | None = None,
 ) -> dict:
     """Interval-component sums stay at most 1; sharp constructions are tight."""
+    from .blym import diamond_blym_sum
+    from .constructions import sharp_family
+    from .sampling import random_all_diamond_family
+
     if family is not None:
         try:
             s = diamond_blym_sum(family)
@@ -181,6 +164,8 @@ def verify_kk(
     seed: int = 0,
 ) -> dict:
     """Iterated shadows of single-layer families meet the cascade bound."""
+    from .shadow import kk_shadow_bound, lower_shadow
+
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     layer = layer_masks(n, k)
@@ -229,6 +214,8 @@ def verify_kk(
 
 def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
     """Down-closure floors hold for every qualifying family, exhaustively."""
+    from .shadow import down_closure, technical_bound_check
+
     if nmax < 2 or kmax < 1:
         raise DomainError(f"need 2 <= nmax and 1 <= kmax, got nmax={nmax}, kmax={kmax}")
     failures: list[dict] = []
@@ -270,6 +257,10 @@ def verify_colouring(
     seed: int = 0,
 ) -> dict:
     """Element colourings of layer pairs are proper and rainbow-cycle-free."""
+    from .colouring import LayerPairGraph, find_rainbow_cycle, is_proper, layer_colouring
+    from .constructions import full_layer_pair
+    from .sampling import random_layer_pair
+
     if n < 1 or samples < 0:
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     rng = random.Random(seed)
@@ -308,6 +299,10 @@ def verify_colouring(
 
 def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
+    from .constructions import disconnected_extremal_size
+    from .search import disconnected_splits
+    from .shadow import boundary_pair
+
     splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
     extremal_hits = 0
@@ -364,6 +359,9 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     lower boundary holds at least k-1 sets of size at least k-2; dually, F of
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
+    from .search import disconnected_splits
+    from .shadow import boundary_pair
+
     # disconnected_splits refuses n <= 0, but passes n = 1 with no split
     if n == 1:
         raise DomainError("disconnected families need n >= 2")
@@ -436,95 +434,112 @@ def _register(name: str, summary: str, expected, run: Callable[[], object]) -> N
     REPRODUCTIONS[name] = Reproduction(name, summary, expected, run)
 
 
+def _search_value(op: str, *args) -> Callable[[], object]:
+    """A run giving the value of `search.<op>(*args)`; it imports search when called."""
+
+    def run():
+        from . import search
+
+        return getattr(search, op)(*args).value
+
+    return run
+
+
+def _sharp_size(n: int, k: int) -> int:
+    from .constructions import sharp_family
+
+    return len(sharp_family(n, k))
+
+
 _register(
     "sperner-n3",
     "largest family of [3] with all comparability components trivial",
     3,
-    lambda: la_exact(3, 1).value,
+    _search_value("la_exact", 3, 1),
 )
 _register(
     "sperner-n4",
     "largest family of [4] with all comparability components trivial",
     6,
-    lambda: la_exact(4, 1).value,
+    _search_value("la_exact", 4, 1),
 )
 _register(
     "katona-tarjan-n4",
     "largest family of [4] with components of order at most 2",
     6,
-    lambda: la_exact(4, 2).value,
+    _search_value("la_exact", 4, 2),
 )
 _register(
     "katona-tarjan-n5",
     "largest family of [5] with components of order at most 2",
     12,
-    lambda: la_exact(5, 2).value,
+    _search_value("la_exact", 5, 2),
 )
 _register(
     "k2-n3",
     "largest family of [3] with components of order at most 2",
     4,
-    lambda: la_exact(3, 2).value,
+    _search_value("la_exact", 3, 2),
 )
 _register(
     "la-n4-t4",
     "largest family of [4] with components of order at most 4",
     8,
-    lambda: la_exact(4, 4).value,
+    _search_value("la_exact", 4, 4),
 )
 _register(
     "disconnected-n3",
     "largest disconnected family of [3] containing no isolated vertex split",
     4,
-    lambda: max_disconnected(3).value,
+    _search_value("max_disconnected", 3),
 )
 _register(
     "disconnected-n4",
     "largest disconnected family of [4]",
     10,
-    lambda: max_disconnected(4).value,
+    _search_value("max_disconnected", 4),
 )
 _register(
     "disconnected-n5",
     "largest disconnected family of [5]",
     22,
-    lambda: max_disconnected(5).value,
+    _search_value("max_disconnected", 5),
 )
 _register(
     "kleitman-n3-q1",
     "fewest 2-chains over families of [3] with one set past the middle layer",
     2,
-    lambda: min_two_chains(3, 4).value,
+    _search_value("min_two_chains", 3, 4),
 )
 _register(
     "kleitman-n4-q2",
     "fewest 2-chains over families of [4] with two sets past the middle layer",
     6,
-    lambda: min_two_chains(4, 8).value,
+    _search_value("min_two_chains", 4, 8),
 )
 _register(
     "xi-star-n5-m6",
     "densest 6-vertex subgraph of an adjacent layer pair of [5]",
     Fraction(2),
-    lambda: xi_star_exact(5, 6).value,
+    _search_value("xi_star_exact", 5, 6),
 )
 _register(
     "madstar-t4",
     "max average degree of a 4-vertex graph with a rainbow-cycle-free colouring",
     Fraction(2),
-    lambda: mad_star_probe(4).value,
+    _search_value("mad_star_probe", 4),
 )
 _register(
     "lambda-star-n3-t2",
     "max Lubell value over families of [3] with components of order at most 2",
     Fraction(2),
-    lambda: lambda_star_exact(3, 2).value,
+    _search_value("lambda_star_exact", 3, 2),
 )
 _register(
     "sharp-size-n12-k3",
     "member count of the height-3 sharp construction at n=12",
     1008,
-    lambda: len(sharp_family(12, 3)),
+    lambda: _sharp_size(12, 3),
 )
 
 

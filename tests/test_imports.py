@@ -1,0 +1,152 @@
+"""What importing the package, and running one CLI command, loads.
+
+The package namespace is lazy: a bare `import latticework` loads `core` and
+`lubell`, and every other public name imports its submodule on first use.
+The first half pins that namespace to the public names the eager package
+had.  The second half runs each CLI command in a fresh process and pins
+the package modules it leaves in `sys.modules`, so an eager import put back
+anywhere on a command's path fails here.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import latticework
+from latticework.constructions import disconnected_extremal
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# `[n for n in dir(latticework) if not n.startswith("_")]` after a bare
+# `import latticework`, as the eager package gave it
+PUBLIC_NAMES = """
+BoundaryPair BudgetExhaustedError CascadeRep CertificationReport CheckResult
+ComparabilityGraph Diamond DiamondProfile DomainError EdgeColouredGraph LatticeError
+LayerPairGraph MeetProfile NormalizationError PreconditionError REPRODUCTIONS
+ResourceLimitError SearchResult SetFamily SkipReport StepRecord VERIFIERS
+VerificationError all_diamond_bound average_meet_count avg_degree binomial blym blym_sum
+boundary_pair boundary_report certify colouring comparability_graph constructions core
+count_two_chains cover_graph detect_diamond diamond_blym_sum diamond_claim
+diamond_family diamond_meet_count diamond_profile disconnected_claim
+disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
+elements_of excluded_count family_diamonds find_rainbow_cycle find_skips full_cube
+full_layer_pair height is_antichain is_comparable is_proper kk_cascade kk_shadow_bound
+la_exact la_exact_restricted lambda_star_exact layer_colouring layer_masks lower_shadow
+lubell lubell_by_permutations mad_star_probe make_skipless make_skipless_with_trace
+mask_of max_disconnected meet_profile min_two_chains normalize run_reproduction
+run_verifier sampling search shadow sharp_claim sharp_family skip_count skipless_step
+technical_bound_check up_closure verify xi xi_star_exact
+""".split()
+
+
+def src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def run_python(script: str, *args: str, cwd=ROOT):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=src_env(), cwd=cwd, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_each_name_resolves_to_its_module_object():
+    modules = {
+        m.name: importlib.import_module(f"latticework.{m.name}")
+        for m in pkgutil.iter_modules(latticework.__path__)
+    }
+    for name in PUBLIC_NAMES:
+        obj = getattr(latticework, name)
+        if isinstance(obj, ModuleType):
+            assert obj is modules[name], name
+            continue
+        # every module that holds the name holds this very object
+        held = [getattr(mod, name) for mod in modules.values() if hasattr(mod, name)]
+        assert held and all(value is obj for value in held), name
+
+
+def test_lubell_is_the_function_before_and_after_the_search_import():
+    script = (
+        "import inspect, json, latticework\n"
+        "before = latticework.lubell\n"
+        "import latticework.search, latticework.lubell\n"
+        "print(json.dumps([inspect.isfunction(before), latticework.lubell is before,\n"
+        "                  latticework.search.lubell is before]))\n"
+    )
+    assert run_python(script) == [True, True, True]
+    assert inspect.isfunction(latticework.lubell)
+    assert latticework.lubell is latticework.search.lubell
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        latticework.no_such_name
+    # a constant that only the submodules export
+    assert not hasattr(latticework, "NODE_BUDGET")
+
+
+def test_star_import_binds_the_public_names():
+    namespace: dict = {}
+    exec("from latticework import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_bare_import_loads_only_core_and_lubell():
+    script = (
+        "import json, sys, latticework\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('latticework.')),\n"
+        "                  [n for n in dir(latticework) if not n.startswith('_')]]))\n"
+    )
+    loaded, public = run_python(script)
+    assert loaded == ["latticework.core", "latticework.lubell"]
+    assert public == PUBLIC_NAMES
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from latticework import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("latticework."))
+print(json.dumps([code, loaded, "hashlib" in sys.modules]))
+"""
+
+BASE = ["cli", "core", "lubell", "verify"]
+SEARCH = ["colouring", "constructions", "search"]
+
+# argv -> (package modules loaded beyond BASE, whether hashlib is loaded)
+FOOTPRINTS = {
+    "construct sharp --n 7 --k 2": (["constructions"], True),
+    "analyze --family family.json": (["normalize"], True),
+    "normalize --family family.json --t 16 --trace": (["normalize"], True),
+    "search la --n 4 --t 2": (SEARCH, True),
+    "verify kk --n 4 --k 2": (["shadow"], False),
+    "verify technical --nmax 4 --kmax 2": (["shadow"], False),
+    "boundary --family family.json --split-file split.json": (["shadow"], False),
+    "reproduce la-n4-t4": (SEARCH, False),
+    "reproduce sharp-size-n12-k3": (["constructions"], False),
+}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    (tmp_path / "family.json").write_text(disconnected_extremal(4).to_json())
+    (tmp_path / "split.json").write_text(json.dumps({"a": [1], "b": [0]}))
+    for command, (extra, hashes) in FOOTPRINTS.items():
+        code, loaded, hashlib_loaded = run_python(
+            FOOTPRINT_SCRIPT, json.dumps(command.split()), cwd=tmp_path
+        )
+        assert code == 0, command
+        assert loaded == sorted(BASE + extra), command
+        assert hashlib_loaded == hashes, command
