@@ -2,6 +2,10 @@
 
 Commands: construct, analyze, normalize, boundary, verify, search,
 reproduce.  Families travel as {"n": int, "sets": [[elements]...]} JSON.
+A command's options are the parameters of the library function it runs:
+a parameter without a default is a required option, an unset option
+leaves the function's default in place, and an option the function does
+not take is ignored.
 Every command other than a bare `construct` wraps its results in a run
 report that echoes the command, parameters, seed, version, and timing, so
 a report is reproducible from its own content.  `timing_seconds` covers
@@ -54,16 +58,17 @@ class _UsageError(Exception):
 
 
 def _jsonify(obj):
-    """Make a result tree JSON-safe: fractions to 'p/q', tuples to lists."""
+    """Make a result tree JSON-safe: fractions to 'p/q', tuples to lists,
+    and objects with a `to_jsonable` method to what it returns."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, bool) or isinstance(obj, (int, str, float)) or obj is None:
+    if isinstance(obj, (int, str, float)) or obj is None:
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, SetFamily):
+    if hasattr(obj, "to_jsonable"):
         return obj.to_jsonable()
     return str(obj)
 
@@ -109,20 +114,12 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
     return parts
 
 
-def _witness_jsonable(witness) -> dict | None:
-    from .colouring import EdgeColouredGraph, LayerPairGraph
-
-    if witness is None:
-        return None
+def _witness_jsonable(witness):
+    """A search witness as JSON; a family witness also carries its digest."""
+    out = _jsonify(witness)
     if isinstance(witness, SetFamily):
-        out = witness.to_jsonable()
         out["digest"] = witness.digest()
-        return out
-    if isinstance(witness, LayerPairGraph):
-        return {"a": witness.a.to_jsonable(), "b": witness.b.to_jsonable()}
-    if isinstance(witness, EdgeColouredGraph):
-        return witness.to_jsonable()
-    return _jsonify(witness)
+    return out
 
 
 def _flatten(obj, prefix: str, lines: list[str]) -> None:
@@ -158,60 +155,64 @@ def _emit(report: dict, fmt: str) -> None:
         os.close(devnull)
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
+def _bind(fn, args) -> dict:
+    """The options of args that fn takes, as keyword arguments in fn's
+    parameter order.  An unset option leaves fn's default in place, or is
+    a usage error where the parameter has none."""
+    kwargs = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        if (value := getattr(args, name, None)) is not None:
+            kwargs[name] = value
+        elif param.default is param.empty:
             raise _UsageError(f"--{name.replace('_', '-')} is required here")
+    return kwargs
 
 
-def _sharp(args) -> SetFamily:
+# The builders import `constructions` only when called.
+def _sharp(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
     from .constructions import sharp_family
 
-    return sharp_family(args.n, args.k, ceil_middle=args.ceil_middle)
+    return sharp_family(n, k, ceil_middle=ceil_middle)
 
 
-def _disconnected(args) -> SetFamily:
+def _disconnected(n: int) -> SetFamily:
     from .constructions import disconnected_extremal
 
-    return disconnected_extremal(args.n)
+    return disconnected_extremal(n)
 
 
-def _diamond(args) -> SetFamily:
+def _diamond(n: int, bottom: str | None = None, *, top: str) -> SetFamily:
     from .constructions import Diamond, diamond_family
 
-    bottom = mask_of(_parse_elements(args.bottom))
-    top = mask_of(_parse_elements(args.top))
-    return diamond_family(Diamond(bottom, top), args.n)
+    d = Diamond(mask_of(_parse_elements(bottom)), mask_of(_parse_elements(top)))
+    return diamond_family(d, n)
 
 
-def _layer_pair(args) -> SetFamily:
+def _layer_pair(n: int, k: int) -> SetFamily:
     from .constructions import full_layer_pair
 
-    a, b = full_layer_pair(args.n, args.k)
-    return SetFamily.from_masks(args.n, a.members + b.members)
+    a, b = full_layer_pair(n, k)
+    return SetFamily.from_masks(n, a.members + b.members)
 
 
-# name -> (builder taking the parsed arguments, arguments it reads, those it requires)
 CONSTRUCTIONS = {
-    "sharp": (_sharp, ("n", "k", "ceil_middle"), ("n", "k")),
-    "disconnected": (_disconnected, ("n",), ("n",)),
-    "diamond": (_diamond, ("n", "bottom", "top"), ("n", "top")),
-    "full-cube": (lambda args: full_cube(args.n), ("n",), ("n",)),
-    "layer-pair": (_layer_pair, ("n", "k"), ("n", "k")),
+    "sharp": _sharp,
+    "disconnected": _disconnected,
+    "diamond": _diamond,
+    "full-cube": full_cube,
+    "layer-pair": _layer_pair,
 }
 
 
 def cmd_construct(args) -> tuple[dict, dict, int]:
-    build, reads, required = CONSTRUCTIONS[args.name]
-    _require(args, *required)
-    fam = build(args)
-    # an unset optional argument (no --bottom) is left out, as verify does
-    params = {"name": args.name, **{k: v for k in reads if (v := getattr(args, k)) is not None}}
+    build = CONSTRUCTIONS[args.name]
+    kwargs = _bind(build, args)
+    fam = build(**kwargs)
     results = {"family": fam.to_jsonable(), "size": len(fam), "digest": fam.digest()}
     if args.out:
         _write_family(args.out, fam)
         results["written_to"] = args.out
-    return params, results, EXIT_OK
+    return {"name": args.name, **kwargs}, results, EXIT_OK
 
 
 def cmd_analyze(args) -> tuple[dict, dict, int]:
@@ -240,17 +241,12 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
 
 
 def cmd_normalize(args) -> tuple[dict, dict, int]:
-    from .normalize import make_skipless, make_skipless_with_trace, skip_count
+    from .normalize import make_skipless_with_trace, skip_count
 
-    _require(args, "t")
+    params = _bind(make_skipless_with_trace, args)
     fam = _load_family(args.family)
     before = skip_count(fam)
-    if args.trace:
-        out, steps = make_skipless_with_trace(fam, args.t)
-        trace = [[s.added, s.removed] for s in steps]
-    else:
-        out = make_skipless(fam, args.t)
-        trace = None
+    out, steps = make_skipless_with_trace(fam, params["t"])
     results = {
         "family": out.to_jsonable(),
         "digest": out.digest(),
@@ -258,12 +254,12 @@ def cmd_normalize(args) -> tuple[dict, dict, int]:
         "skips_before": before,
         "skips_after": skip_count(out),
     }
-    if trace is not None:
-        results["trace"] = trace
+    if args.trace:
+        results["trace"] = [[s.added, s.removed] for s in steps]
     if args.out:
         _write_family(args.out, out)
         results["written_to"] = args.out
-    return {"family": args.family, "t": args.t, "trace": bool(args.trace)}, results, EXIT_OK
+    return {**params, "trace": args.trace}, results, EXIT_OK
 
 
 def _is_index_list(value) -> bool:
@@ -298,45 +294,38 @@ def cmd_boundary(args) -> tuple[dict, dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, dict, int]:
-    # A suite takes those of its parameters that the command line sets.
-    kwargs = {}
-    for key in inspect.signature(VERIFIERS[args.name]).parameters:
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = _load_family(value) if key == "family" else value
+    params = _bind(VERIFIERS[args.name], args)
+    # a family is loaded only for a suite that takes one, and echoed as its path
+    kwargs = {k: (_load_family(v) if k == "family" else v) for k, v in params.items()}
     results = run_verifier(args.name, **kwargs)
-    params = {k: (args.family if k == "family" else v) for k, v in kwargs.items()}
     return {"suite": args.name, **params}, results, EXIT_OK if results["passed"] else EXIT_FAIL
 
 
-# operation -> (function name in `search`, the arguments it takes positionally,
-# all required)
+# operation -> function name in `search`
 SEARCHES = {
-    "la": ("la_exact", ("n", "t")),
-    "la-restricted": ("la_exact_restricted", ("n", "t", "kmin", "kmax")),
-    "lambda-star": ("lambda_star_exact", ("n", "t")),
-    "disconnected": ("max_disconnected", ("n",)),
-    "xi-star": ("xi_star_exact", ("n", "m")),
-    "min2chains": ("min_two_chains", ("n", "m")),
-    "madstar": ("mad_star_probe", ("t",)),
+    "la": "la_exact",
+    "la-restricted": "la_exact_restricted",
+    "lambda-star": "lambda_star_exact",
+    "disconnected": "max_disconnected",
+    "xi-star": "xi_star_exact",
+    "min2chains": "min_two_chains",
+    "madstar": "mad_star_probe",
 }
 
 
 def cmd_search(args) -> tuple[dict, dict, int]:
     from . import search
 
-    name, positional = SEARCHES[args.op]
-    _require(args, *positional)
-    budget = {} if args.budget_nodes is None else {"budget_nodes": args.budget_nodes}
-    res = getattr(search, name)(*(getattr(args, k) for k in positional), **budget)
-    params = {"op": args.op, **{k: getattr(args, k) for k in positional}, **budget}
+    run = getattr(search, SEARCHES[args.op])
+    kwargs = _bind(run, args)
+    res = run(**kwargs)
     results = {
         "value": res.value,
         "nodes_explored": res.nodes_explored,
         "proven_optimal": res.proven_optimal,
         "witness": _witness_jsonable(res.witness),
     }
-    return params, results, EXIT_OK if res.proven_optimal else EXIT_BUDGET
+    return {"op": args.op, **kwargs}, results, EXIT_OK if res.proven_optimal else EXIT_BUDGET
 
 
 def cmd_reproduce(args) -> tuple[dict, dict, int]:
@@ -425,10 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         params, results, code = args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, PreconditionError) as exc:
+    except (_UsageError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhaustedError as exc:

@@ -73,6 +73,9 @@ class LayerPairGraph:
     def order(self) -> int:
         return len(self.a) + len(self.b)
 
+    def to_jsonable(self) -> dict:
+        return {"a": self.a.to_jsonable(), "b": self.b.to_jsonable()}
+
     def edges(self) -> list[tuple[int, int]]:
         """Containment pairs (bottom mask, top mask)."""
         bottoms = self.a.member_set

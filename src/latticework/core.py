@@ -340,8 +340,7 @@ class ComparabilityGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for vs, ms in zip(self.components(), self.component_members):
-            part = SetFamily(self.family.n, ms)
-            out += [(vs[i], vs[j]) for i, j in _pairwise_graph(part, self.cover_only)[0]]
+            out += [(vs[i], vs[j]) for i, j in _pairwise_edges(ms, self.cover_only)]
         return tuple(sorted(out))
 
     @cached_property
@@ -367,7 +366,8 @@ class ComparabilityGraph:
 def comparability_graph(family: SetFamily, cover_only: bool = False) -> ComparabilityGraph:
     """Build the comparability graph (all 2-chains) or cover graph of a family."""
     if _pairwise_is_cheaper(family):
-        _, components = _pairwise_graph(family, cover_only)
+        ms = family.members
+        components = tuple(_group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only))))
     else:
         # least members are distinct, so tuple order is least-member order
         components = tuple(sorted(_closure_components(family, cover_only)))
@@ -451,9 +451,9 @@ def _plane_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ..
     return _group(members, zip(*lanes))
 
 
-def _pairwise_graph(family: SetFamily, cover_only: bool = False):
-    """Edges and components' member tuples by testing every pair of members."""
-    ms = family.members
+def _pairwise_edges(ms: tuple[int, ...], cover_only: bool) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of the comparable (or covering) masks of
+    ms, by testing every pair."""
     s = len(ms)
     edges = []
     for i in range(s):
@@ -465,7 +465,7 @@ def _pairwise_graph(family: SetFamily, cover_only: bool = False):
                 if cover_only and abs(y.bit_count() - px) != 1:
                     continue
                 edges.append((i, j))
-    return tuple(edges), tuple(_group(ms, _union_find_ids(s, edges)))
+    return edges
 
 
 def _group(masks, ids) -> list[tuple[int, ...]]:
@@ -606,6 +606,8 @@ def iter_bits(bits: int) -> list[int]:
 
 def is_antichain(family: SetFamily) -> bool:
     """True iff no member strictly contains another."""
+    if _pairwise_is_cheaper(family):
+        return _pairwise_two_chains(family) == 0
     bits = family_bits(family)
     shadow = shadow_bits(family.n, bits)
     strict_down = downset_bits(family.n, shadow) if shadow else 0

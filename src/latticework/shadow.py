@@ -125,7 +125,8 @@ def technical_bound_check(s: SetFamily, mode: str) -> bool:
         raise PreconditionError("family too small for the requested mode")
     if any(m.bit_count() < k for m in s.members):
         raise PreconditionError(f"members must have size >= {k}")
-    return len(down_closure(s)) >= floor
+    # the empty family's closure is empty at any n, the closure cap aside
+    return not s.members or downset_bits(s.n, family_bits(s)).bit_count() >= floor
 
 
 def _check_split(a: SetFamily, b: SetFamily) -> None:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 import pytest
 
 from latticework import __version__
-from latticework.cli import main
+from latticework import search
+from latticework.cli import CONSTRUCTIONS, SEARCHES, build_parser, main
 from latticework.constructions import disconnected_extremal, sharp_family
 from latticework.core import SetFamily
+from latticework.normalize import make_skipless_with_trace
+from latticework.verify import VERIFIERS
 
 
 def run_json(capsys, *argv):
@@ -43,6 +47,20 @@ def test_construct_out_writes_and_reports(capsys, tmp_path):
     assert report["results"]["written_to"] == str(path)
     on_disk = SetFamily.from_jsonable(json.loads(path.read_text()))
     assert on_disk == disconnected_extremal(4)
+
+
+def test_every_parameter_of_a_command_function_is_an_option():
+    # options bind by parameter name, so a parameter the subcommand's parser
+    # lacks could never be set, and a required one could never be given
+    runs = [(["construct", name], fn) for name, fn in CONSTRUCTIONS.items()]
+    runs += [(["search", op], getattr(search, name)) for op, name in SEARCHES.items()]
+    runs += [(["verify", name], fn) for name, fn in VERIFIERS.items()]
+    runs.append((["normalize", "--family", "fam.json"], make_skipless_with_trace))
+    parser = build_parser()
+    for argv, fn in runs:
+        options = vars(parser.parse_args(argv))
+        for name in inspect.signature(fn).parameters:
+            assert name in options, (argv, name)
 
 
 def test_construct_diamond(capsys):
@@ -87,6 +105,18 @@ def test_analyze_past_closure_cap_reports_null_skips(capsys, tmp_path):
     assert "capped at n=20" in res["skips_reason"]
     assert res["height"] == 1 and res["component_orders"] == [2]
     assert res["two_chains"] == 1 and res["lubell"] == "31/870"
+
+
+def test_verify_blym_family_past_closure_cap(capsys, tmp_path):
+    # the antichain test takes the pairwise route where the cube is too large
+    path = write_family(tmp_path, SetFamily.from_sets(25, [(1,), (2,)]))
+    code, report = run_json(capsys, "verify", "blym", "--family", path)
+    assert code == 0
+    assert report["results"]["sum"] == "2/25"
+    path = write_family(tmp_path, SetFamily.from_sets(25, [(1,), (1, 2)]), "chain.json")
+    code, report = run_json(capsys, "verify", "blym", "--family", path)
+    assert code == 1
+    assert report["results"]["failures"] == [{"reason": "family contains a 2-chain"}]
 
 
 def test_normalize_trace_replays(capsys, tmp_path):

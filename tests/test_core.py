@@ -17,8 +17,9 @@ from latticework.core import (
     SetFamily,
     _bit_column,
     _closure_components,
+    _group,
     _lane_two_chains,
-    _pairwise_graph,
+    _pairwise_edges,
     _plane_components,
     _union_find_ids,
     binomial,
@@ -167,12 +168,13 @@ def _assert_matches_pairwise(fam):
     # also called directly, so small families exercise them too
     for cover_only in (False, True):
         g = comparability_graph(fam, cover_only=cover_only)
-        edges, components = _pairwise_graph(fam, cover_only)
+        edges = tuple(_pairwise_edges(fam.members, cover_only))
+        comp_id = tuple(_union_find_ids(len(fam), edges))
+        components = tuple(_group(fam.members, comp_id))
         assert sorted(_closure_components(fam, cover_only)) == list(components)
         assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == list(components)
         assert g.component_members == components
         # ids, orders and sizes from the oracle's edges alone
-        comp_id = tuple(_union_find_ids(len(fam), edges))
         orders = [0] * len(components)
         sizes = [0] * len(components)
         for c in comp_id:
@@ -316,6 +318,13 @@ def test_comparability_beyond_closure_cap():
     assert g.edges == ((0, 2),)
     assert cover_graph(fam).component_sizes == (1, 0)
     assert count_two_chains(fam) == 1
+
+
+def test_is_antichain_beyond_closure_cap():
+    # the pair test answers where the cube-wide closures are capped
+    n = CLOSURE_GROUND_CAP + 5
+    assert is_antichain(SetFamily.from_sets(n, [(1,), (2,)]))
+    assert not is_antichain(SetFamily.from_sets(n, [(1,), (1, n)]))
 
 
 def test_no_bare_assert_under_src():

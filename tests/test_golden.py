@@ -45,6 +45,7 @@ CASES = [
     ["construct", "layer-pair", "--n", "5", "--k", "2", "--out", "out.json"],
     ["construct", "diamond", "--n", "4"],
     ["construct", "layer-pair", "--n", "4"],
+    ["construct", "sharp", "--n", "4"],
     ["search", "la", "--n", "4", "--t", "2"],
     ["search", "la-restricted", "--n", "4", "--t", "2", "--kmin", "2", "--kmax", "3"],
     ["search", "lambda-star", "--n", "3", "--t", "2"],
@@ -54,6 +55,7 @@ CASES = [
     ["search", "madstar", "--t", "4"],
     ["--budget-nodes", "3", "search", "la", "--n", "4", "--t", "4"],
     ["search", "la-restricted", "--n", "4", "--t", "2"],
+    ["search", "madstar"],
     ["--seed", "3", "verify", "blym", "--n", "5", "--samples", "30"],
     ["verify", "blym", "--family", "antichain.json"],
     ["verify", "blym", "--family", "chain.json"],
@@ -61,6 +63,8 @@ CASES = [
     ["verify", "diamond-blym", "--family", "sharp.json"],
     ["verify", "kk", "--n", "4", "--k", "2", "--samples", "50"],
     ["--seed", "2", "verify", "kk", "--n", "6", "--k", "3", "--samples", "40"],
+    # kk takes no family, so --family is neither loaded nor echoed
+    ["verify", "kk", "--n", "4", "--k", "2", "--samples", "3", "--family", "chain.json"],
     ["verify", "technical", "--nmax", "4", "--kmax", "2"],
     ["--seed", "5", "verify", "colouring", "--n", "4", "--samples", "10"],
     ["verify", "colouring", "--n", "4", "--k", "1", "--samples", "10"],
@@ -73,6 +77,7 @@ CASES = [
     ["normalize", "--family", "skips.json", "--t", "7", "--out", "out.json"],
     ["normalize", "--family", "chain.json", "--t", "2", "--trace"],
     ["normalize", "--family", "skips.json", "--t", "6"],
+    ["normalize", "--family", "skips.json"],
     ["boundary", "--family", "disconnected.json", "--split-file", "split.json"],
     ["search", "disconnected", "--n", "5"],
     ["search", "xi-star", "--n", "5", "--m", "8"],

@@ -52,6 +52,20 @@ def test_closed_form_matches_permutation_enumeration():
             assert lubell(fam) == lubell_by_permutations(fam)
 
 
+def test_streaming_meet_profile_matches_closed_form():
+    # n = 9 walks the permutations without caching their chains; n = 10,
+    # the other streamed size, takes over ten times as long
+    rng = random.Random(9)
+    fams = [SetFamily.from_masks(9, (0, 0b11, 0b111000, 511))]
+    fams += [random_family(rng, 9, size) for size in (40, 300)]
+    profiles = [meet_profile(fam) for fam in fams]
+    for fam, prof in zip(fams, profiles):
+        assert prof.total == factorial(9)
+        assert Fraction(prof.weighted_total, factorial(9)) == lubell(fam)
+    # every chain starts at the empty set, a member of the first family
+    assert profiles[0].counts[0] == 0
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         meet_profile(SetFamily.from_masks(11, (1,)))
