@@ -572,6 +572,7 @@ def upset_bits(n: int, bits: int) -> int:
 
 def shadow_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element below some mask in bits."""
+    _check_closure_ground(n)
     out = 0
     for i, col in enumerate(_columns(n)):
         out |= (bits & col) >> (1 << i)
@@ -580,6 +581,7 @@ def shadow_bits(n: int, bits: int) -> int:
 
 def shade_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element above some mask in bits."""
+    _check_closure_ground(n)
     full = (1 << (1 << n)) - 1
     out = 0
     for i, col in enumerate(_columns(n)):

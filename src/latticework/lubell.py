@@ -7,6 +7,11 @@ prefixes lying in F.  The profile s_i counts permutations with T = i; the
 Lubell value of F equals both the closed form sum_F 1/C(n,|F|) and the
 average of T over all n! permutations.  Keeping both routes independent is
 the point: the enumeration is the oracle for the closed form.
+
+The enumeration still visits every chain, and never uses layer sizes.  For
+n <= 8 column i holds each chain's i-th prefix, one byte per permutation;
+a 256-byte membership table translates it, and the columns added as
+integers give every T(sigma).  Larger n split chains at their first element.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import comb, factorial
 from .core import DomainError, ResourceLimitError, SetFamily
 
 ENUMERATION_GROUND_CAP = 10
-_CHAIN_CACHE_CAP = 8
+_BYTE_GROUND = 8  # a prefix mask fits in one byte
 
 
 @dataclass(frozen=True)
@@ -59,46 +64,41 @@ def lubell(family: SetFamily) -> Fraction:
 
 
 @cache
-def _chains(n: int) -> tuple[tuple[int, ...], ...]:
-    """The maximal chain of every permutation of [n], as its n + 1 prefixes."""
-    chains = []
-    for perm in permutations(range(n)):
-        prefix = 0
-        ch = [0]
-        for b in perm:
-            prefix |= 1 << b
-            ch.append(prefix)
-        chains.append(tuple(ch))
-    return tuple(chains)
+def _prefix_columns(n: int) -> tuple[bytes, ...]:
+    """Column i holds, at byte j, the i-element prefix of permutation j's chain."""
+    size = factorial(n)
+    lift = bytes.maketrans(bytes(range(n)), bytes(1 << b for b in range(n)))
+    columns = [bytes(size)]
+    prefix = 0
+    for elements in zip(*permutations(range(n))):
+        prefix |= int.from_bytes(bytes(elements).translate(lift), "little")
+        columns.append(prefix.to_bytes(size, "little"))
+    return tuple(columns)
 
 
 def meet_profile(family: SetFamily) -> MeetProfile:
     """Brute-force profile over all n! permutations (the oracle route)."""
-    n = family.n
+    n, members = family.n, family.members
     if n > ENUMERATION_GROUND_CAP:
         raise ResourceLimitError(
             f"meet_profile enumerates n! permutations; capped at n={ENUMERATION_GROUND_CAP}"
         )
-    members = family.member_set
-    counts = [0] * (n + 2)
-    if n <= _CHAIN_CACHE_CAP:
-        for ch in _chains(n):
-            t = 0
-            for p in ch:
-                if p in members:
-                    t += 1
-            counts[t] += 1
-    else:
-        # Streaming walk: caching 9! or 10! chains would cost real memory.
-        for perm in permutations(range(n)):
-            prefix = 0
-            t = 1 if 0 in members else 0
-            for b in perm:
-                prefix |= 1 << b
-                if prefix in members:
-                    t += 1
-            counts[t] += 1
-    return MeetProfile(n=n, counts=tuple(counts))
+    if n > _BYTE_GROUND:
+        # a chain from a is {}, then a chain of a's link (F's sets holding a, minus a)
+        counts = [0] * (n + 2)
+        for a in range(n):
+            low = (1 << a) - 1
+            link = SetFamily(n - 1, tuple(m & low | m >> 1 & ~low for m in members if m >> a & 1))
+            for t, c in enumerate(meet_profile(link).counts, int(0 in family)):
+                counts[t] += c
+        return MeetProfile(n=n, counts=tuple(counts))
+    table = bytearray(256)
+    for m in members:
+        table[m] = 1
+    # a byte of the sum is at most n + 1 < 256, so no carry crosses bytes
+    met = sum(int.from_bytes(col.translate(table), "little") for col in _prefix_columns(n))
+    tallies = met.to_bytes(factorial(n), "little")
+    return MeetProfile(n=n, counts=tuple(tallies.count(t) for t in range(n + 2)))
 
 
 def lubell_by_permutations(family: SetFamily) -> Fraction:

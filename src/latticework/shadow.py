@@ -13,6 +13,7 @@ from .core import (
     PreconditionError,
     SetFamily,
     VerificationError,
+    _check_closure_ground,
     binomial,
     bits_to_family,
     downset_bits,
@@ -72,6 +73,7 @@ def lower_shadow(family: SetFamily) -> SetFamily:
         raise DomainError("lower_shadow needs all members on one layer")
     if k < 1:
         raise DomainError("lower_shadow needs layer k >= 1")
+    _check_closure_ground(family.n)  # before family_bits builds a 2^n-bit integer
     return bits_to_family(family.n, shadow_bits(family.n, family_bits(family)))
 
 
@@ -146,6 +148,7 @@ def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
     """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
     _check_split(a, b)
     n = a.n
+    _check_closure_ground(n)  # before any 2^n-bit integer is built
     full = (1 << (1 << n)) - 1
     missed_below = full ^ downset_bits(n, family_bits(a) | family_bits(b))
     # complement of a downset is an upset: minimal members have no lower cover inside

@@ -181,6 +181,16 @@ def test_boundary_rejects_malformed_split_file(capsys, tmp_path, split):
     assert "split file must be" in capsys.readouterr().err
 
 
+def test_boundary_past_closure_cap_exits_four(capsys, tmp_path):
+    path = write_family(tmp_path, SetFamily.from_sets(63, [(1,), (2,)]))
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"a": [0], "b": [1]}))
+    assert main(["boundary", "--family", path, "--split-file", str(split)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("size cap exceeded: ")
+
+
 def test_verify_pass_and_fail_exit_codes(capsys, tmp_path):
     assert main(["verify", "technical", "--nmax", "3", "--kmax", "1"]) == 0
     capsys.readouterr()

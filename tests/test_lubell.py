@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -52,9 +53,39 @@ def test_closed_form_matches_permutation_enumeration():
             assert lubell(fam) == lubell_by_permutations(fam)
 
 
+def _per_prefix_profile(fam):
+    """The reference walk: one membership test per prefix per chain."""
+    n, members = fam.n, fam.member_set
+    counts = [0] * (n + 2)
+    for perm in permutations(range(n)):
+        prefix = 0
+        t = 1 if 0 in members else 0
+        for b in perm:
+            prefix |= 1 << b
+            if prefix in members:
+                t += 1
+        counts[t] += 1
+    return tuple(counts)
+
+
+def test_meet_profile_matches_per_prefix_walk():
+    rng = random.Random(15)
+    for n in range(1, 9):
+        top = (1 << n) - 1
+        fams = [SetFamily.from_masks(n, masks) for masks in ((), (0,), (top,), (0, top))]
+        fams.append(full_cube(n))
+        fams += [random_family(rng, n, rng.randrange(top + 2)) for _ in range(30 if n < 8 else 6)]
+        for fam in fams:
+            assert meet_profile(fam).counts == _per_prefix_profile(fam), (n, fam.members)
+    # past n = 8 the chains are split at their first element
+    for size in (3, 200):
+        fam = random_family(rng, 9, size)
+        assert meet_profile(fam).counts == _per_prefix_profile(fam), size
+
+
 def test_streaming_meet_profile_matches_closed_form():
-    # n = 9 walks the permutations without caching their chains; n = 10,
-    # the other streamed size, takes over ten times as long
+    # n = 9 adds up the profiles of nine links at n = 8;
+    # n = 10 is checked in test_meet_profile_at_ten
     rng = random.Random(9)
     fams = [SetFamily.from_masks(9, (0, 0b11, 0b111000, 511))]
     fams += [random_family(rng, 9, size) for size in (40, 300)]
@@ -64,6 +95,19 @@ def test_streaming_meet_profile_matches_closed_form():
         assert Fraction(prof.weighted_total, factorial(9)) == lubell(fam)
     # every chain starts at the empty set, a member of the first family
     assert profiles[0].counts[0] == 0
+
+
+def test_meet_profile_at_ten():
+    rng = random.Random(10)
+    fam = random_family(rng, 10, 300)
+    prof = meet_profile(fam)
+    assert prof.total == factorial(10)
+    assert Fraction(prof.weighted_total, factorial(10)) == lubell(fam)
+    # a chain meets at most one component of an all-diamond family
+    fam = random_all_diamond_family(rng, 10, target_components=4)
+    assert len(fam) > 0
+    total = sum(diamond_meet_count(d.bottom, d.top, 10) for d in family_diamonds(fam))
+    assert total == meet_profile(fam).meeting_count
 
 
 def test_enumeration_cap():

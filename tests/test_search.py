@@ -26,7 +26,7 @@ from latticework.core import (
     family_bits,
     iter_bits,
 )
-from latticework.lubell import _chains, lubell, lubell_by_permutations
+from latticework.lubell import _prefix_columns, lubell, lubell_by_permutations
 from latticework.normalize import make_skipless, skip_count
 from latticework.search import (
     _TRIANGLE_FREE,
@@ -378,7 +378,7 @@ def test_searches_leave_cached_tables_as_built():
         skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
         lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
     mad_star_probe(4)
-    for table in (_band, _group_lanes, _columns, _chains):
+    for table in (_band, _group_lanes, _columns, _prefix_columns):
         assert table.cache_info().currsize > 0, table
     for n in range(1, 5):
         for kmin in range(n + 1):
@@ -388,7 +388,7 @@ def test_searches_leave_cached_tables_as_built():
             got = _group_lanes(n, with_complement)
             assert got == _group_lanes.__wrapped__(n, with_complement)
         assert _columns(n) == _columns.__wrapped__(n)
-        assert _chains(n) == _chains.__wrapped__(n)
+        assert _prefix_columns(n) == _prefix_columns.__wrapped__(n)
 
 
 def test_budget_sweep():

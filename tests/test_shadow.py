@@ -3,10 +3,13 @@ import pytest
 from latticework.core import (
     DomainError,
     PreconditionError,
+    ResourceLimitError,
     SetFamily,
     binomial,
     layer_masks,
     mask_of,
+    shade_bits,
+    shadow_bits,
 )
 from latticework.shadow import (
     boundary_pair,
@@ -129,3 +132,14 @@ def test_boundary_report_shape():
     assert rep["bound_holds"]
     assert rep["excluded_count"] == rep["up_closure_of_fplus"] + rep["down_closure_of_fminus"]
     assert rep["family_size"] == 2
+
+
+def test_cube_bitsets_refuse_grounds_past_the_closure_cap():
+    # a shadow, like a closure, is computed on 2^n-bit integers
+    for kernel in (shadow_bits, shade_bits):
+        with pytest.raises(ResourceLimitError):
+            kernel(21, 1)
+    with pytest.raises(ResourceLimitError):
+        lower_shadow(fam(24, (1,), (2,)))
+    with pytest.raises(ResourceLimitError):
+        boundary_pair(fam(63, (1,)), fam(63, (2,)))
