@@ -20,6 +20,7 @@ from .core import (
     DomainError,
     ResourceLimitError,
     SetFamily,
+    bits_to_family,
     comparability_graph,
     downset_bits,
     family_bits,
@@ -27,7 +28,8 @@ from .core import (
     is_antichain,
     layer_masks,
     upset_bits,
-    _layer_iter,
+    _full,
+    _layer,
 )
 
 
@@ -84,11 +86,12 @@ def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
         raise ResourceLimitError("sharp_family materialisation capped at n=20")
     base = n - k
     mid = (base + 1) // 2 if ceil_middle else base // 2
-    # the k tail elements are the bits base..n-1; the layer iterator, unlike
+    # the k tail elements are the bits base..n-1, above every bottom, so the
+    # tails in the outer loop give ascending masks; `_layer`, unlike
     # layer_masks, also takes the empty ground set that k = n leaves
+    bottoms = _layer(base, mid)
     tails = [sub << base for sub in range(1 << k)]
-    masks = [bottom | tail for bottom in _layer_iter(base, mid) for tail in tails]
-    return SetFamily.from_masks(n, masks)
+    return SetFamily(n, tuple([bottom | tail for tail in tails for bottom in bottoms]))
 
 
 def diamond_family(d: Diamond, n: int) -> SetFamily:
@@ -117,14 +120,10 @@ def disconnected_extremal(n: int) -> SetFamily:
     if n > 20:
         raise ResourceLimitError("disconnected_extremal capped at n=20")
     a_star = (1 << (n // 2)) - 1
-    masks = [a_star]
-    for x in range(1 << n):
-        if x == a_star:
-            continue
-        xa = x & a_star
-        if xa != x and xa != a_star:
-            masks.append(x)
-    return SetFamily.from_masks(n, masks)
+    # the sets comparable to a_star are its down-set and its up-set
+    point = 1 << a_star
+    comparable = downset_bits(n, point) | upset_bits(n, point)
+    return bits_to_family(n, _full(n) ^ comparable | point)
 
 
 def disconnected_extremal_size(n: int) -> int:
@@ -227,7 +226,7 @@ def links_every_component(family: SetFamily, component_members: Sequence[Sequenc
     absent sets at once.
     """
     n = family.n
-    absent = ((1 << (1 << n)) - 1) & ~family_bits(family)
+    absent = _full(n) ^ family_bits(family)
     linking = absent
     for comp in component_members:
         bits = family_bits(comp)
@@ -289,12 +288,10 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
     if "diamond_components" in claim:
         want = claim["diamond_components"]
         want_h = want.get("height") if isinstance(want, dict) else None
-        ok = True
-        for members in comp_members:
-            d = detect_diamond(members)
-            if d is None or (want_h is not None and d.height != want_h):
-                ok = False
-                break
+        ok = all(
+            (d := detect_diamond(members)) is not None and (want_h is None or d.height == want_h)
+            for members in comp_members
+        )
         checks.append(CheckResult("diamond_components", want, ok, ok))
     if "disconnected" in claim:
         ok = graph.n_components >= 2

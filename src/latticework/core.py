@@ -14,18 +14,19 @@ Conventions used across the package:
 * Components and 2-chain counts are computed bit-parallel over the whole
   cube (reach-closures through down- and up-closures, and a packed-lane
   subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
-  members beyond it and for families of a few members.  On the cube, a
-  search takes components one at a time until its steps reach n, and the
-  members left are labelled with their component's least member, one
-  ground bit per reach-closure.  A component is stored as the ascending
-  tuple of its members, and components are numbered by least member;
-  per-member component numbers and edge lists are built only when asked.
+  members beyond it and for families of a few members.  On the cube, one
+  pass labels every member with its component's least member, and the
+  members are grouped once by label.  A component is stored as the
+  ascending tuple of its members, and components are numbered by least
+  member; per-member component numbers and edge lists are built only when
+  asked.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
   `_mask_relabel_table` maps every mask under a permutation of [n],
   `_union_find_ids` numbers the components of a vertex set joined by pairs,
-  and `_columns`, cached per n, holds the masks having each ground bit.
+  and `_full`, `_columns` and `_complements`, cached per n and capped like
+  `family_bits`, hold the cube and the masks having (lacking) each bit.
 """
 
 from __future__ import annotations
@@ -114,17 +115,13 @@ def layer_masks(n: int, k: int) -> list[int]:
     _check_ground(n)
     if k < 0 or k > n:
         raise DomainError(f"layer {k} outside 0..{n}")
-    return sorted(m for m in _layer_iter(n, k))
+    return _layer(n, k)
 
 
-def _layer_iter(n, k):
-    # Gosper-style iteration would be fancier than needed; n <= 63 but layers
-    # are only materialised for small n in practice.
-    for tup in combinations(range(n), k):
-        m = 0
-        for b in tup:
-            m |= 1 << b
-        yield m
+def _layer(n: int, k: int) -> list[int]:
+    # combinations of the bits from the highest down come in descending
+    # mask order: each tuple compares by its highest bit first
+    return list(map(sum, combinations([1 << b for b in reversed(range(n))], k)))[::-1]
 
 
 def _check_ground(n: int) -> None:
@@ -367,22 +364,22 @@ def comparability_graph(family: SetFamily, cover_only: bool = False) -> Comparab
     """Build the comparability graph (all 2-chains) or cover graph of a family."""
     if _pairwise_is_cheaper(family):
         ms = family.members
-        components = tuple(_group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only))))
+        components = _group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only)))
     else:
-        # least members are distinct, so tuple order is least-member order
-        components = tuple(sorted(_closure_components(family, cover_only)))
-    return ComparabilityGraph(family, components, cover_only)
+        components = _closure_components(family, cover_only)
+    return ComparabilityGraph(family, tuple(components), cover_only)
 
 
 def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, ...]]:
-    """The components' ascending member tuples, in no set order, by
+    """The components' ascending member tuples, in least-member order, by
     reach-closures on bitsets.
 
-    Members comparable to no other member are split off first in one pass,
-    so an antichain costs four sweeps however many members it has.  Each
-    other component grows from its least member, a step adding every member
-    comparable to (or one element from) the frontier.  Once the steps reach
-    n, the members left go to `_plane_components`, whatever their number.
+    Each member is labelled with its component's least member, one bitset
+    per label bit t (`planes[t]`).  Members comparable to no other member
+    label themselves, so an antichain costs four sweeps however many
+    members it has.  Each other component grows from its least member, a
+    step adding every member comparable to (or one element from) the
+    frontier; once the steps reach n, `_plane_labels` labels the rest.
     """
     n = family.n
     bits = family_bits(family)
@@ -390,14 +387,23 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
     if not cover_only:
         below, above = downset_bits(n, below), upset_bits(n, above)
     rest = bits & (below | above)
-    components = [(m,) for m in iter_bits(bits ^ rest)]
+    isolated = bits ^ rest
+    planes = [isolated & col for col in _columns(n)]
     steps = 0
     while rest and steps < n:
         component, taken = _reach_closure(n, rest & -rest, rest, cover_only)
         steps += taken
         rest ^= component
-        components.append(tuple(iter_bits(component)))
-    return components + _plane_components(n, rest, cover_only)
+        m = (component & -component).bit_length() - 1
+        planes = [p | component if m >> t & 1 else p for t, p in enumerate(planes)]
+    _plane_labels(n, rest, cover_only, planes)
+    # four bytes per cube point: byte g of point m holds label bits 8g..8g+7
+    labels = bytearray(4 << n)
+    for g in range(0, n, 8):
+        lane = sum(int.from_bytes(_spread(p, j), "little") for j, p in enumerate(planes[g:g + 8]))
+        labels[g // 8::4] = lane.to_bytes(1 << n, "little")
+    label = memoryview(labels).cast("I").__getitem__
+    return _group(family.members, map(label, family.members))
 
 
 def _reach_closure(n: int, seeds: int, bits: int, cover_only: bool) -> tuple[int, int]:
@@ -420,9 +426,9 @@ def _spread(bits: int, j: int = 0) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_SPREAD[j])
 
 
-def _plane_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ...]]:
-    """The components' ascending member tuples of a bitset-of-masks, by
-    least-member bit planes: about n reach-closures however many components.
+def _plane_labels(n: int, bits: int, cover_only: bool, planes: list[int]) -> None:
+    """OR into planes[t] the members of a bitset-of-masks whose component's
+    least member has bit t: about n reach-closures however many components.
 
     Bit t of a member's label, found from the highest t down, is bit t of
     its component's least member.  Before bit t, a component's candidates
@@ -432,23 +438,15 @@ def _plane_components(n: int, bits: int, cover_only: bool) -> list[tuple[int, ..
     candidates with t drop out.  A component outside Z has only candidates
     with t, its least member among them, so its members get bit t = 1.
     Equal labels thus mean one component.  Z is skipped when every
-    candidate lacks t.  The planes are spread to a byte per cube point and
-    added eight to a byte lane, where each member reads its label.
+    candidate lacks t.
     """
     candidates = bits
-    planes = [0] * n
-    for t, col in reversed(tuple(enumerate(_columns(n)))):
-        seeds = candidates & ~col
+    for t, (col, off) in reversed(tuple(enumerate(zip(_columns(n), _complements(n))))):
+        seeds = candidates & off
         if seeds != candidates:
             z, _ = _reach_closure(n, seeds, bits, cover_only)
-            planes[t] = bits & ~z
+            planes[t] |= bits & ~z
             candidates &= z ^ col
-    members = iter_bits(bits)
-    lanes = []
-    for g in range(0, n, 8):
-        lane = sum(int.from_bytes(_spread(p, j), "little") for j, p in enumerate(planes[g:g + 8]))
-        lanes.append(list(map(lane.to_bytes(1 << n, "little").__getitem__, members)))
-    return _group(members, zip(*lanes))
 
 
 def _pairwise_edges(ms: tuple[int, ...], cover_only: bool) -> list[tuple[int, int]]:
@@ -517,24 +515,18 @@ CLOSURE_GROUND_CAP = 20
 
 def family_bits(masks) -> int:
     """Bitset with bit m set for each mask m of a family or collection of masks."""
-    # One byte array filled in place and converted once: OR-ing 1 << m into
-    # a growing integer would copy up to 2^n bits per member.
-    buf = bytearray(max(masks, default=-1) // 8 + 1)
+    top = max(masks, default=-1)
+    if top >= 1 << CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"cube-wide closures capped at n={CLOSURE_GROUND_CAP} (mask {top})")
+    # a digit per mask, parsed once; the spare digit parses an empty collection
+    digits = bytearray(b"0") * (top + 2)
     for m in masks:
-        buf[m >> 3] |= 1 << (m & 7)
-    return int.from_bytes(buf, "little")
+        digits[m] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def bits_to_family(n: int, bits: int) -> SetFamily:
     return SetFamily(n, tuple(iter_bits(bits)))
-
-
-def _check_closure_ground(n):
-    _check_ground(n)
-    if n > CLOSURE_GROUND_CAP:
-        raise ResourceLimitError(
-            f"cube-wide closures capped at n={CLOSURE_GROUND_CAP} (2^n bit DP)"
-        )
 
 
 def _bit_column(n: int, i: int) -> int:
@@ -549,13 +541,26 @@ def _bit_column(n: int, i: int) -> int:
 
 
 @cache
+def _full(n: int) -> int:
+    _check_ground(n)
+    if n > CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"cube-wide closures capped at n={CLOSURE_GROUND_CAP} (2^n bit DP)")
+    return (1 << (1 << n)) - 1
+
+
+@cache
 def _columns(n: int) -> tuple[int, ...]:
+    _full(n)  # checks the closure cap
     return tuple(_bit_column(n, i) for i in range(n))
+
+
+@cache
+def _complements(n: int) -> tuple[int, ...]:
+    return tuple(_full(n) ^ col for col in _columns(n))
 
 
 def downset_bits(n: int, bits: int) -> int:
     """Bitset of all masks below-or-equal some mask in bits."""
-    _check_closure_ground(n)
     for i, col in enumerate(_columns(n)):
         bits |= (bits & col) >> (1 << i)
     return bits
@@ -563,16 +568,13 @@ def downset_bits(n: int, bits: int) -> int:
 
 def upset_bits(n: int, bits: int) -> int:
     """Bitset of all masks above-or-equal some mask in bits."""
-    _check_closure_ground(n)
-    full = (1 << (1 << n)) - 1
-    for i, col in enumerate(_columns(n)):
-        bits |= (bits & (full ^ col)) << (1 << i)
+    for i, off in enumerate(_complements(n)):
+        bits |= (bits & off) << (1 << i)
     return bits
 
 
 def shadow_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element below some mask in bits."""
-    _check_closure_ground(n)
     out = 0
     for i, col in enumerate(_columns(n)):
         out |= (bits & col) >> (1 << i)
@@ -581,11 +583,9 @@ def shadow_bits(n: int, bits: int) -> int:
 
 def shade_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element above some mask in bits."""
-    _check_closure_ground(n)
-    full = (1 << (1 << n)) - 1
     out = 0
-    for i, col in enumerate(_columns(n)):
-        out |= (bits & (full ^ col)) << (1 << i)
+    for i, off in enumerate(_complements(n)):
+        out |= (bits & off) << (1 << i)
     return out
 
 

@@ -13,7 +13,7 @@ from .core import (
     PreconditionError,
     SetFamily,
     VerificationError,
-    _check_closure_ground,
+    _full,
     binomial,
     bits_to_family,
     downset_bits,
@@ -73,7 +73,6 @@ def lower_shadow(family: SetFamily) -> SetFamily:
         raise DomainError("lower_shadow needs all members on one layer")
     if k < 1:
         raise DomainError("lower_shadow needs layer k >= 1")
-    _check_closure_ground(family.n)  # before family_bits builds a 2^n-bit integer
     return bits_to_family(family.n, shadow_bits(family.n, family_bits(family)))
 
 
@@ -148,12 +147,11 @@ def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
     """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
     _check_split(a, b)
     n = a.n
-    _check_closure_ground(n)  # before any 2^n-bit integer is built
-    full = (1 << (1 << n)) - 1
-    missed_below = full ^ downset_bits(n, family_bits(a) | family_bits(b))
+    both = family_bits(a) | family_bits(b)
+    missed_below = _full(n) ^ downset_bits(n, both)
     # complement of a downset is an upset: minimal members have no lower cover inside
     fplus = missed_below & ~shade_bits(n, missed_below)
-    missed_above = full ^ upset_bits(n, family_bits(a) | family_bits(b))
+    missed_above = _full(n) ^ upset_bits(n, both)
     fminus = missed_above & ~shadow_bits(n, missed_above)
     # the whole set and the empty set are never reachable from a true split
     if not (fplus and fminus):

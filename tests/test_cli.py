@@ -9,7 +9,7 @@ import pytest
 
 from latticework import __version__
 from latticework import search
-from latticework.cli import CONSTRUCTIONS, SEARCHES, build_parser, main
+from latticework.cli import CONSTRUCTIONS, SEARCHES, SUITE_NAMES, build_parser, main
 from latticework.constructions import disconnected_extremal, sharp_family
 from latticework.core import SetFamily
 from latticework.normalize import make_skipless_with_trace
@@ -61,6 +61,12 @@ def test_every_parameter_of_a_command_function_is_an_option():
         options = vars(parser.parse_args(argv))
         for name in inspect.signature(fn).parameters:
             assert name in options, (argv, name)
+
+
+def test_suite_names_are_the_verifiers():
+    # the verify parser reads the frozen names, so the CLI never imports
+    # `verify` just to list its suites
+    assert SUITE_NAMES == tuple(sorted(VERIFIERS))
 
 
 def test_construct_diamond(capsys):

@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,13 +18,14 @@ from latticework.constructions import (
 from latticework.core import (
     CLOSURE_GROUND_CAP,
     DomainError,
+    ResourceLimitError,
     SetFamily,
     _bit_column,
     _closure_components,
     _group,
     _lane_two_chains,
     _pairwise_edges,
-    _plane_components,
+    _plane_labels,
     _union_find_ids,
     binomial,
     bits_to_family,
@@ -163,6 +168,19 @@ def test_bitset_round_trip_and_closures():
     ]
 
 
+def _plane_components(n, bits, cover_only):
+    # the members of bits grouped by the labels `_plane_labels` writes into
+    # its planes, each label checked to be its component's least member
+    planes = [0] * n
+    _plane_labels(n, bits, cover_only, planes)
+    members = iter_bits(bits)
+    labels = [sum((p >> m & 1) << t for t, p in enumerate(planes)) for m in members]
+    components = _group(members, labels)
+    label_of = dict(zip(members, labels))
+    assert all(label_of[m] == ms[0] for ms in components for m in ms)
+    return components
+
+
 def _assert_matches_pairwise(fam):
     # the public functions pick a route by size; the bitset kernels are
     # also called directly, so small families exercise them too
@@ -171,7 +189,7 @@ def _assert_matches_pairwise(fam):
         edges = tuple(_pairwise_edges(fam.members, cover_only))
         comp_id = tuple(_union_find_ids(len(fam), edges))
         components = tuple(_group(fam.members, comp_id))
-        assert sorted(_closure_components(fam, cover_only)) == list(components)
+        assert _closure_components(fam, cover_only) == list(components)
         assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == list(components)
         assert g.component_members == components
         # ids, orders and sizes from the oracle's edges alone
@@ -230,11 +248,11 @@ def test_components_past_the_search_match_pairwise_oracle(monkeypatch):
     # plane labeller sorts the rest
     labelled = []
 
-    def spy(n, bits, cover_only):
+    def spy(n, bits, cover_only, planes):
         labelled.append(bits.bit_count())
-        return _plane_components(n, bits, cover_only)
+        return _plane_labels(n, bits, cover_only, planes)
 
-    monkeypatch.setattr(core, "_plane_components", spy)
+    monkeypatch.setattr(core, "_plane_labels", spy)
     rng = random.Random(20241120)
     cases = 0
     for n in range(5, 11):
@@ -249,6 +267,42 @@ def test_components_past_the_search_match_pairwise_oracle(monkeypatch):
             _closure_components(fam, cover_only=False)
             cases += labelled[0] > 0
     assert cases >= 50
+
+
+def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(monkeypatch):
+    # n = 17..20 is the only range whose least members need a third label
+    # byte.  Sparse random sets plus pairs one element apart: most members
+    # are isolated, and the pairs outnumber what the search takes before it
+    # stops at n steps, so the plane labeller sees the rest.  Twins that
+    # differ only in bits 16 and 17 are incomparable, and their labels agree
+    # in the two low bytes
+    labelled = []
+
+    def spy(n, bits, cover_only, planes):
+        labelled.append(bits.bit_count())
+        return _plane_labels(n, bits, cover_only, planes)
+
+    monkeypatch.setattr(core, "_plane_labels", spy)
+    rng = random.Random(20241121)
+    high = 0
+    for i in range(30):
+        n = 13 + i % 8
+        masks = set(rng.sample(range(1 << n), rng.randint(1, 100)))
+        for _ in range(rng.randint(0, 60)):
+            b = rng.randrange(1 << n)
+            masks |= {b, b | 1 << rng.randrange(n)}
+        for _ in range(10 if n > 17 else 0):
+            b = rng.randrange(1 << n) & ~(1 << 17) | 1 << 16
+            masks |= {b, b ^ 3 << 16}
+        fam = SetFamily.from_masks(n, sorted(masks)[:300])
+        ms = fam.members
+        for cover_only in (False, True):
+            labelled.clear()
+            components = _closure_components(fam, cover_only)
+            assert components == _group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only)))
+            if n > 16 and labelled[0] > 0:
+                high += any(len(c) > 1 and c[0] >> 16 for c in components)
+    assert high >= 10
 
 
 def test_plane_labels_link_comparable_members_without_cover_path():
@@ -306,6 +360,9 @@ def test_family_bits_matches_definition():
         assert family_bits(fam) == want
         # any collection of masks, in any order
         assert family_bits(list(reversed(fam.members))) == want
+    # a mask past the closure cap is refused before anything is allocated
+    with pytest.raises(ResourceLimitError):
+        family_bits([0, 1 << CLOSURE_GROUND_CAP])
 
 
 def test_comparability_beyond_closure_cap():
@@ -325,6 +382,55 @@ def test_is_antichain_beyond_closure_cap():
     n = CLOSURE_GROUND_CAP + 5
     assert is_antichain(SetFamily.from_sets(n, [(1,), (2,)]))
     assert not is_antichain(SetFamily.from_sets(n, [(1,), (1, n)]))
+
+
+CAP_PROBE = """
+import json, resource
+# about 1 GB of address space: a 2^40-point bitset fails fast, not the machine
+limit = 1 << 30
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+from latticework import constructions, normalize, shadow
+from latticework.core import SetFamily, comparability_graph
+
+fam = SetFamily.from_sets(40, [(1,), range(1, 41)])
+calls = {
+    "down_closure": lambda: shadow.down_closure(fam),
+    "up_closure": lambda: shadow.up_closure(fam),
+    "technical_bound_check": lambda: shadow.technical_bound_check(fam, "k_plus_one"),
+    "find_skips": lambda: normalize.find_skips(fam),
+    "skip_count": lambda: normalize.skip_count(fam),
+    "links_every_component": lambda: constructions.links_every_component(
+        fam, comparability_graph(fam).component_members
+    ),
+}
+out = {}
+for name, call in calls.items():
+    try:
+        call()
+        out[name] = "returned"
+    except Exception as exc:
+        out[name] = type(exc).__name__
+print(json.dumps(out))
+"""
+
+
+def test_cube_wide_entries_refuse_n40_without_allocating():
+    # {{1}, [40]} at n = 40 would need 2^40-bit bitsets.  Run only in a
+    # child process under an address-space limit, never in this one
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAP_PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    assert outcomes == dict.fromkeys(outcomes, "ResourceLimitError")
+    assert len(outcomes) == 6
 
 
 def test_no_bare_assert_under_src():

@@ -123,7 +123,7 @@ loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("lattic
 print(json.dumps([code, loaded, "hashlib" in sys.modules]))
 """
 
-BASE = ["cli", "core", "lubell", "verify"]
+BASE = ["cli", "core", "lubell"]
 SEARCH = ["colouring", "constructions", "search"]
 
 # argv -> (package modules loaded beyond BASE, whether hashlib is loaded)
@@ -132,11 +132,11 @@ FOOTPRINTS = {
     "analyze --family family.json": (["normalize"], True),
     "normalize --family family.json --t 16 --trace": (["normalize"], True),
     "search la --n 4 --t 2": (SEARCH, True),
-    "verify kk --n 4 --k 2": (["shadow"], False),
-    "verify technical --nmax 4 --kmax 2": (["shadow"], False),
+    "verify kk --n 4 --k 2": (["shadow", "verify"], False),
+    "verify technical --nmax 4 --kmax 2": (["shadow", "verify"], False),
     "boundary --family family.json --split-file split.json": (["shadow"], False),
-    "reproduce la-n4-t4": (SEARCH, False),
-    "reproduce sharp-size-n12-k3": (["constructions"], False),
+    "reproduce la-n4-t4": (SEARCH + ["verify"], False),
+    "reproduce sharp-size-n12-k3": (["constructions", "verify"], False),
 }
 
 
