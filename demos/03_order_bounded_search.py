@@ -5,8 +5,9 @@ Exact search: largest family with small comparability components
 la_exact(n, t) maximizes |family| subject to every component of the
 comparability graph having at most t members.  t = 1 is the antichain
 case; t = 2 allows disjoint 2-chains; larger t allows small clusters.
-The search is branch and bound over masks with union-find rollback and
-canonical-form pruning, and always returns a witness plus a proof flag.
+The search is branch and bound over masks, each carrying the bitset of its
+component, with canonical-form pruning, and always returns a witness plus
+a proof flag.
 """
 
 from latticework import binomial, comparability_graph

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .core import (
+    CLOSURE_GROUND_CAP,
     DomainError,
     ResourceLimitError,
     SetFamily,
@@ -99,6 +100,8 @@ def diamond_family(d: Diamond, n: int) -> SetFamily:
     if d.top >= 1 << n:
         raise DomainError("diamond does not fit in the ground set")
     free = d.top ^ d.bottom
+    if free.bit_count() > CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"diamond materialisation capped at height {CLOSURE_GROUND_CAP}")
     # every submask of free, from free itself down to 0
     masks = [d.top]
     sub = free

@@ -24,9 +24,10 @@ Conventions used across the package:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
   `_mask_relabel_table` maps every mask under a permutation of [n],
-  `_union_find_ids` numbers the components of a vertex set joined by pairs,
-  and `_full`, `_columns` and `_complements`, cached per n and capped like
-  `family_bits`, hold the cube and the masks having (lacking) each bit.
+  `_comparability_rows` tests every pair of an ascending member list once,
+  `_row_components` grows components along those rows, and `_full`,
+  `_columns` and `_complements`, cached per n and capped like `family_bits`,
+  hold the cube and the masks having (lacking) each bit.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def layer_masks(n: int, k: int) -> list[int]:
     _check_ground(n)
     if k < 0 or k > n:
         raise DomainError(f"layer {k} outside 0..{n}")
+    if comb(n, k) > 1 << CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"layer materialisation capped at 2^{CLOSURE_GROUND_CAP} masks")
     return _layer(n, k)
 
 
@@ -138,14 +141,14 @@ class SetFamily:
 
     def __post_init__(self):
         _check_ground(self.n)
-        limit = 1 << self.n
         prev = -1
         for m in self.members:
             if not prev < m:
                 raise DomainError("members must be strictly increasing masks")
-            if m >= limit:
-                raise DomainError(f"mask {m} does not fit in ground set [{self.n}]")
             prev = m
+        # the members ascend, so the last is the largest
+        if prev >= 1 << self.n:
+            raise DomainError(f"mask {prev} does not fit in ground set [{self.n}]")
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "SetFamily":
@@ -253,9 +256,9 @@ def height(family: SetFamily) -> int:
 
 # ---------------------------------------------------------------------------
 # Comparability structure.  Both the components and the 2-chain count come
-# from the cube-wide bitsets below, or from loops over all pairs of members
-# where those are cheaper or the 2^n bitset is out of reach.  The tests use
-# the pairwise loops as the reference for the bit-parallel versions.
+# from the cube-wide bitsets below, or from comparability rows, built by
+# testing every pair of members, where those are cheaper or the 2^n bitset
+# is out of reach.
 
 
 def _pairwise_is_cheaper(family: SetFamily) -> bool:
@@ -268,11 +271,12 @@ def _pairwise_is_cheaper(family: SetFamily) -> bool:
 def count_two_chains(family: SetFamily) -> int:
     """Number of comparable pairs (2-chains) inside the family."""
     if _pairwise_is_cheaper(family):
-        return _pairwise_two_chains(family)
-    return _lane_two_chains(family)
+        return sum(row.bit_count() for row in _comparability_rows(family.members)) // 2
+    return sum(_lane_below_counts(family))
 
 
-def _lane_two_chains(family: SetFamily) -> int:
+def _lane_below_counts(family: SetFamily) -> list[int]:
+    """For each member, the number of members strictly inside it."""
     n, s = family.n, len(family)
     # Sum over subsets in 2^n packed byte lanes: lane Y ends up holding the
     # number of members contained in Y.  Lane values never exceed s, so
@@ -287,20 +291,7 @@ def _lane_two_chains(family: SetFamily) -> int:
         clear = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (n - 1 - i)), "little")
         counts += (counts & clear) << (8 * run)
     lanes = counts.to_bytes(width << n, "little")
-    below_or_equal = sum(
-        int.from_bytes(lanes[m * width:(m + 1) * width], "little") for m in family.members
-    )
-    return below_or_equal - s
-
-
-def _pairwise_two_chains(family: SetFamily) -> int:
-    total = 0
-    ms = family.members
-    for i, x in enumerate(ms):
-        for y in ms[i + 1:]:
-            if (x & y) == x or (x & y) == y:
-                total += 1
-    return total
+    return [int.from_bytes(lanes[m * width:(m + 1) * width], "little") - 1 for m in family.members]
 
 
 @dataclass(frozen=True)
@@ -312,8 +303,8 @@ class ComparabilityGraph:
     member indices into family.members: component_id maps each vertex to
     its component number, and component_orders[c] and component_sizes[c]
     are the vertex and edge counts of component c.  All of these but the
-    members are derived on first use, edges by testing the pairs inside
-    each component.
+    members are derived on first use, edges from the comparability rows of
+    each component's members.
     """
 
     family: SetFamily
@@ -334,18 +325,26 @@ class ComparabilityGraph:
         return tuple(component_of[m] for m in self.family.members)
 
     @cached_property
+    def _rows(self) -> tuple[list[int], ...]:
+        return tuple(_comparability_rows(ms, self.cover_only) for ms in self.component_members)
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
-        for vs, ms in zip(self.components(), self.component_members):
-            out += [(vs[i], vs[j]) for i, j in _pairwise_edges(ms, self.cover_only)]
+        for vs, rows in zip(self.components(), self._rows):
+            for i, row in enumerate(rows):
+                # the bits of row i above i
+                out += [(vs[i], vs[j]) for j in iter_bits(row >> i + 1 << i + 1)]
         return tuple(sorted(out))
 
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.n_components
-        for i, _ in self.edges:
-            sizes[self.component_id[i]] += 1
-        return tuple(sizes)
+        family = self.family
+        if self.cover_only or _pairwise_is_cheaper(family):
+            return tuple(sum(row.bit_count() for row in rows) // 2 for rows in self._rows)
+        # each 2-chain is counted at its upper member, which lies in its component
+        below = dict(zip(family.members, _lane_below_counts(family)))
+        return tuple(sum(map(below.__getitem__, ms)) for ms in self.component_members)
 
     def components(self) -> list[list[int]]:
         out = [[] for _ in range(self.n_components)]
@@ -364,10 +363,47 @@ def comparability_graph(family: SetFamily, cover_only: bool = False) -> Comparab
     """Build the comparability graph (all 2-chains) or cover graph of a family."""
     if _pairwise_is_cheaper(family):
         ms = family.members
-        components = _group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only)))
+        components = _row_components(ms, _comparability_rows(ms, cover_only))
     else:
         components = _closure_components(family, cover_only)
     return ComparabilityGraph(family, tuple(components), cover_only)
+
+
+def _comparability_rows(ms: tuple[int, ...], cover_only: bool = False) -> list[int]:
+    """Bit j of row i is set iff masks i and j of the ascending ms are
+    comparable (with cover_only, one element apart), so no row has its own
+    bit.  Every pair is tested once: only the earlier mask can lie inside
+    the later one.
+    """
+    rows = [0] * len(ms)
+    for i, x in enumerate(ms):
+        above = x.bit_count() + 1
+        for j in range(i + 1, len(ms)):
+            y = ms[j]
+            if x & y == x and (not cover_only or y.bit_count() == above):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _row_components(ms: tuple[int, ...], rows: list[int]) -> list[tuple[int, ...]]:
+    """The components' ascending member tuples, in least-member order, of
+    the graph on ms whose neighbours of ms[i] are the bits of rows[i]: each
+    grows from the least index left.
+    """
+    out = []
+    left = (1 << len(ms)) - 1
+    while left:
+        component = front = left & -left
+        while front:
+            low = front & -front
+            front ^= low
+            grown = rows[low.bit_length() - 1] & ~component
+            component |= grown
+            front |= grown
+        left ^= component
+        out.append(tuple(compress(ms, _spread(component))))
+    return out
 
 
 def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, ...]]:
@@ -449,54 +485,12 @@ def _plane_labels(n: int, bits: int, cover_only: bool, planes: list[int]) -> Non
             candidates &= z ^ col
 
 
-def _pairwise_edges(ms: tuple[int, ...], cover_only: bool) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of the comparable (or covering) masks of
-    ms, by testing every pair."""
-    s = len(ms)
-    edges = []
-    for i in range(s):
-        x = ms[i]
-        px = x.bit_count()
-        for j in range(i + 1, s):
-            y = ms[j]
-            if (x & y) == x or (x & y) == y:
-                if cover_only and abs(y.bit_count() - px) != 1:
-                    continue
-                edges.append((i, j))
-    return edges
-
-
 def _group(masks, ids) -> list[tuple[int, ...]]:
     """The masks with equal ids as tuples, in order of their first mask."""
     groups: dict[int, list[int]] = {}
     for m, c in zip(masks, ids):
         groups.setdefault(c, []).append(m)
     return [tuple(g) for g in groups.values()]
-
-
-def _union_find_ids(s: int, pairs) -> list[int]:
-    """Component number of each vertex 0..s-1 of the graph with edges pairs.
-
-    Components are numbered in order of their least vertex.  The union-find
-    halves paths on every lookup (`parent[i] = i = g` points the old i at its
-    grandparent g, then steps to g); the lookups are written out inline
-    because a function call per lookup was most of the cost.
-    """
-    parent = list(range(s))
-    for i, j in pairs:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:
-            parent[i] = j
-    roots: dict[int, int] = {}
-    ids = []
-    for v in range(s):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        ids.append(roots.setdefault(v, len(roots)))
-    return ids
 
 
 def cover_graph(family: SetFamily) -> ComparabilityGraph:
@@ -609,7 +603,7 @@ def iter_bits(bits: int) -> list[int]:
 def is_antichain(family: SetFamily) -> bool:
     """True iff no member strictly contains another."""
     if _pairwise_is_cheaper(family):
-        return _pairwise_two_chains(family) == 0
+        return not any(_comparability_rows(family.members))
     bits = family_bits(family)
     shadow = shadow_bits(family.n, bits)
     strict_down = downset_bits(family.n, shadow) if shadow else 0

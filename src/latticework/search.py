@@ -47,6 +47,7 @@ from .core import (
     count_two_chains,
     iter_bits,
     layer_masks,
+    _comparability_rows,
     _mask_relabel_table,
 )
 from .constructions import sharp_family
@@ -172,14 +173,10 @@ def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
 @cache
 def _band(n: int, kmin: int, kmax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The masks of sizes kmin..kmax in ascending order, and their
-    comparability rows: bit j of row i is set iff masks i and j are
-    comparable, so no row has its own bit set.  Shared by every caller.
+    comparability rows (`core._comparability_rows`).  Shared by every caller.
     """
     masks = tuple(sorted(m for k in range(kmin, kmax + 1) for m in layer_masks(n, k)))
-    rows = tuple(
-        sum(1 << j for j, y in enumerate(masks) if y != x and x & y in (x, y)) for x in masks
-    )
-    return masks, rows
+    return masks, tuple(_comparability_rows(masks))
 
 
 # prefixes of up to this many members are tested for min-lex canonicity

@@ -137,6 +137,8 @@ def _check_split(a: SetFamily, b: SetFamily) -> None:
         raise PreconditionError("both sides of a split must be nonempty")
     for x in a.members:
         for y in b.members:
+            if x == y:
+                raise PreconditionError(f"shared member {x:#x}: not a disconnected split")
             if is_comparable(x, y):
                 raise PreconditionError(
                     f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split"

@@ -18,6 +18,7 @@ from latticework.constructions import (
 )
 from latticework.core import (
     DomainError,
+    ResourceLimitError,
     SetFamily,
     binomial,
     comparability_graph,
@@ -72,6 +73,9 @@ def test_diamond_family_is_the_full_interval():
     assert all(m & d.bottom == d.bottom and m | d.top == d.top for m in fam)
     with pytest.raises(DomainError):
         diamond_family(Diamond(mask_of([2]), mask_of([1])), 3)
+    # 2^21 masks: refused before any is listed
+    with pytest.raises(ResourceLimitError):
+        diamond_family(Diamond(0, (1 << 21) - 1), 21)
 
 
 def test_disconnected_extremal_values():

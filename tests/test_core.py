@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import latticework
 from latticework import core
 from latticework.constructions import (
     disconnected_extremal,
@@ -23,10 +25,8 @@ from latticework.core import (
     _bit_column,
     _closure_components,
     _group,
-    _lane_two_chains,
-    _pairwise_edges,
+    _lane_below_counts,
     _plane_labels,
-    _union_find_ids,
     binomial,
     bits_to_family,
     comparability_graph,
@@ -62,6 +62,9 @@ def test_family_construction_and_validation():
     assert 3 in fam and 2 not in fam
     with pytest.raises(DomainError):
         SetFamily.from_masks(2, (4,))
+    # the members ascend, so the error names the largest
+    with pytest.raises(DomainError, match="mask 6 does not fit"):
+        SetFamily.from_masks(2, (1, 4, 6))
     with pytest.raises(DomainError):
         SetFamily(2, (3, 1))  # unsorted raw tuple rejected
 
@@ -145,6 +148,13 @@ def test_layer_masks_and_binomial():
     assert binomial(4, 5) == 0 and binomial(4, -1) == 0
 
 
+def test_layer_masks_refuses_layers_past_the_cap():
+    # C(22, 11) = 705,432 masks fit under 2^20; C(23, 11) = 1,352,078 do not
+    assert len(layer_masks(22, 11)) == binomial(22, 11)
+    with pytest.raises(ResourceLimitError):
+        layer_masks(23, 11)
+
+
 def test_full_cube():
     cube = full_cube(3)
     assert len(cube) == 8
@@ -181,18 +191,51 @@ def _plane_components(n, bits, cover_only):
     return components
 
 
-def _assert_matches_pairwise(fam):
-    # the public functions pick a route by size; the bitset kernels are
-    # also called directly, so small families exercise them too
+def _reference_pairs(ms, cover_only):
+    # index pairs (i, j), i < j, of the comparable (or covering) members,
+    # each pair tested both ways from the definition of a 2-chain
+    pairs = []
+    for i, x in enumerate(ms):
+        size = x.bit_count()
+        for j, y in enumerate(ms[i + 1:], i + 1):
+            if x & y == x or x & y == y:
+                if not cover_only or abs(y.bit_count() - size) == 1:
+                    pairs.append((i, j))
+    return pairs
+
+
+def _reference_ids(s, pairs):
+    # component number of each vertex, numbered by least vertex, from a
+    # union-find that halves paths on every lookup
+    parent = list(range(s))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    roots = {}
+    return tuple(roots.setdefault(find(v), len(roots)) for v in range(s))
+
+
+def _reference_components(fam, cover_only):
+    ms = fam.members
+    return _group(ms, _reference_ids(len(ms), _reference_pairs(ms, cover_only)))
+
+
+def _assert_graph_matches_reference(fam):
+    # the public functions on whichever route their size picks; returns the
+    # reference's edges and components of both graph kinds
+    reference = {}
     for cover_only in (False, True):
         g = comparability_graph(fam, cover_only=cover_only)
-        edges = tuple(_pairwise_edges(fam.members, cover_only))
-        comp_id = tuple(_union_find_ids(len(fam), edges))
-        components = tuple(_group(fam.members, comp_id))
-        assert _closure_components(fam, cover_only) == list(components)
-        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == list(components)
-        assert g.component_members == components
-        # ids, orders and sizes from the oracle's edges alone
+        edges = tuple(_reference_pairs(fam.members, cover_only))
+        comp_id = _reference_ids(len(fam), edges)
+        components = _group(fam.members, comp_id)
+        assert g.component_members == tuple(components)
+        # ids, orders and sizes from the reference's edges alone
         orders = [0] * len(components)
         sizes = [0] * len(components)
         for c in comp_id:
@@ -208,7 +251,25 @@ def _assert_matches_pairwise(fam):
         ]
         if not cover_only:
             # the comparability edges are exactly the 2-chains
-            assert count_two_chains(fam) == _lane_two_chains(fam) == len(edges)
+            assert count_two_chains(fam) == len(edges)
+            assert is_antichain(fam) == (not edges)
+        reference[cover_only] = edges, components
+    return reference
+
+
+def _assert_matches_pairwise(fam):
+    # the bitset kernels are also called directly, so small families
+    # exercise them too
+    reference = _assert_graph_matches_reference(fam)
+    for cover_only, (_, components) in reference.items():
+        assert _closure_components(fam, cover_only) == components
+        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == components
+    # members strictly inside each member, counted at the larger of each pair
+    below = [0] * len(fam)
+    sizes = fam.sizes()
+    for i, j in reference[False][0]:
+        below[j if sizes[j] > sizes[i] else i] += 1
+    assert _lane_below_counts(fam) == below
 
 
 def test_components_match_pairwise_oracle_on_random_families():
@@ -295,11 +356,10 @@ def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(monkeypatch)
             b = rng.randrange(1 << n) & ~(1 << 17) | 1 << 16
             masks |= {b, b ^ 3 << 16}
         fam = SetFamily.from_masks(n, sorted(masks)[:300])
-        ms = fam.members
         for cover_only in (False, True):
             labelled.clear()
             components = _closure_components(fam, cover_only)
-            assert components == _group(ms, _union_find_ids(len(ms), _pairwise_edges(ms, cover_only)))
+            assert components == _reference_components(fam, cover_only)
             if n > 16 and labelled[0] > 0:
                 high += any(len(c) > 1 and c[0] >> 16 for c in components)
     assert high >= 10
@@ -377,6 +437,24 @@ def test_comparability_beyond_closure_cap():
     assert count_two_chains(fam) == 1
 
 
+def test_pairwise_route_past_the_cap_matches_reference():
+    # random masks at n = 21..40, plus one-element steps and subsets of some
+    # of them, so both comparable and incomparable pairs occur
+    rng = random.Random(20241123)
+    antichains = chains = 0
+    for n in range(21, 41):
+        for _ in range(4):
+            size = rng.randint(0, 40)
+            masks = [rng.getrandbits(n) for _ in range(size)]
+            extra = [m | 1 << rng.randrange(n) for m in masks[: size // 2]]
+            extra += [m & rng.getrandbits(n) for m in masks[: size // 3]]
+            for fam in (SetFamily.from_masks(n, masks), SetFamily.from_masks(n, masks + extra)):
+                _assert_graph_matches_reference(fam)
+                antichains += is_antichain(fam)
+                chains += count_two_chains(fam) > 0
+    assert antichains >= 20 and chains >= 20
+
+
 def test_is_antichain_beyond_closure_cap():
     # the pair test answers where the cube-wide closures are capped
     n = CLOSURE_GROUND_CAP + 5
@@ -385,7 +463,7 @@ def test_is_antichain_beyond_closure_cap():
 
 
 CAP_PROBE = """
-import json, resource
+import json, resource, sys
 # about 1 GB of address space: a 2^40-point bitset fails fast, not the machine
 limit = 1 << 30
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -393,44 +471,114 @@ if hard != resource.RLIM_INFINITY:
     limit = min(limit, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
-from latticework import constructions, normalize, shadow
+import latticework as lw
+from latticework.constructions import Diamond, links_every_component
 from latticework.core import SetFamily, comparability_graph
 
-fam = SetFamily.from_sets(40, [(1,), range(1, 41)])
-calls = {
-    "down_closure": lambda: shadow.down_closure(fam),
-    "up_closure": lambda: shadow.up_closure(fam),
-    "technical_bound_check": lambda: shadow.technical_bound_check(fam, "k_plus_one"),
-    "find_skips": lambda: normalize.find_skips(fam),
-    "skip_count": lambda: normalize.skip_count(fam),
-    "links_every_component": lambda: constructions.links_every_component(
-        fam, comparability_graph(fam).component_members
-    ),
-}
+n = 40
+top = (1 << n) - 1
+chain = SetFamily.from_sets(n, [(1,), range(1, n + 1)])
+pair = SetFamily.from_sets(n, [(1,), (2,)])
+a, b = SetFamily.from_sets(n, [(1,)]), SetFamily.from_sets(n, [(2,)])
+calls = {CALLS}
 out = {}
 for name, call in calls.items():
     try:
-        call()
+        eval(call)
         out[name] = "returned"
     except Exception as exc:
         out[name] = type(exc).__name__
 print(json.dumps(out))
 """
 
+# Every public function that takes a family or a ground size n, called at
+# n = 40, and what it must do there: a size past a cap is refused with
+# ResourceLimitError, and the searches refuse n = 40 as outside their domain.
+CAP_CALLS = {
+    "binomial": ("lw.binomial(n, 20)", "returned"),
+    "comparability_graph": ("lw.comparability_graph(chain)", "returned"),
+    "count_two_chains": ("lw.count_two_chains(chain)", "returned"),
+    "cover_graph": ("lw.cover_graph(chain)", "returned"),
+    "full_cube": ("lw.full_cube(n)", "ResourceLimitError"),
+    "height": ("lw.height(chain)", "returned"),
+    "is_antichain": ("lw.is_antichain(chain)", "returned"),
+    "layer_masks": ("lw.layer_masks(n, 20)", "ResourceLimitError"),
+    "average_meet_count": ("lw.average_meet_count(chain)", "ResourceLimitError"),
+    "diamond_meet_count": ("lw.diamond_meet_count(1, top, n)", "returned"),
+    "lubell": ("lw.lubell(chain)", "returned"),
+    "lubell_by_permutations": ("lw.lubell_by_permutations(chain)", "ResourceLimitError"),
+    "meet_profile": ("lw.meet_profile(chain)", "ResourceLimitError"),
+    "find_skips": ("lw.find_skips(chain)", "ResourceLimitError"),
+    "make_skipless": ("lw.make_skipless(chain, 2)", "ResourceLimitError"),
+    "make_skipless_with_trace": ("lw.make_skipless_with_trace(chain, 2)", "ResourceLimitError"),
+    "skip_count": ("lw.skip_count(chain)", "ResourceLimitError"),
+    "skipless_step": ("lw.skipless_step(chain)", "ResourceLimitError"),
+    "certify": ("lw.certify(chain, lw.sharp_claim(n, 3))", "returned"),
+    "diamond_family": ("lw.diamond_family(Diamond(0, top), n)", "ResourceLimitError"),
+    "disconnected_claim": ("lw.disconnected_claim(n)", "returned"),
+    "disconnected_extremal": ("lw.disconnected_extremal(n)", "ResourceLimitError"),
+    "disconnected_extremal_size": ("lw.disconnected_extremal_size(n)", "returned"),
+    "full_layer_pair": ("lw.full_layer_pair(n, 19)", "ResourceLimitError"),
+    "sharp_claim": ("lw.sharp_claim(n, 3)", "returned"),
+    "sharp_family": ("lw.sharp_family(n, 3)", "ResourceLimitError"),
+    "boundary_pair": ("lw.boundary_pair(a, b)", "ResourceLimitError"),
+    "boundary_report": ("lw.boundary_report(a, b)", "ResourceLimitError"),
+    "down_closure": ("lw.down_closure(chain)", "ResourceLimitError"),
+    "excluded_count": ("lw.excluded_count(a, b)", "ResourceLimitError"),
+    "lower_shadow": ("lw.lower_shadow(pair)", "ResourceLimitError"),
+    "technical_bound_check": ("lw.technical_bound_check(chain, 'k_plus_one')", "ResourceLimitError"),
+    "up_closure": ("lw.up_closure(chain)", "ResourceLimitError"),
+    "xi": ("lw.xi(a, SetFamily.from_sets(n, [(1, 2)]))", "returned"),
+    "all_diamond_bound": ("lw.all_diamond_bound(n, 3)", "returned"),
+    "blym_sum": ("lw.blym_sum(pair)", "returned"),
+    "diamond_blym_sum": ("lw.diamond_blym_sum(pair)", "returned"),
+    "diamond_profile": ("lw.diamond_profile(pair)", "returned"),
+    "family_diamonds": ("lw.family_diamonds(pair)", "returned"),
+    "disconnected_splits": ("lw.disconnected_splits(n)", "DomainError"),
+    "la_exact": ("lw.la_exact(n, 3)", "DomainError"),
+    "la_exact_restricted": ("lw.la_exact_restricted(n, 3, 1, 2)", "DomainError"),
+    "lambda_star_exact": ("lw.lambda_star_exact(n, 3)", "DomainError"),
+    "max_disconnected": ("lw.max_disconnected(n)", "DomainError"),
+    "min_two_chains": ("lw.min_two_chains(n, 3)", "DomainError"),
+    "xi_star_exact": ("lw.xi_star_exact(n, 3)", "DomainError"),
+}
+
+# Cube-wide helpers outside the exports, probed the same way.  certify
+# reaches links_every_component only on a family of several components.
+HELPER_CAP_CALLS = {
+    "links_every_component": (
+        "links_every_component(chain, comparability_graph(chain).component_members)",
+        "ResourceLimitError",
+    ),
+}
+
+
+def _takes_family_or_n(fn):
+    params = inspect.signature(fn).parameters.values()
+    return any(p.name == "n" or "SetFamily" in str(p.annotation) for p in params)
+
 
 def test_cube_wide_entries_refuse_n40_without_allocating():
-    # {{1}, [40]} at n = 40 would need 2^40-bit bitsets.  Run only in a
-    # child process under an address-space limit, never in this one
+    # Run only in a child process under an address-space limit, never in
+    # this one: a call that forgets its cap would ask for 2^40 points
+    exported = {
+        name
+        for names in latticework._EXPORTS.values()
+        for name in names
+        if inspect.isfunction(fn := getattr(latticework, name)) and _takes_family_or_n(fn)
+    }
+    assert set(CAP_CALLS) == exported
+    table = {**CAP_CALLS, **HELPER_CAP_CALLS}
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    calls = repr({name: call for name, (call, _) in table.items()})
     proc = subprocess.run(
-        [sys.executable, "-c", CAP_PROBE], env=env, capture_output=True, text=True
+        [sys.executable, "-c", CAP_PROBE.replace("{CALLS}", calls)],
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    outcomes = json.loads(proc.stdout)
-    assert outcomes == dict.fromkeys(outcomes, "ResourceLimitError")
-    assert len(outcomes) == 6
+    assert json.loads(proc.stdout) == {name: want for name, (_, want) in table.items()}
 
 
 def test_no_bare_assert_under_src():

@@ -113,6 +113,14 @@ def test_boundary_pair_rejects_crossing_chains():
         boundary_pair(SetFamily.from_masks(3, ()), fam(3, (1,)))
 
 
+def test_split_sides_sharing_a_member_are_refused():
+    # {2,3} lies on both sides: refused as a split, naming the shared member
+    a, b = fam(4, (1,), (2, 3)), fam(4, (2, 3), (4,))
+    for call in (boundary_pair, boundary_report):
+        with pytest.raises(PreconditionError, match="shared member 0x6"):
+            call(a, b)
+
+
 def test_boundary_nonempty_on_any_valid_split():
     bp = boundary_pair(fam(3, (1, 2)), fam(3, (3,)))
     assert len(bp.fplus) >= 1 and len(bp.fminus) >= 1
