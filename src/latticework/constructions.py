@@ -83,8 +83,8 @@ def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if n > 20:
-        raise ResourceLimitError("sharp_family materialisation capped at n=20")
+    if n > CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"sharp_family materialisation capped at n={CLOSURE_GROUND_CAP}")
     base = n - k
     mid = (base + 1) // 2 if ceil_middle else base // 2
     # the k tail elements are the bits base..n-1, above every bottom, so the
@@ -120,8 +120,8 @@ def disconnected_extremal(n: int) -> SetFamily:
     """
     if n < 2:
         raise DomainError("disconnected families need n >= 2")
-    if n > 20:
-        raise ResourceLimitError("disconnected_extremal capped at n=20")
+    if n > CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"disconnected_extremal capped at n={CLOSURE_GROUND_CAP}")
     a_star = (1 << (n // 2)) - 1
     # the sets comparable to a_star are its down-set and its up-set
     point = 1 << a_star

@@ -14,12 +14,12 @@ Conventions used across the package:
 * Components and 2-chain counts are computed bit-parallel over the whole
   cube (reach-closures through down- and up-closures, and a packed-lane
   subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
-  members beyond it and for families of a few members.  On the cube, one
-  pass labels every member with its component's least member, and the
-  members are grouped once by label.  A component is stored as the
-  ascending tuple of its members, and components are numbered by least
-  member; per-member component numbers and edge lists are built only when
-  asked.
+  members beyond it (for at most PAIRWISE_MEMBER_CAP members) and for
+  families of a few members.  On the cube, one pass labels every member
+  with its component's least member, and the members are grouped once by
+  label.  A component is stored as the ascending tuple of its members, and
+  components are numbered by least member; per-member component numbers
+  and edge lists are built only when asked.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
@@ -241,8 +241,8 @@ def _mask_relabel_table(n: int, perm: tuple[int, ...]) -> list[int]:
 def full_cube(n: int) -> SetFamily:
     """The whole lattice 2^[n] as a family."""
     _check_ground(n)
-    if n > 20:
-        raise ResourceLimitError("full cube materialisation capped at n=20")
+    if n > CLOSURE_GROUND_CAP:
+        raise ResourceLimitError(f"full cube materialisation capped at n={CLOSURE_GROUND_CAP}")
     return SetFamily(n, tuple(range(1 << n)))
 
 
@@ -303,8 +303,9 @@ class ComparabilityGraph:
     member indices into family.members: component_id maps each vertex to
     its component number, and component_orders[c] and component_sizes[c]
     are the vertex and edge counts of component c.  All of these but the
-    members are derived on first use, edges from the comparability rows of
-    each component's members.
+    members are derived on first use: comparability edges from the
+    comparability rows of each component's members, cover edges by looking
+    up each member less one of its elements.
     """
 
     family: SetFamily
@@ -326,10 +327,21 @@ class ComparabilityGraph:
 
     @cached_property
     def _rows(self) -> tuple[list[int], ...]:
-        return tuple(_comparability_rows(ms, self.cover_only) for ms in self.component_members)
+        return tuple(_comparability_rows(ms) for ms in self.component_members)
+
+    @cached_property
+    def _covers_below(self) -> list[list[int]]:
+        # for each member, the members one element below it: at most n
+        # lookups per member, not a pass over its component
+        have, singletons = self.family.member_set, [1 << b for b in range(self.family.n)]
+        return [[m ^ e for e in singletons if m & e and m ^ e in have] for m in self.family]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
+        if self.cover_only:
+            index = {m: v for v, m in enumerate(self.family.members)}
+            below = enumerate(self._covers_below)
+            return tuple(sorted((index[x], v) for v, xs in below for x in xs))
         out = []
         for vs, rows in zip(self.components(), self._rows):
             for i, row in enumerate(rows):
@@ -340,10 +352,14 @@ class ComparabilityGraph:
     @cached_property
     def component_sizes(self) -> tuple[int, ...]:
         family = self.family
-        if self.cover_only or _pairwise_is_cheaper(family):
+        if self.cover_only:
+            counts = map(len, self._covers_below)
+        elif _pairwise_is_cheaper(family):
             return tuple(sum(row.bit_count() for row in rows) // 2 for rows in self._rows)
-        # each 2-chain is counted at its upper member, which lies in its component
-        below = dict(zip(family.members, _lane_below_counts(family)))
+        else:
+            counts = _lane_below_counts(family)
+        # each edge is counted at its upper member, which lies in its component
+        below = dict(zip(family.members, counts))
         return tuple(sum(map(below.__getitem__, ms)) for ms in self.component_members)
 
     def components(self) -> list[list[int]]:
@@ -373,8 +389,10 @@ def _comparability_rows(ms: tuple[int, ...], cover_only: bool = False) -> list[i
     """Bit j of row i is set iff masks i and j of the ascending ms are
     comparable (with cover_only, one element apart), so no row has its own
     bit.  Every pair is tested once: only the earlier mask can lie inside
-    the later one.
+    the later one.  Past PAIRWISE_MEMBER_CAP masks the request is refused.
     """
+    if len(ms) > PAIRWISE_MEMBER_CAP:
+        raise ResourceLimitError(f"pairwise comparability capped at {PAIRWISE_MEMBER_CAP} members")
     rows = [0] * len(ms)
     for i, x in enumerate(ms):
         above = x.bit_count() + 1
@@ -505,6 +523,10 @@ def cover_graph(family: SetFamily) -> ComparabilityGraph:
 # along cover edges done bit-parallel.
 
 CLOSURE_GROUND_CAP = 20
+# The pairwise route tests s(s-1)/2 pairs: 3.4e7 at this many members, 2.3 s
+# with Python 3.11.7 on a 2-vCPU machine.  Below the closure cap it serves at
+# most 1,024 members; past it, larger families are refused.
+PAIRWISE_MEMBER_CAP = 1 << 13
 
 
 def family_bits(masks) -> int:

@@ -1,10 +1,13 @@
 """Named property suites and pinned desk-scale reproductions.
 
 Each suite replays one of the structural facts the package is built around,
-over exhaustive or seeded-random inputs, and returns a plain dict with a
-"passed" flag plus enough detail to locate a counterexample.  The
-reproduction registry pins small search anchors to frozen values so a CLI
-run can diff actual against expected.
+over exhaustive or seeded-random inputs, and returns a plain dict of one
+shape: "suite", "params", the suite's own counts, "passed" and "failures"
+(at most MAX_REPORTED_FAILURES, each enough to locate a counterexample).
+The BLYM suites share one sum check, and given one family they report its
+"sum" and "tight" without "params".  The reproduction registry pins small
+search anchors to frozen values so a CLI run can diff actual against
+expected.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable
 
 from .core import (
@@ -38,6 +41,46 @@ def _push(failures: list, item: dict) -> None:
         failures.append(item)
 
 
+def _report(suite: str, params: dict, failures: list, passed: bool = True, **facts) -> dict:
+    """A suite's result, with its own facts in keyword order."""
+    return {
+        "suite": suite,
+        "params": params,
+        **facts,
+        "passed": passed and not failures,
+        "failures": failures,
+    }
+
+
+def _sums(total: Callable[[SetFamily], Fraction], cases) -> tuple[int, int, list[dict]]:
+    """Check a chain-meet sum over (family, label) cases, in order.
+
+    A labelled case is an extremal family whose sum must be exactly 1; a
+    drawn case (label None) must sum to at most 1.  Returns the cases
+    checked, the tight ones (sum 1) and the failures.
+    """
+    failures: list[dict] = []
+    checked = tight = 0
+    for fam, label in cases:
+        s = total(fam)
+        checked += 1
+        tight += s == 1
+        if label is not None and s != 1:
+            _push(failures, {"case": label, "sum": str(s)})
+        elif label is None and s > 1:
+            _push(failures, {"family": fam.to_jsonable(), "sum": str(s)})
+    return checked, tight, failures
+
+
+def _family_sum(suite: str, total: Callable[[SetFamily], Fraction], family: SetFamily) -> dict:
+    """One family's sum, or the precondition it fails, as a suite result."""
+    try:
+        s = total(family)
+    except PreconditionError as exc:
+        return {"suite": suite, "passed": False, "failures": [{"reason": str(exc)}]}
+    return {"suite": suite, "sum": str(s), "tight": s == 1, "passed": s <= 1, "failures": []}
+
+
 def verify_blym(
     n: int = 7,
     samples: int = 250,
@@ -49,47 +92,20 @@ def verify_blym(
     from .sampling import random_antichain
 
     if family is not None:
-        try:
-            s = blym_sum(family)
-        except PreconditionError as exc:
-            return {"suite": "blym", "passed": False, "failures": [{"reason": str(exc)}]}
-        return {
-            "suite": "blym",
-            "sum": str(s),
-            "tight": s == 1,
-            "passed": s <= 1,
-            "failures": [],
-        }
+        return _family_sum("blym", blym_sum, family)
     if n < 1 or samples < 0:
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     rng = random.Random(seed)
-    failures: list[dict] = []
-    checked = 0
-    tight = 0
-    for k in range(n + 1):
-        layer = SetFamily.from_masks(n, layer_masks(n, k))
-        s = blym_sum(layer)
-        checked += 1
-        if s != 1:
-            _push(failures, {"case": f"full layer k={k}", "sum": str(s)})
-        else:
-            tight += 1
-    for _ in range(samples):
-        fam = random_antichain(rng, n, attempts=rng.randrange(1, 2 * binomial(n, n // 2) + 2))
-        s = blym_sum(fam)
-        checked += 1
-        if s > 1:
-            _push(failures, {"family": fam.to_jsonable(), "sum": str(s)})
-        if s == 1:
-            tight += 1
-    return {
-        "suite": "blym",
-        "params": {"n": n, "samples": samples, "seed": seed},
-        "checked": checked,
-        "tight_count": tight,
-        "passed": not failures,
-        "failures": failures,
-    }
+    layers = (
+        (SetFamily.from_masks(n, layer_masks(n, k)), f"full layer k={k}") for k in range(n + 1)
+    )
+    drawn = (
+        (random_antichain(rng, n, attempts=rng.randrange(1, 2 * binomial(n, n // 2) + 2)), None)
+        for _ in range(samples)
+    )
+    checked, tight, failures = _sums(blym_sum, chain(layers, drawn))
+    params = {"n": n, "samples": samples, "seed": seed}
+    return _report("blym", params, failures, checked=checked, tight_count=tight)
 
 
 def verify_diamond_blym(
@@ -105,52 +121,26 @@ def verify_diamond_blym(
     from .sampling import random_all_diamond_family
 
     if family is not None:
-        try:
-            s = diamond_blym_sum(family)
-        except PreconditionError as exc:
-            return {"suite": "diamond-blym", "passed": False, "failures": [{"reason": str(exc)}]}
-        return {
-            "suite": "diamond-blym",
-            "sum": str(s),
-            "tight": s == 1,
-            "passed": s <= 1,
-            "failures": [],
-        }
+        return _family_sum("diamond-blym", diamond_blym_sum, family)
     if n < 1 or samples < 0 or sharp_n < 2:
         raise DomainError(
             "need 1 <= n, 0 <= samples and 2 <= sharp_n, "
             f"got n={n}, samples={samples}, sharp_n={sharp_n}"
         )
     rng = random.Random(seed)
-    failures: list[dict] = []
-    checked = 0
-    tight = 0
-    for _ in range(samples):
-        fam = random_all_diamond_family(rng, n, target_components=rng.randrange(1, 2 * n))
-        if len(fam) == 0:
-            continue
-        s = diamond_blym_sum(fam)
-        checked += 1
-        if s > 1:
-            _push(failures, {"family": fam.to_jsonable(), "sum": str(s)})
-        if s == 1:
-            tight += 1
-    for nn in range(2, sharp_n + 1):
-        for k in range(nn + 1):
-            s = diamond_blym_sum(sharp_family(nn, k))
-            checked += 1
-            if s != 1:
-                _push(failures, {"case": f"sharp n={nn} k={k}", "sum": str(s)})
-            else:
-                tight += 1
-    return {
-        "suite": "diamond-blym",
-        "params": {"n": n, "samples": samples, "seed": seed, "sharp_n": sharp_n},
-        "checked": checked,
-        "tight_count": tight,
-        "passed": not failures,
-        "failures": failures,
-    }
+    drawn = (
+        random_all_diamond_family(rng, n, target_components=rng.randrange(1, 2 * n))
+        for _ in range(samples)
+    )
+    sharp = (
+        (sharp_family(nn, k), f"sharp n={nn} k={k}")
+        for nn in range(2, sharp_n + 1)
+        for k in range(nn + 1)
+    )
+    cases = chain(((fam, None) for fam in drawn if len(fam)), sharp)
+    checked, tight, failures = _sums(diamond_blym_sum, cases)
+    params = {"n": n, "samples": samples, "seed": seed, "sharp_n": sharp_n}
+    return _report("diamond-blym", params, failures, checked=checked, tight_count=tight)
 
 
 def verify_kk(
@@ -198,14 +188,8 @@ def verify_kk(
         for _ in range(samples):
             m = rng.randrange(1, width + 1)
             check(tuple(sorted(rng.sample(layer, m))))
-    return {
-        "suite": "kk",
-        "params": {"n": n, "k": k, "samples": samples, "seed": seed},
-        "exhaustive": exhaustive,
-        "checked": checked,
-        "passed": not failures,
-        "failures": failures,
-    }
+    params = {"n": n, "k": k, "samples": samples, "seed": seed}
+    return _report("kk", params, failures, exhaustive=exhaustive, checked=checked)
 
 
 def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
@@ -237,13 +221,7 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
                                 "closure": len(down_closure(fam)),
                             },
                         )
-    return {
-        "suite": "technical",
-        "params": {"nmax": nmax, "kmax": kmax},
-        "checked": checked,
-        "passed": not failures,
-        "failures": failures,
-    }
+    return _report("technical", {"nmax": nmax, "kmax": kmax}, failures, checked=checked)
 
 
 def verify_colouring(
@@ -284,13 +262,8 @@ def verify_colouring(
             if len(a) == 0 or len(b) == 0:
                 continue
             check(a, b, f"sample {i} at k={kk}")
-    return {
-        "suite": "colouring",
-        "params": {"n": n, "k": k, "samples": samples, "seed": seed},
-        "checked": checked,
-        "passed": not failures,
-        "failures": failures,
-    }
+    params = {"n": n, "k": k, "samples": samples, "seed": seed}
+    return _report("colouring", params, failures, checked=checked)
 
 
 def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
@@ -337,15 +310,8 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
             continue
         if size == best and excluded == floor:
             extremal_hits += 1
-    return {
-        "suite": "fact-ab",
-        "params": {"n": n},
-        "splits": len(splits),
-        "excluded_floor": floor,
-        "extremal_tight_count": extremal_hits,
-        "passed": not failures and extremal_hits >= 1,
-        "failures": failures,
-    }
+    facts = {"splits": len(splits), "excluded_floor": floor, "extremal_tight_count": extremal_hits}
+    return _report("fact-ab", {"n": n}, failures, passed=extremal_hits >= 1, **facts)
 
 
 def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
@@ -384,14 +350,7 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
                     failures,
                     {"a": a.to_jsonable(), "b": b.to_jsonable(), "below_size": s, "have": have},
                 )
-    return {
-        "suite": "key-lemma",
-        "params": {"n": n},
-        "splits": len(splits),
-        "checked": checked,
-        "passed": not failures,
-        "failures": failures,
-    }
+    return _report("key-lemma", {"n": n}, failures, splits=len(splits), checked=checked)
 
 
 VERIFIERS: dict[str, Callable[..., dict]] = {

@@ -255,6 +255,21 @@ def test_size_cap_exits_four(capsys):
         assert "capped at n=20" in captured.err, argv
 
 
+def test_pairwise_route_past_its_cap_exits_four():
+    # the layers of [21] up to k = 4 are pair-tested, and k = 5 has 20,349
+    # members; in a child process, so a lost cap fails on the timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticework.cli", "verify", "blym", "--n", "21", "--samples", "0"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("size cap exceeded: pairwise comparability capped at 8192")
+
+
 def test_failed_witness_check_exits_one(capsys, monkeypatch):
     from latticework import search
 

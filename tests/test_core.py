@@ -19,6 +19,7 @@ from latticework.constructions import (
 )
 from latticework.core import (
     CLOSURE_GROUND_CAP,
+    PAIRWISE_MEMBER_CAP,
     DomainError,
     ResourceLimitError,
     SetFamily,
@@ -460,6 +461,17 @@ def test_is_antichain_beyond_closure_cap():
     n = CLOSURE_GROUND_CAP + 5
     assert is_antichain(SetFamily.from_sets(n, [(1,), (2,)]))
     assert not is_antichain(SetFamily.from_sets(n, [(1,), (1, n)]))
+
+
+def test_pairwise_route_refuses_families_past_the_pair_cap():
+    # 8,193 members at n = 21 are refused before any pair is tested, which
+    # would take seconds; the 6,144 members certified past the closure cap
+    # in tests/test_constructions.py stay allowed
+    n = CLOSURE_GROUND_CAP + 1
+    fam = SetFamily.from_masks(n, layer_masks(n, 5)[: PAIRWISE_MEMBER_CAP + 1])
+    for query in (comparability_graph, cover_graph, count_two_chains, is_antichain):
+        with pytest.raises(ResourceLimitError, match="pairwise comparability capped at 8192 members"):
+            query(fam)
 
 
 CAP_PROBE = """

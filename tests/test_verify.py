@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from latticework.constructions import sharp_family
 from latticework.core import DomainError, SetFamily
 from latticework.verify import (
+    MAX_REPORTED_FAILURES,
     REPRODUCTIONS,
     VERIFIERS,
     run_reproduction,
@@ -51,6 +54,46 @@ def test_diamond_blym_single_family_paths():
     vee = verify_diamond_blym(family=fam(3, (1,), (1, 2), (1, 3)))
     assert not vee["passed"]
     assert vee["failures"]
+
+
+def test_sum_suites_check_pinned_and_drawn_cases_in_order(monkeypatch):
+    from latticework import blym
+
+    # a pinned case must sum to exactly 1 and a drawn one to at most 1; the
+    # failures keep the order the cases are drawn in, up to the report cap
+    layers = [{"case": f"full layer k={k}"} for k in range(4)]
+    drawn = [
+        {"family": {"n": 3, "sets": [[1, 2], [1, 3], [2, 3]]}},
+        {"family": {"n": 3, "sets": [[2, 3], [1, 2, 3]]}},
+        {"family": {"n": 3, "sets": [[1], [2], [2, 3]]}},
+    ]
+    sharp = [{"case": f"sharp n=2 k={k}"} for k in range(3)]
+    for total, tight, failing in (("3/2", 0, True), ("1/2", 0, False), ("1", 1, False)):
+        monkeypatch.setattr(blym, "blym_sum", lambda fam: Fraction(total))
+        monkeypatch.setattr(blym, "diamond_blym_sum", lambda fam: Fraction(total))
+        wrong = total != "1"
+        rep = verify_blym(n=3, samples=4, seed=0)
+        assert (rep["checked"], rep["tight_count"]) == (8, 8 * tight)
+        cases = layers * wrong + [{"family": {"n": 3, "sets": [[2, 3]]}}] * failing
+        assert rep["failures"] == [{**c, "sum": total} for c in cases]
+        assert rep["passed"] == (not cases)
+        rep = verify_diamond_blym(n=3, samples=3, seed=0, sharp_n=2)
+        assert (rep["checked"], rep["tight_count"]) == (6, 6 * tight)
+        cases = (drawn * failing + sharp * wrong)[:MAX_REPORTED_FAILURES]
+        assert rep["failures"] == [{**c, "sum": total} for c in cases]
+        assert rep["passed"] == (not cases)
+
+
+def test_fact_ab_fails_without_an_extremal_split(monkeypatch):
+    from latticework import constructions
+
+    # a size bound no split meets: nothing fails, but the bound is not tight
+    size = constructions.disconnected_extremal_size
+    monkeypatch.setattr(constructions, "disconnected_extremal_size", lambda n: size(n) + 1)
+    rep = verify_fact_ab(n=3)
+    assert rep["extremal_tight_count"] == 0
+    assert rep["failures"] == []
+    assert not rep["passed"]
 
 
 def test_kk_suite_passes():
