@@ -8,6 +8,7 @@ because a maximal chain meets at most one component and meets the diamond
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     DomainError,
@@ -18,7 +19,7 @@ from .core import (
     comparability_graph,
     is_antichain,
 )
-from .constructions import Diamond, detect_diamond
+from .constructions import Diamond, _diamond_census, detect_diamond  # detect_diamond: re-exported
 from .lubell import lubell
 
 
@@ -46,23 +47,26 @@ def blym_sum(family: SetFamily) -> Fraction:
     return total
 
 
+def _diamond_spans(family: SetFamily) -> list[list[int]]:
+    """Meet, join and height per comparability component; error on the first non-diamond."""
+    graph = comparability_graph(family)
+    *spans, gap = _diamond_census(graph.component_members)
+    if gap is not None:
+        part = graph.component_family(gap).to_sets()
+        raise PreconditionError(f"component {part} is not a diamond")
+    return spans
+
+
 def family_diamonds(family: SetFamily) -> list[Diamond]:
     """One Diamond per comparability component; error on any non-diamond component."""
-    graph = comparability_graph(family)
-    out = []
-    for c, members in enumerate(graph.component_members):
-        d = detect_diamond(members)
-        if d is None:
-            part = graph.component_family(c).to_sets()
-            raise PreconditionError(f"component {part} is not a diamond")
-        out.append(d)
-    return out
+    meets, joins, _ = _diamond_spans(family)
+    return list(map(Diamond, meets, joins))
 
 
 def diamond_profile(family: SetFamily) -> DiamondProfile:
+    meets, _, heights = _diamond_spans(family)
     census: dict[tuple[int, int], int] = {}
-    for d in family_diamonds(family):
-        key = (d.bottom_layer, d.height)
+    for key in zip(map(int.bit_count, meets), heights):
         census[key] = census.get(key, 0) + 1
     profile = DiamondProfile(family.n, tuple(sorted((i, j, c) for (i, j), c in census.items())))
     if profile.member_total() != len(family):
@@ -73,10 +77,10 @@ def diamond_profile(family: SetFamily) -> DiamondProfile:
 def diamond_blym_sum(family: SetFamily) -> Fraction:
     """Sum of a_ij / C(n-j, i) over the diamond census; always at most 1."""
     profile = diamond_profile(family)
-    n = family.n
-    total = Fraction(0)
-    for i, j, c in profile.counts:
-        total += Fraction(c, binomial(n - j, i))
+    # one Fraction over the binomials' lcm: each Fraction addition costs gcds
+    sizes = [binomial(family.n - j, i) for i, j, _ in profile.counts]
+    common = lcm(*sizes)
+    total = Fraction(sum(c * (common // b) for (_, _, c), b in zip(profile.counts, sizes)), common)
     if total > 1:
         raise VerificationError(f"diamond BLYM sum {total} exceeds 1")
     return total

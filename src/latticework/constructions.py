@@ -12,9 +12,13 @@ members come from `core.family_bits`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, count, repeat
 from math import comb
+from operator import and_, lshift, ne, or_, xor
 
 from .core import (
     CLOSURE_GROUND_CAP,
@@ -70,6 +74,16 @@ def detect_diamond(component: Iterable[int]) -> Diamond | None:
     if len(masks) == 1 << (top ^ bottom).bit_count():
         return Diamond(bottom, top)
     return None
+
+
+def _diamond_census(components: Sequence[Sequence[int]]) -> tuple[list, list, list, int | None]:
+    """Meet, join and height of each (non-empty) component, and the index of the
+    first non-diamond or None: `detect_diamond`'s test with no frame per component."""
+    meets = list(map(reduce, repeat(and_), components))
+    joins = list(map(reduce, repeat(or_), components))
+    heights = list(map(int.bit_count, map(xor, meets, joins)))
+    gaps = compress(count(), map(ne, map(len, components), map(lshift, repeat(1), heights)))
+    return meets, joins, heights, next(gaps, None)
 
 
 def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
@@ -291,19 +305,16 @@ def certify(family: SetFamily, claim: dict) -> CertificationReport:
     if "diamond_components" in claim:
         want = claim["diamond_components"]
         want_h = want.get("height") if isinstance(want, dict) else None
-        ok = all(
-            (d := detect_diamond(members)) is not None and (want_h is None or d.height == want_h)
-            for members in comp_members
-        )
+        _, _, heights, gap = _diamond_census(comp_members)
+        ok = gap is None and (want_h is None or heights.count(want_h) == len(heights))
         checks.append(CheckResult("diamond_components", want, ok, ok))
     if "disconnected" in claim:
         ok = graph.n_components >= 2
         checks.append(CheckResult("disconnected", True, graph.n_components, ok))
     if "isolated_member" in claim:
         m = claim["isolated_member"]
-        ok = m in family.member_set and any(
-            members == (m,) for members in comp_members
-        )
+        i = bisect_left(family.members, m)
+        ok = family.members[i:i + 1] == (m,) and any(members == (m,) for members in comp_members)
         checks.append(CheckResult("isolated_member", m, ok, ok))
     if "rest_connected" in claim:
         iso = claim.get("isolated_member")

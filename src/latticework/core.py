@@ -15,11 +15,11 @@ Conventions used across the package:
   cube (reach-closures through down- and up-closures, and a packed-lane
   subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
   members beyond it (for at most PAIRWISE_MEMBER_CAP members) and for
-  families of a few members.  On the cube, one pass labels every member
-  with its component's least member, and the members are grouped once by
-  label.  A component is stored as the ascending tuple of its members, and
-  components are numbered by least member; per-member component numbers
-  and edge lists are built only when asked.
+  families of a few members.  On the cube, components grow from least
+  members, and what is left when they stop is labelled in one pass with
+  its component's least member and grouped by label.  A component is the
+  ascending tuple of the family's own masks, numbered by least member;
+  per-member component numbers and edge lists are built only when asked.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
@@ -428,12 +428,14 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
     """The components' ascending member tuples, in least-member order, by
     reach-closures on bitsets.
 
-    Each member is labelled with its component's least member, one bitset
-    per label bit t (`planes[t]`).  Members comparable to no other member
-    label themselves, so an antichain costs four sweeps however many
-    members it has.  Each other component grows from its least member, a
-    step adding every member comparable to (or one element from) the
-    frontier; once the steps reach n, `_plane_labels` labels the rest.
+    Members comparable to no other member are components of their own, so
+    an antichain costs four sweeps however many members it has.  Each other
+    component grows from its least member, a step adding every member
+    comparable to (or one element from) the frontier.  If that leaves no
+    member before the steps reach n, the components are read straight from
+    their bitsets.  Otherwise each member is labelled with its component's
+    least member, one bitset per label bit t (`planes[t]`), `_plane_labels`
+    labels the rest, and the members are grouped once by label.
     """
     n = family.n
     bits = family_bits(family)
@@ -442,12 +444,20 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
         below, above = downset_bits(n, below), upset_bits(n, above)
     rest = bits & (below | above)
     isolated = bits ^ rest
-    planes = [isolated & col for col in _columns(n)]
+    found = []
     steps = 0
     while rest and steps < n:
         component, taken = _reach_closure(n, rest & -rest, rest, cover_only)
         steps += taken
         rest ^= component
+        found.append(component)
+    if not rest:
+        # the family's own mask objects, picked by their points in bits
+        points = _spread(bits)
+        tuples = [tuple(compress(family.members, compress(_spread(c), points))) for c in found]
+        return sorted([*zip(compress(family.members, compress(_spread(isolated), points))), *tuples])
+    planes = [isolated & col for col in _columns(n)]
+    for component in found:
         m = (component & -component).bit_length() - 1
         planes = [p | component if m >> t & 1 else p for t, p in enumerate(planes)]
     _plane_labels(n, rest, cover_only, planes)

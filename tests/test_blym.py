@@ -11,12 +11,13 @@ from latticework.blym import (
     diamond_profile,
     family_diamonds,
 )
-from latticework.constructions import sharp_family
+from latticework.constructions import _diamond_census, certify, sharp_family
 from latticework.core import (
     DomainError,
     PreconditionError,
     SetFamily,
     binomial,
+    comparability_graph,
     full_cube,
     layer_masks,
 )
@@ -51,6 +52,72 @@ def test_family_diamonds_splits_components():
     assert all(d.height == 1 for d in ds)
     with pytest.raises(PreconditionError):
         family_diamonds(SetFamily.from_sets(3, [(1,), (1, 2), (2,)]))  # a vee, no top
+
+
+def _assert_census_matches_detect_diamond(fam, heights=()):
+    # the mapped census, certify's diamond check and family_diamonds against
+    # detect_diamond one component at a time; returns whether all are diamonds
+    graph = comparability_graph(fam)
+    components = graph.component_members
+    found = [detect_diamond(c) for c in components]
+    meets, joins, census_heights, gap = _diamond_census(components)
+    assert len(meets) == len(joins) == len(census_heights) == len(components)
+    for d, meet, join, h in zip(found, meets, joins, census_heights):
+        if d is not None:
+            assert (meet, join, h) == (d.bottom, d.top, d.height)
+        assert h == (meet ^ join).bit_count()
+    first = next((i for i, d in enumerate(found) if d is None), None)
+    assert gap == first
+    for want in (True, *({"height": h} for h in heights)):
+        want_h = want["height"] if isinstance(want, dict) else None
+        expect = all(d is not None and (want_h is None or d.height == want_h) for d in found)
+        (check,) = certify(fam, {"diamond_components": want}).checks
+        assert check.passed is check.actual is expect
+    if first is None:
+        assert family_diamonds(fam) == found
+        # one term per component, added one Fraction at a time
+        terms = (Fraction(1, binomial(fam.n - d.height, d.bottom_layer)) for d in found)
+        assert diamond_blym_sum(fam) == sum(terms, Fraction(0))
+    else:
+        part = graph.component_family(first).to_sets()
+        with pytest.raises(PreconditionError) as err:
+            family_diamonds(fam)
+        assert str(err.value) == f"component {part} is not a diamond"
+    return first is None
+
+
+def test_diamond_census_matches_detect_diamond():
+    rng = random.Random(20261019)
+    all_diamond = 0
+    for n in range(1, 9):
+        for _ in range(40):
+            size = rng.randint(1, min(1 << n, 40))
+            fam = SetFamily.from_masks(n, rng.sample(range(1 << n), size))
+            all_diamond += _assert_census_matches_detect_diamond(fam, heights=range(n + 1))
+    # most of the 320 random families have a component that is not a diamond
+    assert 0 < all_diamond < 160
+    for n in range(1, 13):
+        for k in range(n + 1):
+            for ceil in {False, (n - k) % 2 == 1}:
+                fam = sharp_family(n, k, ceil)
+                assert _assert_census_matches_detect_diamond(fam, heights=(k, k + 1))
+    for n in range(3, 8):
+        for _ in range(30):
+            fam = random_all_diamond_family(rng, n, target_components=rng.randrange(1, n + 2))
+            assert _assert_census_matches_detect_diamond(fam, heights=range(4))
+    assert _diamond_census(()) == ([], [], [], None)
+    assert _assert_census_matches_detect_diamond(SetFamily.from_masks(4, ()), heights=(0, 2))
+
+
+def test_family_diamonds_names_the_first_non_diamond_component():
+    # components in least-member order: the diamond {{1}}, then {2,3} and
+    # {3,4} below {2,3,4}, whose meet {3} is missing
+    fam = SetFamily.from_sets(4, [(1,), (2, 3), (3, 4), (2, 3, 4)])
+    with pytest.raises(PreconditionError) as err:
+        family_diamonds(fam)
+    assert str(err.value) == "component [(2, 3), (3, 4), (2, 3, 4)] is not a diamond"
+    with pytest.raises(PreconditionError, match="is not a diamond"):
+        diamond_profile(fam)
 
 
 def test_diamond_profile_counts():
