@@ -111,10 +111,8 @@ def avg_degree(g: LayerPairGraph) -> Fraction:
 
 def layer_colouring(g: LayerPairGraph) -> EdgeColouredGraph:
     """Colour each containment edge with the element the top set adds."""
-    index = {m: i for i, m in enumerate(g.a.members)}
-    offset = len(g.a.members)
-    for j, m in enumerate(g.b.members):
-        index[m] = offset + j
+    # the sides lie on adjacent layers, so no mask is on both
+    index = {m: i for i, m in enumerate(g.a.members + g.b.members)}
     edges = []
     for bottom, top in g.edges():
         added = (top ^ bottom).bit_length()

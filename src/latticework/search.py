@@ -633,81 +633,66 @@ def _graphs_of_order(t: int) -> list[list[tuple[int, int]]]:
 
 def _edge_order(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Order edges so each one touches the already-ordered prefix when possible."""
-    remaining = set(edges)
+    remaining = sorted(edges)
     ordered = []
     touched = set()
     while remaining:
-        pick = None
-        for e in sorted(remaining):
-            if not ordered or e[0] in touched or e[1] in touched:
-                pick = e
-                break
-        if pick is None:
-            pick = sorted(remaining)[0]
+        pick = next((e for e in remaining if touched.intersection(e)), remaining[0])
         ordered.append(pick)
-        remaining.discard(pick)
+        remaining.remove(pick)
         touched.update(pick)
     return ordered
 
 
 def _rainbow_free_colouring(edges, t, budget):
-    """A proper edge colouring with no rainbow cycle, or None; exhaustive.
+    """A proper edge colouring with no rainbow cycle, as ascending (u, v,
+    colour) edges with colours from 1, or None; exhaustive.
 
-    Colours are assigned in restricted-growth order, properness is
-    checked against incident earlier edges, and a rainbow cycle can only
+    Colours are assigned in restricted-growth order, properness is checked
+    against the colours already at both ends, and a rainbow cycle can only
     close at the moment its last edge is coloured, so it is searched for
-    through that edge among earlier-coloured edges only.
+    through that edge among earlier-coloured edges only.  `adj[x]` holds a
+    (neighbour, colour) pair for each coloured edge at x.
     """
     if not edges:
-        return {}
+        return ()
     order = _edge_order(edges)
     m = len(order)
-    colour_of: dict[tuple[int, int], int] = {}
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(t)]
 
-    def rainbow_through(u, v, colour):
-        # path u -> v over already-coloured edges, colours pairwise distinct
-        # and different from `colour`; in a simple graph such a path has at
-        # least two edges, so it closes a cycle of length >= 3 with (u, v)
-        def walk(at, used_colours, used_vertices):
-            if at == v:
+    def rainbow_path(at, goal, colours, seen):
+        # a path at -> goal over coloured edges, avoiding the `colours` and
+        # `seen` bitmasks; in a simple graph a u -> v path has at least two
+        # edges, so it closes a cycle of length >= 3 with (u, v).  A walk
+        # with distinct colours holds such a path, so `seen` only prunes.
+        if at == goal:
+            return True
+        for nxt, c in adj[at]:
+            if not (colours >> c & 1 or seen >> nxt & 1) and rainbow_path(
+                nxt, goal, colours | 1 << c, seen | 1 << nxt
+            ):
                 return True
-            for (x, y), c in colour_of.items():
-                if (1 << c) & used_colours:
-                    continue
-                if x == at or y == at:
-                    nxt = y if x == at else x
-                    if (used_vertices >> nxt) & 1 or nxt == u:
-                        continue
-                    if walk(nxt, used_colours | (1 << c), used_vertices | (1 << at)):
-                        return True
-            return False
-
-        return walk(u, 1 << colour, 0)
+        return False
 
     def assign(pos, used):
         budget.tick()
         if pos == m:
             return True
         u, v = order[pos]
-        banned = {colour_of[e] for e in incident[u] + incident[v]}
+        banned = {c for _, c in adj[u] + adj[v]}
         for colour in range(min(used + 1, m)):
-            if colour in banned:
+            if colour in banned or rainbow_path(u, v, 1 << colour, 1 << u):
                 continue
-            if rainbow_through(u, v, colour):
-                continue
-            colour_of[(u, v)] = colour
-            incident[u].append((u, v))
-            incident[v].append((u, v))
+            adj[u].append((v, colour))
+            adj[v].append((u, colour))
             if assign(pos + 1, max(used, colour + 1)):
                 return True
-            del colour_of[(u, v)]
-            incident[u].pop()
-            incident[v].pop()
+            adj[u].pop()
+            adj[v].pop()
         return False
 
     if assign(0, 0):
-        return dict(colour_of)
+        return tuple(sorted((u, v, c + 1) for u in range(t) for v, c in adj[u] if u < v))
     return None
 
 
@@ -721,21 +706,15 @@ def mad_star_probe(t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     """
     if not 1 <= t <= 7:
         raise DomainError("graph-by-graph exhaustion is limited to t <= 7")
-    candidates = sorted(
-        ((Fraction(2 * len(edges), t), edges) for edges in _graphs_of_order(t)),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
     best = Fraction(0)
     best_witness = EdgeColouredGraph(t, ())
     budget = _Budget(budget_nodes)
     with budget:
-        for avg, edges in candidates:
+        for edges in sorted(_graphs_of_order(t), key=lambda edges: (-len(edges), edges)):
             colouring = _rainbow_free_colouring(edges, t, budget)
             if colouring is not None:
-                best = avg
-                best_witness = EdgeColouredGraph(
-                    t, tuple((u, v, c + 1) for (u, v), c in sorted(colouring.items()))
-                )
+                best = Fraction(2 * len(edges), t)
+                best_witness = EdgeColouredGraph(t, colouring)
                 break
 
     if not is_proper(best_witness):

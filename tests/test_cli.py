@@ -282,6 +282,19 @@ def test_failed_witness_check_exits_one(capsys, monkeypatch):
     assert captured.err.startswith("verification failed: witness has Lubell sum -1")
 
 
+@pytest.mark.parametrize("name, fake, reason", [
+    ("find_rainbow_cycle", lambda g, max_len: [0, 1, 2, 3], "has a rainbow cycle"),
+    ("is_proper", lambda g: False, "is not proper"),
+])
+def test_failed_madstar_witness_check_exits_one(capsys, monkeypatch, name, fake, reason):
+    monkeypatch.setattr(search, name, fake)
+    code = main(["search", "madstar", "--t", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"verification failed: witness colouring {reason}\n"
+
+
 def test_search_rational_values_as_strings(capsys):
     code, report = run_json(capsys, "search", "madstar", "--t", "3")
     assert code == 0

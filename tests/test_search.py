@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, inf
@@ -19,6 +20,7 @@ from latticework.core import (
     DomainError,
     ResourceLimitError,
     SetFamily,
+    VerificationError,
     binomial,
     _columns,
     comparability_graph,
@@ -33,6 +35,7 @@ from latticework.search import (
     _Budget,
     _band,
     _closed_splits,
+    _edge_order,
     _graphs_of_order,
     _group_lanes,
     disconnected_splits,
@@ -238,6 +241,16 @@ BUDGET_SWEEP = [
     (mad_star_probe, (5,), 8, {
         -1: (Fraction(0), ()),
         8: (Fraction(12, 5), ((0, 2, 1), (0, 3, 2), (0, 4, 3), (1, 2, 2), (1, 3, 3), (1, 4, 1))),
+    }),
+    (mad_star_probe, (6,), 11, {
+        -1: (Fraction(0), ()),
+        11: (Fraction(3), ((0, 1, 1), (0, 3, 2), (0, 5, 3), (1, 2, 2), (1, 4, 3), (2, 3, 3),
+                           (2, 5, 1), (3, 4, 1), (4, 5, 2))),
+    }),
+    (mad_star_probe, (7,), 101, {
+        -1: (Fraction(0), ()),
+        101: (Fraction(20, 7), ((0, 1, 1), (0, 3, 2), (0, 5, 3), (0, 6, 4), (1, 2, 2), (1, 4, 3),
+                                (2, 3, 3), (2, 5, 1), (3, 4, 1), (4, 5, 2))),
     }),
 ]
 
@@ -649,6 +662,49 @@ def test_xi_star_below_mad_star():
                 except DomainError:
                     continue
                 assert val <= cap
+
+
+def edge_order_by_rescan(edges):
+    """The probe's edge order, re-sorting what is left at every step."""
+    remaining = set(edges)
+    ordered = []
+    touched = set()
+    while remaining:
+        pick = None
+        for e in sorted(remaining):
+            if not ordered or e[0] in touched or e[1] in touched:
+                pick = e
+                break
+        if pick is None:
+            pick = sorted(remaining)[0]
+        ordered.append(pick)
+        remaining.discard(pick)
+        touched.update(pick)
+    return ordered
+
+
+def test_edge_order_matches_rescan():
+    graphs = [edges for t in range(1, 8) for edges in _graphs_of_order(t)]
+    assert len(graphs) == 172
+    for i, edges in enumerate(graphs):
+        want = edge_order_by_rescan(edges)
+        shuffled = list(edges)
+        random.Random(i).shuffle(shuffled)
+        for given in (edges, edges[::-1], shuffled):
+            assert _edge_order(given) == want, given
+
+
+def test_mad_star_witness_is_rechecked(monkeypatch):
+    from latticework import search
+
+    # the probe's own rainbow-path test never consults these checkers
+    monkeypatch.setattr(search, "find_rainbow_cycle", lambda g, max_len: [0, 1, 2, 3])
+    with pytest.raises(VerificationError, match="has a rainbow cycle"):
+        mad_star_probe(4)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "is_proper", lambda g: False)
+    with pytest.raises(VerificationError, match="is not proper"):
+        mad_star_probe(4)
 
 
 def test_mad_star_domain():

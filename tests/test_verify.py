@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,90 @@ def test_fact_ab_fails_without_an_extremal_split(monkeypatch):
     assert rep["extremal_tight_count"] == 0
     assert rep["failures"] == []
     assert not rep["passed"]
+
+
+def test_kk_suite_fails_on_a_raised_bound(monkeypatch):
+    from latticework import shadow
+
+    # every shadow of singletons is {{}}, one set short of a bound raised by 1
+    bound = shadow.kk_shadow_bound
+    monkeypatch.setattr(shadow, "kk_shadow_bound", lambda m, k, r: bound(m, k, r) + 1)
+    rep = verify_kk(n=3, k=1)
+    assert (rep["checked"], rep["passed"]) == (7, False)
+    # picks 1..5 of the layer {1}, {2}, {3} hold 1, 1, 2, 1 and 2 sets
+    assert rep["failures"] == [
+        {"family_size": m, "r": 1, "shadow": 1, "bound": 2} for m in (1, 1, 2, 1, 2)
+    ]
+
+
+def test_technical_suite_fails_on_a_failed_check(monkeypatch):
+    from latticework import shadow
+
+    monkeypatch.setattr(shadow, "technical_bound_check", lambda fam, mode: False)
+    rep = verify_technical(nmax=2, kmax=1)
+    assert (rep["checked"], rep["passed"]) == (6, False)
+    cases = [
+        ("k_plus_one", [[1], [2]], 3),
+        ("k_plus_one", [[1], [1, 2]], 4),
+        ("k_plus_one", [[2], [1, 2]], 4),
+        ("k", [[1]], 2),
+        ("k", [[2]], 2),
+    ]
+    assert rep["failures"] == [
+        {"n": 2, "k": 1, "mode": mode, "family": {"n": 2, "sets": sets}, "closure": closure}
+        for mode, sets, closure in cases
+    ]
+
+
+@pytest.mark.parametrize("name, fake, failure", [
+    ("find_rainbow_cycle", lambda g, max_len: [0, 1, 2], {"cycle": [0, 1, 2]}),
+    ("is_proper", lambda g: False, {"reason": "colouring not proper"}),
+])
+def test_colouring_suite_fails_on_a_failed_check(monkeypatch, name, fake, failure):
+    from latticework import colouring
+
+    monkeypatch.setattr(colouring, name, fake)
+    rep = verify_colouring(n=6, samples=0)
+    assert (rep["checked"], rep["passed"]) == (6, False)
+    assert len(rep["failures"]) == MAX_REPORTED_FAILURES
+    assert rep["failures"] == [
+        {"case": f"full layers ({k},{k + 1}) of [6]", **failure} for k in range(5)
+    ]
+
+
+def test_key_lemma_suite_fails_without_a_lower_boundary(monkeypatch):
+    from latticework import shadow
+    from latticework.search import disconnected_splits
+
+    # with no set below, each set of size k >= 2 above lacks its k - 1 partners
+    pair = shadow.boundary_pair
+    monkeypatch.setattr(
+        shadow, "boundary_pair",
+        lambda a, b: replace(pair(a, b), fminus=SetFamily.from_masks(a.n, ())),
+    )
+    rep = verify_key_lemma(n=3)
+    splits = disconnected_splits(3)
+    above = [(a, b, sorted(f.bit_count() for f in pair(a, b).fplus)) for a, b in splits]
+    assert rep["splits"] == 9 and not rep["passed"]
+    assert rep["checked"] == sum(len(sizes) for _, _, sizes in above)
+    want = [
+        {"a": a.to_jsonable(), "b": b.to_jsonable(), "above_size": k, "have": 0}
+        for a, b, sizes in above
+        for k in sizes
+        if k >= 2
+    ]
+    assert len(want) > MAX_REPORTED_FAILURES
+    assert rep["failures"] == want[:MAX_REPORTED_FAILURES]
+
+
+def test_failing_suite_exits_one(capsys, monkeypatch):
+    from latticework import shadow
+    from latticework.cli import main
+
+    monkeypatch.setattr(shadow, "technical_bound_check", lambda fam, mode: False)
+    code = main(["--format", "json", "verify", "technical", "--nmax", "2", "--kmax", "1"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["results"] == verify_technical(nmax=2, kmax=1)
 
 
 def test_kk_suite_passes():
