@@ -3,16 +3,15 @@
 The constructions are cheap; the value is in `certify`, which re-derives
 every claimed property (size, component structure, diamond shape,
 disconnection, maximality) from the raw masks rather than trusting the
-generator.  Every claim about components is checked against the
-comparability components that `core.comparability_graph` computes from
-the masks, whatever the family's size; a component is a diamond when its
-members fill the interval between their meet and their join.  Bitsets of
-members come from `core.family_bits`.
+generator.  A claim holds keys of `CLAIM_KEYS` only, and each claimed
+value is compared with one derived from the comparability components that
+`core.comparability_graph` computes from the masks, whatever the family's
+size; a component is a diamond when its members fill the interval between
+their meet and their join.  Bitsets of members come from `core.family_bits`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -29,8 +28,6 @@ from .core import (
     comparability_graph,
     downset_bits,
     family_bits,
-    height,
-    is_antichain,
     layer_masks,
     upset_bits,
     _full,
@@ -166,6 +163,19 @@ def full_layer_pair(n: int, k: int) -> tuple[SetFamily, SetFamily]:
 # Certification
 
 
+# The keys a claim may hold, in the order certify reports them.
+CLAIM_KEYS = (
+    "size",
+    "component_count",
+    "component_order",
+    "diamond_components",
+    "disconnected",
+    "isolated_member",
+    "rest_connected",
+    "maximally_disconnected",
+)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -253,77 +263,49 @@ def links_every_component(family: SetFamily, component_members: Sequence[Sequenc
 
 
 def certify(family: SetFamily, claim: dict) -> CertificationReport:
-    """Re-derive each claimed property from the raw masks; report per check."""
-    checks: list[CheckResult] = []
+    """Re-derive each claimed property from the raw masks; report per check.
 
-    if "size" in claim:
-        checks.append(
-            CheckResult("size", claim["size"], len(family), len(family) == claim["size"])
+    The checks follow CLAIM_KEYS order.  A key outside CLAIM_KEYS, or a
+    diamond_components value other than True or {"height": int}, raises
+    DomainError.
+    """
+    unknown = claim.keys() - set(CLAIM_KEYS)
+    if unknown:
+        raise DomainError(f"unknown claim keys {sorted(map(repr, unknown))}; known: {CLAIM_KEYS}")
+    shape = claim.get("diamond_components", True)
+    if shape is not True and not (
+        isinstance(shape, dict) and shape.keys() == {"height"} and type(shape["height"]) is int
+    ):
+        raise DomainError(
+            f'diamond_components claim must be True or {{"height": int}}, got {shape!r}'
         )
-    if "height" in claim:
-        h = height(family)
-        checks.append(CheckResult("height", claim["height"], h, h == claim["height"]))
-    if "antichain" in claim:
-        ok = is_antichain(family)
-        checks.append(CheckResult("antichain", True, ok, ok))
+    comps = comparability_graph(family).component_members
 
-    component_keys = {
-        "component_count",
-        "component_order",
-        "max_component_order",
-        "diamond_components",
-        "disconnected",
-        "isolated_member",
-        "rest_connected",
-        "maximally_disconnected",
-    }
-    if not component_keys & claim.keys():
-        return CertificationReport(family_size=len(family), checks=tuple(checks))
+    def derive(key: str, want) -> tuple[object, bool]:
+        # (actual, passed) for one claimed value
+        if key == "size":
+            return len(family), len(family) == want
+        if key == "component_count":
+            return len(comps), len(comps) == want
+        if key == "component_order":
+            orders = sorted(map(len, comps))
+            return orders, all(o == want for o in orders)
+        if key == "diamond_components":
+            _, _, heights, gap = _diamond_census(comps)
+            ok = gap is None and (want is True or heights.count(want["height"]) == len(heights))
+            return ok, ok
+        if key == "disconnected":
+            return len(comps), (len(comps) >= 2) == want
+        if key == "isolated_member":
+            ok = (want,) in comps
+            return ok, ok
+        if key == "rest_connected":
+            ok = sum(ms != (claim.get("isolated_member"),) for ms in comps) == 1
+        else:  # maximally_disconnected
+            ok = len(comps) >= 2 and links_every_component(family, comps)
+        return ok, ok == want
 
-    graph = comparability_graph(family)
-    comp_members = graph.component_members
-    orders = sorted(graph.component_orders)
-    if "component_count" in claim:
-        checks.append(
-            CheckResult(
-                "component_count",
-                claim["component_count"],
-                graph.n_components,
-                graph.n_components == claim["component_count"],
-            )
-        )
-    if "component_order" in claim:
-        want = claim["component_order"]
-        ok = all(o == want for o in orders)
-        checks.append(CheckResult("component_order", want, orders, ok))
-    if "max_component_order" in claim:
-        want = claim["max_component_order"]
-        actual = max(orders, default=0)
-        checks.append(
-            CheckResult("max_component_order", f"<= {want}", actual, actual <= want)
-        )
-    if "diamond_components" in claim:
-        want = claim["diamond_components"]
-        want_h = want.get("height") if isinstance(want, dict) else None
-        _, _, heights, gap = _diamond_census(comp_members)
-        ok = gap is None and (want_h is None or heights.count(want_h) == len(heights))
-        checks.append(CheckResult("diamond_components", want, ok, ok))
-    if "disconnected" in claim:
-        ok = graph.n_components >= 2
-        checks.append(CheckResult("disconnected", True, graph.n_components, ok))
-    if "isolated_member" in claim:
-        m = claim["isolated_member"]
-        i = bisect_left(family.members, m)
-        ok = family.members[i:i + 1] == (m,) and any(members == (m,) for members in comp_members)
-        checks.append(CheckResult("isolated_member", m, ok, ok))
-    if "rest_connected" in claim:
-        iso = claim.get("isolated_member")
-        rest_comps = [ms for ms in comp_members if ms != (iso,)]
-        ok = len(rest_comps) == 1
-        checks.append(CheckResult("rest_connected", True, ok, ok))
-    if "maximally_disconnected" in claim:
-        ok = graph.n_components >= 2 and links_every_component(
-            family, comp_members
-        )
-        checks.append(CheckResult("maximally_disconnected", True, ok, ok))
-    return CertificationReport(family_size=len(family), checks=tuple(checks))
+    checks = tuple(
+        CheckResult(key, claim[key], *derive(key, claim[key])) for key in CLAIM_KEYS if key in claim
+    )
+    return CertificationReport(family_size=len(family), checks=checks)

@@ -16,8 +16,11 @@ the canonical copy of every optimal family survives.
 Budgets are node counts, never wall clocks, counted by one `_Budget`: every
 search defaults to NODE_BUDGET, None is unbounded, a negative budget acts
 as 0, and the node after the budget stops the search at max(budget, 0) + 1
-nodes, proven_optimal=False, with its incumbent (value and witness None
-before the first candidate).
+nodes, proven_optimal=False, with its incumbent.  Before the first
+candidate that incumbent is value and witness None for `xi_star_exact` and
+`min_two_chains`, 0 and an empty witness for `mad_star_probe`,
+`lambda_star_exact` and `max_disconnected`, and the seed family for
+`la_exact`.
 Every witness is re-checked by independent code before it is returned,
 and a failed check raises VerificationError, under `python -O` too.
 

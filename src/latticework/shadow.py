@@ -18,7 +18,6 @@ from .core import (
     bits_to_family,
     downset_bits,
     family_bits,
-    is_comparable,
     shade_bits,
     shadow_bits,
     upset_bits,
@@ -130,26 +129,31 @@ def technical_bound_check(s: SetFamily, mode: str) -> bool:
     return not s.members or downset_bits(s.n, family_bits(s)).bit_count() >= floor
 
 
-def _check_split(a: SetFamily, b: SetFamily) -> None:
+def _split_bits(a: SetFamily, b: SetFamily) -> int:
+    """The bitset of both sides' members, refused unless the sides form a disconnected split."""
     if a.n != b.n:
         raise DomainError("split sides live in different cubes")
     if not a.members or not b.members:
         raise PreconditionError("both sides of a split must be nonempty")
-    for x in a.members:
-        for y in b.members:
-            if x == y:
-                raise PreconditionError(f"shared member {x:#x}: not a disconnected split")
-            if is_comparable(x, y):
-                raise PreconditionError(
-                    f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split"
-                )
+    n = a.n
+    bits_a, bits_b = family_bits(a), family_bits(b)
+    # the members of a equal or comparable to some member of b; the least
+    # such x and the first member y of b around it are the first pair a
+    # scan of a, then b, in ascending order would meet
+    hit = bits_a & (downset_bits(n, bits_b) | upset_bits(n, bits_b))
+    if hit:
+        x = (hit & -hit).bit_length() - 1
+        y = next(m for m in b.members if m & x in (m, x))
+        if x == y:
+            raise PreconditionError(f"shared member {x:#x}: not a disconnected split")
+        raise PreconditionError(f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split")
+    return bits_a | bits_b
 
 
 def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
     """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
-    _check_split(a, b)
+    both = _split_bits(a, b)
     n = a.n
-    both = family_bits(a) | family_bits(b)
     missed_below = _full(n) ^ downset_bits(n, both)
     # complement of a downset is an upset: minimal members have no lower cover inside
     fplus = missed_below & ~shade_bits(n, missed_below)

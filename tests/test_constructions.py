@@ -4,6 +4,7 @@ import pytest
 
 from latticework.blym import diamond_blym_sum
 from latticework.constructions import (
+    CLAIM_KEYS,
     Diamond,
     certify,
     diamond_claim,
@@ -92,11 +93,22 @@ def test_full_layer_pair():
     assert len(a) == 4 and len(b) == 6
 
 
+def _assert_certified(fam, claim):
+    report = certify(fam, claim)
+    assert report.ok, report
+    assert report.family_size == len(fam)
+    # one check per claimed key, in CLAIM_KEYS order whatever the claim's
+    # order, each against its claimed value
+    assert [c.name for c in report.checks] == [k for k in CLAIM_KEYS if k in claim]
+    assert [c.expected for c in report.checks] == [claim[c.name] for c in report.checks]
+    assert certify(fam, dict(reversed(claim.items()))) == report
+
+
 def test_certify_sharp_families():
-    for n, k in [(3, 1), (5, 2), (8, 3), (12, 0)]:
-        report = certify(sharp_family(n, k), sharp_claim(n, k))
-        assert all(c.passed for c in report.checks), report
-        assert report.family_size == len(sharp_family(n, k))
+    for n in range(1, 11):
+        for k in range(n + 1):
+            for ceil_middle in (False, True):
+                _assert_certified(sharp_family(n, k, ceil_middle), sharp_claim(n, k, ceil_middle))
 
 
 def test_certify_large_sharp_family_structured_path():
@@ -121,15 +133,44 @@ def test_certify_structured_path_beyond_closure_cap():
 
 
 def test_certify_disconnected():
-    for n in (2, 3, 4, 6):
-        report = certify(disconnected_extremal(n), disconnected_claim(n))
-        assert all(c.passed for c in report.checks)
+    for n in range(2, 11):
+        _assert_certified(disconnected_extremal(n), disconnected_claim(n))
 
 
 def test_certify_diamond():
-    d = Diamond(mask_of([2]), mask_of([1, 2, 4]))
-    report = certify(diamond_family(d, 4), diamond_claim(d))
-    assert all(c.passed for c in report.checks)
+    for top in range(1 << 4):
+        for bottom in range(top + 1):
+            if not bottom & ~top:
+                d = Diamond(bottom, top)
+                _assert_certified(diamond_family(d, 4), diamond_claim(d))
+
+
+@pytest.mark.parametrize("claim", [
+    {"compnent_count": 999},
+    {"size": 48, "height": 2},
+    {"antichain": True},
+    {"max_component_order": 4},
+    {"diamond_components": {"hieght": 1}},
+    {"diamond_components": {"height": 1, "bottom": 0}},
+    {"diamond_components": {"height": True}},
+    {"diamond_components": {}},
+    {"diamond_components": False},
+    {"diamond_components": 2},
+])
+def test_certify_refuses_unknown_keys_and_diamond_shapes(claim):
+    with pytest.raises(DomainError):
+        certify(sharp_family(6, 2), claim)
+
+
+def test_certify_compares_every_boolean_claim():
+    fam = disconnected_extremal(4)
+    for key in ("disconnected", "rest_connected", "maximally_disconnected"):
+        claim = {**disconnected_claim(4), key: False}
+        (check,) = certify(fam, claim).failures()
+        assert (check.name, check.expected) == (key, False)
+    # a connected family may claim it is not disconnected
+    report = certify(sharp_family(4, 4), {"disconnected": False, "maximally_disconnected": False})
+    assert report.ok
 
 
 def test_certify_rejects_tampered_family():

@@ -1,3 +1,10 @@
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from latticework.core import (
@@ -119,6 +126,62 @@ def test_split_sides_sharing_a_member_are_refused():
     for call in (boundary_pair, boundary_report):
         with pytest.raises(PreconditionError, match="shared member 0x6"):
             call(a, b)
+
+
+def _pairwise_split_refusal(a, b):
+    """The refusal of a split from its definition: the first pair a scan meets."""
+    for x in a.members:
+        for y in b.members:
+            if x == y:
+                return f"shared member {x:#x}: not a disconnected split"
+            if x & y in (x, y):
+                return f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split"
+    return None
+
+
+def test_split_refusal_matches_pairwise_scan():
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        a, b = (
+            SetFamily.from_masks(n, sorted(rng.sample(range(1 << n), rng.randint(1, 3))))
+            for _ in range(2)
+        )
+        want = _pairwise_split_refusal(a, b)
+        try:
+            bp = boundary_pair(a, b)
+        except PreconditionError as exc:
+            got = str(exc)
+        else:
+            got = None
+            assert bp.fplus.members and bp.fminus.members
+        assert got == want, (a, b)
+        kinds.add(want and want.split()[0])
+    assert kinds == {None, "shared", "cross-comparable"}
+
+
+def test_large_split_is_checked_without_testing_pairs():
+    # layer 8 of [16] split by element 1: 6,435 members a side, about 4e7
+    # pairs to test one by one; a child process, so a slow check times out
+    code = """
+import json
+from latticework.core import SetFamily, layer_masks
+from latticework.shadow import boundary_report
+layer = layer_masks(16, 8)
+a = SetFamily.from_masks(16, [m for m in layer if m & 1])
+b = SetFamily.from_masks(16, [m for m in layer if not m & 1])
+rep = boundary_report(a, b)
+print(json.dumps([rep["family_size"], rep["excluded_count"], rep["bound_holds"]]))
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=4
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [12870, 52666, True]
 
 
 def test_boundary_nonempty_on_any_valid_split():
