@@ -30,6 +30,7 @@ from .core import (
     family_bits,
     layer_masks,
     upset_bits,
+    _check_ground,
     _full,
     _layer,
 )
@@ -108,6 +109,7 @@ def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
 
 def diamond_family(d: Diamond, n: int) -> SetFamily:
     """All sets X with bottom <= X <= top, as a family over [n]."""
+    _check_ground(n)
     if d.top >= 1 << n:
         raise DomainError("diamond does not fit in the ground set")
     free = d.top ^ d.bottom

@@ -11,7 +11,12 @@ the point: the enumeration is the oracle for the closed form.
 The enumeration still visits every chain, and never uses layer sizes.  For
 n <= 8 column i holds each chain's i-th prefix, one byte per permutation;
 a 256-byte membership table translates it, and the columns added as
-integers give every T(sigma).  Larger n split chains at their first element.
+integers give every T(sigma).  The columns of [n] are built from those of
+[n - 1]: in lexicographic order the permutations that start with f are f
+followed by the permutations of the other n - 1 elements, so column i of
+[n] joins, over f, column i - 1 of [n - 1] translated by a 256-byte table
+that renames [n - 1] onto the other elements and adds bit f.  Larger n
+split chains at their first element.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import comb, factorial
 
 from .core import DomainError, ResourceLimitError, SetFamily
@@ -66,14 +70,17 @@ def lubell(family: SetFamily) -> Fraction:
 @cache
 def _prefix_columns(n: int) -> tuple[bytes, ...]:
     """Column i holds, at byte j, the i-element prefix of permutation j's chain."""
-    size = factorial(n)
-    lift = bytes.maketrans(bytes(range(n)), bytes(1 << b for b in range(n)))
-    columns = [bytes(size)]
-    prefix = 0
-    for elements in zip(*permutations(range(n))):
-        prefix |= int.from_bytes(bytes(elements).translate(lift), "little")
-        columns.append(prefix.to_bytes(size, "little"))
-    return tuple(columns)
+    if n == 0:
+        return (b"\0",)
+    # lifts[f] renames a prefix of [n - 1] onto [n] without f, and adds f
+    lifts = [
+        bytes(x & (1 << f) - 1 | x >> f << f + 1 | 1 << f for x in range(1 << n - 1))
+        .ljust(256, b"\0")
+        for f in range(n)
+    ]
+    return (bytes(factorial(n)),) + tuple(
+        b"".join(col.translate(lift) for lift in lifts) for col in _prefix_columns(n - 1)
+    )
 
 
 def meet_profile(family: SetFamily) -> MeetProfile:

@@ -3,16 +3,43 @@
 Every generator takes a random.Random instance so that suites are
 reproducible from a single seed.  Rejection loops are bounded by
 attempt counts, never by wall clock.
+
+Draw contract: the generators make the same `getrandbits` calls, in the
+same order, as `random.Random`'s `randrange`, `shuffle` and `randint`
+would (`_below` is CPython's `_randbelow_with_getrandbits`), so a seed
+gives the same families as those methods did; `tests/test_sampling.py`
+pins this against reference copies that call the methods.  Sizes are
+checked before the first draw, so a refused call leaves the generator
+untouched.
 """
 
 import random
 
-from .core import SetFamily, comparability_graph, is_comparable, layer_masks
+from .core import DomainError, SetFamily, _check_ground, comparability_graph, layer_masks
 from .constructions import Diamond, diamond_family
+
+
+def _below(bits, m: int) -> int:
+    """rng.randrange(m) from rng.getrandbits: redraw k bits while >= m."""
+    if m < 1:
+        # getrandbits(0) is 0, so the loop below would never end
+        raise DomainError(f"no integer lies in [0, {m})")
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
+def _check_sizes(n: int, max_height: int = 0) -> None:
+    _check_ground(n)
+    if max_height < 0:
+        raise DomainError(f"max_height {max_height} is negative")
 
 
 def random_family(rng: random.Random, n: int, size: int) -> SetFamily:
     """Uniform family of exactly `size` distinct subsets of [n]."""
+    _check_ground(n)
     if size > 1 << n:
         raise ValueError(f"only {1 << n} subsets exist")
     return SetFamily.from_masks(n, rng.sample(range(1 << n), size))
@@ -20,24 +47,35 @@ def random_family(rng: random.Random, n: int, size: int) -> SetFamily:
 
 def random_antichain(rng: random.Random, n: int, attempts: int) -> SetFamily:
     """Greedy antichain: keep each draw that stays incomparable to the kept ones."""
+    _check_ground(n)
+    bits, cube = rng.getrandbits, 1 << n
     kept: list[int] = []
     for _ in range(attempts):
-        m = rng.randrange(1 << n)
+        m = _below(bits, cube)
         if m in kept:
             continue
-        if all(not is_comparable(m, other) for other in kept):
+        for other in kept:
+            meet = m & other
+            if meet == m or meet == other:
+                break
+        else:
             kept.append(m)
     return SetFamily.from_masks(n, kept)
 
 
+def _interval(bits, n: int, max_height: int) -> tuple[int, int]:
+    # randrange(1 << n), shuffle(free) and randint(0, min(max_height, len(free)))
+    bottom = _below(bits, 1 << n)
+    free = [1 << i for i in range(n) if not bottom >> i & 1]
+    for i in range(len(free) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        free[i], free[j] = free[j], free[i]
+    return bottom, bottom | sum(free[: _below(bits, min(max_height, len(free)) + 1)])
+
+
 def random_interval(rng: random.Random, n: int, max_height: int) -> Diamond:
-    bottom = rng.randrange(1 << n)
-    free = [i for i in range(n) if not (bottom >> i) & 1]
-    rng.shuffle(free)
-    extra = 0
-    for i in free[: rng.randint(0, min(max_height, len(free)))]:
-        extra |= 1 << i
-    return Diamond(bottom, bottom | extra)
+    _check_sizes(n, max_height)
+    return Diamond(*_interval(rng.getrandbits, n, max_height))
 
 
 def random_all_diamond_family(
@@ -48,21 +86,21 @@ def random_all_diamond_family(
     Two intervals admit a comparable cross pair exactly when one bottom
     fits under the other top, so independence is two subset tests.
     """
-    accepted: list[Diamond] = []
+    _check_sizes(n, max_height)
+    bits = rng.getrandbits
+    accepted: list[tuple[int, int]] = []
     for _ in range(6 * target_components):
         if len(accepted) == target_components:
             break
-        d = random_interval(rng, n, max_height)
-        ok = True
-        for e in accepted:
-            if (d.bottom & e.top) == d.bottom or (e.bottom & d.top) == e.bottom:
-                ok = False
+        bottom, top = _interval(bits, n, max_height)
+        for b, t in accepted:
+            if bottom & t == bottom or b & top == b:
                 break
-        if ok:
-            accepted.append(d)
+        else:
+            accepted.append((bottom, top))
     masks: list[int] = []
     for d in accepted:
-        masks.extend(diamond_family(d, n).members)
+        masks.extend(diamond_family(Diamond(*d), n).members)
     return SetFamily.from_masks(n, masks)
 
 
@@ -70,8 +108,9 @@ def random_layer_pair(
     rng: random.Random, n: int, k: int, density: float = 0.5
 ) -> tuple[SetFamily, SetFamily]:
     """Random subfamilies of layers k and k+1."""
-    a = [m for m in layer_masks(n, k) if rng.random() < density]
-    b = [m for m in layer_masks(n, k + 1) if rng.random() < density]
+    lower, upper = layer_masks(n, k), layer_masks(n, k + 1)
+    a = [m for m in lower if rng.random() < density]
+    b = [m for m in upper if rng.random() < density]
     return SetFamily.from_masks(n, a), SetFamily.from_masks(n, b)
 
 
@@ -82,6 +121,7 @@ def random_order_bounded_family(rng: random.Random, n: int) -> tuple[SetFamily, 
     components) and antichains so the normalization suite sees varied
     component shapes.
     """
+    _check_ground(n)
     style = rng.randrange(3)
     if style == 0:
         family = random_family(rng, n, rng.randint(0, max(1, (1 << n) // 2)))

@@ -342,6 +342,18 @@ def test_domain_error_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["construct", "diamond", "--n", "-1", "--top", "1,2"],
+    ["construct", "diamond", "--n", "99999999999999999999", "--top", ""],
+])
+def test_diamond_checks_its_ground_before_shifting(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ground set size ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["search", "lambda-star", "--n", "-1", "--t", "2"],
     ["search", "min2chains", "--n", "-1", "--m", "2"],
     ["search", "xi-star", "--n", "0", "--m", "1"],

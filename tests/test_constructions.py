@@ -74,6 +74,10 @@ def test_diamond_family_is_the_full_interval():
     assert all(m & d.bottom == d.bottom and m | d.top == d.top for m in fam)
     with pytest.raises(DomainError):
         diamond_family(Diamond(mask_of([2]), mask_of([1])), 3)
+    # the ground size is checked before top is compared with 2^n
+    for n in (-1, 0, 64, 10**20):
+        with pytest.raises(DomainError):
+            diamond_family(Diamond(0, 0b11), n)
     # 2^21 masks: refused before any is listed
     with pytest.raises(ResourceLimitError):
         diamond_family(Diamond(0, (1 << 21) - 1), 21)

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +142,38 @@ def test_diamond_meet_count_hand_value():
     assert diamond_meet_count(0, 0b11, 2) == factorial(2)
     with pytest.raises(DomainError):
         diamond_meet_count(0b010, 0b001, 2)
+
+
+PEAK_PROBE = """
+import json
+
+
+def high_water():
+    # VmHWM is this process's peak resident size in KiB.  ru_maxrss would
+    # start at the pytest process's size, which Linux carries across exec
+    for line in open("/proc/self/status"):
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+
+
+from latticework.lubell import _prefix_columns
+
+before = high_water()
+_prefix_columns(8)
+print(json.dumps([before, high_water()]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
+def test_prefix_columns_build_without_a_peak():
+    # the 9 columns of [8] take 363 KB; building them from those of [7]
+    # must not hold the 8! permutations at once
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert after - before < 2048

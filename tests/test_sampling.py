@@ -1,8 +1,21 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from latticework.blym import family_diamonds
-from latticework.constructions import diamond_family
-from latticework.core import comparability_graph, is_antichain
+from latticework.constructions import Diamond, diamond_family
+from latticework.core import (
+    DomainError,
+    SetFamily,
+    comparability_graph,
+    is_antichain,
+    is_comparable,
+)
 from latticework.normalize import skip_count
 from latticework.sampling import (
     random_all_diamond_family,
@@ -71,3 +84,147 @@ def test_order_bounded_family_respects_its_bound():
             assert comparability_graph(fam).max_component_order() <= t
             # the sampler may emit skips; normalization is tested elsewhere
             assert skip_count(fam) >= 0
+
+
+# Reference copies of the samplers as they were written with randrange,
+# shuffle and randint; the samplers must make the very same draws.
+def _ref_antichain(rng, n, attempts):
+    kept = []
+    for _ in range(attempts):
+        m = rng.randrange(1 << n)
+        if m in kept:
+            continue
+        if all(not is_comparable(m, other) for other in kept):
+            kept.append(m)
+    return SetFamily.from_masks(n, kept)
+
+
+def _ref_interval(rng, n, max_height):
+    bottom = rng.randrange(1 << n)
+    free = [i for i in range(n) if not (bottom >> i) & 1]
+    rng.shuffle(free)
+    extra = 0
+    for i in free[: rng.randint(0, min(max_height, len(free)))]:
+        extra |= 1 << i
+    return Diamond(bottom, bottom | extra)
+
+
+def _ref_all_diamond_family(rng, n, target_components, max_height=3):
+    accepted = []
+    for _ in range(6 * target_components):
+        if len(accepted) == target_components:
+            break
+        d = _ref_interval(rng, n, max_height)
+        ok = True
+        for e in accepted:
+            if (d.bottom & e.top) == d.bottom or (e.bottom & d.top) == e.bottom:
+                ok = False
+                break
+        if ok:
+            accepted.append(d)
+    masks = []
+    for d in accepted:
+        masks.extend(diamond_family(d, n).members)
+    return SetFamily.from_masks(n, masks)
+
+
+def _ref_order_bounded_family(rng, n):
+    style = rng.randrange(3)
+    if style == 0:
+        family = random_family(rng, n, rng.randint(0, max(1, (1 << n) // 2)))
+    elif style == 1:
+        masks = []
+        for _ in range(rng.randint(1, 4)):
+            d = _ref_interval(rng, n, max_height=min(3, n))
+            masks.extend(diamond_family(d, n).members)
+        family = SetFamily.from_masks(n, masks)
+    else:
+        family = _ref_antichain(rng, n, attempts=2 * n)
+    if not family.members:
+        return family, 1
+    return family, comparability_graph(family).max_component_order()
+
+
+def test_draws_match_the_random_methods():
+    # every output and the generator state after every call
+    for seed in range(500):
+        ref, new = random.Random(seed), random.Random(seed)
+        for n in range(1, 11):
+            height, target = (seed + n) % 6, 1 + (seed // 6 + n) % 6
+            calls = [
+                (_ref_interval, random_interval, (n, height)),
+                (_ref_all_diamond_family, random_all_diamond_family, (n, target, height)),
+                (_ref_antichain, random_antichain, (n, 2 * target)),
+                (_ref_order_bounded_family, random_order_bounded_family, (n,)),
+            ]
+            for reference, sampler, args in calls:
+                assert sampler(new, *args) == reference(ref, *args), (seed, sampler, args)
+                assert new.getstate() == ref.getstate(), (seed, sampler, args)
+
+
+BAD_GROUND = (-1, 0, 64, 10**20)
+
+
+@pytest.mark.parametrize("n", BAD_GROUND)
+def test_samplers_refuse_bad_ground_before_drawing(n):
+    rng = random.Random(8)
+    state = rng.getstate()
+    calls = [
+        lambda: random_family(rng, n, 1),
+        lambda: random_antichain(rng, n, 3),
+        lambda: random_interval(rng, n, 2),
+        lambda: random_all_diamond_family(rng, n, 2),
+        lambda: random_layer_pair(rng, n, 0),
+        lambda: random_order_bounded_family(rng, n),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+        assert rng.getstate() == state
+
+
+def test_layer_pair_refuses_a_top_layer_before_drawing():
+    rng = random.Random(8)
+    state = rng.getstate()
+    with pytest.raises(DomainError):
+        random_layer_pair(rng, 4, 4)
+    assert rng.getstate() == state
+
+
+NEGATIVE_HEIGHT_PROBE = """
+import json, random
+from latticework.core import DomainError
+from latticework.sampling import _below, random_all_diamond_family, random_interval
+
+rng = random.Random(8)
+state = rng.getstate()
+calls = [
+    lambda: random_interval(rng, 3, -1),
+    lambda: random_all_diamond_family(rng, 3, 2, -1),
+    lambda: _below(rng.getrandbits, 0),
+    lambda: _below(rng.getrandbits, -3),
+]
+out = []
+for call in calls:
+    try:
+        call()
+        out.append("returned")
+    except DomainError:
+        out.append("DomainError")
+    out.append(rng.getstate() == state)
+print(json.dumps(out))
+"""
+
+
+def test_negative_height_is_refused_before_drawing():
+    # getrandbits(0) is 0, so an unguarded draw below 0 never ends: run it
+    # in a child process, where a lost guard fails on the timeout
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_HEIGHT_PROBE],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["DomainError", True] * 4
