@@ -6,12 +6,12 @@ because a maximal chain meets at most one component and meets the diamond
 [A, B] exactly when all of A appears before everything outside B.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .core import (
     DomainError,
+    _Record,
     PreconditionError,
     SetFamily,
     VerificationError,
@@ -23,12 +23,14 @@ from .constructions import Diamond, _diamond_census, detect_diamond  # detect_di
 from .lubell import lubell
 
 
-@dataclass(frozen=True)
-class DiamondProfile:
+class DiamondProfile(_Record):
     """Component census: count of diamond components per (bottom layer, height)."""
 
-    n: int
-    counts: tuple[tuple[int, int, int], ...]
+    _fields = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, j): c for i, j, c in self.counts}

@@ -21,7 +21,6 @@ code.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -159,11 +158,15 @@ def _bind(fn, args) -> dict:
     """The options of args that fn takes, as keyword arguments in fn's
     parameter order.  An unset option leaves fn's default in place, or is
     a usage error where the parameter has none."""
+    code, kwdefaults = fn.__code__, fn.__kwdefaults__ or {}
+    # the positional parameters from index `optional` on take fn.__defaults__
+    positional = code.co_argcount
+    optional = positional - len(fn.__defaults__ or ())
     kwargs = {}
-    for name, param in inspect.signature(fn).parameters.items():
+    for i, name in enumerate(code.co_varnames[:positional + code.co_kwonlyargcount]):
         if (value := getattr(args, name, None)) is not None:
             kwargs[name] = value
-        elif param.default is param.empty:
+        elif i < optional or (i >= positional and name not in kwdefaults):
             raise _UsageError(f"--{name.replace('_', '-')} is required here")
     return kwargs
 

@@ -7,26 +7,25 @@ rainbow cycle; find_rainbow_cycle verifies that exhaustively at small
 scale.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, ResourceLimitError, SetFamily
+from .core import DomainError, ResourceLimitError, SetFamily, _Record
 
 RAINBOW_VERTEX_CAP = 64
 RAINBOW_LEN_CAP = 64
 
 
-@dataclass(frozen=True)
-class EdgeColouredGraph:
+class EdgeColouredGraph(_Record):
     """Simple graph with positive integer edge colours, edges as (u, v, colour)."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, int], ...]
+    _fields = ("n_vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", edges)
         seen = set()
-        for u, v, colour in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+        for u, v, colour in edges:
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise DomainError(f"edge ({u},{v}) off the vertex range")
             if u == v:
                 raise DomainError("loops are not allowed")
@@ -61,21 +60,21 @@ class EdgeColouredGraph:
         return cls(vertices, tuple(map(tuple, edges)))
 
 
-@dataclass(frozen=True)
-class LayerPairGraph:
+class LayerPairGraph(_Record):
     """Subfamily of layer k versus subfamily of layer k+1, edges = containments."""
 
-    a: SetFamily
-    b: SetFamily
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.n != self.b.n:
+    def __init__(self, a: SetFamily, b: SetFamily):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a.n != b.n:
             raise DomainError("layer pair sides live in different cubes")
-        _single_layer(self.a)
-        _single_layer(self.b)
-        if self.a.members and self.b.members:
-            ka = self.a.members[0].bit_count()
-            kb = self.b.members[0].bit_count()
+        _single_layer(a)
+        _single_layer(b)
+        if a.members and b.members:
+            ka = a.members[0].bit_count()
+            kb = b.members[0].bit_count()
             if kb != ka + 1:
                 raise DomainError(f"layers {ka} and {kb} are not adjacent")
 

@@ -13,7 +13,6 @@ their meet and their join.  Bitsets of members come from `core.family_bits`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count, repeat
 from math import comb
@@ -33,18 +32,19 @@ from .core import (
     _check_ground,
     _full,
     _layer,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(_Record):
     """A full interval [bottom, top] in the Boolean lattice."""
 
-    bottom: int
-    top: int
+    _fields = ("bottom", "top")
 
-    def __post_init__(self):
-        if self.bottom & ~self.top:
+    def __init__(self, bottom: int, top: int):
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        if bottom & ~top:
             raise DomainError("diamond bottom must be a subset of top")
 
     @property
@@ -178,18 +178,22 @@ CLAIM_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
+class CheckResult(_Record):
+    _fields = ("name", "expected", "actual", "passed")
+
+    def __init__(self, name: str, expected: object, actual: object, passed: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    family_size: int
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class CertificationReport(_Record):
+    _fields = ("family_size", "checks")
+
+    def __init__(self, family_size: int, checks: tuple[CheckResult, ...] = ()):
+        object.__setattr__(self, "family_size", family_size)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

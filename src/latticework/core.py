@@ -28,15 +28,21 @@ Conventions used across the package:
   `_row_components` grows components along those rows, and `_full`,
   `_columns` and `_complements`, cached per n and capped like `family_bits`,
   hold the cube and the masks having (lacking) each bit.
+* Value classes are `_Record`s: immutable, compared and hashed by their
+  `_fields`, printed as `Name(field=value, ...)`, and built by their own
+  `__init__`, which sets the fields and then validates them.  They are
+  plain classes, not dataclasses: importing `dataclasses` loads `inspect`,
+  and each generated class costs about a millisecond, so together they
+  took longer than many short CLI commands' own work.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, compress
 from math import comb
+from operator import attrgetter
 
 MAX_GROUND = 63
 # The default node budget of every search.  Only the la searches can reach it;
@@ -66,6 +72,40 @@ class BudgetExhaustedError(ResourceLimitError):
 
 class VerificationError(LatticeError):
     """A computed result failed its independent re-check: a defect, not bad input."""
+
+
+class _Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in `_fields` and sets them with
+    `object.__setattr__` in its own `__init__`.  (Writing `self.__dict__`
+    instead builds faster but materialises the dict, and every later read
+    of a field then takes about three times as long.)  Records of the same
+    class are equal when their field tuples are, and hash as that tuple;
+    fields (and any other attribute) cannot be assigned or deleted
+    afterwards.  Instances keep a dict, so `cached_property` still works.
+    """
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def mask_of(elements) -> int:
@@ -132,23 +172,23 @@ def _check_ground(n: int) -> None:
         raise DomainError(f"ground set size {n} outside 1..{MAX_GROUND}")
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Record):
     """A duplicate-free family of subsets of [n], sorted by mask value."""
 
-    n: int
-    members: tuple[int, ...]
+    _fields = ("n", "members")
 
-    def __post_init__(self):
-        _check_ground(self.n)
+    def __init__(self, n: int, members: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        _check_ground(n)
         prev = -1
-        for m in self.members:
+        for m in members:
             if not prev < m:
                 raise DomainError("members must be strictly increasing masks")
             prev = m
         # the members ascend, so the last is the largest
-        if prev >= 1 << self.n:
-            raise DomainError(f"mask {prev} does not fit in ground set [{self.n}]")
+        if prev >= 1 << n:
+            raise DomainError(f"mask {prev} does not fit in ground set [{n}]")
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "SetFamily":
@@ -294,8 +334,7 @@ def _lane_below_counts(family: SetFamily) -> list[int]:
     return [int.from_bytes(lanes[m * width:(m + 1) * width], "little") - 1 for m in family.members]
 
 
-@dataclass(frozen=True)
-class ComparabilityGraph:
+class ComparabilityGraph(_Record):
     """Comparability (or cover) graph of a family, with its components.
 
     component_members[c] holds the masks of component c, ascending, and the
@@ -308,9 +347,12 @@ class ComparabilityGraph:
     up each member less one of its elements.
     """
 
-    family: SetFamily
-    component_members: tuple[tuple[int, ...], ...]
-    cover_only: bool = field(default=False)
+    _fields = ("family", "component_members", "cover_only")
+
+    def __init__(self, family: SetFamily, component_members: tuple, cover_only: bool = False):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "component_members", component_members)
+        object.__setattr__(self, "cover_only", cover_only)
 
     @property
     def n_components(self) -> int:

@@ -22,27 +22,28 @@ split chains at their first element.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .core import DomainError, ResourceLimitError, SetFamily
+from .core import DomainError, ResourceLimitError, SetFamily, _Record
 
 ENUMERATION_GROUND_CAP = 10
 _BYTE_GROUND = 8  # a prefix mask fits in one byte
 
 
-@dataclass(frozen=True)
-class MeetProfile:
+class MeetProfile(_Record):
     """Counts s_0..s_{n+1}: how many permutations meet the family i times.
 
     A maximal chain has n+1 prefixes, so a family containing all of 2^[n]
     is met n+1 times; counts therefore has length n+2.
     """
 
-    n: int
-    counts: tuple[int, ...]
+    _fields = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def meeting_count(self) -> int:

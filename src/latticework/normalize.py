@@ -16,7 +16,6 @@ new component lies inside the rewritten one are all re-checked.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .core import (
     ComparabilityGraph,
@@ -29,6 +28,7 @@ from .core import (
     family_bits,
     iter_bits,
     upset_bits,
+    _Record,
 )
 
 
@@ -36,21 +36,25 @@ class NormalizationError(VerificationError):
     """A validated property of the normalization step failed its re-check."""
 
 
-@dataclass(frozen=True)
-class SkipReport:
+class SkipReport(_Record):
     """A skip Y together with one witness pair X <= Y <= Z from the family."""
 
-    skip: int
-    witness_below: int
-    witness_above: int
+    _fields = ("skip", "witness_below", "witness_above")
+
+    def __init__(self, skip: int, witness_below: int, witness_above: int):
+        object.__setattr__(self, "skip", skip)
+        object.__setattr__(self, "witness_below", witness_below)
+        object.__setattr__(self, "witness_above", witness_above)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Record):
     """One normalization step: the mask added and the mask removed."""
 
-    added: int
-    removed: int
+    _fields = ("added", "removed")
+
+    def __init__(self, added: int, removed: int):
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "removed", removed)
 
 
 def _skip_bits(family: SetFamily) -> int:

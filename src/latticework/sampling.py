@@ -40,8 +40,8 @@ def _check_sizes(n: int, max_height: int = 0) -> None:
 def random_family(rng: random.Random, n: int, size: int) -> SetFamily:
     """Uniform family of exactly `size` distinct subsets of [n]."""
     _check_ground(n)
-    if size > 1 << n:
-        raise ValueError(f"only {1 << n} subsets exist")
+    if not 0 <= size <= 1 << n:
+        raise DomainError(f"size {size} outside 0..{1 << n}")
     return SetFamily.from_masks(n, rng.sample(range(1 << n), size))
 
 

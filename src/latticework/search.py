@@ -30,10 +30,10 @@ band of layers read its masks and pairwise relation from `_band`, built
 once per (n, band); it and the other reusable tables are cached with
 `functools.cache`, never a search's result.  The relabelling tables come
 from `core._mask_relabel_table`.  Bitsets of universe indices outside the
-inner loops are walked with `core.iter_bits`.
+inner loops are walked with `core.iter_bits`.  Only `xi_star_exact` and
+`mad_star_probe` use `colouring`, and they import it when called.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -52,24 +52,20 @@ from .core import (
     layer_masks,
     _comparability_rows,
     _mask_relabel_table,
+    _Record,
 )
 from .constructions import sharp_family
-from .colouring import (
-    EdgeColouredGraph,
-    LayerPairGraph,
-    avg_degree,
-    find_rainbow_cycle,
-    is_proper,
-)
 from .lubell import lubell
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    value: object
-    witness: object
-    nodes_explored: int
-    proven_optimal: bool
+class SearchResult(_Record):
+    _fields = ("value", "witness", "nodes_explored", "proven_optimal")
+
+    def __init__(self, value: object, witness: object, nodes_explored: int, proven_optimal: bool):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "proven_optimal", proven_optimal)
 
 
 class _BudgetExceeded(Exception):
@@ -518,6 +514,8 @@ def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResu
     Every bottom side is tried; for a fixed bottom side the best top
     side is exactly the m - |A| tops of largest containment degree.
     """
+    from .colouring import LayerPairGraph, avg_degree
+
     if not 1 <= n <= 5:
         raise DomainError("layer-pair exhaustion is limited to 1 <= n <= 5")
     if not 1 <= m <= 2 * binomial(n, n // 2):
@@ -707,6 +705,8 @@ def mad_star_probe(t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     always rainbow), so only the triangle-free ones are tried, each by
     exhaustive colouring search, in decreasing order of average degree.
     """
+    from .colouring import EdgeColouredGraph, find_rainbow_cycle, is_proper
+
     if not 1 <= t <= 7:
         raise DomainError("graph-by-graph exhaustion is limited to t <= 7")
     best = Fraction(0)

@@ -6,8 +6,6 @@ member.  The cascade machinery gives the classical lower bound on the
 size of an r-fold shadow of an m-member k-uniform family.
 """
 
-from dataclasses import dataclass
-
 from .core import (
     DomainError,
     PreconditionError,
@@ -21,15 +19,18 @@ from .core import (
     shade_bits,
     shadow_bits,
     upset_bits,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class CascadeRep:
+class CascadeRep(_Record):
     """Unique representation m = C(n_k,k) + C(n_{k-1},k-1) + ... + C(n_j,j)."""
 
-    k: int
-    terms: tuple[tuple[int, int], ...]
+    _fields = ("k", "terms")
+
+    def __init__(self, k: int, terms: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def value(self) -> int:
@@ -39,12 +40,14 @@ class CascadeRep:
         return sum(binomial(top, low - r) for top, low in self.terms)
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
+class BoundaryPair(_Record):
     """Minimal sets missed by both down-closures / maximal missed by both up-closures."""
 
-    fplus: SetFamily
-    fminus: SetFamily
+    _fields = ("fplus", "fminus")
+
+    def __init__(self, fplus: SetFamily, fminus: SetFamily):
+        object.__setattr__(self, "fplus", fplus)
+        object.__setattr__(self, "fminus", fminus)
 
 
 def down_closure(family: SetFamily) -> SetFamily:

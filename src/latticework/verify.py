@@ -13,7 +13,6 @@ expected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable
@@ -28,6 +27,7 @@ from .core import (
     family_bits,
     layer_masks,
     upset_bits,
+    _Record,
 )
 
 MAX_REPORTED_FAILURES = 5
@@ -372,14 +372,16 @@ def run_verifier(name: str, **params) -> dict:
     return VERIFIERS[name](**kwargs)
 
 
-@dataclass(frozen=True)
-class Reproduction:
+class Reproduction(_Record):
     """A pinned desk-scale computation with its frozen expected value."""
 
-    name: str
-    summary: str
-    expected: object
-    run: Callable[[], object]
+    _fields = ("name", "summary", "expected", "run")
+
+    def __init__(self, name: str, summary: str, expected: object, run: Callable[[], object]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "run", run)
 
 
 REPRODUCTIONS: dict[str, Reproduction] = {}

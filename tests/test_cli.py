@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from latticework import __version__
-from latticework import search
+from latticework import colouring, search
 from latticework.cli import CONSTRUCTIONS, SEARCHES, SUITE_NAMES, build_parser, main
 from latticework.constructions import disconnected_extremal, sharp_family
 from latticework.core import SetFamily
@@ -61,6 +61,31 @@ def test_every_parameter_of_a_command_function_is_an_option():
         options = vars(parser.parse_args(argv))
         for name in inspect.signature(fn).parameters:
             assert name in options, (argv, name)
+
+
+def test_bind_requires_exactly_the_parameters_without_defaults():
+    # _bind reads fn.__code__ and its defaults; inspect.signature is the reference
+    from argparse import Namespace
+
+    from latticework.cli import _bind, _UsageError
+
+    def local(a, b=2, *, c, d=4):
+        unused = a  # a local variable is not a parameter
+        return unused
+
+    fns = [local, make_skipless_with_trace, *CONSTRUCTIONS.values(), *VERIFIERS.values()]
+    fns += [getattr(search, name) for name in SEARCHES.values()]
+    for fn in fns:
+        params = inspect.signature(fn).parameters
+        given = {name: i + 1 for i, name in enumerate(params)}
+        assert list(_bind(fn, Namespace(**given, other=0)).items()) == list(given.items())
+        for name, param in params.items():
+            args = Namespace(**{k: v for k, v in given.items() if k != name})
+            if param.default is param.empty:
+                with pytest.raises(_UsageError, match=f"--{name.replace('_', '-')} is required"):
+                    _bind(fn, args)
+            else:
+                assert name not in _bind(fn, args), (fn, name)
 
 
 def test_suite_names_are_the_verifiers():
@@ -287,7 +312,7 @@ def test_failed_witness_check_exits_one(capsys, monkeypatch):
     ("is_proper", lambda g: False, "is not proper"),
 ])
 def test_failed_madstar_witness_check_exits_one(capsys, monkeypatch, name, fake, reason):
-    monkeypatch.setattr(search, name, fake)
+    monkeypatch.setattr(colouring, name, fake)
     code = main(["search", "madstar", "--t", "4"])
     captured = capsys.readouterr()
     assert code == 1

@@ -5,7 +5,9 @@ The package namespace is lazy: a bare `import latticework` loads `core` and
 The first half pins that namespace to the public names the eager package
 had.  The second half runs each CLI command in a fresh process and pins
 the package modules it leaves in `sys.modules`, so an eager import put back
-anywhere on a command's path fails here.
+anywhere on a command's path fails here.  Neither a bare import nor any
+command may load `dataclasses` or `inspect`, which cost a short process
+more than its own work.
 """
 
 import importlib
@@ -24,6 +26,8 @@ import latticework
 from latticework.constructions import disconnected_extremal
 
 ROOT = Path(__file__).resolve().parent.parent
+# stdlib modules no latticework process may load
+SLOW_STDLIB = ("dataclasses", "inspect")
 
 # `[n for n in dir(latticework) if not n.startswith("_")]` after a bare
 # `import latticework`, as the eager package gave it
@@ -106,25 +110,28 @@ def test_bare_import_loads_only_core_and_lubell():
     script = (
         "import json, sys, latticework\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('latticework.')),\n"
-        "                  [n for n in dir(latticework) if not n.startswith('_')]]))\n"
+        "                  [n for n in dir(latticework) if not n.startswith('_')],\n"
+        f"                  [m for m in {SLOW_STDLIB!r} if m in sys.modules]]))\n"
     )
-    loaded, public = run_python(script)
+    loaded, public, slow = run_python(script)
     assert loaded == ["latticework.core", "latticework.lubell"]
     assert public == PUBLIC_NAMES
+    assert slow == []
 
 
-FOOTPRINT_SCRIPT = """
+FOOTPRINT_SCRIPT = f"""
 import contextlib, io, json, sys
 from latticework import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("latticework."))
-print(json.dumps([code, loaded, "hashlib" in sys.modules]))
+slow = [m for m in {SLOW_STDLIB!r} if m in sys.modules]
+print(json.dumps([code, loaded, "hashlib" in sys.modules, slow]))
 """
 
 BASE = ["cli", "core", "lubell"]
-SEARCH = ["colouring", "constructions", "search"]
+SEARCH = ["constructions", "search"]
 
 # argv -> (package modules loaded beyond BASE, whether hashlib is loaded)
 FOOTPRINTS = {
@@ -144,9 +151,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     (tmp_path / "family.json").write_text(disconnected_extremal(4).to_json())
     (tmp_path / "split.json").write_text(json.dumps({"a": [1], "b": [0]}))
     for command, (extra, hashes) in FOOTPRINTS.items():
-        code, loaded, hashlib_loaded = run_python(
+        code, loaded, hashlib_loaded, slow = run_python(
             FOOTPRINT_SCRIPT, json.dumps(command.split()), cwd=tmp_path
         )
         assert code == 0, command
         assert loaded == sorted(BASE + extra), command
         assert hashlib_loaded == hashes, command
+        assert slow == [], command

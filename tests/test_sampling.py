@@ -183,6 +183,18 @@ def test_samplers_refuse_bad_ground_before_drawing(n):
         assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("size", [-1, -8, 9, 10**20])
+def test_random_family_refuses_bad_sizes_before_drawing(size):
+    rng = random.Random(8)
+    state = rng.getstate()
+    with pytest.raises(DomainError):
+        random_family(rng, 3, size)
+    assert rng.getstate() == state
+    # both ends of 0..2^n are drawn
+    assert random_family(rng, 3, 0) == SetFamily(3, ())
+    assert random_family(rng, 3, 8) == SetFamily(3, tuple(range(8)))
+
+
 def test_layer_pair_refuses_a_top_layer_before_drawing():
     rng = random.Random(8)
     state = rng.getstate()

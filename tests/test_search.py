@@ -695,14 +695,15 @@ def test_edge_order_matches_rescan():
 
 
 def test_mad_star_witness_is_rechecked(monkeypatch):
-    from latticework import search
+    from latticework import colouring
 
-    # the probe's own rainbow-path test never consults these checkers
-    monkeypatch.setattr(search, "find_rainbow_cycle", lambda g, max_len: [0, 1, 2, 3])
+    # the probe's own rainbow-path test never consults these checkers, which
+    # it imports from `colouring` when it runs
+    monkeypatch.setattr(colouring, "find_rainbow_cycle", lambda g, max_len: [0, 1, 2, 3])
     with pytest.raises(VerificationError, match="has a rainbow cycle"):
         mad_star_probe(4)
     monkeypatch.undo()
-    monkeypatch.setattr(search, "is_proper", lambda g: False)
+    monkeypatch.setattr(colouring, "is_proper", lambda g: False)
     with pytest.raises(VerificationError, match="is not proper"):
         mad_star_probe(4)
 

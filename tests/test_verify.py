@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -155,7 +154,7 @@ def test_key_lemma_suite_fails_without_a_lower_boundary(monkeypatch):
     pair = shadow.boundary_pair
     monkeypatch.setattr(
         shadow, "boundary_pair",
-        lambda a, b: replace(pair(a, b), fminus=SetFamily.from_masks(a.n, ())),
+        lambda a, b: shadow.BoundaryPair(pair(a, b).fplus, SetFamily.from_masks(a.n, ())),
     )
     rep = verify_key_lemma(n=3)
     splits = disconnected_splits(3)
