@@ -10,12 +10,14 @@ Every command other than a bare `construct` wraps its results in a run
 report that echoes the command, parameters, seed, version, and timing, so
 a report is reproducible from its own content.  `timing_seconds` covers
 the command itself, including the imports of the modules only it uses:
-each command imports what it runs when it runs.  Exact rationals are
-rendered as strings like "4/3"; exit codes are 0 (pass), 1 (verification
-failure, including a result that fails its own re-check), 2 (usage
-error), 3 (a search budget ran out), 4 (a size cap was exceeded).  A
-reader that closes stdout early ends the command quietly with its own exit
-code.
+each command imports what it runs when it runs.  Commands put result
+objects into their reports as they are; `_emit` is the one place they
+become JSON, through json's own encoder, whose `_encode` fallback renders
+exact rationals as strings like "4/3" and records through their
+`to_jsonable`.  Exit codes are 0 (pass), 1 (verification failure,
+including a result that fails its own re-check), 2 (usage error), 3 (a
+search budget ran out), 4 (a size cap was exceeded).  A reader that closes
+stdout early ends the command quietly with its own exit code.
 """
 
 from __future__ import annotations
@@ -56,17 +58,9 @@ class _UsageError(Exception):
     pass
 
 
-def _jsonify(obj):
-    """Make a result tree JSON-safe: fractions to 'p/q', tuples to lists,
-    and objects with a `to_jsonable` method to what it returns."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (int, str, float)) or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _encode(obj):
+    """json's fallback for what it cannot encode itself: a record as its
+    `to_jsonable()`, anything else (a fraction as 'p/q') as its str."""
     if hasattr(obj, "to_jsonable"):
         return obj.to_jsonable()
     return str(obj)
@@ -114,32 +108,32 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
 
 
 def _witness_jsonable(witness):
-    """A search witness as JSON; a family witness also carries its digest."""
-    out = _jsonify(witness)
+    """A search witness; a family witness also carries its digest."""
     if isinstance(witness, SetFamily):
-        out["digest"] = witness.digest()
-    return out
+        return {**witness.to_jsonable(), "digest": witness.digest()}
+    return witness
 
 
 def _flatten(obj, prefix: str, lines: list[str]) -> None:
+    if hasattr(obj, "to_jsonable"):
+        obj = obj.to_jsonable()
     if isinstance(obj, dict):
         for key, val in obj.items():
             _flatten(val, f"{prefix}{key}." if prefix else f"{key}.", lines)
         return
     label = prefix[:-1]
-    if isinstance(obj, list):
-        if all(not isinstance(v, (list, dict)) for v in obj):
-            lines.append(f"{label}: {', '.join(str(v) for v in obj)}")
+    if isinstance(obj, (list, tuple)):
+        if any(isinstance(v, (list, tuple, dict)) or hasattr(v, "to_jsonable") for v in obj):
+            lines.append(f"{label}: {json.dumps(obj, separators=(',', ':'), default=_encode)}")
         else:
-            lines.append(f"{label}: {json.dumps(obj, separators=(',', ':'))}")
+            lines.append(f"{label}: {', '.join(str(v) for v in obj)}")
         return
     lines.append(f"{label}: {obj}")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    report = _jsonify(report)
+def _emit(report, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2, default=_encode)
     else:
         lines: list[str] = []
         _flatten(report, "", lines)
@@ -211,7 +205,7 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
     build = CONSTRUCTIONS[args.name]
     kwargs = _bind(build, args)
     fam = build(**kwargs)
-    results = {"family": fam.to_jsonable(), "size": len(fam), "digest": fam.digest()}
+    results = {"family": fam, "size": len(fam), "digest": fam.digest()}
     if args.out:
         _write_family(args.out, fam)
         results["written_to"] = args.out
@@ -252,7 +246,7 @@ def cmd_normalize(args) -> tuple[dict, dict, int]:
     before = skip_count(fam)
     out, steps = make_skipless_with_trace(fam, params["t"])
     results = {
-        "family": out.to_jsonable(),
+        "family": out,
         "digest": out.digest(),
         "size": len(out),
         "skips_before": before,

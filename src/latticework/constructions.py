@@ -64,19 +64,14 @@ def detect_diamond(component: Iterable[int]) -> Diamond | None:
     masks = tuple(component)
     if not masks:
         return None
-    bottom = top = masks[0]
-    for m in masks:
-        bottom &= m
-        top |= m
-    # every member sits inside [bottom, top], so filling is a cardinality check
-    if len(masks) == 1 << (top ^ bottom).bit_count():
-        return Diamond(bottom, top)
-    return None
+    (meet,), (join,), _, gap = _diamond_census([masks])
+    return Diamond(meet, join) if gap is None else None
 
 
 def _diamond_census(components: Sequence[Sequence[int]]) -> tuple[list, list, list, int | None]:
     """Meet, join and height of each (non-empty) component, and the index of the
-    first non-diamond or None: `detect_diamond`'s test with no frame per component."""
+    first non-diamond or None.  Every member sits inside [meet, join], so a
+    component fills it iff it has 2^height members."""
     meets = list(map(reduce, repeat(and_), components))
     joins = list(map(reduce, repeat(or_), components))
     heights = list(map(int.bit_count, map(xor, meets, joins)))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .core import DomainError, ResourceLimitError, SetFamily, _Record
+from .core import DomainError, ResourceLimitError, SetFamily, _check_ground, _Record
 
 ENUMERATION_GROUND_CAP = 10
 _BYTE_GROUND = 8  # a prefix mask fits in one byte
@@ -135,6 +135,9 @@ def diamond_meet_count(bottom: int, top: int, n: int) -> int:
     B = top: a chain meets the interval iff it passes through some set in
     it, and the passes can be counted by fixing the first entry and exit.
     """
+    _check_ground(n)
+    if not 0 <= top < 1 << n:
+        raise DomainError("interval does not fit in the ground set")
     if bottom & ~top:
         raise DomainError("bottom must be a subset of top")
     a = bottom.bit_count()

@@ -75,7 +75,7 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
         i = bisect_left(members, y)
         while members[i] & y != y:
             i += 1
-        out.append(SkipReport(skip=y, witness_below=below, witness_above=members[i]))
+        out.append(SkipReport(y, below, members[i]))
     return out
 
 

@@ -11,7 +11,13 @@ from latticework.blym import (
     diamond_profile,
     family_diamonds,
 )
-from latticework.constructions import _diamond_census, certify, sharp_family
+from latticework.constructions import (
+    Diamond,
+    _diamond_census,
+    certify,
+    diamond_family,
+    sharp_family,
+)
 from latticework.core import (
     DomainError,
     PreconditionError,
@@ -62,7 +68,9 @@ def _assert_census_matches_detect_diamond(fam, heights=()):
     found = [detect_diamond(c) for c in components]
     meets, joins, census_heights, gap = _diamond_census(components)
     assert len(meets) == len(joins) == len(census_heights) == len(components)
-    for d, meet, join, h in zip(found, meets, joins, census_heights):
+    for c, d, meet, join, h in zip(components, found, meets, joins, census_heights):
+        # detect_diamond reads the census, so the oracle lists the interval itself
+        assert (d is not None) == (diamond_family(Diamond(meet, join), fam.n).members == c)
         if d is not None:
             assert (meet, join, h) == (d.bottom, d.top, d.height)
         assert h == (meet ^ join).bit_count()

@@ -1,13 +1,16 @@
 """Byte-level golden outputs of the CLI and the demos.
 
 `golden.json` beside this file holds, for every case below, the exit code,
-stderr and JSON report (timing removed) that `main` produced, the `--help`
-text of the dispatching subcommands, and the stdout of every demo script.
-Refactors that must not change behaviour are checked against it.
+stderr and JSON report (timing removed) that `main` produced, its raw
+stdout in both `--format json` and `--format text` (timing value masked),
+the `--help` text of the dispatching subcommands, and the stdout of every
+demo script.  Refactors that must not change behaviour are checked against
+it.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +93,9 @@ HELP = [["construct", "--help"], ["search", "--help"], ["verify", "--help"]]
 
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
+# the one line of a report that differs between runs
+TIMING = re.compile(r'(timing_seconds"?: )\S+')
+
 
 def run_case(argv, capsys):
     code = main(["--format", "json", *argv])
@@ -117,6 +123,20 @@ def test_cli_reports_match_golden(workdir, capsys):
         want = GOLDEN["cli"][" ".join(argv)]
         # dumping both keeps dict key order in the comparison
         assert json.dumps(got) == json.dumps(want), argv
+
+
+def raw_stdout(argv, fmt, capsys):
+    main(["--format", fmt, *argv])
+    return TIMING.sub(r"\1*", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_stdout_bytes_match_golden(workdir, capsys, fmt):
+    # the parsed comparison above forgives whitespace; this one does not
+    want = GOLDEN["stdout"][fmt]
+    assert [" ".join(argv) for argv in CASES] == list(want)
+    for argv in CASES:
+        assert raw_stdout(argv, fmt, capsys) == want[" ".join(argv)], argv
 
 
 def test_help_choices_match_golden(capsys, monkeypatch):

@@ -144,6 +144,13 @@ def test_diamond_meet_count_hand_value():
         diamond_meet_count(0b010, 0b001, 2)
 
 
+@pytest.mark.parametrize("bottom, top, n", [(0, 0b111, 2), (0, 1, 0), (0, 1, -1), (0, -1, 3)])
+def test_diamond_meet_count_refuses_an_interval_outside_the_ground(bottom, top, n):
+    # factorial() of a negative size would raise a bare ValueError
+    with pytest.raises(DomainError):
+        diamond_meet_count(bottom, top, n)
+
+
 PEAK_PROBE = """
 import json
 
