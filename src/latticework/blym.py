@@ -26,8 +26,6 @@ from .lubell import lubell
 class DiamondProfile(_Record):
     """Component census: count of diamond components per (bottom layer, height)."""
 
-    _fields = ("n", "counts")
-
     def __init__(self, n: int, counts: tuple[tuple[int, int, int], ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)

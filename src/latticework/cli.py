@@ -107,13 +107,6 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
     return parts
 
 
-def _witness_jsonable(witness):
-    """A search witness; a family witness also carries its digest."""
-    if isinstance(witness, SetFamily):
-        return {**witness.to_jsonable(), "digest": witness.digest()}
-    return witness
-
-
 def _flatten(obj, prefix: str, lines: list[str]) -> None:
     if hasattr(obj, "to_jsonable"):
         obj = obj.to_jsonable()
@@ -205,10 +198,11 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
     build = CONSTRUCTIONS[args.name]
     kwargs = _bind(build, args)
     fam = build(**kwargs)
-    results = {"family": fam, "size": len(fam), "digest": fam.digest()}
-    if args.out:
-        _write_family(args.out, fam)
-        results["written_to"] = args.out
+    if not args.out:
+        # a bare construct prints the family alone, so it needs no digest
+        return {"name": args.name, **kwargs}, {"family": fam}, EXIT_OK
+    _write_family(args.out, fam)
+    results = {"family": fam, "size": len(fam), "digest": fam.digest(), "written_to": args.out}
     return {"name": args.name, **kwargs}, results, EXIT_OK
 
 
@@ -313,32 +307,20 @@ SEARCHES = {
 }
 
 
-def cmd_search(args) -> tuple[dict, dict, int]:
+def cmd_search(args) -> tuple[dict, object, int]:
     from . import search
 
     run = getattr(search, SEARCHES[args.op])
     kwargs = _bind(run, args)
     res = run(**kwargs)
-    results = {
-        "value": res.value,
-        "nodes_explored": res.nodes_explored,
-        "proven_optimal": res.proven_optimal,
-        "witness": _witness_jsonable(res.witness),
-    }
-    return {"op": args.op, **kwargs}, results, EXIT_OK if res.proven_optimal else EXIT_BUDGET
+    return {"op": args.op, **kwargs}, res, EXIT_OK if res.proven_optimal else EXIT_BUDGET
 
 
 def cmd_reproduce(args) -> tuple[dict, dict, int]:
     from .verify import REPRODUCTIONS, run_reproduction
 
     if args.list:
-        results = {
-            "registry": [
-                {"name": rep.name, "summary": rep.summary, "expected": str(rep.expected)}
-                for rep in REPRODUCTIONS.values()
-            ]
-        }
-        return {"list": True}, results, EXIT_OK
+        return {"list": True}, {"registry": list(REPRODUCTIONS.values())}, EXIT_OK
     if args.name is None:
         raise _UsageError("give a reproduction name or --list")
     results = run_reproduction(args.name)

@@ -18,8 +18,6 @@ RAINBOW_LEN_CAP = 64
 class EdgeColouredGraph(_Record):
     """Simple graph with positive integer edge colours, edges as (u, v, colour)."""
 
-    _fields = ("n_vertices", "edges")
-
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int, int], ...]):
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", edges)
@@ -62,8 +60,6 @@ class EdgeColouredGraph(_Record):
 
 class LayerPairGraph(_Record):
     """Subfamily of layer k versus subfamily of layer k+1, edges = containments."""
-
-    _fields = ("a", "b")
 
     def __init__(self, a: SetFamily, b: SetFamily):
         object.__setattr__(self, "a", a)

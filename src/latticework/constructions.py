@@ -39,8 +39,6 @@ from .core import (
 class Diamond(_Record):
     """A full interval [bottom, top] in the Boolean lattice."""
 
-    _fields = ("bottom", "top")
-
     def __init__(self, bottom: int, top: int):
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "top", top)
@@ -174,8 +172,6 @@ CLAIM_KEYS = (
 
 
 class CheckResult(_Record):
-    _fields = ("name", "expected", "actual", "passed")
-
     def __init__(self, name: str, expected: object, actual: object, passed: bool):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "expected", expected)
@@ -184,8 +180,6 @@ class CheckResult(_Record):
 
 
 class CertificationReport(_Record):
-    _fields = ("family_size", "checks")
-
     def __init__(self, family_size: int, checks: tuple[CheckResult, ...] = ()):
         object.__setattr__(self, "family_size", family_size)
         object.__setattr__(self, "checks", checks)

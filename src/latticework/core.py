@@ -29,8 +29,9 @@ Conventions used across the package:
   `_columns` and `_complements`, cached per n and capped like `family_bits`,
   hold the cube and the masks having (lacking) each bit.
 * Value classes are `_Record`s: immutable, compared and hashed by their
-  `_fields`, printed as `Name(field=value, ...)`, and built by their own
-  `__init__`, which sets the fields and then validates them.  They are
+  fields, printed as `Name(field=value, ...)`, and built by their own
+  `__init__`, which sets the fields and then validates them.  A record's
+  fields are its `__init__` parameters, in order.  Records are
   plain classes, not dataclasses: importing `dataclasses` loads `inspect`,
   and each generated class costs about a millisecond, so together they
   took longer than many short CLI commands' own work.
@@ -77,16 +78,19 @@ class VerificationError(LatticeError):
 class _Record:
     """Base of the immutable value classes.
 
-    A subclass names its fields in `_fields` and sets them with
-    `object.__setattr__` in its own `__init__`.  (Writing `self.__dict__`
-    instead builds faster but materialises the dict, and every later read
-    of a field then takes about three times as long.)  Records of the same
-    class are equal when their field tuples are, and hash as that tuple;
-    fields (and any other attribute) cannot be assigned or deleted
-    afterwards.  Instances keep a dict, so `cached_property` still works.
+    A subclass's fields are its `__init__` parameters, in order, and
+    `__init_subclass__` lists them in `_fields`.  That `__init__` sets them
+    with `object.__setattr__`.  (Writing `self.__dict__` instead builds
+    faster but materialises the dict, and every later read of a field then
+    takes about three times as long.)  Records of the same class are equal
+    when their field tuples are, and hash as that tuple; fields (and any
+    other attribute) cannot be assigned or deleted afterwards.  Instances
+    keep a dict, so `cached_property` still works.
     """
 
     def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
         cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -174,8 +178,6 @@ def _check_ground(n: int) -> None:
 
 class SetFamily(_Record):
     """A duplicate-free family of subsets of [n], sorted by mask value."""
-
-    _fields = ("n", "members")
 
     def __init__(self, n: int, members: tuple[int, ...]):
         object.__setattr__(self, "n", n)
@@ -346,8 +348,6 @@ class ComparabilityGraph(_Record):
     comparability rows of each component's members, cover edges by looking
     up each member less one of its elements.
     """
-
-    _fields = ("family", "component_members", "cover_only")
 
     def __init__(self, family: SetFamily, component_members: tuple, cover_only: bool = False):
         object.__setattr__(self, "family", family)

@@ -39,8 +39,6 @@ class MeetProfile(_Record):
     is met n+1 times; counts therefore has length n+2.
     """
 
-    _fields = ("n", "counts")
-
     def __init__(self, n: int, counts: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)

@@ -39,8 +39,6 @@ class NormalizationError(VerificationError):
 class SkipReport(_Record):
     """A skip Y together with one witness pair X <= Y <= Z from the family."""
 
-    _fields = ("skip", "witness_below", "witness_above")
-
     def __init__(self, skip: int, witness_below: int, witness_above: int):
         object.__setattr__(self, "skip", skip)
         object.__setattr__(self, "witness_below", witness_below)
@@ -49,8 +47,6 @@ class SkipReport(_Record):
 
 class StepRecord(_Record):
     """One normalization step: the mask added and the mask removed."""
-
-    _fields = ("added", "removed")
 
     def __init__(self, added: int, removed: int):
         object.__setattr__(self, "added", added)

@@ -59,13 +59,25 @@ from .lubell import lubell
 
 
 class SearchResult(_Record):
-    _fields = ("value", "witness", "nodes_explored", "proven_optimal")
-
     def __init__(self, value: object, witness: object, nodes_explored: int, proven_optimal: bool):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "nodes_explored", nodes_explored)
         object.__setattr__(self, "proven_optimal", proven_optimal)
+
+    def to_jsonable(self) -> dict:
+        """The result as JSON data; a family witness also carries its digest."""
+        value, witness = self.value, self.witness
+        if isinstance(witness, SetFamily):
+            witness = {**witness.to_jsonable(), "digest": witness.digest()}
+        elif witness is not None:
+            witness = witness.to_jsonable()
+        return {
+            "value": str(value) if isinstance(value, Fraction) else value,
+            "nodes_explored": self.nodes_explored,
+            "proven_optimal": self.proven_optimal,
+            "witness": witness,
+        }
 
 
 class _BudgetExceeded(Exception):

@@ -26,8 +26,6 @@ from .core import (
 class CascadeRep(_Record):
     """Unique representation m = C(n_k,k) + C(n_{k-1},k-1) + ... + C(n_j,j)."""
 
-    _fields = ("k", "terms")
-
     def __init__(self, k: int, terms: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", terms)
@@ -42,8 +40,6 @@ class CascadeRep(_Record):
 
 class BoundaryPair(_Record):
     """Minimal sets missed by both down-closures / maximal missed by both up-closures."""
-
-    _fields = ("fplus", "fminus")
 
     def __init__(self, fplus: SetFamily, fminus: SetFamily):
         object.__setattr__(self, "fplus", fplus)

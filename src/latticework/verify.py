@@ -21,6 +21,7 @@ from .core import (
     NODE_BUDGET,
     DomainError,
     PreconditionError,
+    ResourceLimitError,
     SetFamily,
     binomial,
     downset_bits,
@@ -34,6 +35,9 @@ MAX_REPORTED_FAILURES = 5
 # verify_kk checks every subfamily of a layer of at most this many sets and
 # samples wider layers.
 KK_EXHAUSTIVE_CAP = 12
+# verify_technical refuses inputs that ask for more families than this; its
+# default nmax=6, kmax=3 asks for 162,482 (about 1.2 s).
+TECHNICAL_FAMILY_CAP = 1_000_000
 
 
 def _push(failures: list, item: dict) -> None:
@@ -198,6 +202,14 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
 
     if nmax < 2 or kmax < 1:
         raise DomainError(f"need 2 <= nmax and 1 <= kmax, got nmax={nmax}, kmax={kmax}")
+    # count the families below before the first one: k or k + 1 sets of size >= k
+    families = 0
+    for n in range(2, nmax + 1):
+        for k in range(1, min(kmax, n) + 1):
+            pool = sum(binomial(n, j) for j in range(k, n + 1))
+            families += binomial(pool, k + 1) + binomial(pool, k)
+            if families > TECHNICAL_FAMILY_CAP:
+                raise ResourceLimitError(f"technical suite capped at {TECHNICAL_FAMILY_CAP} families")
     failures: list[dict] = []
     checked = 0
     for n in range(2, nmax + 1):
@@ -375,13 +387,14 @@ def run_verifier(name: str, **params) -> dict:
 class Reproduction(_Record):
     """A pinned desk-scale computation with its frozen expected value."""
 
-    _fields = ("name", "summary", "expected", "run")
-
     def __init__(self, name: str, summary: str, expected: object, run: Callable[[], object]):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "run", run)
+
+    def to_jsonable(self) -> dict:
+        return {"name": self.name, "summary": self.summary, "expected": str(self.expected)}
 
 
 REPRODUCTIONS: dict[str, Reproduction] = {}
@@ -506,10 +519,4 @@ def run_reproduction(name: str) -> dict:
         raise DomainError(f"unknown reproduction {name!r}; choose from {sorted(REPRODUCTIONS)}")
     rep = REPRODUCTIONS[name]
     actual = rep.run()
-    return {
-        "name": rep.name,
-        "summary": rep.summary,
-        "expected": str(rep.expected),
-        "actual": str(actual),
-        "passed": actual == rep.expected,
-    }
+    return {**rep.to_jsonable(), "actual": str(actual), "passed": actual == rep.expected}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,23 @@ def test_pairwise_route_past_its_cap_exits_four():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.startswith("size cap exceeded: pairwise comparability capped at 8192")
+
+
+def test_technical_past_its_cap_exits_four():
+    # 2.3e41 families; in a child process, so a lost cap fails on the timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticework.cli", "verify", "technical", "--nmax", "64",
+         "--kmax", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("size cap exceeded: technical suite capped at 1000000")
 
 
 def test_failed_witness_check_exits_one(capsys, monkeypatch):

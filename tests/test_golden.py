@@ -87,6 +87,12 @@ CASES = [
     ["search", "lambda-star", "--n", "4", "--t", "3"],
     ["search", "la", "--n", "5", "--t", "4"],
     ["--budget-nodes", "100000", "verify", "key-lemma", "--n", "4"],
+    ["reproduce", "--list"],
+    ["reproduce", "la-n4-t4"],
+    ["reproduce", "xi-star-n5-m6"],
+    # searches stopped before their first candidate: value and witness None
+    ["--budget-nodes", "0", "search", "min2chains", "--n", "3", "--m", "4"],
+    ["--budget-nodes", "0", "search", "xi-star", "--n", "5", "--m", "4"],
 ]
 
 HELP = [["construct", "--help"], ["search", "--help"], ["verify", "--help"]]
@@ -175,3 +181,25 @@ def test_demo_stdout_matches_golden():
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert out == GOLDEN["demos"][name], name
+
+
+def test_bare_construct_computes_no_digest(workdir, capsys, monkeypatch):
+    # a bare construct prints the family alone; with --out its report keeps the digest
+    def refuse(self):
+        raise AssertionError("digest computed")
+
+    monkeypatch.setattr(SetFamily, "digest", refuse)
+    bare = [argv for argv in CASES if argv[0] == "construct" and "--out" not in argv]
+    for argv in bare:
+        key = " ".join(argv)
+        assert main(argv) == GOLDEN["cli"][key]["code"], argv
+        assert capsys.readouterr().out == GOLDEN["stdout"]["json"][key], argv
+    assert main(["construct", "sharp", "--n", "5", "--k", "1"]) == 0
+    want = json.dumps(FAMILY_FILES["sharp.json"].to_jsonable(), indent=2) + "\n"
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(SetFamily, "digest", lambda self: "digest of " + self.to_json())
+    assert main(["--format", "json", "construct", "sharp", "--n", "5", "--k", "1", "--out",
+                 "out.json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert list(results) == ["family", "size", "digest", "written_to"]
+    assert results["digest"] == "digest of " + FAMILY_FILES["sharp.json"].to_json()

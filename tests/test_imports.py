@@ -135,7 +135,9 @@ SEARCH = ["constructions", "search"]
 
 # argv -> (package modules loaded beyond BASE, whether hashlib is loaded)
 FOOTPRINTS = {
-    "construct sharp --n 7 --k 2": (["constructions"], True),
+    # a bare construct prints no digest, so it never hashes
+    "construct sharp --n 7 --k 2": (["constructions"], False),
+    "construct sharp --n 7 --k 2 --out out.json": (["constructions"], True),
     "analyze --family family.json": (["normalize"], True),
     "normalize --family family.json --t 16 --trace": (["normalize"], True),
     "search la --n 4 --t 2": (SEARCH, True),

@@ -128,3 +128,28 @@ def test_cached_properties_still_fill_in():
 def test_invalid_fields_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_a_new_record_takes_its_fields_from_its_init():
+    import gc
+
+    from latticework.core import _Record
+
+    class Point(_Record):
+        def __init__(self, x: int, y: int, label: str = "p"):
+            local = (x, y)  # a local variable is not a field
+            object.__setattr__(self, "x", local[0])
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "label", label)
+
+    code = Point.__init__.__code__
+    assert Point._fields == ("x", "y", "label") == code.co_varnames[1:code.co_argcount]
+    assert repr(Point(1, 2)) == f"{Point.__qualname__}(x=1, y=2, label='p')"
+    assert Point(1, 2) == Point(x=1, y=2, label="p")
+    assert Point(1, 2) != Point(1, 2, "q") and Point(1, 2) != Point(2, 1)
+    assert hash(Point(1, 2)) == hash((1, 2, "p"))
+    assert len({Point(1, 2), Point(1, 2), Point(1, 2, "q")}) == 2
+    # leave `_Record.__subclasses__()` as the FIELDS table lists it
+    del Point
+    gc.collect()
+    assert {cls.__name__ for cls in _Record.__subclasses__()} == {cls.__name__ for cls in FIELDS}

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from latticework.constructions import sharp_family
-from latticework.core import DomainError, SetFamily
+from latticework import verify
+from latticework.core import DomainError, ResourceLimitError, SetFamily
 from latticework.verify import (
     MAX_REPORTED_FAILURES,
     REPRODUCTIONS,
@@ -193,6 +194,29 @@ def test_technical_suite_passes():
     rep = verify_technical(nmax=4, kmax=2)
     assert rep["passed"]
     assert rep["checked"] > 0
+
+
+def test_technical_cap_counts_families_before_the_first(monkeypatch):
+    # nmax=4, kmax=2 asks for exactly 384 families
+    monkeypatch.setattr(verify, "TECHNICAL_FAMILY_CAP", 384)
+    assert verify_technical(nmax=4, kmax=2)["checked"] == 384
+    monkeypatch.setattr(verify, "TECHNICAL_FAMILY_CAP", 383)
+    with pytest.raises(ResourceLimitError, match="capped at 383 families"):
+        verify_technical(nmax=4, kmax=2)
+
+
+# per kmax, the largest nmax the cap admits: 698,026, 332,785, 162,482 (the
+# default) and 196,180 families; nmax + 1 asks for 2.8, 2.9, 4.4 and 13.3 million
+TECHNICAL_EDGES = [(10, 1), (7, 2), (6, 3), (6, 6)]
+
+
+@pytest.mark.parametrize("nmax, kmax", TECHNICAL_EDGES)
+def test_technical_cap_edges(monkeypatch, nmax, kmax):
+    # only the count runs: the enumeration itself is emptied
+    monkeypatch.setattr(verify, "combinations", lambda pool, size: ())
+    assert verify_technical(nmax=nmax, kmax=kmax)["checked"] == 0
+    with pytest.raises(ResourceLimitError):
+        verify_technical(nmax=nmax + 1, kmax=kmax)
 
 
 def test_colouring_suite_passes():
