@@ -8,7 +8,7 @@ constructions with independent certification, shadow and boundary
 calculus, rainbow-free layer colourings, and exact searches for small
 extremal thresholds.
 
-A bare `import latticework` loads only `core` and `lubell`.  Every other
+A bare `import latticework` loads only `family` and `lubell`.  Every other
 submodule, and each name re-exported from it, is imported on first access
 (PEP 562), so a short process pays only for the modules it uses.
 """
@@ -24,11 +24,13 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
+    "family": (
+        "BudgetExhaustedError", "DomainError", "LatticeError", "PreconditionError",
+        "ResourceLimitError", "VerificationError", "SetFamily", "elements_of", "mask_of",
+    ),
     "core": (
-        "BudgetExhaustedError", "ComparabilityGraph", "DomainError", "LatticeError",
-        "PreconditionError", "ResourceLimitError", "VerificationError", "SetFamily",
-        "binomial", "comparability_graph", "count_two_chains", "cover_graph", "elements_of",
-        "full_cube", "height", "is_antichain", "is_comparable", "layer_masks", "mask_of",
+        "ComparabilityGraph", "binomial", "comparability_graph", "count_two_chains",
+        "cover_graph", "full_cube", "height", "is_antichain", "is_comparable", "layer_masks",
     ),
     "lubell": (
         "MeetProfile", "average_meet_count", "diamond_meet_count", "lubell",

@@ -11,6 +11,7 @@ from math import lcm
 
 from .core import (
     DomainError,
+    _check_ground,
     _Record,
     PreconditionError,
     SetFamily,
@@ -88,6 +89,7 @@ def diamond_blym_sum(family: SetFamily) -> Fraction:
 
 def all_diamond_bound(n: int, k: int) -> int:
     """Largest all-diamond family with components of order 2^k: 2^k * C(n-k, floor((n-k)/2))."""
+    _check_ground(n)
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     return (1 << k) * binomial(n - k, (n - k) // 2)

@@ -9,7 +9,7 @@ scale.
 
 from fractions import Fraction
 
-from .core import DomainError, ResourceLimitError, SetFamily, _Record
+from .family import DomainError, ResourceLimitError, SetFamily, _Record
 
 RAINBOW_VERTEX_CAP = 64
 RAINBOW_LEN_CAP = 64

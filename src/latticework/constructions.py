@@ -137,6 +137,7 @@ def disconnected_extremal(n: int) -> SetFamily:
 
 def disconnected_extremal_size(n: int) -> int:
     """Closed-form size of disconnected_extremal(n)."""
+    _check_ground(n)
     if n < 2:
         raise DomainError("disconnected families need n >= 2")
     if n % 2 == 0:
@@ -208,6 +209,9 @@ class CertificationReport(_Record):
 
 
 def sharp_claim(n: int, k: int, ceil_middle: bool = False) -> dict:
+    _check_ground(n)
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     base = n - k
     mid = (base + 1) // 2 if ceil_middle else base // 2
     count = comb(base, mid)
@@ -220,6 +224,7 @@ def sharp_claim(n: int, k: int, ceil_middle: bool = False) -> dict:
 
 
 def disconnected_claim(n: int) -> dict:
+    _check_ground(n)
     a_star = (1 << (n // 2)) - 1
     return {
         "size": disconnected_extremal_size(n),

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .core import DomainError, ResourceLimitError, SetFamily, _check_ground, _Record
+from .family import DomainError, ResourceLimitError, SetFamily, _check_ground, _Record
 
 ENUMERATION_GROUND_CAP = 10
 _BYTE_GROUND = 8  # a prefix mask fits in one byte

@@ -21,15 +21,22 @@ candidate that incumbent is value and witness None for `xi_star_exact` and
 `min_two_chains`, 0 and an empty witness for `mad_star_probe`,
 `lambda_star_exact` and `max_disconnected`, and the seed family for
 `la_exact`.
-Every witness is re-checked by independent code before it is returned,
-and a failed check raises VerificationError, under `python -O` too.
+Every witness is re-checked before it is returned, and a failed check
+raises VerificationError, under `python -O` too.  Not every re-check is
+independent of its search: `la_exact` and `la_exact_restricted` on
+witnesses of at most 16 members, `lambda_star_exact`, `max_disconnected`
+at n <= 4 and `min_two_chains` re-check through `comparability_graph` or
+`count_two_chains`.  On those sizes both take the pairwise route,
+`core._comparability_rows`, the pair loop that also builds the `_band`
+rows the searches walk, so a defect in it would pass those checks.
+ROADMAP item 6 plans a checker that shares no code with the searches.
 
 Closed splits take each closure from byte tables: one AND of the
 incomparability rows per byte of the shrunk intent.  The searches over a
 band of layers read its masks and pairwise relation from `_band`, built
 once per (n, band); it and the other reusable tables are cached with
 `functools.cache`, never a search's result.  The relabelling tables come
-from `core._mask_relabel_table`.  Bitsets of universe indices outside the
+from `family._mask_relabel_table`.  Bitsets of universe indices outside the
 inner loops are walked with `core.iter_bits`.  Only `xi_star_exact` and
 `mad_star_probe` use `colouring`, and they import it when called.
 """

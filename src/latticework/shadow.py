@@ -84,9 +84,16 @@ def kk_cascade(m: int, k: int) -> CascadeRep:
     while rest > 0:
         if level < 1:
             raise DomainError(f"no cascade for m={m} at k={k}")
-        top = level
-        while binomial(top + 1, level) <= rest:
-            top += 1
+        # the largest top with C(top, level) <= rest: double the step past
+        # it, then halve back, keeping C(top, level) <= rest < C(top + step, level)
+        top, step = level, 1
+        while binomial(top + step, level) <= rest:
+            top += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if binomial(top + step, level) <= rest:
+                top += step
         terms.append((top, level))
         rest -= binomial(top, level)
         level -= 1

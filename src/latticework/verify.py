@@ -38,11 +38,21 @@ KK_EXHAUSTIVE_CAP = 12
 # verify_technical refuses inputs that ask for more families than this; its
 # default nmax=6, kmax=3 asks for 162,482 (about 1.2 s).
 TECHNICAL_FAMILY_CAP = 1_000_000
+# the sampled suites (blym, diamond-blym, colouring, kk) refuse more samples
+# than this, 50 times the largest default (kk's 2,000).  At the default n
+# (kk at n = 6, k = 3, its smallest sampled layer) 100,000 samples take
+# 5-19 s to draw and check (Python 3.11.7, one core).
+SAMPLE_CAP = 100_000
 
 
 def _push(failures: list, item: dict) -> None:
     if len(failures) < MAX_REPORTED_FAILURES:
         failures.append(item)
+
+
+def _cap_samples(samples: int) -> None:
+    if samples > SAMPLE_CAP:
+        raise ResourceLimitError(f"sampled suites capped at {SAMPLE_CAP} samples, got {samples}")
 
 
 def _report(suite: str, params: dict, failures: list, passed: bool = True, **facts) -> dict:
@@ -99,6 +109,7 @@ def verify_blym(
         return _family_sum("blym", blym_sum, family)
     if n < 1 or samples < 0:
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
+    _cap_samples(samples)
     rng = random.Random(seed)
     layers = (
         (SetFamily.from_masks(n, layer_masks(n, k)), f"full layer k={k}") for k in range(n + 1)
@@ -131,6 +142,7 @@ def verify_diamond_blym(
             "need 1 <= n, 0 <= samples and 2 <= sharp_n, "
             f"got n={n}, samples={samples}, sharp_n={sharp_n}"
         )
+    _cap_samples(samples)
     rng = random.Random(seed)
     drawn = (
         random_all_diamond_family(rng, n, target_components=rng.randrange(1, 2 * n))
@@ -169,6 +181,7 @@ def verify_kk(
         raise DomainError(
             f"need {least} <= samples for a layer of {width} sets, got samples={samples}"
         )
+    _cap_samples(samples)
 
     def check(masks: tuple[int, ...]) -> None:
         nonlocal checked
@@ -249,6 +262,7 @@ def verify_colouring(
 
     if n < 1 or samples < 0:
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
+    _cap_samples(samples)
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0

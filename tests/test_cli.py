@@ -313,6 +313,24 @@ def test_technical_past_its_cap_exits_four():
     assert proc.stderr.startswith("size cap exceeded: technical suite capped at 1000000")
 
 
+@pytest.mark.parametrize("suite", ["blym", "diamond-blym", "colouring", "kk"])
+def test_samples_past_the_cap_exit_four(suite):
+    # 10^20 draws; in a child process, so a lost cap fails on the timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticework.cli", "verify", suite, "--samples",
+         "99999999999999999999"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("size cap exceeded: sampled suites capped at 100000 samples")
+
+
 def test_failed_witness_check_exits_one(capsys, monkeypatch):
     from latticework import search
 

@@ -507,7 +507,7 @@ def test_pairwise_route_refuses_families_past_the_pair_cap():
             query(fam)
 
 
-CAP_PROBE = """
+LIMITED_CHILD = """
 import json, resource, sys
 # about 1 GB of address space: a 2^40-point bitset fails fast, not the machine
 limit = 1 << 30
@@ -515,7 +515,9 @@ soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 if hard != resource.RLIM_INFINITY:
     limit = min(limit, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+"""
 
+CAP_PROBE = LIMITED_CHILD + """
 import latticework as lw
 from latticework.constructions import Diamond, links_every_component
 from latticework.core import SetFamily, comparability_graph
@@ -614,16 +616,86 @@ def test_cube_wide_entries_refuse_n40_without_allocating():
     }
     assert set(CAP_CALLS) == exported
     table = {**CAP_CALLS, **HELPER_CAP_CALLS}
+    calls = repr({name: call for name, (call, _) in table.items()})
+    out = _run_limited_child(CAP_PROBE.replace("{CALLS}", calls))
+    assert out == {name: want for name, (_, want) in table.items()}
+
+
+def _run_limited_child(script):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    calls = repr({name: call for name, (call, _) in table.items()})
-    proc = subprocess.run(
-        [sys.executable, "-c", CAP_PROBE.replace("{CALLS}", calls)],
-        env=env, capture_output=True, text=True,
-    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {name: want for name, (_, want) in table.items()}
+    return json.loads(proc.stdout)
+
+
+GROUND_PROBE = LIMITED_CHILD + """
+import latticework as lw
+from latticework.constructions import Diamond
+
+calls = {CALLS}
+out = {}
+for name, call in calls.items():
+    out[name] = []
+    for n in (-1, 0, 64, 10**20):
+        try:
+            eval(call)
+            out[name].append("returned")
+        except Exception as exc:
+            out[name].append(type(exc).__name__)
+print(json.dumps(out))
+"""
+
+DOMAIN = ["DomainError"] * 4
+# past the closure cap, a builder refuses n = 64 and 10^20 by its size
+CAPPED = ["DomainError", "DomainError", "ResourceLimitError", "ResourceLimitError"]
+
+# Every public function with an n parameter, called at n = -1, 0, 64 and
+# 10^20, and what it raises there.  binomial is plain arithmetic, so it answers.
+GROUND_CALLS = {
+    "binomial": ("lw.binomial(n, 3)", ["returned"] * 4),
+    "full_cube": ("lw.full_cube(n)", DOMAIN),
+    "layer_masks": ("lw.layer_masks(n, 1)", DOMAIN),
+    "diamond_meet_count": ("lw.diamond_meet_count(0, 1, n)", DOMAIN),
+    "diamond_family": ("lw.diamond_family(Diamond(0, 1), n)", DOMAIN),
+    "disconnected_claim": ("lw.disconnected_claim(n)", DOMAIN),
+    "disconnected_extremal": ("lw.disconnected_extremal(n)", CAPPED),
+    "disconnected_extremal_size": ("lw.disconnected_extremal_size(n)", DOMAIN),
+    "full_layer_pair": ("lw.full_layer_pair(n, 1)", DOMAIN),
+    "sharp_claim": ("lw.sharp_claim(n, 1)", DOMAIN),
+    "sharp_family": ("lw.sharp_family(n, 1)", CAPPED),
+    "all_diamond_bound": ("lw.all_diamond_bound(n, 1)", DOMAIN),
+    "disconnected_splits": ("lw.disconnected_splits(n)", DOMAIN),
+    "la_exact": ("lw.la_exact(n, 3)", DOMAIN),
+    "la_exact_restricted": ("lw.la_exact_restricted(n, 3, 0, 1)", DOMAIN),
+    "lambda_star_exact": ("lw.lambda_star_exact(n, 3)", DOMAIN),
+    "max_disconnected": ("lw.max_disconnected(n)", DOMAIN),
+    "min_two_chains": ("lw.min_two_chains(n, 1)", DOMAIN),
+    "xi_star_exact": ("lw.xi_star_exact(n, 1)", DOMAIN),
+}
+
+
+def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63():
+    # in a limited child process, as above: a missing check may allocate 2^64
+    exported = {
+        name
+        for names in latticework._EXPORTS.values()
+        for name in names
+        if inspect.isfunction(fn := getattr(latticework, name))
+        and "n" in inspect.signature(fn).parameters
+    }
+    assert set(GROUND_CALLS) == exported
+    calls = repr({name: call for name, (call, _) in GROUND_CALLS.items()})
+    out = _run_limited_child(GROUND_PROBE.replace("{CALLS}", calls))
+    assert out == {name: want for name, (_, want) in GROUND_CALLS.items()}
+
+
+def test_sharp_claim_checks_k_as_sharp_family_does():
+    for k in (-1, 5):
+        for build in (sharp_claim, sharp_family):
+            with pytest.raises(DomainError, match=f"need 0 <= k <= n, got k={k}, n=4"):
+                build(4, k)
 
 
 def test_no_bare_assert_under_src():

@@ -1,7 +1,9 @@
 """What importing the package, and running one CLI command, loads.
 
-The package namespace is lazy: a bare `import latticework` loads `core` and
+The package namespace is lazy: a bare `import latticework` loads `family` and
 `lubell`, and every other public name imports its submodule on first use.
+`family`, the value layer, loads no other latticework module, so neither
+does a module that only reads families.
 The first half pins that namespace to the public names the eager package
 had.  The second half runs each CLI command in a fresh process and pins
 the package modules it leaves in `sys.modules`, so an eager import put back
@@ -10,6 +12,7 @@ command may load `dataclasses` or `inspect`, which cost a short process
 more than its own work.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -41,7 +44,7 @@ boundary_pair boundary_report certify colouring comparability_graph construction
 count_two_chains cover_graph detect_diamond diamond_blym_sum diamond_claim
 diamond_family diamond_meet_count diamond_profile disconnected_claim
 disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
-elements_of excluded_count family_diamonds find_rainbow_cycle find_skips full_cube
+elements_of excluded_count family family_diamonds find_rainbow_cycle find_skips full_cube
 full_layer_pair height is_antichain is_comparable is_proper kk_cascade kk_shadow_bound
 la_exact la_exact_restricted lambda_star_exact layer_colouring layer_masks lower_shadow
 lubell lubell_by_permutations mad_star_probe make_skipless make_skipless_with_trace
@@ -106,7 +109,7 @@ def test_star_import_binds_the_public_names():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
 
 
-def test_bare_import_loads_only_core_and_lubell():
+def test_bare_import_loads_only_family_and_lubell():
     script = (
         "import json, sys, latticework\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('latticework.')),\n"
@@ -114,9 +117,33 @@ def test_bare_import_loads_only_core_and_lubell():
         f"                  [m for m in {SLOW_STDLIB!r} if m in sys.modules]]))\n"
     )
     loaded, public, slow = run_python(script)
-    assert loaded == ["latticework.core", "latticework.lubell"]
+    assert loaded == ["latticework.family", "latticework.lubell"]
     assert public == PUBLIC_NAMES
     assert slow == []
+
+
+def test_family_imports_no_latticework_module():
+    # read, not imported: importing latticework.family runs the package __init__
+    tree = ast.parse((ROOT / "src" / "latticework" / "family.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "json" in imported
+    assert [m for m in imported if m.startswith((".", "latticework"))] == []
+
+
+def test_colouring_loads_no_kernel_module():
+    script = (
+        "import json, sys, latticework\n"
+        "before = set(sys.modules)\n"
+        "import latticework.colouring\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
+        "                        if m.startswith('latticework'))))\n"
+    )
+    assert run_python(script) == ["latticework.colouring"]
 
 
 FOOTPRINT_SCRIPT = f"""
@@ -130,7 +157,7 @@ slow = [m for m in {SLOW_STDLIB!r} if m in sys.modules]
 print(json.dumps([code, loaded, "hashlib" in sys.modules, slow]))
 """
 
-BASE = ["cli", "core", "lubell"]
+BASE = ["cli", "core", "family", "lubell"]
 SEARCH = ["constructions", "search"]
 
 # argv -> (package modules loaded beyond BASE, whether hashlib is loaded)

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,36 @@ def test_cascade_representation():
         assert tops == sorted(tops, reverse=True) and len(set(tops)) == len(tops)
     with pytest.raises(DomainError):
         kk_cascade(0, 2)
+
+
+def _linear_cascade(m, k):
+    # the greedy cascade, each top found by raising it one at a time
+    terms, rest = [], m
+    for level in range(k, 0, -1):
+        if not rest:
+            break
+        top = level
+        while comb(top + 1, level) <= rest:
+            top += 1
+        terms.append((top, level))
+        rest -= comb(top, level)
+    return tuple(terms)
+
+
+def test_cascade_matches_a_linear_scan():
+    for k in range(1, 7):
+        for m in range(1, 2001):
+            assert kk_cascade(m, k).terms == _linear_cascade(m, k), (m, k)
+
+
+def test_cascade_of_a_huge_m_takes_logarithmic_steps():
+    # a linear scan would take about 1.4e10 steps at level 2
+    started = time.perf_counter()
+    rep = kk_cascade(10**20, 2)
+    assert rep.value == 10**20
+    assert rep.terms == ((14142135624, 2), (3266133124, 1))
+    assert kk_shadow_bound(10**20, 2, 1) == 14142135625
+    assert time.perf_counter() - started < 0.5
 
 
 def test_shadow_bound_values():

@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 
@@ -217,6 +218,29 @@ def test_technical_cap_edges(monkeypatch, nmax, kmax):
     assert verify_technical(nmax=nmax, kmax=kmax)["checked"] == 0
     with pytest.raises(ResourceLimitError):
         verify_technical(nmax=nmax + 1, kmax=kmax)
+
+
+# the suites that draw samples, each with a small input; kk at n = 6, k = 3
+# samples its 20-set layer, at n = 4, k = 2 it exhausts a 6-set one
+SAMPLED_SUITES = [
+    (verify_blym, {"n": 3}),
+    (verify_diamond_blym, {"n": 3, "sharp_n": 2}),
+    (verify_colouring, {"n": 3}),
+    (verify_kk, {"n": 6, "k": 3}),
+    (verify_kk, {"n": 4, "k": 2}),
+]
+
+
+@pytest.mark.parametrize("suite, params", SAMPLED_SUITES)
+def test_sample_cap_edges(monkeypatch, suite, params):
+    assert inspect.signature(suite).parameters["samples"].default <= verify.SAMPLE_CAP
+    monkeypatch.setattr(verify, "SAMPLE_CAP", 5)
+    rep = suite(samples=5, **params)
+    assert rep["passed"] and rep["params"]["samples"] == 5
+    # refused before a generator is made: without `random` a draw would fail otherwise
+    monkeypatch.setattr(verify, "random", None)
+    with pytest.raises(ResourceLimitError, match="capped at 5 samples, got 6"):
+        suite(samples=6, **params)
 
 
 def test_colouring_suite_passes():
