@@ -20,9 +20,10 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
   `_comparability_rows` tests every pair of an ascending member list once,
-  `_row_components` grows components along those rows, and `_full`,
-  `_columns` and `_complements`, cached per n and capped like `family_bits`,
-  hold the cube and the masks having (lacking) each bit.
+  `_row_components` grows components along those rows.  `_full`, `_columns`
+  and `_complements`, cached per n, hold the cube and the masks having
+  (lacking) each bit; `_full` checks the ground size, then the closure cap,
+  for them and for the cube-sized builders in `core` and `constructions`.
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ def _layer(n: int, k: int) -> list[int]:
 
 def full_cube(n: int) -> SetFamily:
     """The whole lattice 2^[n] as a family."""
-    _check_ground(n)
-    if n > CLOSURE_GROUND_CAP:
-        raise ResourceLimitError(f"full cube materialisation capped at n={CLOSURE_GROUND_CAP}")
+    _full(n)  # checks the ground size, then the closure cap
     return SetFamily(n, tuple(range(1 << n)))
 
 
@@ -402,7 +401,7 @@ def _bit_column(n: int, i: int) -> int:
 def _full(n: int) -> int:
     _check_ground(n)
     if n > CLOSURE_GROUND_CAP:
-        raise ResourceLimitError(f"cube-wide closures capped at n={CLOSURE_GROUND_CAP} (2^n bit DP)")
+        raise ResourceLimitError(f"whole-cube families and closures capped at n={CLOSURE_GROUND_CAP}")
     return (1 << (1 << n)) - 1
 
 

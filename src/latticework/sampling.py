@@ -78,6 +78,12 @@ def random_interval(rng: random.Random, n: int, max_height: int) -> Diamond:
     return Diamond(*_interval(rng.getrandbits, n, max_height))
 
 
+def _union(n: int, diamonds) -> SetFamily:
+    """The union of the intervals (bottom, top), as one family over [n]."""
+    families = [diamond_family(Diamond(*d), n) for d in diamonds]
+    return SetFamily.from_masks(n, [m for f in families for m in f.members])
+
+
 def random_all_diamond_family(
     rng: random.Random, n: int, target_components: int, max_height: int = 3
 ) -> SetFamily:
@@ -98,10 +104,7 @@ def random_all_diamond_family(
                 break
         else:
             accepted.append((bottom, top))
-    masks: list[int] = []
-    for d in accepted:
-        masks.extend(diamond_family(Diamond(*d), n).members)
-    return SetFamily.from_masks(n, masks)
+    return _union(n, accepted)
 
 
 def random_layer_pair(
@@ -126,11 +129,7 @@ def random_order_bounded_family(rng: random.Random, n: int) -> tuple[SetFamily, 
     if style == 0:
         family = random_family(rng, n, rng.randint(0, max(1, (1 << n) // 2)))
     elif style == 1:
-        masks: list[int] = []
-        for _ in range(rng.randint(1, 4)):
-            d = random_interval(rng, n, max_height=min(3, n))
-            masks.extend(diamond_family(d, n).members)
-        family = SetFamily.from_masks(n, masks)
+        family = _union(n, [_interval(rng.getrandbits, n, 3) for _ in range(rng.randint(1, 4))])
     else:
         family = random_antichain(rng, n, attempts=2 * n)
     if not family.members:

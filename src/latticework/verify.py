@@ -28,6 +28,7 @@ from .core import (
     family_bits,
     layer_masks,
     upset_bits,
+    _full,
     _Record,
 )
 
@@ -142,6 +143,7 @@ def verify_diamond_blym(
             "need 1 <= n, 0 <= samples and 2 <= sharp_n, "
             f"got n={n}, samples={samples}, sharp_n={sharp_n}"
         )
+    _full(sharp_n)  # refuses the largest sharp family before building the first
     _cap_samples(samples)
     rng = random.Random(seed)
     drawn = (
@@ -215,37 +217,33 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
 
     if nmax < 2 or kmax < 1:
         raise DomainError(f"need 2 <= nmax and 1 <= kmax, got nmax={nmax}, kmax={kmax}")
-    # count the families below before the first one: k or k + 1 sets of size >= k
-    families = 0
+    # the pools of sets of size >= k, counting their (k + 1)- and k-set families first
+    pools, families = [], 0
     for n in range(2, nmax + 1):
         for k in range(1, min(kmax, n) + 1):
-            pool = sum(binomial(n, j) for j in range(k, n + 1))
-            families += binomial(pool, k + 1) + binomial(pool, k)
+            pool = [m for m in range(1, 1 << n) if m.bit_count() >= k]
+            pools.append((n, k, pool))
+            families += binomial(len(pool), k + 1) + binomial(len(pool), k)
             if families > TECHNICAL_FAMILY_CAP:
                 raise ResourceLimitError(f"technical suite capped at {TECHNICAL_FAMILY_CAP} families")
     failures: list[dict] = []
     checked = 0
-    for n in range(2, nmax + 1):
-        universe = list(range(1, 1 << n))
-        for k in range(1, min(kmax, n) + 1):
-            pool = [m for m in universe if m.bit_count() >= k]
-            for mode, size in (("k_plus_one", k + 1), ("k", k)):
-                if len(pool) < size:
-                    continue
-                for combo in combinations(pool, size):
-                    fam = SetFamily.from_masks(n, combo)
-                    checked += 1
-                    if not technical_bound_check(fam, mode):
-                        _push(
-                            failures,
-                            {
-                                "n": n,
-                                "k": k,
-                                "mode": mode,
-                                "family": fam.to_jsonable(),
-                                "closure": len(down_closure(fam)),
-                            },
-                        )
+    for n, k, pool in pools:
+        for mode, size in (("k_plus_one", k + 1), ("k", k)):
+            for combo in combinations(pool, size):
+                fam = SetFamily.from_masks(n, combo)
+                checked += 1
+                if not technical_bound_check(fam, mode):
+                    _push(
+                        failures,
+                        {
+                            "n": n,
+                            "k": k,
+                            "mode": mode,
+                            "family": fam.to_jsonable(),
+                            "closure": len(down_closure(fam)),
+                        },
+                    )
     return _report("technical", {"nmax": nmax, "kmax": kmax}, failures, checked=checked)
 
 
@@ -266,7 +264,7 @@ def verify_colouring(
     rng = random.Random(seed)
     failures: list[dict] = []
     checked = 0
-    ks = [k] if k is not None else list(range(n))
+    ks = [k] if k is not None else range(n)  # not a list: the first pair refuses n > 63
 
     def check(a: SetFamily, b: SetFamily, label: str) -> None:
         nonlocal checked

@@ -281,6 +281,19 @@ def test_size_cap_exits_four(capsys):
         assert "capped at n=20" in captured.err, argv
 
 
+def test_invalid_ground_size_exits_two_before_the_size_cap(capsys):
+    # n = 64 is outside 1..63, not too large: the builders check n before the cap
+    for argv in (["construct", "sharp", "--n", "64", "--k", "1"], ["construct", "disconnected", "--n", "64"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == "error: ground set size 64 outside 1..63\n", argv
+    for argv in (["construct", "sharp", "--n", "21", "--k", "1"], ["construct", "disconnected", "--n", "21"]):
+        assert main(argv) == 4, argv
+        assert "capped at n=20" in capsys.readouterr().err, argv
+
+
 def test_pairwise_route_past_its_cap_exits_four():
     # the layers of [21] up to k = 4 are pair-tested, and k = 5 has 20,349
     # members; in a child process, so a lost cap fails on the timeout

@@ -630,6 +630,42 @@ def _run_limited_child(script):
     return json.loads(proc.stdout)
 
 
+EDGE_PROBE = LIMITED_CHILD + """
+import latticework as lw
+from latticework.constructions import Diamond
+
+out = {}
+for call in {CALLS}:
+    try:
+        out[call] = len(eval(call))
+    except Exception as exc:
+        out[call] = type(exc).__name__
+print(json.dumps(out))
+"""
+
+# The largest input each cube-sized builder accepts, with its size, and the
+# smallest it refuses.  C(23, 9) = 817,190 masks fit under the 2^20 cap of a
+# layer and C(23, 10) = 1,144,066 do not.
+EDGE_CALLS = {
+    "lw.full_cube(20)": 1 << 20,
+    "lw.full_cube(21)": "ResourceLimitError",
+    "lw.sharp_family(20, 0)": 184_756,
+    "lw.sharp_family(21, 0)": "ResourceLimitError",
+    "lw.disconnected_extremal(20)": (1 << 20) - (1 << 11) + 2,
+    "lw.disconnected_extremal(21)": "ResourceLimitError",
+    "lw.diamond_family(Diamond(0, (1 << 20) - 1), 21)": 1 << 20,
+    "lw.diamond_family(Diamond(0, (1 << 21) - 1), 21)": "ResourceLimitError",
+    "lw.layer_masks(23, 9)": 817_190,
+    "lw.layer_masks(23, 10)": "ResourceLimitError",
+}
+
+
+def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it():
+    # in a limited child process, as above: a lost cap fails on the address space
+    out = _run_limited_child(EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))))
+    assert out == EDGE_CALLS
+
+
 GROUND_PROBE = LIMITED_CHILD + """
 import latticework as lw
 from latticework.constructions import Diamond
@@ -648,8 +684,6 @@ print(json.dumps(out))
 """
 
 DOMAIN = ["DomainError"] * 4
-# past the closure cap, a builder refuses n = 64 and 10^20 by its size
-CAPPED = ["DomainError", "DomainError", "ResourceLimitError", "ResourceLimitError"]
 
 # Every public function with an n parameter, called at n = -1, 0, 64 and
 # 10^20, and what it raises there.  binomial is plain arithmetic, so it answers.
@@ -660,11 +694,11 @@ GROUND_CALLS = {
     "diamond_meet_count": ("lw.diamond_meet_count(0, 1, n)", DOMAIN),
     "diamond_family": ("lw.diamond_family(Diamond(0, 1), n)", DOMAIN),
     "disconnected_claim": ("lw.disconnected_claim(n)", DOMAIN),
-    "disconnected_extremal": ("lw.disconnected_extremal(n)", CAPPED),
+    "disconnected_extremal": ("lw.disconnected_extremal(n)", DOMAIN),
     "disconnected_extremal_size": ("lw.disconnected_extremal_size(n)", DOMAIN),
     "full_layer_pair": ("lw.full_layer_pair(n, 1)", DOMAIN),
     "sharp_claim": ("lw.sharp_claim(n, 1)", DOMAIN),
-    "sharp_family": ("lw.sharp_family(n, 1)", CAPPED),
+    "sharp_family": ("lw.sharp_family(n, 1)", DOMAIN),
     "all_diamond_bound": ("lw.all_diamond_bound(n, 1)", DOMAIN),
     "disconnected_splits": ("lw.disconnected_splits(n)", DOMAIN),
     "la_exact": ("lw.la_exact(n, 3)", DOMAIN),

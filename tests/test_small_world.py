@@ -1,0 +1,169 @@
+"""Every family at n <= 3, checked against the definitions alone.
+
+The 4 + 16 + 256 = 276 families of subsets of [1], [2] and [3] are few
+enough to check whole.  Each reference below is built from the
+definitions, never from the package's kernels: components by union-find
+over every pair of members, Lubell sums as sums of 1 / C(n, |X|), and the
+search values as maxima and minima over the families themselves.
+"""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import comb
+
+import pytest
+
+from latticework.core import (
+    DomainError,
+    SetFamily,
+    comparability_graph,
+    count_two_chains,
+    cover_graph,
+    height,
+    is_antichain,
+)
+from latticework.lubell import lubell
+from latticework.normalize import find_skips, make_skipless, skip_count
+from latticework.search import (
+    la_exact,
+    la_exact_restricted,
+    lambda_star_exact,
+    max_disconnected,
+    min_two_chains,
+)
+
+GROUND_SIZES = (1, 2, 3)
+
+
+def _families(n):
+    """Every family over [n]: bit m of pick says whether mask m is a member."""
+    cube = range(1 << n)
+    return [SetFamily.from_masks(n, [m for m in cube if pick >> m & 1])
+            for pick in range(1 << len(cube))]
+
+
+def _below(x, y):
+    return x != y and x & y == x
+
+
+def _covers(x, y):
+    return _below(x, y) and (y ^ x).bit_count() == 1
+
+
+def _components(members, related):
+    """Member tuples of the graph's components, by union-find over every pair."""
+    parent = list(range(len(members)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(members)), 2):
+        if related(members[i], members[j]):
+            parent[root(j)] = root(i)
+    groups = {}
+    for i, m in enumerate(members):
+        groups.setdefault(root(i), []).append(m)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def _edges(members, related):
+    pairs = combinations(range(len(members)), 2)
+    return tuple((i, j) for i, j in pairs if related(members[i], members[j]))
+
+
+def _skips(family):
+    """The sets outside the family lying between two of its members."""
+    members = family.members
+    return {
+        y for y in range(1 << family.n)
+        if y not in family.member_set
+        and any(x & y == x for x in members) and any(y & z == y for z in members)
+    }
+
+
+def _order(family):
+    return max(map(len, _components(family.members, _below)), default=0)
+
+
+def _lubell(family):
+    return sum((Fraction(1, comb(family.n, m.bit_count())) for m in family.members), Fraction(0))
+
+
+@pytest.mark.parametrize("n", GROUND_SIZES)
+def test_every_family_matches_the_definitions(n):
+    for family in _families(n):
+        members = family.members
+        for graph, related in ((comparability_graph(family), _below), (cover_graph(family), _covers)):
+            components = _components(members, related)
+            assert list(graph.component_members) == components, family
+            assert graph.edges == _edges(members, related), family
+            edges_in = [len(_edges(ms, related)) for ms in components]
+            assert list(graph.component_sizes) == edges_in, family
+        assert count_two_chains(family) == len(_edges(members, _below)), family
+        assert is_antichain(family) == (not _edges(members, _below)), family
+        assert lubell(family) == _lubell(family), family
+        if members:
+            sizes = [m.bit_count() for m in members]
+            assert height(family) == max(sizes) - min(sizes), family
+        else:
+            with pytest.raises(DomainError):
+                height(family)
+        skips = _skips(family)
+        assert skip_count(family) == len(skips), family
+        reports = find_skips(family)
+        assert [r.skip for r in reports] == sorted(skips, key=lambda y: (y.bit_count(), y)), family
+        for r in reports:
+            assert r.witness_below in family.member_set and r.witness_above in family.member_set
+            assert r.witness_below & r.skip == r.witness_below
+            assert r.skip & r.witness_above == r.skip
+        t = max(1, _order(family))
+        skipless = make_skipless(family, t)
+        assert len(skipless) == len(family), family
+        assert not _skips(skipless), family
+        assert _order(skipless) <= t, family
+
+
+@pytest.mark.parametrize("n", GROUND_SIZES)
+def test_search_values_match_the_whole_small_world(n):
+    cube = 1 << n
+    # per family: size, largest component order, Lubell sum, smallest and
+    # largest member size, number of components and 2-chain count
+    table = []
+    for family in _families(n):
+        # [n, 0] puts the empty family in every layer band
+        sizes = [m.bit_count() for m in family.members] or [n, 0]
+        components = _components(family.members, _below)
+        order = max(map(len, components), default=0)
+        table.append((len(family), order, _lubell(family), min(sizes), max(sizes),
+                      len(components), len(_edges(family.members, _below))))
+    for t in range(1, cube + 1):
+        assert la_exact(n, t).value == max(s for s, o, *_ in table if o <= t), t
+        assert lambda_star_exact(n, t).value == max(lu for _, o, lu, *_ in table if o <= t), t
+        for kmin in range(n + 1):
+            for kmax in range(kmin, n + 1):
+                want = max(s for s, o, _, lo, hi, *_ in table if o <= t and kmin <= lo and hi <= kmax)
+                assert la_exact_restricted(n, t, kmin, kmax).value == want, (t, kmin, kmax)
+    for m in range(cube + 1):
+        assert min_two_chains(n, m).value == min(c for s, *_, c in table if s == m), m
+    if n >= 2:
+        assert max_disconnected(n).value == max(s for s, *_, parts, _ in table if parts >= 2)
+
+
+@pytest.mark.parametrize("n", GROUND_SIZES)
+def test_relabelling_and_complementing_keep_the_invariants(n):
+    full = (1 << n) - 1
+    perms = list(permutations(range(1, n + 1)))
+
+    def invariants(family):
+        orders = sorted(comparability_graph(family).component_orders)
+        return orders, count_two_chains(family), lubell(family), skip_count(family)
+
+    for family in _families(n):
+        want = invariants(family)
+        for perm in perms:
+            moved = family.relabel(perm)
+            flipped = SetFamily.from_masks(n, [m ^ full for m in moved.members])
+            assert invariants(moved) == want, (family, perm)
+            assert invariants(flipped) == want, (family, perm)

@@ -243,6 +243,22 @@ def test_sample_cap_edges(monkeypatch, suite, params):
         suite(samples=6, **params)
 
 
+def test_ground_sizes_past_63_are_refused_before_any_work(monkeypatch):
+    # colouring read range(10**20) into a list (OverflowError)
+    for n in (64, 10**20):
+        with pytest.raises(DomainError, match=f"ground set size {n} outside 1..63"):
+            verify_colouring(n=n)
+    # diamond-blym built and summed every sharp family up to n = 20 (10 s)
+    # before sharp_family refused n = 21; now it refuses before its generator
+    # is made, so without `random` it would fail otherwise
+    monkeypatch.setattr(verify, "random", None)
+    for n in (64, 10**20):
+        with pytest.raises(DomainError, match=f"ground set size {n} outside 1..63"):
+            verify_diamond_blym(sharp_n=n)
+    with pytest.raises(ResourceLimitError, match="capped at n=20"):
+        verify_diamond_blym(sharp_n=21)
+
+
 def test_colouring_suite_passes():
     rep = verify_colouring(n=3, samples=30, seed=4)
     assert rep["passed"]
