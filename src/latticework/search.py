@@ -2,11 +2,13 @@
 
 The order-bounded searches run depth-first over masks in increasing
 numeric order, so every family is visited through exactly one (sorted)
-tuple.  Each chosen mask records the bitset of its comparability
-component; a new member joins the components of its chosen neighbours,
-and only the candidates comparable to that joined component need their
-order checked again.  Each child gets its own copy of these bitsets, so
-nothing is undone on the way back.  In `la_exact`, subtrees die when
+tuple.  A node holds the comparability components of its chosen masks as
+a short list, in `la_exact` of (members, near, order) triples: the
+component's index bitset, the OR of its members' comparability rows and
+its size.  A new member walks that list once, joining every component its
+row meets, and only the candidates in the joined component's `near` need
+their order checked again.  Each child gets its own list, so nothing is
+undone on the way back.  In `la_exact`, subtrees die when
 current size plus the surviving candidate pool cannot beat the incumbent,
 and shallow prefixes that are not lexicographically minimal under
 ground-element relabelling (plus complementation when the layer band is
@@ -153,27 +155,6 @@ def _group_lanes(n: int, with_complement: bool) -> tuple[tuple[int, ...], int, i
     return tuple(columns), ones, ones << (width - 1)
 
 
-def _join(comp: list[int], low: int, nb: int) -> int:
-    """The component formed when the one-bit set `low` joins its chosen
-    neighbours `nb`; comp[j] is the component bitset of each chosen index j.
-    """
-    joined = low
-    while nb:
-        c = comp[(nb & -nb).bit_length() - 1]
-        joined |= c
-        nb &= ~c
-    return joined
-
-
-def _assign(comp: list[int], members: int) -> None:
-    """Record `members` as the component of each of its indices."""
-    rest = members
-    while rest:
-        low = rest & -rest
-        comp[low.bit_length() - 1] = members
-        rest ^= low
-
-
 def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
     """Best constructive family obeying the constraints; used as the incumbent."""
     band_mid = max(range(kmin, kmax + 1), key=lambda k: binomial(n, k))
@@ -225,8 +206,8 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     columns, ones, guards = _group_lanes(n, with_complement=(kmin + kmax == n))
 
     chosen: list[int] = []
-    chosen_bits = 0
     budget = _Budget(budget_nodes)
+    tick = budget.tick
 
     def canonical(masks):
         """True iff no group element sends masks to a lexicographically smaller sorted tuple."""
@@ -241,64 +222,70 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
         diff = (images ^ family * ones) | guards
         return not diff & ~(diff - ones) & images
 
-    def expand(pool, comp):
+    def expand(pool, comps):
         """Branch on each index of pool; every member joins chosen within order t.
-        comp[j] is the component bitset of chosen index j."""
-        nonlocal best_val, best_masks, chosen_bits
+        comps holds each component of chosen as (members, near, order)."""
+        nonlocal best_val, best_masks
         while pool:
             if len(chosen) + pool.bit_count() <= best_val:
                 return
             low = pool & -pool
             i = low.bit_length() - 1
             pool ^= low
-            budget.tick()
-            joined = _join(comp, low, cmp_bits[i] & chosen_bits)
+            tick()
+            # the components i meets join it; the others stay apart
+            row = cmp_bits[i]
+            members, near, order = low, row, 1
+            apart = []
+            for c in comps:
+                m, nr, o = c
+                if m & row:
+                    members |= m
+                    near |= nr
+                    order += o
+                else:
+                    apart.append(c)
             chosen.append(i)
-            chosen_bits |= low
             if len(chosen) > best_val:
                 best_val = len(chosen)
                 best_masks = [universe[j] for j in chosen]
             if len(chosen) > _CANON_DEPTH or canonical([universe[j] for j in chosen]):
-                # the child's comp: _assign, inlined, also collecting the
-                # joined component's neighbours
-                child_comp = comp[:]
-                near = 0
-                rest = joined
-                while rest:
-                    lo = rest & -rest
-                    j = lo.bit_length() - 1
-                    child_comp[j] = joined
-                    near |= cmp_bits[j]
-                    rest ^= lo
                 # a candidate away from the joined component keeps the order
-                # checked one level up; one comparable to it would form the
-                # joined component, itself and the other components it meets
+                # checked one level up; one in `near` would form the joined
+                # component, itself and the apart components it meets
                 child = pool
-                touched = pool & near
-                base = joined.bit_count() + 1
-                apart = chosen_bits ^ joined
-                if base > t:
-                    child ^= touched
-                    touched = 0
-                elif base + apart.bit_count() <= t:
-                    touched = 0
-                while touched:
-                    lo = touched & -touched
-                    touched ^= lo
-                    nb = cmp_bits[lo.bit_length() - 1] & apart
-                    order = base
-                    while nb:
-                        c = child_comp[(nb & -nb).bit_length() - 1]
-                        order += c.bit_count()
-                        nb &= ~c
-                    if order > t:
-                        child ^= lo
-                expand(child, child_comp)
+                if order >= t:
+                    child &= ~near
+                else:
+                    # an apart component larger than the room left rules out
+                    # every candidate next to it and to the joined one; the
+                    # smaller ones can only overflow it together
+                    room = t - order - 1
+                    small = []
+                    total = 0
+                    for _, nr, o in apart:
+                        if o > room:
+                            child &= ~(near & nr)
+                        else:
+                            small.append((nr, o))
+                            total += o
+                    if total > room:
+                        touched = child & near
+                        while touched:
+                            lo = touched & -touched
+                            touched ^= lo
+                            sum_o = 0
+                            for nr, o in small:
+                                if nr & lo:
+                                    sum_o += o
+                            if sum_o > room:
+                                child ^= lo
+                apart.append((members, near, order))
+                expand(child, apart)
             chosen.pop()
-            chosen_bits ^= low
 
     with budget:
-        expand((1 << size) - 1, [0] * size)
+        expand((1 << size) - 1, [])
 
     witness = SetFamily.from_masks(n, best_masks)
     if len(witness) != best_val:
@@ -353,9 +340,9 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
     best_num = 0
     best_bits = 0
 
-    def walk(m, bits, total, comp):
+    def walk(m, bits, total, comps):
         """Decide masks m-1 .. 0 below the chosen masks `bits` of weight total;
-        comp[x] is the component bitset of each chosen mask x."""
+        comps holds the bitset of each component of the chosen masks."""
         nonlocal best_num, best_bits
         if total + open_weight[m] <= best_num:
             budget.reach(bits + (1 << m) - 1)
@@ -366,18 +353,24 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
             best_bits = bits
             return
         m -= 1
-        walk(m, bits, total, comp)
+        walk(m, bits, total, comps)
         low = 1 << m
-        joined = _join(comp, low, cmp_rows[m] & bits)
+        row = cmp_rows[m]
+        joined = low
+        apart = []
+        for c in comps:
+            if c & row:
+                joined |= c
+            else:
+                apart.append(c)
         if joined.bit_count() > t:
             budget.reach(bits + low + low - 1)
             return
-        child_comp = comp[:]
-        _assign(child_comp, joined)
-        walk(m, bits | low, total + weight[m], child_comp)
+        apart.append(joined)
+        walk(m, bits | low, total + weight[m], apart)
 
     with budget:
-        walk(cube, 0, 0, [0] * cube)
+        walk(cube, 0, 0, [])
 
     masks = [m for m in range(cube) if (best_bits >> m) & 1]
     witness = SetFamily.from_masks(n, masks)

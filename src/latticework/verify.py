@@ -106,11 +106,11 @@ def verify_blym(
     from .blym import blym_sum
     from .sampling import random_antichain
 
-    if family is not None:
-        return _family_sum("blym", blym_sum, family)
     if n < 1 or samples < 0:
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     _cap_samples(samples)
+    if family is not None:
+        return _family_sum("blym", blym_sum, family)
     rng = random.Random(seed)
     layers = (
         (SetFamily.from_masks(n, layer_masks(n, k)), f"full layer k={k}") for k in range(n + 1)
@@ -136,8 +136,6 @@ def verify_diamond_blym(
     from .constructions import sharp_family
     from .sampling import random_all_diamond_family
 
-    if family is not None:
-        return _family_sum("diamond-blym", diamond_blym_sum, family)
     if n < 1 or samples < 0 or sharp_n < 2:
         raise DomainError(
             "need 1 <= n, 0 <= samples and 2 <= sharp_n, "
@@ -145,6 +143,8 @@ def verify_diamond_blym(
         )
     _full(sharp_n)  # refuses the largest sharp family before building the first
     _cap_samples(samples)
+    if family is not None:
+        return _family_sum("diamond-blym", diamond_blym_sum, family)
     rng = random.Random(seed)
     drawn = (
         random_all_diamond_family(rng, n, target_components=rng.randrange(1, 2 * n))

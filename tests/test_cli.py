@@ -230,6 +230,23 @@ def test_verify_pass_and_fail_exit_codes(capsys, tmp_path):
     assert main(["verify", "blym", "--family", chained]) == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "blym", "--n", "-1", "--samples", "-5"], 2),
+    (["verify", "blym", "--samples", "100001"], 4),
+    (["verify", "diamond-blym", "--n", "0"], 2),
+    (["verify", "diamond-blym", "--sharp-n", "1"], 2),
+    (["verify", "diamond-blym", "--sharp-n", "21"], 4),
+])
+def test_verify_family_checks_the_options_it_echoes(capsys, tmp_path, argv, code):
+    # a family replaces the drawn cases, but the report still echoes n,
+    # samples and sharp_n, so they are checked as without --family
+    chained = write_family(tmp_path, SetFamily.from_sets(3, [(1,), (1, 2)]))
+    assert main([*argv, "--family", chained]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("size cap exceeded: " if code == 4 else "error: ")
+
+
 def test_verify_json_report(capsys):
     code, report = run_json(capsys, "verify", "kk", "--n", "3", "--k", "1", "--samples", "20")
     assert code == 0

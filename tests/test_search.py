@@ -165,6 +165,8 @@ LA_NODES = {
     (4, 5): 115, (4, 6): 198, (4, 7): 377, (4, 8): 2667,
     (5, 1): 78, (5, 2): 284, (5, 3): 1293, (5, 4): 3575,
     (5, 5): 9465, (5, 6): 15597, (5, 7): 28510, (5, 8): 39791,
+    # deeper trees, where several components sit apart from the joined one
+    (5, 9): 105701, (5, 10): 271489, (5, 11): 671901,
 }
 
 # (n, t, kmin, kmax) -> nodes, the layer bands of the benchmark's search workload
@@ -356,6 +358,23 @@ def test_la_node_counts_frozen():
         assert la_exact(n, t).nodes_explored == nodes, (n, t)
     for args, nodes in LA_RESTRICTED_NODES.items():
         assert la_exact_restricted(*args).nodes_explored == nodes, args
+
+
+def test_la_restricted_is_symmetric_under_complementation():
+    # complementation reverses inclusion, so it maps a family on the band
+    # [kmin, kmax] to one on [n - kmax, n - kmin] with the same components
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        bands = [(kmin, kmax) for kmin in range(n + 1) for kmax in range(kmin, n + 1)]
+        for t in range(1, 9):
+            results = {band: la_exact_restricted(n, t, *band) for band in bands}
+            for (kmin, kmax), res in results.items():
+                lo, hi = n - kmax, n - kmin
+                assert res.value == results[lo, hi].value, (n, t, kmin, kmax)
+                mirrored = SetFamily.from_masks(n, [full ^ m for m in res.witness.members])
+                assert len(mirrored) == res.value
+                assert comparability_graph(mirrored).max_component_order() <= t
+                assert all(lo <= m.bit_count() <= hi for m in mirrored.members)
 
 
 def test_band_matches_pairwise_definition():
