@@ -74,10 +74,6 @@ class LayerPairGraph(_Record):
             if kb != ka + 1:
                 raise DomainError(f"layers {ka} and {kb} are not adjacent")
 
-    @property
-    def n(self) -> int:
-        return self.a.n
-
     def order(self) -> int:
         return len(self.a) + len(self.b)
 

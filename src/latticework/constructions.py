@@ -190,21 +190,6 @@ class CertificationReport(_Record):
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "family_size": self.family_size,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": repr(c.expected),
-                    "actual": repr(c.actual),
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def sharp_claim(n: int, k: int, ceil_middle: bool = False) -> dict:
     _check_ground(n)

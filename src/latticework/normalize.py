@@ -92,12 +92,14 @@ def _component_below(graph: ComparabilityGraph, y: int) -> tuple[int, ...]:
 
 def _step(
     family: SetFamily, graph: ComparabilityGraph, skips: int
-) -> tuple[SetFamily, int, StepRecord]:
-    """One validated step: the reduced family, its skip bitset and the step taken."""
+) -> tuple[SetFamily, int, StepRecord, tuple[int, ...]]:
+    """One validated step: the reduced family, its skip bitset, the step taken
+    and the members of the component it rewrote."""
     # iter_bits ascends, so min keeps the smallest mask of least cardinality
     y = min(iter_bits(skips), key=int.bit_count)
+    component = _component_below(graph, y)
     # a member of largest cardinality is inclusion-maximal in the component
-    x_max = max(_component_below(graph, y), key=lambda m: (m.bit_count(), -m))
+    x_max = max(component, key=lambda m: (m.bit_count(), -m))
     reduced = family.add(y).remove(x_max)
     if len(reduced) != len(family):
         raise NormalizationError("step changed the family cardinality")
@@ -106,7 +108,7 @@ def _step(
         raise NormalizationError(
             f"skip count failed to decrease: added {y}, removed {x_max}"
         )
-    return reduced, reduced_skips, StepRecord(added=y, removed=x_max)
+    return reduced, reduced_skips, StepRecord(added=y, removed=x_max), component
 
 
 def skipless_step(family: SetFamily) -> SetFamily:
@@ -119,7 +121,7 @@ def skipless_step(family: SetFamily) -> SetFamily:
     skips = _skip_bits(family)
     if not skips:
         raise PreconditionError("family is already skipless")
-    reduced, _, _ = _step(family, comparability_graph(family), skips)
+    reduced, _, _, _ = _step(family, comparability_graph(family), skips)
     return reduced
 
 
@@ -140,7 +142,7 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
     current, skips = family, _skip_bits(family)
     trace: list[StepRecord] = []
     while skips:
-        reduced, skips, step = _step(current, graph, skips)
+        reduced, skips, step, component = _step(current, graph, skips)
         y, x_max = step.added, step.removed
         reduced_graph = comparability_graph(reduced)
         if reduced_graph.max_component_order() > t:
@@ -152,7 +154,7 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
         # A member comparable to y lies below or above it, hence in y's old
         # component C, and members of C reach only members of C: y's new
         # component lies in C with y swapped in for the removed member.
-        allowed = (set(_component_below(graph, y)) - {x_max}) | {y}
+        allowed = (set(component) - {x_max}) | {y}
         if not allowed.issuperset(_component_below(reduced_graph, y)):
             raise NormalizationError(
                 f"step {len(trace)}: the component of {y} is not inside its old "

@@ -46,7 +46,7 @@ inner loops are walked with `core.iter_bits`.  Only `xi_star_exact` and
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial, inf
+from math import factorial
 
 from .core import (
     NODE_BUDGET,
@@ -100,7 +100,8 @@ class _Budget:
     __slots__ = ("limit", "nodes")
 
     def __init__(self, budget_nodes: int | None):
-        self.limit = inf if budget_nodes is None else max(budget_nodes, 0)
+        # unbounded is a limit no search reaches, so every check stays int to int
+        self.limit = 1 << 63 if budget_nodes is None else max(budget_nodes, 0)
         self.nodes = 0
 
     def tick(self) -> None:

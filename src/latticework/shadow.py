@@ -4,6 +4,9 @@ down_closure / up_closure work on whole-cube bitsets (one bit per mask),
 so a closure costs n big-int operations instead of one power-set walk per
 member.  The cascade machinery gives the classical lower bound on the
 size of an r-fold shadow of an m-member k-uniform family.
+
+A split's boundary takes one pass, `_boundary`: the sets outside ↓F are
+↑F⁺ and those outside ↑F are ↓F⁻, so no closure of F⁺ or F⁻ is taken again.
 """
 
 from .core import (
@@ -156,24 +159,35 @@ def _split_bits(a: SetFamily, b: SetFamily) -> int:
     return bits_a | bits_b
 
 
-def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
-    """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
+def _boundary(a: SetFamily, b: SetFamily) -> tuple[int, int, int, int]:
+    """The bitsets (fplus, fminus, up, down) of a split, with up = ↑fplus, down = ↓fminus.
+
+    The sets outside ↓F form an up-set whose minimal members are fplus, so
+    that up-set is ↑fplus; dually, the sets outside ↑F are ↓fminus.
+    """
     both = _split_bits(a, b)
     n = a.n
-    missed_below = _full(n) ^ downset_bits(n, both)
-    # complement of a downset is an upset: minimal members have no lower cover inside
-    fplus = missed_below & ~shade_bits(n, missed_below)
-    missed_above = _full(n) ^ upset_bits(n, both)
-    fminus = missed_above & ~shadow_bits(n, missed_above)
+    up = _full(n) ^ downset_bits(n, both)
+    down = _full(n) ^ upset_bits(n, both)
+    # minimal members have no lower cover inside, maximal ones no upper cover
+    fplus = up & ~shade_bits(n, up)
+    fminus = down & ~shadow_bits(n, down)
     # the whole set and the empty set are never reachable from a true split
     if not (fplus and fminus):
         raise VerificationError("split has an empty boundary side")
-    return BoundaryPair(bits_to_family(n, fplus), bits_to_family(n, fminus))
+    return fplus, fminus, up, down
+
+
+def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
+    """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
+    fplus, fminus, _, _ = _boundary(a, b)
+    return BoundaryPair(bits_to_family(a.n, fplus), bits_to_family(a.n, fminus))
 
 
 def excluded_count(a: SetFamily, b: SetFamily) -> int:
     """|up_closure(fplus)| + |down_closure(fminus)| for the split's boundary pair."""
-    return boundary_report(a, b)["excluded_count"]
+    _, _, up, down = _boundary(a, b)
+    return up.bit_count() + down.bit_count()
 
 
 def boundary_report(a: SetFamily, b: SetFamily) -> dict:
@@ -182,17 +196,15 @@ def boundary_report(a: SetFamily, b: SetFamily) -> dict:
     Closure disjointness is a consequence of optimality, not of the split
     preconditions, so it is reported instead of assumed.
     """
-    pair = boundary_pair(a, b)
+    fplus, fminus, up, down = _boundary(a, b)
     n = a.n
-    up = upset_bits(n, family_bits(pair.fplus))
-    down = downset_bits(n, family_bits(pair.fminus))
     family_size = len(a) + len(b)
     excluded = up.bit_count() + down.bit_count()
     return {
         "n": n,
         "family_size": family_size,
-        "fplus": pair.fplus.to_jsonable(),
-        "fminus": pair.fminus.to_jsonable(),
+        "fplus": bits_to_family(n, fplus).to_jsonable(),
+        "fminus": bits_to_family(n, fminus).to_jsonable(),
         "up_closure_of_fplus": up.bit_count(),
         "down_closure_of_fminus": down.bit_count(),
         "closures_disjoint": (up & down) == 0,

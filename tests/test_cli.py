@@ -1,10 +1,8 @@
 import inspect
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -311,31 +309,25 @@ def test_invalid_ground_size_exits_two_before_the_size_cap(capsys):
         assert "capped at n=20" in capsys.readouterr().err, argv
 
 
-def test_pairwise_route_past_its_cap_exits_four():
+def test_pairwise_route_past_its_cap_exits_four(src_env):
     # the layers of [21] up to k = 4 are pair-tested, and k = 5 has 20,349
     # members; in a child process, so a lost cap fails on the timeout
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-m", "latticework.cli", "verify", "blym", "--n", "21", "--samples", "0"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=src_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.startswith("size cap exceeded: pairwise comparability capped at 8192")
 
 
-def test_technical_past_its_cap_exits_four():
+def test_technical_past_its_cap_exits_four(src_env):
     # 2.3e41 families; in a child process, so a lost cap fails on the timeout
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "latticework.cli", "verify", "technical", "--nmax", "64",
          "--kmax", "1"],
-        env=env, capture_output=True, text=True, timeout=20,
+        env=src_env, capture_output=True, text=True, timeout=20,
     )
     assert time.perf_counter() - started < 1.0
     assert proc.returncode == 4
@@ -344,16 +336,13 @@ def test_technical_past_its_cap_exits_four():
 
 
 @pytest.mark.parametrize("suite", ["blym", "diamond-blym", "colouring", "kk"])
-def test_samples_past_the_cap_exit_four(suite):
+def test_samples_past_the_cap_exit_four(suite, src_env):
     # 10^20 draws; in a child process, so a lost cap fails on the timeout
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "latticework.cli", "verify", suite, "--samples",
          "99999999999999999999"],
-        env=env, capture_output=True, text=True, timeout=20,
+        env=src_env, capture_output=True, text=True, timeout=20,
     )
     assert time.perf_counter() - started < 1.0
     assert proc.returncode == 4
@@ -510,14 +499,11 @@ def test_text_format_flattens(capsys):
     ["--format", "json", "search", "xi-star", "--n", "4", "--m", "4"],
     ["construct", "sharp", "--n", "14", "--k", "0"],
 ])
-def test_closed_stdout_ends_quietly(argv):
+def test_closed_stdout_ends_quietly(argv, src_env):
     # the reader goes away before the first byte, as `| true` does
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "latticework.cli", *argv],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=src_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     proc.stdout.close()
     err = proc.stderr.read()

@@ -108,6 +108,13 @@ def test_find_rainbow_cycle_positive_control():
     assert find_rainbow_cycle(repeated, 3) is None
 
 
+def test_colour_shared_at_a_vertex_is_not_proper():
+    # the shared vertex first as both edges' lower end, then as both upper
+    # ends, then as one edge's upper and the other's lower end
+    for edges in (((0, 1, 1), (0, 2, 1)), ((0, 2, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, 1))):
+        assert not is_proper(EdgeColouredGraph(3, edges)), edges
+
+
 def test_find_rainbow_cycle_needs_length_three():
     g = EdgeColouredGraph(3, ((0, 1, 1), (1, 2, 2)))
     with pytest.raises(DomainError):

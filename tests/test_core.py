@@ -1,7 +1,6 @@
 import ast
 import inspect
 import json
-import os
 import random
 import subprocess
 import sys
@@ -605,7 +604,7 @@ def _takes_family_or_n(fn):
     return any(p.name == "n" or "SetFamily" in str(p.annotation) for p in params)
 
 
-def test_cube_wide_entries_refuse_n40_without_allocating():
+def test_cube_wide_entries_refuse_n40_without_allocating(src_env):
     # Run only in a child process under an address-space limit, never in
     # this one: a call that forgets its cap would ask for 2^40 points
     exported = {
@@ -617,14 +616,11 @@ def test_cube_wide_entries_refuse_n40_without_allocating():
     assert set(CAP_CALLS) == exported
     table = {**CAP_CALLS, **HELPER_CAP_CALLS}
     calls = repr({name: call for name, (call, _) in table.items()})
-    out = _run_limited_child(CAP_PROBE.replace("{CALLS}", calls))
+    out = _run_limited_child(src_env, CAP_PROBE.replace("{CALLS}", calls))
     assert out == {name: want for name, (_, want) in table.items()}
 
 
-def _run_limited_child(script):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+def _run_limited_child(env, script):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -660,9 +656,9 @@ EDGE_CALLS = {
 }
 
 
-def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it():
+def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it(src_env):
     # in a limited child process, as above: a lost cap fails on the address space
-    out = _run_limited_child(EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))))
+    out = _run_limited_child(src_env, EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))))
     assert out == EDGE_CALLS
 
 
@@ -710,7 +706,7 @@ GROUND_CALLS = {
 }
 
 
-def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63():
+def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(src_env):
     # in a limited child process, as above: a missing check may allocate 2^64
     exported = {
         name
@@ -721,7 +717,7 @@ def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63():
     }
     assert set(GROUND_CALLS) == exported
     calls = repr({name: call for name, (call, _) in GROUND_CALLS.items()})
-    out = _run_limited_child(GROUND_PROBE.replace("{CALLS}", calls))
+    out = _run_limited_child(src_env, GROUND_PROBE.replace("{CALLS}", calls))
     assert out == {name: want for name, (_, want) in GROUND_CALLS.items()}
 
 

@@ -9,7 +9,6 @@ it.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -153,18 +152,13 @@ def test_help_choices_match_golden(capsys, monkeypatch):
         assert capsys.readouterr().out == GOLDEN["help"][" ".join(argv)], argv
 
 
-def src_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
-def test_search_reports_match_golden_under_python_O():
+def test_search_reports_match_golden_under_python_O(src_env):
     # the witness checks must run, and pass, with assert statements stripped
     for argv in (["search", "lambda-star", "--n", "3", "--t", "2"],
                  ["search", "la", "--n", "4", "--t", "2"]):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "latticework.cli", "--format", "json", *argv],
-            env=src_env(), capture_output=True, text=True,
+            env=src_env, capture_output=True, text=True,
         )
         report = json.loads(proc.stdout)
         del report["timing_seconds"]
@@ -172,13 +166,12 @@ def test_search_reports_match_golden_under_python_O():
         assert json.dumps(got) == json.dumps(GOLDEN["cli"][" ".join(argv)]), argv
 
 
-def test_demo_stdout_matches_golden():
-    env = src_env()
+def test_demo_stdout_matches_golden(src_env):
     assert DEMOS == list(GOLDEN["demos"])
     for name in DEMOS:
         out = subprocess.run(
             [sys.executable, str(ROOT / "demos" / name)],
-            env=env, capture_output=True, text=True, check=True,
+            env=src_env, capture_output=True, text=True, check=True,
         ).stdout
         assert out == GOLDEN["demos"][name], name
 

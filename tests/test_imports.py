@@ -16,7 +16,6 @@ import ast
 import importlib
 import inspect
 import json
-import os
 import pkgutil
 import subprocess
 import sys
@@ -54,15 +53,10 @@ technical_bound_check up_closure verify xi xi_star_exact
 """.split()
 
 
-def src_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
-def run_python(script: str, *args: str, cwd=ROOT):
+def run_python(env: dict, script: str, *args: str, cwd=ROOT):
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=src_env(), cwd=cwd, capture_output=True, text=True,
+        env=env, cwd=cwd, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -83,7 +77,7 @@ def test_each_name_resolves_to_its_module_object():
         assert held and all(value is obj for value in held), name
 
 
-def test_lubell_is_the_function_before_and_after_the_search_import():
+def test_lubell_is_the_function_before_and_after_the_search_import(src_env):
     script = (
         "import inspect, json, latticework\n"
         "before = latticework.lubell\n"
@@ -91,7 +85,7 @@ def test_lubell_is_the_function_before_and_after_the_search_import():
         "print(json.dumps([inspect.isfunction(before), latticework.lubell is before,\n"
         "                  latticework.search.lubell is before]))\n"
     )
-    assert run_python(script) == [True, True, True]
+    assert run_python(src_env, script) == [True, True, True]
     assert inspect.isfunction(latticework.lubell)
     assert latticework.lubell is latticework.search.lubell
 
@@ -109,14 +103,14 @@ def test_star_import_binds_the_public_names():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
 
 
-def test_bare_import_loads_only_family_and_lubell():
+def test_bare_import_loads_only_family_and_lubell(src_env):
     script = (
         "import json, sys, latticework\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('latticework.')),\n"
         "                  [n for n in dir(latticework) if not n.startswith('_')],\n"
         f"                  [m for m in {SLOW_STDLIB!r} if m in sys.modules]]))\n"
     )
-    loaded, public, slow = run_python(script)
+    loaded, public, slow = run_python(src_env, script)
     assert loaded == ["latticework.family", "latticework.lubell"]
     assert public == PUBLIC_NAMES
     assert slow == []
@@ -135,7 +129,7 @@ def test_family_imports_no_latticework_module():
     assert [m for m in imported if m.startswith((".", "latticework"))] == []
 
 
-def test_colouring_loads_no_kernel_module():
+def test_colouring_loads_no_kernel_module(src_env):
     script = (
         "import json, sys, latticework\n"
         "before = set(sys.modules)\n"
@@ -143,7 +137,7 @@ def test_colouring_loads_no_kernel_module():
         "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
         "                        if m.startswith('latticework'))))\n"
     )
-    assert run_python(script) == ["latticework.colouring"]
+    assert run_python(src_env, script) == ["latticework.colouring"]
 
 
 FOOTPRINT_SCRIPT = f"""
@@ -176,12 +170,12 @@ FOOTPRINTS = {
 }
 
 
-def test_each_command_imports_only_what_it_runs(tmp_path):
+def test_each_command_imports_only_what_it_runs(tmp_path, src_env):
     (tmp_path / "family.json").write_text(disconnected_extremal(4).to_json())
     (tmp_path / "split.json").write_text(json.dumps({"a": [1], "b": [0]}))
     for command, (extra, hashes) in FOOTPRINTS.items():
         code, loaded, hashlib_loaded, slow = run_python(
-            FOOTPRINT_SCRIPT, json.dumps(command.split()), cwd=tmp_path
+            src_env, FOOTPRINT_SCRIPT, json.dumps(command.split()), cwd=tmp_path
         )
         assert code == 0, command
         assert loaded == sorted(BASE + extra), command

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -172,14 +171,11 @@ print(json.dumps([before, high_water()]))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
-def test_prefix_columns_build_without_a_peak():
+def test_prefix_columns_build_without_a_peak(src_env):
     # the 9 columns of [8] take 363 KB; building them from those of [7]
     # must not hold the 8! permutations at once
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", PEAK_PROBE], env=src_env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout)

@@ -1,9 +1,7 @@
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -228,15 +226,12 @@ print(json.dumps(out))
 """
 
 
-def test_negative_height_is_refused_before_drawing():
+def test_negative_height_is_refused_before_drawing(src_env):
     # getrandbits(0) is 0, so an unguarded draw below 0 never ends: run it
     # in a child process, where a lost guard fails on the timeout
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-c", NEGATIVE_HEIGHT_PROBE],
-        env=env, capture_output=True, text=True, timeout=20,
+        env=src_env, capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["DomainError", True] * 4

@@ -1,11 +1,9 @@
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -33,6 +31,7 @@ from latticework.shadow import (
 )
 from latticework.constructions import disconnected_extremal
 from latticework.core import comparability_graph
+from latticework.search import disconnected_splits
 
 
 def fam(n, *sets):
@@ -51,6 +50,8 @@ def test_up_closure():
     assert len(up_closure(fam(3, ()))) == 8
     assert up_closure(fam(2, (1,))).to_sets() == [(1,), (1, 2)]
     assert len(up_closure(fam(3, (1,), (2,)))) == 6
+    empty = SetFamily.from_masks(3, ())
+    assert up_closure(empty) == empty
 
 
 def test_lower_shadow():
@@ -193,7 +194,7 @@ def test_split_refusal_matches_pairwise_scan():
     assert kinds == {None, "shared", "cross-comparable"}
 
 
-def test_large_split_is_checked_without_testing_pairs():
+def test_large_split_is_checked_without_testing_pairs(src_env):
     # layer 8 of [16] split by element 1: 6,435 members a side, about 4e7
     # pairs to test one by one; a child process, so a slow check times out
     code = """
@@ -206,11 +207,8 @@ b = SetFamily.from_masks(16, [m for m in layer if not m & 1])
 rep = boundary_report(a, b)
 print(json.dumps([rep["family_size"], rep["excluded_count"], rep["bound_holds"]]))
 """
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=4
+        [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=4
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [12870, 52666, True]
@@ -235,6 +233,35 @@ def test_boundary_report_shape():
     assert rep["bound_holds"]
     assert rep["excluded_count"] == rep["up_closure_of_fplus"] + rep["down_closure_of_fminus"]
     assert rep["family_size"] == 2
+
+
+def _random_splits(rng, count):
+    """Seeded valid splits at n <= 8: the components of a random family of
+    proper nonempty sets, dealt to two nonempty sides."""
+    made = 0
+    while made < count:
+        n = rng.randint(2, 8)
+        masks = rng.sample(range(1, (1 << n) - 1), rng.randint(2, min(12, (1 << n) - 2)))
+        comps = comparability_graph(SetFamily.from_masks(n, sorted(masks))).component_members
+        if len(comps) < 2:
+            continue
+        side = [True, *(rng.random() < 0.5 for _ in comps[2:]), False]
+        a = [m for c, s in zip(comps, side) if s for m in c]
+        b = [m for c, s in zip(comps, side) if not s for m in c]
+        made += 1
+        yield SetFamily.from_masks(n, sorted(a)), SetFamily.from_masks(n, sorted(b))
+
+
+def test_boundary_regions_are_the_closures_of_the_boundary_pair():
+    # the report reads ↑F⁺ and ↓F⁻ as the sets outside ↓F and ↑F; check that
+    # against the closures of the pair itself
+    maximal = [s for n in range(2, 6) for s in disconnected_splits(n, None)]
+    for a, b in maximal + list(_random_splits(random.Random(29), 300)):
+        pair = boundary_pair(a, b)
+        rep = boundary_report(a, b)
+        assert rep["up_closure_of_fplus"] == len(up_closure(pair.fplus)), (a, b)
+        assert rep["down_closure_of_fminus"] == len(down_closure(pair.fminus)), (a, b)
+        assert excluded_count(a, b) == rep["excluded_count"], (a, b)
 
 
 def test_cube_bitsets_refuse_grounds_past_the_closure_cap():

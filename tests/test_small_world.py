@@ -5,9 +5,15 @@ enough to check whole.  Each reference below is built from the
 definitions, never from the package's kernels: components by union-find
 over every pair of members, Lubell sums as sums of 1 / C(n, |X|), and the
 search values as maxima and minima over the families themselves.
+
+At n = 4 the 65,536 families fall into 2,104 orbits under relabelling
+and complementation, which keep every invariant checked here (the
+relabelling test below checks that at n <= 3); one representative of
+each orbit is checked the same way.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -22,6 +28,7 @@ from latticework.core import (
     height,
     is_antichain,
 )
+from latticework.family import _mask_relabel_table
 from latticework.lubell import lubell
 from latticework.normalize import find_skips, make_skipless, skip_count
 from latticework.search import (
@@ -91,53 +98,57 @@ def _lubell(family):
     return sum((Fraction(1, comb(family.n, m.bit_count())) for m in family.members), Fraction(0))
 
 
+def _check_against_definitions(family):
+    members = family.members
+    for graph, related in ((comparability_graph(family), _below), (cover_graph(family), _covers)):
+        components = _components(members, related)
+        assert list(graph.component_members) == components, family
+        assert graph.edges == _edges(members, related), family
+        edges_in = [len(_edges(ms, related)) for ms in components]
+        assert list(graph.component_sizes) == edges_in, family
+    assert count_two_chains(family) == len(_edges(members, _below)), family
+    assert is_antichain(family) == (not _edges(members, _below)), family
+    assert lubell(family) == _lubell(family), family
+    if members:
+        sizes = [m.bit_count() for m in members]
+        assert height(family) == max(sizes) - min(sizes), family
+    else:
+        with pytest.raises(DomainError):
+            height(family)
+    skips = _skips(family)
+    assert skip_count(family) == len(skips), family
+    reports = find_skips(family)
+    assert [r.skip for r in reports] == sorted(skips, key=lambda y: (y.bit_count(), y)), family
+    for r in reports:
+        assert r.witness_below in family.member_set and r.witness_above in family.member_set
+        assert r.witness_below & r.skip == r.witness_below
+        assert r.skip & r.witness_above == r.skip
+    t = max(1, _order(family))
+    skipless = make_skipless(family, t)
+    assert len(skipless) == len(family), family
+    assert not _skips(skipless), family
+    assert _order(skipless) <= t, family
+
+
 @pytest.mark.parametrize("n", GROUND_SIZES)
 def test_every_family_matches_the_definitions(n):
     for family in _families(n):
-        members = family.members
-        for graph, related in ((comparability_graph(family), _below), (cover_graph(family), _covers)):
-            components = _components(members, related)
-            assert list(graph.component_members) == components, family
-            assert graph.edges == _edges(members, related), family
-            edges_in = [len(_edges(ms, related)) for ms in components]
-            assert list(graph.component_sizes) == edges_in, family
-        assert count_two_chains(family) == len(_edges(members, _below)), family
-        assert is_antichain(family) == (not _edges(members, _below)), family
-        assert lubell(family) == _lubell(family), family
-        if members:
-            sizes = [m.bit_count() for m in members]
-            assert height(family) == max(sizes) - min(sizes), family
-        else:
-            with pytest.raises(DomainError):
-                height(family)
-        skips = _skips(family)
-        assert skip_count(family) == len(skips), family
-        reports = find_skips(family)
-        assert [r.skip for r in reports] == sorted(skips, key=lambda y: (y.bit_count(), y)), family
-        for r in reports:
-            assert r.witness_below in family.member_set and r.witness_above in family.member_set
-            assert r.witness_below & r.skip == r.witness_below
-            assert r.skip & r.witness_above == r.skip
-        t = max(1, _order(family))
-        skipless = make_skipless(family, t)
-        assert len(skipless) == len(family), family
-        assert not _skips(skipless), family
-        assert _order(skipless) <= t, family
+        _check_against_definitions(family)
 
 
-@pytest.mark.parametrize("n", GROUND_SIZES)
-def test_search_values_match_the_whole_small_world(n):
+def _row(family):
+    """Size, largest component order, Lubell sum, smallest and largest member
+    size, number of components and 2-chain count."""
+    # [n, 0] puts the empty family in every layer band
+    sizes = [m.bit_count() for m in family.members] or [family.n, 0]
+    components = _components(family.members, _below)
+    order = max(map(len, components), default=0)
+    return (len(family), order, _lubell(family), min(sizes), max(sizes),
+            len(components), len(_edges(family.members, _below)))
+
+
+def _check_search_values(n, table):
     cube = 1 << n
-    # per family: size, largest component order, Lubell sum, smallest and
-    # largest member size, number of components and 2-chain count
-    table = []
-    for family in _families(n):
-        # [n, 0] puts the empty family in every layer band
-        sizes = [m.bit_count() for m in family.members] or [n, 0]
-        components = _components(family.members, _below)
-        order = max(map(len, components), default=0)
-        table.append((len(family), order, _lubell(family), min(sizes), max(sizes),
-                      len(components), len(_edges(family.members, _below))))
     for t in range(1, cube + 1):
         assert la_exact(n, t).value == max(s for s, o, *_ in table if o <= t), t
         assert lambda_star_exact(n, t).value == max(lu for _, o, lu, *_ in table if o <= t), t
@@ -149,6 +160,55 @@ def test_search_values_match_the_whole_small_world(n):
         assert min_two_chains(n, m).value == min(c for s, *_, c in table if s == m), m
     if n >= 2:
         assert max_disconnected(n).value == max(s for s, *_, parts, _ in table if parts >= 2)
+
+
+@pytest.mark.parametrize("n", GROUND_SIZES)
+def test_search_values_match_the_whole_small_world(n):
+    _check_search_values(n, [_row(family) for family in _families(n)])
+
+
+@cache
+def _orbit_representatives():
+    """The least family of each orbit at n = 4, as a member bitset, walking
+    all 2^16 in order and marking each new family's 48 images as seen."""
+    n, full = 4, 15
+    # per image of the masks, the image bitset of each low and high byte
+    halves = []
+    for perm in permutations(range(1, n + 1)):
+        table = _mask_relabel_table(n, perm)
+        for flip in (0, full):
+            image = [1 << (table[m] ^ flip) for m in range(16)]
+            low, high = [0] * 256, [0] * 256
+            for b in range(1, 256):
+                i = (b & -b).bit_length() - 1
+                low[b] = low[b & (b - 1)] | image[i]
+                high[b] = high[b & (b - 1)] | image[i + 8]
+            halves.append((low, high))
+    seen = bytearray(1 << 16)
+    picks = []
+    for pick in range(1 << 16):
+        if not seen[pick]:
+            picks.append(pick)
+            for low, high in halves:
+                seen[low[pick & 255] | high[pick >> 8]] = 1
+    return [SetFamily.from_masks(n, [m for m in range(16) if pick >> m & 1]) for pick in picks]
+
+
+def test_every_orbit_at_n4_matches_the_definitions():
+    families = _orbit_representatives()
+    assert len(families) == 2104
+    for family in families:
+        _check_against_definitions(family)
+
+
+def test_search_values_match_the_orbits_at_n4():
+    table = []
+    for family in _orbit_representatives():
+        row = _row(family)
+        # the complement of a family in the orbit has its sizes mirrored;
+        # relabelling keeps them, and every other column is kept by both
+        table += [row, (*row[:3], 4 - row[4], 4 - row[3], *row[5:])]
+    _check_search_values(4, table)
 
 
 @pytest.mark.parametrize("n", GROUND_SIZES)

@@ -5,12 +5,8 @@ outside `sys.stdlib_module_names` and the package itself, then runs the
 code that once needed a third-party graph atlas.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import sys
@@ -35,11 +31,9 @@ sys.exit(cli.main(["reproduce", "madstar-t4"]))
 """
 
 
-def test_mad_star_runs_on_the_stdlib_alone():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+def test_mad_star_runs_on_the_stdlib_alone(src_env):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True
+        [sys.executable, "-c", SCRIPT], env=src_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert "passed: True" in proc.stdout

@@ -302,3 +302,93 @@ def test_reproductions_all_pass():
 def test_reproduction_unknown_name():
     with pytest.raises(DomainError):
         run_reproduction("nonexistent")
+
+
+def test_key_lemma_suite_fails_without_an_upper_boundary(monkeypatch):
+    from latticework import shadow
+    from latticework.search import disconnected_splits
+
+    # with no set above, each set of size s <= n - 2 below lacks its n - s - 1 partners
+    pair = shadow.boundary_pair
+    monkeypatch.setattr(
+        shadow, "boundary_pair",
+        lambda a, b: shadow.BoundaryPair(SetFamily.from_masks(a.n, ()), pair(a, b).fminus),
+    )
+    rep = verify_key_lemma(n=3)
+    below = [(a, b, sorted(f.bit_count() for f in pair(a, b).fminus))
+             for a, b in disconnected_splits(3)]
+    assert rep["splits"] == 9 and not rep["passed"]
+    assert rep["checked"] == sum(len(sizes) for _, _, sizes in below)
+    want = [
+        {"a": a.to_jsonable(), "b": b.to_jsonable(), "below_size": s, "have": 0}
+        for a, b, sizes in below
+        for s in sizes
+        if s <= 1
+    ]
+    assert want and rep["failures"] == want[:MAX_REPORTED_FAILURES]
+
+
+def _fact_ab_on(monkeypatch, splits):
+    from latticework import search
+
+    monkeypatch.setattr(search, "disconnected_splits", lambda n, budget: splits)
+    return verify_fact_ab(n=3)
+
+
+def test_fact_ab_names_each_split_it_refuses(monkeypatch):
+    # at n = 3: a side that is not convex, sides with comparable members,
+    # and a split that is not maximal, whose boundary closures share {3}
+    cases = [
+        (fam(3, (1,), (1, 2, 3)), fam(3, (2,)), "closure meet is not the side itself"),
+        (fam(3, (1,)), fam(3, (1, 2)), "cross-side closures intersect"),
+        (fam(3, (1,)), fam(3, (2,)), "boundary closures intersect"),
+    ]
+    rep = _fact_ab_on(monkeypatch, [(a, b) for a, b, _ in cases])
+    assert rep["splits"] == 3 and not rep["passed"]
+    assert rep["failures"] == [
+        {"a": a.to_jsonable(), "b": b.to_jsonable(), "reason": reason} for a, b, reason in cases
+    ]
+
+
+def test_fact_ab_fails_when_the_boundary_touches_the_family(monkeypatch):
+    from latticework import shadow
+
+    # a boundary above that is the first side itself
+    pair = shadow.boundary_pair
+    monkeypatch.setattr(shadow, "boundary_pair", lambda a, b: shadow.BoundaryPair(a, pair(a, b).fminus))
+    a, b = fam(3, (1,)), fam(3, (2, 3))
+    rep = _fact_ab_on(monkeypatch, [(a, b)])
+    assert rep["failures"] == [
+        {"a": a.to_jsonable(), "b": b.to_jsonable(), "reason": "boundary closure touches the family"}
+    ]
+
+
+def test_fact_ab_fails_below_the_excluded_floor(monkeypatch):
+    from latticework import constructions
+    from latticework.search import disconnected_splits
+    from latticework.shadow import excluded_count
+
+    # a claimed extremal size one too small raises the floor past the
+    # extremal splits' excluded count
+    size = constructions.disconnected_extremal_size
+    monkeypatch.setattr(constructions, "disconnected_extremal_size", lambda n: size(n) - 1)
+    rep = verify_fact_ab(n=3)
+    floor = 8 - size(3) + 1
+    want = [
+        {"a": a.to_jsonable(), "b": b.to_jsonable(), "excluded": e, "floor": floor}
+        for a, b in disconnected_splits(3)
+        if (e := excluded_count(a, b)) < floor
+    ]
+    assert want and rep["failures"] == want[:MAX_REPORTED_FAILURES]
+    assert rep["extremal_tight_count"] == 0 and not rep["passed"]
+
+
+def test_fact_ab_fails_when_the_closures_outgrow_the_cube(monkeypatch):
+    from latticework.core import upset_bits
+
+    # every up-closure gains the 8 masks 8..15 past the cube of [3]: the
+    # split's 4 excluded sets become 12, and its 4 members no longer fit
+    monkeypatch.setattr(verify, "upset_bits", lambda n, bits: upset_bits(n, bits) | (255 << 8))
+    a, b = fam(3, (1,), (1, 2)), fam(3, (3,), (2, 3))
+    rep = _fact_ab_on(monkeypatch, [(a, b)])
+    assert rep["failures"] == [{"a": a.to_jsonable(), "b": b.to_jsonable(), "size": 4, "excluded": 12}]
