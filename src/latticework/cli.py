@@ -74,10 +74,10 @@ def _read_json(path: str):
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    except (RecursionError, ValueError) as exc:
+        # a JSONDecodeError has a place; deep nesting and overlong integers do not
+        place = f" at line {exc.lineno} column {exc.colno}" if hasattr(exc, "lineno") else ""
+        raise _UsageError(f"parse error in {path}{place}: {getattr(exc, 'msg', exc)}") from exc
 
 
 def _write_family(path: str, family: SetFamily) -> None:

@@ -19,11 +19,12 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
-  `_comparability_rows` tests every pair of an ascending member list once,
-  `_row_components` grows components along those rows.  `_full`, `_columns`
-  and `_complements`, cached per n, hold the cube and the masks having
-  (lacking) each bit; `_full` checks the ground size, then the closure cap,
-  for them and for the cube-sized builders in `core` and `constructions`.
+  `_comparability_rows` tests each pair of a member list in which no mask
+  lies inside an earlier one, `_row_components` grows components along
+  those rows.  `_full`, `_columns` and `_complements`, cached per n, hold
+  the cube and the masks having (lacking) each bit; `_full` checks the
+  ground size, then the closure cap, for them and for the cube-sized
+  builders in `core` and `constructions`.
 """
 
 from __future__ import annotations
@@ -217,10 +218,11 @@ def comparability_graph(family: SetFamily, cover_only: bool = False) -> Comparab
 
 
 def _comparability_rows(ms: tuple[int, ...], cover_only: bool = False) -> list[int]:
-    """Bit j of row i is set iff masks i and j of the ascending ms are
-    comparable (with cover_only, one element apart), so no row has its own
-    bit.  Every pair is tested once: only the earlier mask can lie inside
-    the later one.  Past PAIRWISE_MEMBER_CAP masks the request is refused.
+    """Bit j of row i is set iff masks i and j of ms are comparable (with
+    cover_only, one element apart), so no row has its own bit.  Each pair is
+    tested once, the earlier mask inside the later: no mask of ms may lie
+    inside an earlier one, as in ascending masks or one layer then the next.
+    Past PAIRWISE_MEMBER_CAP masks the request is refused.
     """
     if len(ms) > PAIRWISE_MEMBER_CAP:
         raise ResourceLimitError(f"pairwise comparability capped at {PAIRWISE_MEMBER_CAP} members")

@@ -22,9 +22,10 @@ nodes, proven_optimal=False, with its incumbent.  Before the first
 candidate that incumbent is value and witness None for `xi_star_exact` and
 `min_two_chains`, 0 and an empty witness for `mad_star_probe`,
 `lambda_star_exact` and `max_disconnected`, and the seed family for
-`la_exact`.
-Every witness is re-checked before it is returned, and a failed check
-raises VerificationError, under `python -O` too.  Not every re-check is
+`la_exact`.  A search keeps its incumbent as indices, masks or a colouring
+and builds its witness once, after its loop (`mad_star_probe` stops at its
+first colouring), then re-checks it; a failed check raises
+VerificationError, under `python -O` too.  Not every re-check is
 independent of its search: `la_exact` and `la_exact_restricted` on
 witnesses of at most 16 members, `lambda_star_exact`, `max_disconnected`
 at n <= 4 and `min_two_chains` re-check through `comparability_graph` or
@@ -164,9 +165,8 @@ def _la_seeds(n: int, t: int, kmin: int, kmax: int) -> SetFamily:
         if (1 << k) > t:
             continue
         s = sharp_family(n, k)
-        if s.members and all(kmin <= m.bit_count() <= kmax for m in s.members):
-            if len(s) > len(best):
-                best = s
+        if len(s) > len(best) and all(kmin <= m.bit_count() <= kmax for m in s.members):
+            best = s
     return best
 
 
@@ -373,8 +373,7 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
     with budget:
         walk(cube, 0, 0, [])
 
-    masks = [m for m in range(cube) if (best_bits >> m) & 1]
-    witness = SetFamily.from_masks(n, masks)
+    witness = SetFamily.from_masks(n, iter_bits(best_bits))
     value = Fraction(best_num, factorial_n)
 
     if lubell(witness) != value:
@@ -535,20 +534,19 @@ def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResu
         raise DomainError("order m out of range for adjacent layer pairs")
     if m > max(binomial(n, k) + binomial(n, k + 1) for k in range(n)):
         raise DomainError(f"no adjacent layer pair of [{n}] has order {m}")
-    best = best_pair = None
+    best = None
     best_edges = -1
     budget = _Budget(budget_nodes)
     with budget:
         for k in range(n):
             bottoms = layer_masks(n, k)
             tops = layer_masks(n, k + 1)
-            # row j: the bottoms inside tops[j]
-            sub_rows = [sum(1 << i for i, b in enumerate(bottoms) if b & top == b) for top in tops]
-            max_a = min(len(bottoms), m)
+            # row j: the bottoms inside tops[j]; no top lies inside a bottom
+            # or another top, so the tops' rows hold bottom bits only
+            sub_rows = _comparability_rows(bottoms + tops)[len(bottoms):]
             for a_bits in range(1 << len(bottoms)):
-                asize = a_bits.bit_count()
-                bsize = m - asize
-                if asize > max_a or bsize < 0 or bsize > len(tops):
+                bsize = m - a_bits.bit_count()
+                if not 0 <= bsize <= len(tops):
                     continue
                 budget.tick()
                 # m is fixed, so the edge count ranks nodes as 2 * edges / m does
@@ -556,19 +554,21 @@ def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResu
                 edges = sum(degs[:bsize])
                 if edges > best_edges:
                     best_edges = edges
-                    best = Fraction(2 * edges, m)
-                    # ties among tops go to the larger index
-                    ranked = sorted(
-                        ((sub_rows[j] & a_bits).bit_count(), j) for j in range(len(tops))
-                    )[::-1]
-                    a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
-                    b_fam = SetFamily.from_masks(n, [tops[j] for _, j in ranked[:bsize]])
-                    best_pair = LayerPairGraph(a_fam, b_fam)
-    if best_pair is not None and best_pair.order() != m:
-        raise VerificationError(f"witness has order {best_pair.order()}, not {m}")
-    if best_pair is not None and avg_degree(best_pair) != best:
-        raise VerificationError(f"witness has average degree {avg_degree(best_pair)}, not {best}")
-    return SearchResult(best, best_pair, budget.nodes, budget.proven)
+                    best = (bottoms, tops, sub_rows, a_bits, bsize)
+    if best is None:
+        return SearchResult(None, None, budget.nodes, budget.proven)
+    bottoms, tops, sub_rows, a_bits, bsize = best
+    value = Fraction(2 * best_edges, m)
+    # ties among tops go to the larger index
+    ranked = sorted(((row & a_bits).bit_count(), j) for j, row in enumerate(sub_rows))[::-1]
+    a_fam = SetFamily.from_masks(n, [bottoms[i] for i in iter_bits(a_bits)])
+    b_fam = SetFamily.from_masks(n, [tops[j] for _, j in ranked[:bsize]])
+    pair = LayerPairGraph(a_fam, b_fam)
+    if pair.order() != m:
+        raise VerificationError(f"witness has order {pair.order()}, not {m}")
+    if avg_degree(pair) != value:
+        raise VerificationError(f"witness has average degree {avg_degree(pair)}, not {value}")
+    return SearchResult(value, pair, budget.nodes, budget.proven)
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +735,6 @@ def mad_star_probe(t: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
 
     if not is_proper(best_witness):
         raise VerificationError("witness colouring is not proper")
-    if (
-        best_witness.edges
-        and t >= 3
-        and find_rainbow_cycle(best_witness, max_len=max(3, t)) is not None
-    ):
+    if find_rainbow_cycle(best_witness, max_len=max(3, t)) is not None:
         raise VerificationError("witness colouring has a rainbow cycle")
     return SearchResult(best, best_witness, budget.nodes, budget.proven)

@@ -26,6 +26,7 @@ from .core import (
     binomial,
     downset_bits,
     family_bits,
+    iter_bits,
     layer_masks,
     upset_bits,
     _full,
@@ -201,7 +202,7 @@ def verify_kk(
 
     if exhaustive:
         for pick in range(1, 1 << width):
-            check(tuple(layer[i] for i in range(width) if (pick >> i) & 1))
+            check(tuple(layer[i] for i in iter_bits(pick)))
     else:
         rng = random.Random(seed)
         for _ in range(samples):

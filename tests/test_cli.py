@@ -488,6 +488,29 @@ def test_truncated_split_file_is_usage_error(capsys, tmp_path):
     assert err.startswith(f"error: parse error in {split} at line 1 column ")
 
 
+# json.loads raises RecursionError on deep nesting and ValueError past
+# int's 4,300-digit string limit; neither is a JSONDecodeError
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"n": ' + "9" * 5_000 + ', "sets": []}'],
+                         ids=["deep", "long_int"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "BAD"],
+    ["normalize", "--family", "BAD", "--t", "2"],
+    ["boundary", "--family", "BAD", "--split-file", "SPLIT"],
+    ["boundary", "--family", "FAMILY", "--split-file", "BAD"],
+    ["verify", "blym", "--family", "BAD"],
+], ids=" ".join)
+def test_unparsable_json_file_is_usage_error(capsys, tmp_path, text, argv):
+    bad, split = tmp_path / "bad.json", tmp_path / "split.json"
+    bad.write_text(text)
+    split.write_text('{"a": [0], "b": [1]}')
+    files = {"BAD": str(bad), "SPLIT": str(split),
+             "FAMILY": write_family(tmp_path, disconnected_extremal(3))}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse error in {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_text_format_flattens(capsys):
     code = main(["--format", "text", "search", "min2chains", "--n", "3", "--m", "4"])
     out = capsys.readouterr().out

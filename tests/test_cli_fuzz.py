@@ -34,6 +34,9 @@ FAMILIES = {
     "duplicate.json": '{"n": 3, "sets": [[1], [1]]}',
     "outside.json": '{"n": 2, "sets": [[3]]}',
     "sets_not_list.json": '{"n": 2, "sets": {"a": 1}}',
+    # past json's recursion limit and past int's 4,300-digit string limit
+    "deep.json": "[" * 100_000,
+    "long_int.json": '{"n": ' + "9" * 5_000 + ', "sets": []}',
 }
 SPLITS = {
     "split_ok.json": '{"a": [0], "b": [1]}',
@@ -45,6 +48,8 @@ SPLITS = {
     "split_huge.json": '{"a": [' + HUGE + '], "b": [0]}',
     "split_list.json": "[[0], [1]]",
     "split_truncated.json": '{"a": [0',
+    "split_deep.json": "[" * 100_000,
+    "split_long_int.json": '{"a": [' + "9" * 5_000 + '], "b": [0]}',
 }
 MISSING = "missing.json"
 
@@ -150,7 +155,7 @@ def test_argv_grammar_ends_in_documented_exits(capsys, tmp_path):
         (tmp_path / name).write_text(text)
     rng = random.Random(20261019)
     seen, huge = set(), set()
-    for _ in range(200):
+    for _ in range(300):
         command, argv = _argv(rng, tmp_path)
         seen.add(command)
         huge.update(option for option, value in zip(argv, argv[1:]) if value == HUGE)

@@ -607,7 +607,9 @@ def test_xi_star_matches_fraction_loop():
     for n in range(1, 6):
         orders = max(binomial(n, k) + binomial(n, k + 1) for k in range(n))
         for m in range(1, orders + 1):
-            for budget in (None, 0, 1, 7, 300):
+            # at n <= 4, every budget stop, so each incumbent's witness is checked
+            full = xi_star_exact(n, m, None).nodes_explored
+            for budget in (None, *(range(full + 1) if n <= 4 else (0, 1, 7, 300))):
                 res = xi_star_exact(n, m, budget)
                 got = (res.value, plain_witness(res.witness), res.nodes_explored,
                        res.proven_optimal)

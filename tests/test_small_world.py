@@ -3,8 +3,12 @@
 The 4 + 16 + 256 = 276 families of subsets of [1], [2] and [3] are few
 enough to check whole.  Each reference below is built from the
 definitions, never from the package's kernels: components by union-find
-over every pair of members, Lubell sums as sums of 1 / C(n, |X|), and the
-search values as maxima and minima over the families themselves.
+over every pair of members, Lubell sums as sums of 1 / C(n, |X|), the
+search values as maxima and minima over the families themselves, a
+diamond as a component holding every set between its meet and its join,
+and a maximally disconnected family as one where each absent set is
+comparable to a member of every component.  `certify` is checked against
+these on claims of true values and of values set off by one.
 
 At n = 4 the 65,536 families fall into 2,104 orbits under relabelling
 and complementation, which keep every invariant checked here (the
@@ -19,8 +23,11 @@ from math import comb
 
 import pytest
 
+from latticework.blym import diamond_blym_sum
+from latticework.constructions import CLAIM_KEYS, certify
 from latticework.core import (
     DomainError,
+    PreconditionError,
     SetFamily,
     comparability_graph,
     count_two_chains,
@@ -162,6 +169,126 @@ def _check_search_values(n, table):
         assert max_disconnected(n).value == max(s for s, *_, parts, _ in table if parts >= 2)
 
 
+def _span(component):
+    """The meet and join of a component's members."""
+    meet = join = component[0]
+    for m in component:
+        meet &= m
+        join |= m
+    return meet, join
+
+
+def _is_diamond(n, component):
+    """True iff the component holds every set between its meet and its join."""
+    meet, join = _span(component)
+    return set(component) == {y for y in range(1 << n) if meet & y == meet and y & join == y}
+
+
+class _Facts:
+    """A family's components and what the claim keys ask of them, from the
+    definitions."""
+
+    def __init__(self, family):
+        members = family.members
+        self.family = family
+        self.comps = _components(members, _below)
+        self.spans = [_span(c) for c in self.comps]
+        self.heights = [(join ^ meet).bit_count() for meet, join in self.spans]
+        self.diamonds = all(_is_diamond(family.n, c) for c in self.comps)
+        self.isolated = [x for x in members
+                         if not any(_below(x, y) or _below(y, x) for y in members)]
+        # every absent set is comparable to a member of each component
+        self.links = all(any(_below(x, y) or _below(y, x) for x in c)
+                         for y in range(1 << family.n) if y not in family.member_set
+                         for c in self.comps)
+        self.rest = {}  # per isolated member, the components of the other members
+
+    def holds(self, key, want, claim):
+        """Whether one claimed value is true of the family."""
+        comps = self.comps
+        if key == "size":
+            return want == len(self.family)
+        if key == "component_count":
+            return want == len(comps)
+        if key == "component_order":
+            return all(len(c) == want for c in comps)
+        if key == "diamond_components":
+            return self.diamonds and (want is True or all(h == want["height"] for h in self.heights))
+        if key == "disconnected":
+            return want == (len(comps) >= 2)
+        if key == "isolated_member":
+            return want in self.isolated
+        if key == "rest_connected":
+            # the members but the claimed isolated one, if it is isolated, form one component
+            iso = claim.get("isolated_member")
+            if iso not in self.isolated:
+                return want == (len(comps) == 1)
+            if iso not in self.rest:
+                rest = [m for m in self.family.members if m != iso]
+                self.rest[iso] = _components(rest, _below)
+            return want == (len(self.rest[iso]) == 1)
+        return want == (len(comps) >= 2 and self.links)  # maximally_disconnected
+
+    def nearest_claim(self):
+        """A value for every key, true wherever one value is."""
+        members = self.family.members
+        claim = {
+            "size": len(members),
+            "component_count": len(self.comps),
+            "component_order": max(map(len, self.comps), default=0),
+            "diamond_components": {"height": max(self.heights, default=0)},
+            "disconnected": len(self.comps) >= 2,
+            "isolated_member": (self.isolated or members or (0,))[0],
+        }
+        for key in ("rest_connected", "maximally_disconnected"):
+            claim[key] = self.holds(key, True, claim)
+        return claim
+
+
+def _shift(value, d):
+    """A claimed value set off by d: a flag negated, a number or height moved."""
+    if isinstance(value, dict):
+        return {"height": value["height"] + d}
+    if isinstance(value, bool):
+        return not value
+    return value + d
+
+
+def _check_certify_and_diamond_sum(family):
+    facts = _Facts(family)
+    near = facts.nearest_claim()
+    # the claim built from the definitions: each nearest value that holds,
+    # and the diamond shape True where no single height holds
+    true = {key: value for key, value in near.items() if facts.holds(key, value, near)}
+    true.setdefault("diamond_components", True)
+    off = [{key: _shift(value, d) for key, value in near.items()} for d in (1, -1)]
+    for claim in (true, near, *off):
+        report = certify(family, claim)
+        if claim is true:
+            assert report.ok == facts.diamonds, (family, claim)
+        checks = report.checks
+        assert [c.name for c in checks] == [key for key in CLAIM_KEYS if key in claim], family
+        for c in checks:
+            assert c.passed == facts.holds(c.name, claim[c.name], claim), (family, c)
+            # a count or flag set off by one is false whatever the family
+            if claim is not near and c.name in (
+                    "size", "component_count", "disconnected", "maximally_disconnected"):
+                assert c.passed == (claim is true), (family, c)
+    if facts.diamonds:
+        want = sum((Fraction(1, comb(family.n - h, meet.bit_count()))
+                    for (meet, _), h in zip(facts.spans, facts.heights)), Fraction(0))
+        assert diamond_blym_sum(family) == want, family
+    else:
+        with pytest.raises(PreconditionError):
+            diamond_blym_sum(family)
+
+
+@pytest.mark.parametrize("n", GROUND_SIZES)
+def test_certify_and_diamond_sum_match_the_definitions(n):
+    for family in _families(n):
+        _check_certify_and_diamond_sum(family)
+
+
 @pytest.mark.parametrize("n", GROUND_SIZES)
 def test_search_values_match_the_whole_small_world(n):
     _check_search_values(n, [_row(family) for family in _families(n)])
@@ -199,6 +326,11 @@ def test_every_orbit_at_n4_matches_the_definitions():
     assert len(families) == 2104
     for family in families:
         _check_against_definitions(family)
+
+
+def test_certify_and_diamond_sum_match_the_orbits_at_n4():
+    for family in _orbit_representatives():
+        _check_certify_and_diamond_sum(family)
 
 
 def test_search_values_match_the_orbits_at_n4():
