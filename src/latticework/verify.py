@@ -5,9 +5,11 @@ over exhaustive or seeded-random inputs, and returns a plain dict of one
 shape: "suite", "params", the suite's own counts, "passed" and "failures"
 (at most MAX_REPORTED_FAILURES, each enough to locate a counterexample).
 The BLYM suites share one sum check, and given one family they report its
-"sum" and "tight" without "params".  The reproduction registry pins small
-search anchors to frozen values so a CLI run can diff actual against
-expected.
+"sum" and "tight" without "params".  The reproduction registry is one table
+of rows, each a name, a summary, an expected value and the op and args that
+compute it (a search's value, or a sharp construction's member count), so a
+CLI run can diff actual against expected.  `tests/known_values.json` holds
+every row's expected value with how it was proven.
 """
 
 from __future__ import annotations
@@ -398,132 +400,67 @@ def run_verifier(name: str, **params) -> dict:
 
 
 class Reproduction(_Record):
-    """A pinned desk-scale computation with its frozen expected value."""
+    """A pinned desk-scale computation, `op` run on `args`, with its frozen expected value."""
 
-    def __init__(self, name: str, summary: str, expected: object, run: Callable[[], object]):
+    def __init__(self, name: str, summary: str, expected: object, op: str, args: tuple):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+
+    def run(self) -> object:
+        """The value of `search.<op>(*args)`, or the member count of `sharp_family(*args)`."""
+        if self.op == "sharp_family":
+            from .constructions import sharp_family
+
+            return len(sharp_family(*self.args))
+        from . import search
+
+        return getattr(search, self.op)(*self.args).value
 
     def to_jsonable(self) -> dict:
         return {"name": self.name, "summary": self.summary, "expected": str(self.expected)}
 
 
-REPRODUCTIONS: dict[str, Reproduction] = {}
-
-
-def _register(name: str, summary: str, expected, run: Callable[[], object]) -> None:
-    REPRODUCTIONS[name] = Reproduction(name, summary, expected, run)
-
-
-def _search_value(op: str, *args) -> Callable[[], object]:
-    """A run giving the value of `search.<op>(*args)`; it imports search when called."""
-
-    def run():
-        from . import search
-
-        return getattr(search, op)(*args).value
-
-    return run
-
-
-def _sharp_size(n: int, k: int) -> int:
-    from .constructions import sharp_family
-
-    return len(sharp_family(n, k))
-
-
-_register(
-    "sperner-n3",
-    "largest family of [3] with all comparability components trivial",
-    3,
-    _search_value("la_exact", 3, 1),
-)
-_register(
-    "sperner-n4",
-    "largest family of [4] with all comparability components trivial",
-    6,
-    _search_value("la_exact", 4, 1),
-)
-_register(
-    "katona-tarjan-n4",
-    "largest family of [4] with components of order at most 2",
-    6,
-    _search_value("la_exact", 4, 2),
-)
-_register(
-    "katona-tarjan-n5",
-    "largest family of [5] with components of order at most 2",
-    12,
-    _search_value("la_exact", 5, 2),
-)
-_register(
-    "k2-n3",
-    "largest family of [3] with components of order at most 2",
-    4,
-    _search_value("la_exact", 3, 2),
-)
-_register(
-    "la-n4-t4",
-    "largest family of [4] with components of order at most 4",
-    8,
-    _search_value("la_exact", 4, 4),
-)
-_register(
-    "disconnected-n3",
-    "largest disconnected family of [3] containing no isolated vertex split",
-    4,
-    _search_value("max_disconnected", 3),
-)
-_register(
-    "disconnected-n4",
-    "largest disconnected family of [4]",
-    10,
-    _search_value("max_disconnected", 4),
-)
-_register(
-    "disconnected-n5",
-    "largest disconnected family of [5]",
-    22,
-    _search_value("max_disconnected", 5),
-)
-_register(
-    "kleitman-n3-q1",
-    "fewest 2-chains over families of [3] with one set past the middle layer",
-    2,
-    _search_value("min_two_chains", 3, 4),
-)
-_register(
-    "kleitman-n4-q2",
-    "fewest 2-chains over families of [4] with two sets past the middle layer",
-    6,
-    _search_value("min_two_chains", 4, 8),
-)
-_register(
-    "xi-star-n5-m6",
-    "densest 6-vertex subgraph of an adjacent layer pair of [5]",
-    Fraction(2),
-    _search_value("xi_star_exact", 5, 6),
-)
-_register(
-    "madstar-t4",
-    "max average degree of a 4-vertex graph with a rainbow-cycle-free colouring",
-    Fraction(2),
-    _search_value("mad_star_probe", 4),
-)
-_register(
-    "lambda-star-n3-t2",
-    "max Lubell value over families of [3] with components of order at most 2",
-    Fraction(2),
-    _search_value("lambda_star_exact", 3, 2),
-)
-_register(
-    "sharp-size-n12-k3",
-    "member count of the height-3 sharp construction at n=12",
-    1008,
-    lambda: _sharp_size(12, 3),
-)
+# one row per reproduction, in the order `reproduce --list` prints them
+REPRODUCTIONS: dict[str, Reproduction] = {rep.name: rep for rep in (
+    Reproduction("sperner-n3", "largest family of [3] with all comparability components trivial",
+                 3, "la_exact", (3, 1)),
+    Reproduction("sperner-n4", "largest family of [4] with all comparability components trivial",
+                 6, "la_exact", (4, 1)),
+    Reproduction("katona-tarjan-n4", "largest family of [4] with components of order at most 2",
+                 6, "la_exact", (4, 2)),
+    Reproduction("katona-tarjan-n5", "largest family of [5] with components of order at most 2",
+                 12, "la_exact", (5, 2)),
+    Reproduction("k2-n3", "largest family of [3] with components of order at most 2",
+                 4, "la_exact", (3, 2)),
+    Reproduction("la-n4-t4", "largest family of [4] with components of order at most 4",
+                 8, "la_exact", (4, 4)),
+    Reproduction("disconnected-n3",
+                 "largest disconnected family of [3] containing no isolated vertex split",
+                 4, "max_disconnected", (3,)),
+    Reproduction("disconnected-n4", "largest disconnected family of [4]",
+                 10, "max_disconnected", (4,)),
+    Reproduction("disconnected-n5", "largest disconnected family of [5]",
+                 22, "max_disconnected", (5,)),
+    Reproduction("kleitman-n3-q1",
+                 "fewest 2-chains over families of [3] with one set past the middle layer",
+                 2, "min_two_chains", (3, 4)),
+    Reproduction("kleitman-n4-q2",
+                 "fewest 2-chains over families of [4] with two sets past the middle layer",
+                 6, "min_two_chains", (4, 8)),
+    Reproduction("xi-star-n5-m6", "densest 6-vertex subgraph of an adjacent layer pair of [5]",
+                 Fraction(2), "xi_star_exact", (5, 6)),
+    Reproduction("madstar-t4",
+                 "max average degree of a 4-vertex graph with a rainbow-cycle-free colouring",
+                 Fraction(2), "mad_star_probe", (4,)),
+    Reproduction("lambda-star-n3-t2",
+                 "max Lubell value over families of [3] with components of order at most 2",
+                 Fraction(2), "lambda_star_exact", (3, 2)),
+    Reproduction("sharp-size-n12-k3", "member count of the height-3 sharp construction at n=12",
+                 1008, "sharp_family", (12, 3)),
+)}
 
 
 def run_reproduction(name: str) -> dict:

@@ -1,11 +1,16 @@
 """Fixtures shared by the test modules."""
 
+import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the one table of proven values: per entry an op, its positional args, the
+# value (a fraction as "p/q") and how it was proven
+KNOWN_VALUES = Path(__file__).with_name("known_values.json")
 
 
 @pytest.fixture
@@ -14,3 +19,16 @@ def src_env():
     ahead of anything already on PYTHONPATH."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.fixture(scope="session")
+def known_entries():
+    """The entries of `known_values.json`, in file order."""
+    return json.loads(KNOWN_VALUES.read_text())
+
+
+@pytest.fixture(scope="session")
+def known(known_entries):
+    """Each proven value by (op, *args), a "p/q" string read as a Fraction."""
+    return {(e["op"], *e["args"]): Fraction(e["value"]) if isinstance(e["value"], str)
+            else e["value"] for e in known_entries}

@@ -18,10 +18,12 @@ from latticework.constructions import (
     diamond_family,
     sharp_family,
 )
+from latticework import blym
 from latticework.core import (
     DomainError,
     PreconditionError,
     SetFamily,
+    VerificationError,
     binomial,
     comparability_graph,
     full_cube,
@@ -150,6 +152,32 @@ def test_diamond_blym_below_one_on_random_families():
             fam = random_all_diamond_family(rng, n, target_components=rng.randrange(1, n + 2))
             if len(fam):
                 assert diamond_blym_sum(fam) <= 1
+
+
+# Each re-check below is reached only by a kernel that returns a wrong
+# answer, so each test plants one that does.
+
+def test_blym_sum_recheck_fires_on_a_sum_past_one(monkeypatch):
+    monkeypatch.setattr(blym, "lubell", lambda family: Fraction(2))
+    with pytest.raises(VerificationError, match="^BLYM sum 2 of an antichain exceeds 1$"):
+        blym_sum(SetFamily.from_sets(3, [(1,), (2,), (3,)]))
+
+
+def test_diamond_profile_recheck_fires_on_a_census_that_miscounts(monkeypatch):
+    def taller(components):
+        meets, joins, heights, gap = _diamond_census(components)
+        return meets, joins, [h + 1 for h in heights], gap
+
+    monkeypatch.setattr(blym, "_diamond_census", taller)
+    with pytest.raises(VerificationError,
+                       match="^diamond census does not account for every member$"):
+        diamond_profile(sharp_family(4, 1))
+
+
+def test_diamond_blym_sum_recheck_fires_on_a_sum_past_one(monkeypatch):
+    monkeypatch.setattr(blym, "binomial", lambda n, k: 1)
+    with pytest.raises(VerificationError, match="^diamond BLYM sum 3 exceeds 1$"):
+        diamond_blym_sum(sharp_family(4, 1))
 
 
 def test_all_diamond_bound_values():

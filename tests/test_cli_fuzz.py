@@ -54,13 +54,30 @@ SPLITS = {
 MISSING = "missing.json"
 
 
+class _Draws(random.Random):
+    """The grammar's random source, and per option pool the turn of the next
+    huge option, so that every option is huge in turn whatever came before."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.turns = {}
+
+
 def _options(rng, pools, always=(), bad=0.7):
-    """Most options with a small value each; in most calls one is bad, often huge."""
-    bad = rng.choice(list(pools)) if rng.random() < bad else None
+    """Most options with a small value each; in most calls one is bad, in half
+    of those huge, each option of the pool in turn."""
+    names, roll = tuple(pools), rng.random()
+    pick = value = None
+    if roll < bad / 2:
+        turn = rng.turns.get(names, 0)
+        rng.turns[names] = turn + 1
+        pick, value = names[turn % len(names)], HUGE
+    elif roll < bad:
+        pick, value = rng.choice(names), rng.choice(BAD)
     argv = []
     for name, small in pools.items():
-        if name == bad:
-            argv += [f"--{name}", HUGE if rng.random() < 0.5 else rng.choice(BAD)]
+        if name == pick:
+            argv += [f"--{name}", value]
         elif name in always or rng.random() < 0.9:
             argv += [f"--{name}", rng.choice(small)]
     return argv
@@ -153,7 +170,7 @@ def _failed_check(argv, out):
 def test_argv_grammar_ends_in_documented_exits(capsys, tmp_path):
     for name, text in {**FAMILIES, **SPLITS}.items():
         (tmp_path / name).write_text(text)
-    rng = random.Random(20261019)
+    rng = _Draws(20261019)
     seen, huge = set(), set()
     for _ in range(300):
         command, argv = _argv(rng, tmp_path)

@@ -37,7 +37,7 @@ FIELDS = {
     BoundaryPair: {"fplus": FAMILY, "fminus": SetFamily(2, ())},
     SearchResult: {"value": Fraction(4, 3), "witness": FAMILY, "nodes_explored": 7,
                    "proven_optimal": True},
-    Reproduction: {"name": "r", "summary": "s", "expected": 1, "run": int},
+    Reproduction: {"name": "r", "summary": "s", "expected": 1, "op": "la_exact", "args": (2, 1)},
     DiamondProfile: {"n": 2, "counts": ((0, 1, 1),)},
 }
 RECORDS = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)

@@ -49,42 +49,10 @@ from latticework.search import (
 )
 from latticework.shadow import up_closure, down_closure
 
-# Exact values, frozen after exhaustive / cross-validated runs.  The n=2,3
-# columns were checked against a direct scan of all 2^(2^n) subfamilies;
-# n=4 and n=5 entries agree between the pruned and the unpruned search.
-LA_TABLE = {
-    (2, 1): 2, (2, 2): 2, (2, 3): 3, (2, 4): 4,
-    (3, 1): 3, (3, 2): 4, (3, 3): 4, (3, 4): 4,
-    (3, 5): 5, (3, 6): 6, (3, 7): 7, (3, 8): 8,
-    (4, 1): 6, (4, 2): 6, (4, 3): 7, (4, 4): 8, (4, 6): 8, (4, 16): 16,
-    (5, 1): 10, (5, 2): 12,
-}
 
-LAMBDA_STAR_TABLE = {
-    (2, 1): Fraction(1), (2, 2): Fraction(2), (2, 4): Fraction(3),
-    (3, 1): Fraction(1), (3, 2): Fraction(2), (3, 3): Fraction(7, 3), (3, 8): Fraction(4),
-    (4, 1): Fraction(1), (4, 2): Fraction(2), (4, 3): Fraction(9, 4),
-    (4, 4): Fraction(5, 2), (4, 16): Fraction(5),
-}
-
-KLEITMAN_TABLE = {
-    (2, 3): 2, (2, 4): 5,
-    (3, 3): 0, (3, 4): 2, (3, 5): 4,
-    (4, 7): 3, (4, 8): 6,
-}
-
-MAD_STAR_TABLE = {
-    1: Fraction(0), 2: Fraction(1), 3: Fraction(4, 3), 4: Fraction(2),
-    5: Fraction(12, 5), 6: Fraction(3), 7: Fraction(20, 7),
-}
-
-XI_STAR_N5 = [
-    Fraction(0), Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(8, 5),
-    Fraction(2), Fraction(2), Fraction(2), Fraction(20, 9), Fraction(12, 5),
-    Fraction(26, 11), Fraction(7, 3), Fraction(32, 13), Fraction(18, 7),
-    Fraction(8, 3), Fraction(21, 8), Fraction(46, 17), Fraction(25, 9),
-    Fraction(54, 19), Fraction(3),
-]
+def _table(known, op):
+    """The proven values of one search in known_values.json, keyed by its args."""
+    return {tuple(args): value for (name, *args), value in known.items() if name == op}
 
 
 def check_order_witness(res, n, t):
@@ -94,8 +62,10 @@ def check_order_witness(res, n, t):
     assert comparability_graph(fam).max_component_order() <= t
 
 
-def test_la_frozen_table():
-    for (n, t), expected in LA_TABLE.items():
+def test_la_frozen_table(known):
+    table = _table(known, "la_exact")
+    assert len(table) >= 20
+    for (n, t), expected in table.items():
         res = la_exact(n, t)
         assert res.proven_optimal
         assert res.value == expected, (n, t, res.value)
@@ -110,8 +80,8 @@ def test_la_monotone_in_t_and_full_cube():
     assert la_exact(4, 16).value == 16
 
 
-def test_la_sandwich_against_constructions():
-    for (n, t), value in LA_TABLE.items():
+def test_la_sandwich_against_constructions(known):
+    for (n, t), value in _table(known, "la_exact").items():
         for k in range(n + 1):
             if (1 << k) <= t:
                 assert value >= len(sharp_family(n, k))
@@ -145,8 +115,10 @@ def test_la_budget_flagging():
     check_order_witness(res, 4, 4)
 
 
-def test_lambda_star_frozen_table():
-    for (n, t), expected in LAMBDA_STAR_TABLE.items():
+def test_lambda_star_frozen_table(known):
+    table = _table(known, "lambda_star_exact")
+    assert len(table) >= 12
+    for (n, t), expected in table.items():
         res = lambda_star_exact(n, t)
         assert res.proven_optimal
         assert res.value == expected, (n, t, res.value)
@@ -447,10 +419,11 @@ def test_budget_sweep():
             assert len(disconnected_splits(4, budget)) == 78
 
 
-def test_lambda_star_sandwich():
-    for (n, t), lam in LAMBDA_STAR_TABLE.items():
-        if (n, t) in LA_TABLE:
-            assert lam * binomial(n, n // 2) >= LA_TABLE[(n, t)]
+def test_lambda_star_sandwich(known):
+    la = _table(known, "la_exact")
+    for (n, t), lam in _table(known, "lambda_star_exact").items():
+        if (n, t) in la:
+            assert lam * binomial(n, n // 2) >= la[(n, t)]
 
 
 def test_max_disconnected_matches_formulas():
@@ -616,10 +589,12 @@ def test_xi_star_matches_fraction_loop():
                 assert got == xi_star_by_fractions(n, m, budget), (n, m, budget)
 
 
-def test_xi_star_frozen_values():
-    for m, expected in enumerate(XI_STAR_N5, start=1):
-        res = xi_star_exact(5, m)
-        assert res.value == expected, (m, res.value)
+def test_xi_star_frozen_values(known):
+    table = _table(known, "xi_star_exact")
+    assert {(5, m) for m in range(1, 21)} <= set(table)
+    for (n, m), expected in table.items():
+        res = xi_star_exact(n, m)
+        assert res.value == expected, (n, m, res.value)
     assert xi_star_exact(2, 2).value == 1
     assert xi_star_exact(3, 6).value == 2
     assert xi_star_exact(4, 1).value == 0
@@ -640,8 +615,10 @@ def test_xi_star_infeasible_size():
         xi_star_exact(4, 11)
 
 
-def test_min_two_chains_frozen_table():
-    for (n, m), expected in KLEITMAN_TABLE.items():
+def test_min_two_chains_frozen_table(known):
+    table = _table(known, "min_two_chains")
+    assert len(table) >= 7
+    for (n, m), expected in table.items():
         res = min_two_chains(n, m)
         assert res.proven_optimal
         assert res.value == expected
@@ -657,8 +634,10 @@ def test_min_two_chains_supersaturation_bound():
             assert value >= q * (n // 2 + 1)
 
 
-def test_mad_star_frozen_table():
-    for t, expected in MAD_STAR_TABLE.items():
+def test_mad_star_frozen_table(known):
+    table = _table(known, "mad_star_probe")
+    assert {(t,) for t in range(1, 8)} <= set(table)
+    for (t,), expected in table.items():
         res = mad_star_probe(t)
         assert res.proven_optimal
         assert res.value == expected, (t, res.value)

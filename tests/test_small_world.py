@@ -13,7 +13,8 @@ these on claims of true values and of values set off by one.
 At n = 4 the 65,536 families fall into 2,104 orbits under relabelling
 and complementation, which keep every invariant checked here (the
 relabelling test below checks that at n <= 3); one representative of
-each orbit is checked the same way.
+each orbit is checked the same way.  Every n <= 4 entry of
+known_values.json is checked against the search values derived here.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from math import comb
 
 import pytest
 
+from latticework import search
 from latticework.blym import diamond_blym_sum
 from latticework.constructions import CLAIM_KEYS, certify
 from latticework.core import (
@@ -38,13 +40,6 @@ from latticework.core import (
 from latticework.family import _mask_relabel_table
 from latticework.lubell import lubell
 from latticework.normalize import find_skips, make_skipless, skip_count
-from latticework.search import (
-    la_exact,
-    la_exact_restricted,
-    lambda_star_exact,
-    max_disconnected,
-    min_two_chains,
-)
 
 GROUND_SIZES = (1, 2, 3)
 
@@ -154,19 +149,28 @@ def _row(family):
             len(components), len(_edges(family.members, _below)))
 
 
-def _check_search_values(n, table):
+def _check_search_values(n, table, known):
+    """Each search value at n against the one derived from the table, and each
+    entry of known_values.json at n against the same derived value."""
     cube = 1 << n
+    derived = {}
     for t in range(1, cube + 1):
-        assert la_exact(n, t).value == max(s for s, o, *_ in table if o <= t), t
-        assert lambda_star_exact(n, t).value == max(lu for _, o, lu, *_ in table if o <= t), t
+        derived["la_exact", n, t] = max(s for s, o, *_ in table if o <= t)
+        derived["lambda_star_exact", n, t] = max(lu for _, o, lu, *_ in table if o <= t)
         for kmin in range(n + 1):
             for kmax in range(kmin, n + 1):
-                want = max(s for s, o, _, lo, hi, *_ in table if o <= t and kmin <= lo and hi <= kmax)
-                assert la_exact_restricted(n, t, kmin, kmax).value == want, (t, kmin, kmax)
+                derived["la_exact_restricted", n, t, kmin, kmax] = max(
+                    s for s, o, _, lo, hi, *_ in table if o <= t and kmin <= lo and hi <= kmax)
     for m in range(cube + 1):
-        assert min_two_chains(n, m).value == min(c for s, *_, c in table if s == m), m
+        derived["min_two_chains", n, m] = min(c for s, *_, c in table if s == m)
     if n >= 2:
-        assert max_disconnected(n).value == max(s for s, *_, parts, _ in table if parts >= 2)
+        derived["max_disconnected", n] = max(s for s, *_, parts, _ in table if parts >= 2)
+    for (op, *args), want in derived.items():
+        assert getattr(search, op)(*args).value == want, (op, args)
+    # every op but mad_star_probe takes the ground size first, so no n-entry goes unchecked
+    for (op, *args), value in known.items():
+        if op != "mad_star_probe" and args[0] == n:
+            assert derived.get((op, *args)) == value, (op, args)
 
 
 def _span(component):
@@ -290,8 +294,8 @@ def test_certify_and_diamond_sum_match_the_definitions(n):
 
 
 @pytest.mark.parametrize("n", GROUND_SIZES)
-def test_search_values_match_the_whole_small_world(n):
-    _check_search_values(n, [_row(family) for family in _families(n)])
+def test_search_values_match_the_whole_small_world(n, known):
+    _check_search_values(n, [_row(family) for family in _families(n)], known)
 
 
 @cache
@@ -333,14 +337,14 @@ def test_certify_and_diamond_sum_match_the_orbits_at_n4():
         _check_certify_and_diamond_sum(family)
 
 
-def test_search_values_match_the_orbits_at_n4():
+def test_search_values_match_the_orbits_at_n4(known):
     table = []
     for family in _orbit_representatives():
         row = _row(family)
         # the complement of a family in the orbit has its sizes mirrored;
         # relabelling keeps them, and every other column is kept by both
         table += [row, (*row[:3], 4 - row[4], 4 - row[3], *row[5:])]
-    _check_search_values(4, table)
+    _check_search_values(4, table, known)
 
 
 @pytest.mark.parametrize("n", GROUND_SIZES)

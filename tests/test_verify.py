@@ -299,6 +299,20 @@ def test_reproductions_all_pass():
         assert rep["name"] == name and rep["summary"]
 
 
+def test_every_reproduction_is_a_known_value(known):
+    # a row's frozen value is the one known_values.json holds; nothing is run
+    for rep in REPRODUCTIONS.values():
+        assert known.get((rep.op, *rep.args)) == rep.expected, rep.name
+
+
+def test_known_values_hold_one_proven_value_per_key(known_entries, known):
+    assert len(known) == len(known_entries)
+    for entry in known_entries:
+        assert set(entry) == {"op", "args", "value", "provenance"}, entry
+        assert entry["provenance"] in ("exhaustion", "search", "closed form"), entry
+        assert isinstance(entry["value"], (int, str)), entry
+
+
 def test_reproduction_unknown_name():
     with pytest.raises(DomainError):
         run_reproduction("nonexistent")
