@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .family import DomainError, ResourceLimitError, SetFamily, _check_ground, _Record
+from .family import DomainError, ResourceLimitError, SetFamily, VerificationError, _check_ground, _Record
 
 ENUMERATION_GROUND_CAP = 10
 _BYTE_GROUND = 8  # a prefix mask fits in one byte
@@ -144,5 +144,5 @@ def diamond_meet_count(bottom: int, top: int, n: int) -> int:
     den = factorial(n - (b - a))
     q, r = divmod(num, den)
     if r:
-        raise DomainError("interval meet count did not divide evenly")
+        raise VerificationError("interval meet count did not divide evenly")
     return q

@@ -86,7 +86,7 @@ def kk_cascade(m: int, k: int) -> CascadeRep:
     level = k
     while rest > 0:
         if level < 1:
-            raise DomainError(f"no cascade for m={m} at k={k}")
+            raise VerificationError(f"no cascade for m={m} at k={k}")
         # the largest top with C(top, level) <= rest: double the step past
         # it, then halve back, keeping C(top, level) <= rest < C(top + step, level)
         top, step = level, 1

@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 # the one table of proven values: per entry an op, its positional args, the
 # value (a fraction as "p/q") and how it was proven
 KNOWN_VALUES = Path(__file__).with_name("known_values.json")
@@ -19,6 +22,21 @@ def src_env():
     ahead of anything already on PYTHONPATH."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.fixture
+def run_python(src_env):
+    """Run `python *args` in a child with `src_env`, check that it exits 0
+    within timeout seconds (None waits as long as it takes), and return its
+    stdout read by parse, as JSON unless told otherwise."""
+
+    def run(*args, timeout, cwd=ROOT, parse=json.loads):
+        proc = subprocess.run([sys.executable, *args], env=src_env, cwd=cwd,
+                              capture_output=True, text=True, timeout=timeout)
+        assert proc.returncode == 0, proc.stderr
+        return parse(proc.stdout)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ limits are generous single-machine budgets and each test asserts its own
 elapsed wall clock.
 """
 
-import itertools
 import random
 import time
+from math import comb
 
 from latticework.blym import diamond_blym_sum
 from latticework.colouring import LayerPairGraph, find_rainbow_cycle, is_proper, layer_colouring
@@ -20,7 +20,7 @@ from latticework.constructions import (
     sharp_claim,
     sharp_family,
 )
-from latticework.core import SetFamily, binomial, comparability_graph, layer_masks
+from latticework.core import SetFamily, comparability_graph, layer_masks
 from latticework.lubell import lubell, lubell_by_permutations
 from latticework.normalize import make_skipless, skip_count
 from latticework.sampling import (
@@ -52,7 +52,7 @@ def test_01_antichain_maximum_matches_middle_layer():
     ok = True
     for n, want in expected.items():
         res = la_exact(n, 1)
-        ok = ok and res.proven_optimal and res.value == want == binomial(n, n // 2)
+        ok = ok and res.proven_optimal and res.value == want == comb(n, n // 2)
     report(1, "largest antichain per n in 2..5", ok, time.monotonic() - start, 60)
 
 
@@ -64,14 +64,14 @@ def test_02_order_two_components():
         res = la_exact(n, 2)
         ok = ok and res.proven_optimal and res.value == want
         if n >= 2:
-            ok = ok and want == 2 * binomial(n - 1, (n - 1) // 2)
+            ok = ok and want == 2 * comb(n - 1, (n - 1) // 2)
     report(2, "largest family with components of order <= 2", ok, time.monotonic() - start, 300)
 
 
 def test_03_order_four_components_n4():
     start = time.monotonic()
     res = la_exact(4, 4)
-    ok = res.proven_optimal and res.value == 8 == 4 * binomial(2, 1)
+    ok = res.proven_optimal and res.value == 8 == 4 * comb(2, 1)
     report(3, "largest order-4-component family at n = 4", ok, time.monotonic() - start, 300)
 
 
@@ -192,7 +192,7 @@ def test_11_two_chain_supersaturation():
     start = time.monotonic()
     ok = True
     for n in (2, 3, 4):
-        width = binomial(n, n // 2)
+        width = comb(n, n // 2)
         for q in (1, 2):
             res = min_two_chains(n, width + q)
             ok = ok and res.proven_optimal and res.value >= q * (n // 2 + 1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,25 +12,19 @@ from latticework.blym import (
     diamond_profile,
     family_diamonds,
 )
-from latticework.constructions import (
-    Diamond,
-    _diamond_census,
-    certify,
-    diamond_family,
-    sharp_family,
-)
+from latticework.constructions import _diamond_census, certify, sharp_family
 from latticework import blym
 from latticework.core import (
     DomainError,
     PreconditionError,
     SetFamily,
     VerificationError,
-    binomial,
     comparability_graph,
     full_cube,
     layer_masks,
 )
 from latticework.sampling import random_all_diamond_family
+from reference import interval_sum, is_interval, span
 
 
 def test_blym_sum_values():
@@ -56,7 +51,7 @@ def test_detect_diamond():
 def test_family_diamonds_splits_components():
     fam = sharp_family(4, 1)
     ds = family_diamonds(fam)
-    assert len(ds) == binomial(3, 1)
+    assert len(ds) == comb(3, 1)
     assert all(d.height == 1 for d in ds)
     with pytest.raises(PreconditionError):
         family_diamonds(SetFamily.from_sets(3, [(1,), (1, 2), (2,)]))  # a vee, no top
@@ -71,10 +66,11 @@ def _assert_census_matches_detect_diamond(fam, heights=()):
     meets, joins, census_heights, gap = _diamond_census(components)
     assert len(meets) == len(joins) == len(census_heights) == len(components)
     for c, d, meet, join, h in zip(components, found, meets, joins, census_heights):
-        # detect_diamond reads the census, so the oracle lists the interval itself
-        assert (d is not None) == (diamond_family(Diamond(meet, join), fam.n).members == c)
+        # detect_diamond reads the census, so the oracle reads the definitions
+        assert (meet, join) == span(c)
+        assert (d is not None) == is_interval(c)
         if d is not None:
-            assert (meet, join, h) == (d.bottom, d.top, d.height)
+            assert (meet, join, h, meet.bit_count()) == (d.bottom, d.top, d.height, d.bottom_layer)
         assert h == (meet ^ join).bit_count()
     first = next((i for i, d in enumerate(found) if d is None), None)
     assert gap == first
@@ -85,9 +81,7 @@ def _assert_census_matches_detect_diamond(fam, heights=()):
         assert check.passed is check.actual is expect
     if first is None:
         assert family_diamonds(fam) == found
-        # one term per component, added one Fraction at a time
-        terms = (Fraction(1, binomial(fam.n - d.height, d.bottom_layer)) for d in found)
-        assert diamond_blym_sum(fam) == sum(terms, Fraction(0))
+        assert diamond_blym_sum(fam) == interval_sum(fam.n, components)
     else:
         part = graph.component_family(first).to_sets()
         with pytest.raises(PreconditionError) as err:
@@ -182,8 +176,8 @@ def test_diamond_blym_sum_recheck_fires_on_a_sum_past_one(monkeypatch):
 
 def test_all_diamond_bound_values():
     # 2^k times the middle binomial of the quotient cube
-    assert all_diamond_bound(4, 1) == 2 * binomial(3, 1)
-    assert all_diamond_bound(5, 0) == binomial(5, 2)
-    assert all_diamond_bound(6, 2) == 4 * binomial(4, 2)
+    assert all_diamond_bound(4, 1) == 2 * comb(3, 1)
+    assert all_diamond_bound(5, 0) == comb(5, 2)
+    assert all_diamond_bound(6, 2) == 4 * comb(4, 2)
     with pytest.raises(DomainError):
         all_diamond_bound(3, 4)

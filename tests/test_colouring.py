@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,7 +13,7 @@ from latticework.colouring import (
     xi,
 )
 from latticework.constructions import full_layer_pair
-from latticework.core import DomainError, SetFamily, binomial
+from latticework.core import DomainError, SetFamily
 
 
 def pair(n, k):
@@ -64,7 +65,7 @@ def test_edge_counts_on_full_layers():
     # each (k+1)-set covers k+1 sets of the lower layer
     for n, k in [(3, 0), (4, 1), (5, 2)]:
         g = pair(n, k)
-        assert xi(g.a, g.b) == (k + 1) * binomial(n, k + 1)
+        assert xi(g.a, g.b) == (k + 1) * comb(n, k + 1)
         assert len(g.edges()) == xi(g.a, g.b)
 
 

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -21,7 +22,6 @@ from latticework.core import (
     DomainError,
     ResourceLimitError,
     SetFamily,
-    binomial,
     comparability_graph,
     height,
     mask_of,
@@ -32,14 +32,14 @@ def test_sharp_family_sizes():
     for n in range(1, 13):
         for k in range(n + 1):
             fam = sharp_family(n, k)
-            assert len(fam) == (1 << k) * binomial(n - k, (n - k) // 2)
+            assert len(fam) == (1 << k) * comb(n - k, (n - k) // 2)
             assert height(fam) == k
 
 
 def test_sharp_family_component_structure():
     fam = sharp_family(4, 2)
     g = comparability_graph(fam)
-    assert g.n_components == binomial(2, 1)
+    assert g.n_components == comb(2, 1)
     assert set(g.component_orders) == {4}
     assert min(fam.sizes()) == 1 and max(fam.sizes()) == 3
 

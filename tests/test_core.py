@@ -1,10 +1,6 @@
-import ast
 import inspect
-import json
 import random
-import subprocess
-import sys
-from pathlib import Path
+from math import comb
 
 import pytest
 
@@ -44,6 +40,7 @@ from latticework.core import (
     mask_of,
     upset_bits,
 )
+from reference import comparable, component_ids, components, covers, pairs
 
 
 def test_mask_round_trip():
@@ -143,14 +140,14 @@ def test_is_comparable_and_antichain():
 
 
 def test_layer_masks_and_binomial():
-    assert [m.bit_count() for m in layer_masks(5, 2)] == [2] * binomial(5, 2)
+    assert [m.bit_count() for m in layer_masks(5, 2)] == [2] * comb(5, 2)
     assert binomial(4, 2) == 6
     assert binomial(4, 5) == 0 and binomial(4, -1) == 0
 
 
 def test_layer_masks_refuses_layers_past_the_cap():
     # C(22, 11) = 705,432 masks fit under 2^20; C(23, 11) = 1,352,078 do not
-    assert len(layer_masks(22, 11)) == binomial(22, 11)
+    assert len(layer_masks(22, 11)) == comb(22, 11)
     with pytest.raises(ResourceLimitError):
         layer_masks(23, 11)
 
@@ -185,59 +182,30 @@ def _plane_components(n, bits, cover_only):
     _plane_labels(n, bits, cover_only, planes)
     members = iter_bits(bits)
     labels = [sum((p >> m & 1) << t for t, p in enumerate(planes)) for m in members]
-    components = _group(members, labels)
+    groups = _group(members, labels)
     label_of = dict(zip(members, labels))
-    assert all(label_of[m] == ms[0] for ms in components for m in ms)
-    return components
-
-
-def _reference_pairs(ms, cover_only):
-    # index pairs (i, j), i < j, of the comparable (or covering) members,
-    # each pair tested both ways from the definition of a 2-chain
-    pairs = []
-    for i, x in enumerate(ms):
-        size = x.bit_count()
-        for j, y in enumerate(ms[i + 1:], i + 1):
-            if x & y == x or x & y == y:
-                if not cover_only or abs(y.bit_count() - size) == 1:
-                    pairs.append((i, j))
-    return pairs
-
-
-def _reference_ids(s, pairs):
-    # component number of each vertex, numbered by least vertex, from a
-    # union-find that halves paths on every lookup
-    parent = list(range(s))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    roots = {}
-    return tuple(roots.setdefault(find(v), len(roots)) for v in range(s))
-
-
-def _reference_components(fam, cover_only):
-    ms = fam.members
-    return _group(ms, _reference_ids(len(ms), _reference_pairs(ms, cover_only)))
+    assert all(label_of[m] == ms[0] for ms in groups for m in ms)
+    return groups
 
 
 def _assert_graph_matches_reference(fam):
     # the public functions on whichever route their size picks; returns the
     # reference's edges and components of both graph kinds
+    ms = fam.members
+    # comparable pairs are tested once, and the cover pairs kept from them
+    comparable_edges = pairs(ms, comparable)
     reference = {}
     for cover_only in (False, True):
         g = comparability_graph(fam, cover_only=cover_only)
-        edges = tuple(_reference_pairs(fam.members, cover_only))
-        comp_id = _reference_ids(len(fam), edges)
-        components = _group(fam.members, comp_id)
-        assert g.component_members == tuple(components)
+        edges = comparable_edges
+        if cover_only:
+            edges = tuple((i, j) for i, j in edges if covers(ms[i], ms[j]))
+        comp_id = component_ids(len(ms), edges)
+        want = components(ms, edges)
+        assert g.component_members == tuple(want)
         # ids, orders and sizes from the reference's edges alone
-        orders = [0] * len(components)
-        sizes = [0] * len(components)
+        orders = [0] * len(want)
+        sizes = [0] * len(want)
         for c in comp_id:
             orders[c] += 1
         for i, _ in edges:
@@ -246,14 +214,14 @@ def _assert_graph_matches_reference(fam):
         assert g.component_orders == tuple(orders)
         assert g.component_sizes == tuple(sizes)
         assert g.edges == edges
-        assert [list(ms) for ms in g.component_members] == [
-            [fam.members[v] for v in vs] for vs in g.components()
+        assert [list(c) for c in g.component_members] == [
+            [ms[v] for v in vs] for vs in g.components()
         ]
         if not cover_only:
             # the comparability edges are exactly the 2-chains
             assert count_two_chains(fam) == len(edges)
             assert is_antichain(fam) == (not edges)
-        reference[cover_only] = edges, components
+        reference[cover_only] = edges, want
     return reference
 
 
@@ -261,9 +229,9 @@ def _assert_matches_pairwise(fam):
     # the bitset kernels are also called directly, so small families
     # exercise them too
     reference = _assert_graph_matches_reference(fam)
-    for cover_only, (_, components) in reference.items():
-        assert _closure_components(fam, cover_only) == components
-        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == components
+    for cover_only, (_, want) in reference.items():
+        assert _closure_components(fam, cover_only) == want
+        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == want
     # members strictly inside each member, counted at the larger of each pair
     below = [0] * len(fam)
     sizes = fam.sizes()
@@ -357,12 +325,13 @@ def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(monkeypatch)
             b = rng.randrange(1 << n) & ~(1 << 17) | 1 << 16
             masks |= {b, b ^ 3 << 16}
         fam = SetFamily.from_masks(n, sorted(masks)[:300])
+        ms = fam.members
         for cover_only in (False, True):
             labelled.clear()
-            components = _closure_components(fam, cover_only)
-            assert components == _reference_components(fam, cover_only)
+            got = _closure_components(fam, cover_only)
+            assert got == components(ms, pairs(ms, covers if cover_only else comparable))
             if n > 16 and (labelled or [0])[0] > 0:
-                high += any(len(c) > 1 and c[0] >> 16 for c in components)
+                high += any(len(c) > 1 and c[0] >> 16 for c in got)
     assert high >= 10
 
 
@@ -385,17 +354,17 @@ def test_closure_route_reads_components_from_bitsets_when_none_are_left(monkeypa
     for fam in families:
         ms = fam.members
         # comparable pairs are tested once, and the cover pairs kept from them
-        pairs = _reference_pairs(ms, cover_only=False)
-        covers = [(i, j) for i, j in pairs if abs(ms[i].bit_count() - ms[j].bit_count()) == 1]
+        comparable_edges = pairs(ms, comparable)
+        cover_edges = tuple((i, j) for i, j in comparable_edges if covers(ms[i], ms[j]))
         own = {id(m) for m in ms}
-        for cover_only, edges in ((False, pairs), (True, covers)):
+        for cover_only, edges in ((False, comparable_edges), (True, cover_edges)):
             labelled.clear()
-            components = _closure_components(fam, cover_only)
+            got = _closure_components(fam, cover_only)
             assert labelled == ([512] if cover_only and fam is nine else [])
-            assert components == _group(ms, _reference_ids(len(ms), edges))
-            assert comparability_graph(fam, cover_only).component_members == tuple(components)
+            assert got == components(ms, edges)
+            assert comparability_graph(fam, cover_only).component_members == tuple(got)
             # each member is one of the family's objects, not an equal copy
-            assert all(id(m) in own for c in components for m in c)
+            assert all(id(m) in own for c in got for m in c)
 
 
 def test_plane_labels_link_comparable_members_without_cover_path():
@@ -604,7 +573,7 @@ def _takes_family_or_n(fn):
     return any(p.name == "n" or "SetFamily" in str(p.annotation) for p in params)
 
 
-def test_cube_wide_entries_refuse_n40_without_allocating(src_env):
+def test_cube_wide_entries_refuse_n40_without_allocating(run_python):
     # Run only in a child process under an address-space limit, never in
     # this one: a call that forgets its cap would ask for 2^40 points
     exported = {
@@ -616,14 +585,8 @@ def test_cube_wide_entries_refuse_n40_without_allocating(src_env):
     assert set(CAP_CALLS) == exported
     table = {**CAP_CALLS, **HELPER_CAP_CALLS}
     calls = repr({name: call for name, (call, _) in table.items()})
-    out = _run_limited_child(src_env, CAP_PROBE.replace("{CALLS}", calls))
+    out = run_python("-c", CAP_PROBE.replace("{CALLS}", calls), timeout=None)
     assert out == {name: want for name, (_, want) in table.items()}
-
-
-def _run_limited_child(env, script):
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 EDGE_PROBE = LIMITED_CHILD + """
@@ -656,9 +619,9 @@ EDGE_CALLS = {
 }
 
 
-def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it(src_env):
+def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it(run_python):
     # in a limited child process, as above: a lost cap fails on the address space
-    out = _run_limited_child(src_env, EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))))
+    out = run_python("-c", EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))), timeout=None)
     assert out == EDGE_CALLS
 
 
@@ -706,7 +669,7 @@ GROUND_CALLS = {
 }
 
 
-def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(src_env):
+def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(run_python):
     # in a limited child process, as above: a missing check may allocate 2^64
     exported = {
         name
@@ -717,7 +680,7 @@ def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(src_env):
     }
     assert set(GROUND_CALLS) == exported
     calls = repr({name: call for name, (call, _) in GROUND_CALLS.items()})
-    out = _run_limited_child(src_env, GROUND_PROBE.replace("{CALLS}", calls))
+    out = run_python("-c", GROUND_PROBE.replace("{CALLS}", calls), timeout=None)
     assert out == {name: want for name, (_, want) in GROUND_CALLS.items()}
 
 
@@ -726,15 +689,3 @@ def test_sharp_claim_checks_k_as_sharp_family_does():
         for build in (sharp_claim, sharp_family):
             with pytest.raises(DomainError, match=f"need 0 <= k <= n, got k={k}, n=4"):
                 build(4, k)
-
-
-def test_no_bare_assert_under_src():
-    # python -O strips assert statements; result checks raise VerificationError
-    src = Path(__file__).parent.parent / "src"
-    found = [
-        f"{path.relative_to(src)}:{node.lineno}"
-        for path in sorted(src.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []

@@ -17,8 +17,6 @@ import importlib
 import inspect
 import json
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -53,15 +51,6 @@ technical_bound_check up_closure verify xi xi_star_exact
 """.split()
 
 
-def run_python(env: dict, script: str, *args: str, cwd=ROOT):
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=env, cwd=cwd, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_each_name_resolves_to_its_module_object():
     modules = {
         m.name: importlib.import_module(f"latticework.{m.name}")
@@ -77,7 +66,7 @@ def test_each_name_resolves_to_its_module_object():
         assert held and all(value is obj for value in held), name
 
 
-def test_lubell_is_the_function_before_and_after_the_search_import(src_env):
+def test_lubell_is_the_function_before_and_after_the_search_import(run_python):
     script = (
         "import inspect, json, latticework\n"
         "before = latticework.lubell\n"
@@ -85,7 +74,7 @@ def test_lubell_is_the_function_before_and_after_the_search_import(src_env):
         "print(json.dumps([inspect.isfunction(before), latticework.lubell is before,\n"
         "                  latticework.search.lubell is before]))\n"
     )
-    assert run_python(src_env, script) == [True, True, True]
+    assert run_python("-c", script, timeout=None) == [True, True, True]
     assert inspect.isfunction(latticework.lubell)
     assert latticework.lubell is latticework.search.lubell
 
@@ -103,14 +92,14 @@ def test_star_import_binds_the_public_names():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
 
 
-def test_bare_import_loads_only_family_and_lubell(src_env):
+def test_bare_import_loads_only_family_and_lubell(run_python):
     script = (
         "import json, sys, latticework\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('latticework.')),\n"
         "                  [n for n in dir(latticework) if not n.startswith('_')],\n"
         f"                  [m for m in {SLOW_STDLIB!r} if m in sys.modules]]))\n"
     )
-    loaded, public, slow = run_python(src_env, script)
+    loaded, public, slow = run_python("-c", script, timeout=None)
     assert loaded == ["latticework.family", "latticework.lubell"]
     assert public == PUBLIC_NAMES
     assert slow == []
@@ -129,7 +118,7 @@ def test_family_imports_no_latticework_module():
     assert [m for m in imported if m.startswith((".", "latticework"))] == []
 
 
-def test_colouring_loads_no_kernel_module(src_env):
+def test_colouring_loads_no_kernel_module(run_python):
     script = (
         "import json, sys, latticework\n"
         "before = set(sys.modules)\n"
@@ -137,7 +126,7 @@ def test_colouring_loads_no_kernel_module(src_env):
         "print(json.dumps(sorted(m for m in set(sys.modules) - before\n"
         "                        if m.startswith('latticework'))))\n"
     )
-    assert run_python(src_env, script) == ["latticework.colouring"]
+    assert run_python("-c", script, timeout=None) == ["latticework.colouring"]
 
 
 FOOTPRINT_SCRIPT = f"""
@@ -170,12 +159,12 @@ FOOTPRINTS = {
 }
 
 
-def test_each_command_imports_only_what_it_runs(tmp_path, src_env):
+def test_each_command_imports_only_what_it_runs(tmp_path, run_python):
     (tmp_path / "family.json").write_text(disconnected_extremal(4).to_json())
     (tmp_path / "split.json").write_text(json.dumps({"a": [1], "b": [0]}))
     for command, (extra, hashes) in FOOTPRINTS.items():
         code, loaded, hashlib_loaded, slow = run_python(
-            src_env, FOOTPRINT_SCRIPT, json.dumps(command.split()), cwd=tmp_path
+            "-c", FOOTPRINT_SCRIPT, json.dumps(command.split()), timeout=None, cwd=tmp_path
         )
         assert code == 0, command
         assert loaded == sorted(BASE + extra), command

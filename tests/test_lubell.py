@@ -1,7 +1,4 @@
-import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -171,12 +168,8 @@ print(json.dumps([before, high_water()]))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
-def test_prefix_columns_build_without_a_peak(src_env):
+def test_prefix_columns_build_without_a_peak(run_python):
     # the 9 columns of [8] take 363 KB; building them from those of [7]
     # must not hold the 8! permutations at once
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_PROBE], env=src_env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout)
+    before, after = run_python("-c", PEAK_PROBE, timeout=60)
     assert after - before < 2048

@@ -7,16 +7,16 @@ would silently stop running; checks raise `VerificationError` instead.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latticework"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_package_has_no_assert_statement():
-    modules = sorted(PACKAGE.glob("*.py"))
+    modules = sorted(SRC.rglob("*.py"))
     assert modules
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.relative_to(SRC)}:{node.lineno}"
         for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
     assert found == []

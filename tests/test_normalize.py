@@ -13,6 +13,7 @@ from latticework.normalize import (
     skipless_step,
 )
 from latticework.sampling import random_order_bounded_family
+from reference import below, comparable, components, order, pairs, skips
 
 
 def test_skip_detection_hand_case():
@@ -36,16 +37,8 @@ def test_skip_witnesses_match_member_scans():
         n = rng.randint(2, 8)
         masks = rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1)))
         fam = SetFamily.from_masks(n, sorted(masks))
-        want = [
-            (y, min(x for x in masks if x & y == x), min(z for z in masks if y & z == y))
-            for y in range(1 << n)
-            if y not in masks
-            and any(x & y == x for x in masks)
-            and any(y & z == y for z in masks)
-        ]
-        want.sort(key=lambda w: (w[0].bit_count(), w[0]))
         got = [(s.skip, s.witness_below, s.witness_above) for s in find_skips(fam)]
-        assert got == want, (n, masks)
+        assert got == skips(n, fam.members), (n, masks)
 
 
 def test_skipless_families_have_no_skips():
@@ -103,6 +96,11 @@ def test_randomized_size_and_order_preservation():
             assert comparability_graph(out).max_component_order() <= t
 
 
+def _component(members, m):
+    """The members of m's component in the comparability graph."""
+    return next(c for c in components(members, pairs(members, comparable)) if m in c)
+
+
 def _reference_skipless(fam, t):
     """The normalization written out from its definition, pairwise throughout.
 
@@ -110,37 +108,16 @@ def _reference_skipless(fam, t):
     to keep the skip's new component inside the old one with the skip
     swapped in for the removed member.
     """
-
-    def comparable(x, y):
-        return (x & y) == x or (x & y) == y
-
-    def component(members, seed):
-        comp, frontier = {seed}, [seed]
-        while frontier:
-            x = frontier.pop()
-            for y in members:
-                if y not in comp and comparable(x, y):
-                    comp.add(y)
-                    frontier.append(y)
-        return comp
-
-    def skips(members):
-        return [
-            y for y in range(1 << fam.n)
-            if y not in members
-            and any(x & y == x for x in members) and any(y & z == y for z in members)
-        ]
-
-    members, steps = set(fam.members), []
-    while found := skips(members):
-        y = min(found, key=lambda m: (m.bit_count(), m))
-        comp = component(members | {y}, y) - {y}
-        maximal = [m for m in comp if not any(m != o and m & o == m for o in comp)]
+    members, steps = fam.members, []
+    while found := skips(fam.n, members):
+        y = found[0][0]
+        comp = set(_component(tuple(sorted({*members, y})), y)) - {y}
+        maximal = [m for m in comp if not any(below(m, o) for o in comp)]
         x = max(maximal, key=lambda m: (m.bit_count(), -m))
-        members = (members - {x}) | {y}
-        assert len(skips(members)) < len(found)
-        assert max(len(component(members, m)) for m in members) <= t
-        assert component(members, y) <= (comp - {x}) | {y}
+        members = tuple(sorted(set(members) - {x} | {y}))
+        assert len(skips(fam.n, members)) < len(found)
+        assert order(members) <= t
+        assert set(_component(members, y)) <= (comp - {x}) | {y}
         steps.append((y, x))
     return SetFamily.from_masks(fam.n, members), steps
 

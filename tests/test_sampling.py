@@ -1,7 +1,4 @@
-import json
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -226,12 +223,7 @@ print(json.dumps(out))
 """
 
 
-def test_negative_height_is_refused_before_drawing(src_env):
+def test_negative_height_is_refused_before_drawing(run_python):
     # getrandbits(0) is 0, so an unguarded draw below 0 never ends: run it
     # in a child process, where a lost guard fails on the timeout
-    proc = subprocess.run(
-        [sys.executable, "-c", NEGATIVE_HEIGHT_PROBE],
-        env=src_env, capture_output=True, text=True, timeout=20,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["DomainError", True] * 4
+    assert run_python("-c", NEGATIVE_HEIGHT_PROBE, timeout=20) == ["DomainError", True] * 4

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
-from math import factorial, inf
+from math import comb, inf
 
 import pytest
 
@@ -21,12 +22,10 @@ from latticework.core import (
     ResourceLimitError,
     SetFamily,
     VerificationError,
-    binomial,
     _columns,
     comparability_graph,
     count_two_chains,
     family_bits,
-    iter_bits,
 )
 from latticework.lubell import _prefix_columns, lubell, lubell_by_permutations
 from latticework.normalize import make_skipless, skip_count
@@ -48,6 +47,8 @@ from latticework.search import (
     xi_star_exact,
 )
 from latticework.shadow import up_closure, down_closure
+from reference import comparable, order
+from reference import lubell as lubell_sum
 
 
 def _table(known, op):
@@ -261,48 +262,31 @@ LAMBDA_STAR_N4_CUTOFFS = {
 }
 
 
+@cache
+def _valued_families(n):
+    """Every nonempty family over [n] in increasing bitset order, as its
+    Lubell sum, its order and its members."""
+    cube = range(1 << n)
+    families = (tuple(m for m in cube if bits >> m & 1) for bits in range(1, 1 << len(cube)))
+    return [(lubell_sum(n, ms), order(ms), ms) for ms in families]
+
+
 def lambda_star_by_exhaustion(n, t, budget_nodes=None):
     """Reference for lambda_star_exact: every family in increasing bitset
-    order, one node each, components by a fresh union-find per family.
+    order, one node each, valued by the reference Lubell sum and order.
 
     Returns (value, witness masks, nodes, proven_optimal).
     """
-    cube = 1 << n
-    weight = [factorial(n) // binomial(n, m.bit_count()) for m in range(cube)]
-    cmp_rows = [
-        sum(1 << y for y in range(cube) if y != x and x & y in (x, y)) for x in range(cube)
-    ]
-    limit = budget_nodes if budget_nodes is not None else 1 << cube
-    best_num = best_bits = nodes = 0
-    proven = True
-    for bits in range(1, 1 << cube):
+    limit = budget_nodes if budget_nodes is not None else 1 << (1 << n)
+    best, witness, nodes, proven = Fraction(0), (), 0, True
+    for value, size, members in _valued_families(n):
         nodes += 1
         if nodes > limit:
             proven = False
             break
-        parent = {}
-        size = {}
-
-        def find(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
-        total = 0
-        ok = True
-        for m in iter_bits(bits):
-            total += weight[m]
-            parent[m] = m
-            size[m] = 1
-            for other in iter_bits(cmp_rows[m] & bits & ((1 << m) - 1)):
-                r1, r2 = find(m), find(other)
-                if r1 != r2:
-                    parent[r2] = r1
-                    size[r1] += size[r2]
-                    ok = ok and size[r1] <= t
-        if ok and total > best_num:
-            best_num, best_bits = total, bits
-    return Fraction(best_num, factorial(n)), tuple(iter_bits(best_bits)), nodes, proven
+        if size <= t and value > best:
+            best, witness = value, members
+    return best, witness, nodes, proven
 
 
 def test_lambda_star_matches_exhaustion_for_every_budget():
@@ -356,11 +340,7 @@ def test_band_matches_pairwise_definition():
         for kmin in range(n + 1):
             for kmax in range(kmin - 1, n + 1):
                 masks = [m for m in range(1 << n) if kmin <= m.bit_count() <= kmax]
-                rows = [
-                    sum(1 << j for j, y in enumerate(masks)
-                        if x != y and (x & ~y == 0 or y & ~x == 0))
-                    for x in masks
-                ]
+                rows = [sum(1 << j for j, y in enumerate(masks) if comparable(x, y)) for x in masks]
                 assert _band(n, kmin, kmax) == (tuple(masks), tuple(rows)), (n, kmin, kmax)
     assert _band(1, 1, 0) == ((), ())
 
@@ -423,7 +403,7 @@ def test_lambda_star_sandwich(known):
     la = _table(known, "la_exact")
     for (n, t), lam in _table(known, "lambda_star_exact").items():
         if (n, t) in la:
-            assert lam * binomial(n, n // 2) >= la[(n, t)]
+            assert lam * comb(n, n // 2) >= la[(n, t)]
 
 
 def test_max_disconnected_matches_formulas():
@@ -461,12 +441,11 @@ def test_disconnected_splits_match_graph_filter():
             if (intent, extent) in seen:
                 continue
             seen.add((extent, intent))
-            family = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent | intent)])
+            side_a, side_b = (tuple(u for i, u in enumerate(universe) if side >> i & 1)
+                              for side in (extent, intent))
+            family = SetFamily.from_masks(n, side_a + side_b)
             if links_every_component(family, comparability_graph(family).component_members):
-                want.append((
-                    tuple(universe[i] for i in iter_bits(extent)),
-                    tuple(universe[i] for i in iter_bits(intent)),
-                ))
+                want.append((side_a, side_b))
         got = [(a.members, b.members) for a, b in disconnected_splits(n)]
         assert got == want, n
 
@@ -578,7 +557,7 @@ def xi_star_by_fractions(n, m, budget_nodes):
 
 def test_xi_star_matches_fraction_loop():
     for n in range(1, 6):
-        orders = max(binomial(n, k) + binomial(n, k + 1) for k in range(n))
+        orders = max(comb(n, k) + comb(n, k + 1) for k in range(n))
         for m in range(1, orders + 1):
             # at n <= 4, every budget stop, so each incumbent's witness is checked
             full = xi_star_exact(n, m, None).nodes_explored
@@ -628,7 +607,7 @@ def test_min_two_chains_frozen_table(known):
 
 def test_min_two_chains_supersaturation_bound():
     for n in (2, 3, 4):
-        width = binomial(n, n // 2)
+        width = comb(n, n // 2)
         for q in (1, 2):
             value = min_two_chains(n, width + q).value
             assert value >= q * (n // 2 + 1)
@@ -656,7 +635,7 @@ def test_xi_star_below_mad_star():
     for m in range(1, 8):
         cap = mad_star_probe(m).value
         for n in (4, 5):
-            if m <= 2 * binomial(n, n // 2):
+            if m <= 2 * comb(n, n // 2):
                 try:
                     val = xi_star_exact(n, m).value
                 except DomainError:

@@ -1,7 +1,4 @@
-import json
 import random
-import subprocess
-import sys
 import time
 from math import comb
 
@@ -12,9 +9,7 @@ from latticework.core import (
     PreconditionError,
     ResourceLimitError,
     SetFamily,
-    binomial,
     layer_masks,
-    mask_of,
     shade_bits,
     shadow_bits,
 )
@@ -194,7 +189,7 @@ def test_split_refusal_matches_pairwise_scan():
     assert kinds == {None, "shared", "cross-comparable"}
 
 
-def test_large_split_is_checked_without_testing_pairs(src_env):
+def test_large_split_is_checked_without_testing_pairs(run_python):
     # layer 8 of [16] split by element 1: 6,435 members a side, about 4e7
     # pairs to test one by one; a child process, so a slow check times out
     code = """
@@ -207,11 +202,7 @@ b = SetFamily.from_masks(16, [m for m in layer if not m & 1])
 rep = boundary_report(a, b)
 print(json.dumps([rep["family_size"], rep["excluded_count"], rep["bound_holds"]]))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=4
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [12870, 52666, True]
+    assert run_python("-c", code, timeout=4) == [12870, 52666, True]
 
 
 def test_boundary_nonempty_on_any_valid_split():

@@ -1,13 +1,13 @@
 """Every family at n <= 3, checked against the definitions alone.
 
 The 4 + 16 + 256 = 276 families of subsets of [1], [2] and [3] are few
-enough to check whole.  Each reference below is built from the
-definitions, never from the package's kernels: components by union-find
-over every pair of members, Lubell sums as sums of 1 / C(n, |X|), the
-search values as maxima and minima over the families themselves, a
-diamond as a component holding every set between its meet and its join,
-and a maximally disconnected family as one where each absent set is
-comparable to a member of every component.  `certify` is checked against
+enough to check whole.  Each expected value is built from the
+definitions in `reference.py`, never from the package's kernels:
+components by union-find over every pair of members, Lubell sums as sums
+of 1 / C(n, |X|), a diamond as a component holding every set between its
+meet and its join.  Here the search values are maxima and minima over
+the families themselves, and a maximally disconnected family is one
+where each absent set is comparable to a member of every component.  `certify` is checked against
 these on claims of true values and of values set off by one.
 
 At n = 4 the 65,536 families fall into 2,104 orbits under relabelling
@@ -17,10 +17,8 @@ each orbit is checked the same way.  Every n <= 4 entry of
 known_values.json is checked against the search values derived here.
 """
 
-from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
-from math import comb
+from itertools import permutations
 
 import pytest
 
@@ -40,6 +38,18 @@ from latticework.core import (
 from latticework.family import _mask_relabel_table
 from latticework.lubell import lubell
 from latticework.normalize import find_skips, make_skipless, skip_count
+from reference import (
+    comparable,
+    components,
+    covers,
+    interval_sum,
+    is_interval,
+    order,
+    pairs,
+    skips,
+    span,
+)
+from reference import lubell as lubell_sum
 
 GROUND_SIZES = (1, 2, 3)
 
@@ -51,85 +61,39 @@ def _families(n):
             for pick in range(1 << len(cube))]
 
 
-def _below(x, y):
-    return x != y and x & y == x
-
-
-def _covers(x, y):
-    return _below(x, y) and (y ^ x).bit_count() == 1
-
-
-def _components(members, related):
-    """Member tuples of the graph's components, by union-find over every pair."""
-    parent = list(range(len(members)))
-
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i, j in combinations(range(len(members)), 2):
-        if related(members[i], members[j]):
-            parent[root(j)] = root(i)
-    groups = {}
-    for i, m in enumerate(members):
-        groups.setdefault(root(i), []).append(m)
-    return sorted(tuple(g) for g in groups.values())
-
-
-def _edges(members, related):
-    pairs = combinations(range(len(members)), 2)
-    return tuple((i, j) for i, j in pairs if related(members[i], members[j]))
-
-
-def _skips(family):
-    """The sets outside the family lying between two of its members."""
-    members = family.members
-    return {
-        y for y in range(1 << family.n)
-        if y not in family.member_set
-        and any(x & y == x for x in members) and any(y & z == y for z in members)
-    }
-
-
-def _order(family):
-    return max(map(len, _components(family.members, _below)), default=0)
-
-
-def _lubell(family):
-    return sum((Fraction(1, comb(family.n, m.bit_count())) for m in family.members), Fraction(0))
-
-
 def _check_against_definitions(family):
-    members = family.members
-    for graph, related in ((comparability_graph(family), _below), (cover_graph(family), _covers)):
-        components = _components(members, related)
-        assert list(graph.component_members) == components, family
-        assert graph.edges == _edges(members, related), family
-        edges_in = [len(_edges(ms, related)) for ms in components]
+    n, members = family.n, family.members
+    chains = pairs(members, comparable)
+    graphs = ((comparability_graph(family), comparable, chains),
+              (cover_graph(family), covers, pairs(members, covers)))
+    for graph, related, edges in graphs:
+        comps = components(members, edges)
+        assert list(graph.component_members) == comps, family
+        assert graph.edges == edges, family
+        edges_in = [len(pairs(ms, related)) for ms in comps]
         assert list(graph.component_sizes) == edges_in, family
-    assert count_two_chains(family) == len(_edges(members, _below)), family
-    assert is_antichain(family) == (not _edges(members, _below)), family
-    assert lubell(family) == _lubell(family), family
+    assert count_two_chains(family) == len(chains), family
+    assert is_antichain(family) == (not chains), family
+    assert lubell(family) == lubell_sum(n, members), family
     if members:
         sizes = [m.bit_count() for m in members]
         assert height(family) == max(sizes) - min(sizes), family
     else:
         with pytest.raises(DomainError):
             height(family)
-    skips = _skips(family)
-    assert skip_count(family) == len(skips), family
+    found = skips(n, members)
+    assert skip_count(family) == len(found), family
     reports = find_skips(family)
-    assert [r.skip for r in reports] == sorted(skips, key=lambda y: (y.bit_count(), y)), family
+    assert [r.skip for r in reports] == [y for y, _, _ in found], family
     for r in reports:
         assert r.witness_below in family.member_set and r.witness_above in family.member_set
         assert r.witness_below & r.skip == r.witness_below
         assert r.skip & r.witness_above == r.skip
-    t = max(1, _order(family))
+    t = max(1, order(members))
     skipless = make_skipless(family, t)
     assert len(skipless) == len(family), family
-    assert not _skips(skipless), family
-    assert _order(skipless) <= t, family
+    assert not skips(n, skipless.members), family
+    assert order(skipless.members) <= t, family
 
 
 @pytest.mark.parametrize("n", GROUND_SIZES)
@@ -142,11 +106,12 @@ def _row(family):
     """Size, largest component order, Lubell sum, smallest and largest member
     size, number of components and 2-chain count."""
     # [n, 0] puts the empty family in every layer band
-    sizes = [m.bit_count() for m in family.members] or [family.n, 0]
-    components = _components(family.members, _below)
-    order = max(map(len, components), default=0)
-    return (len(family), order, _lubell(family), min(sizes), max(sizes),
-            len(components), len(_edges(family.members, _below)))
+    members = family.members
+    sizes = [m.bit_count() for m in members] or [family.n, 0]
+    chains = pairs(members, comparable)
+    comps = components(members, chains)
+    return (len(family), max(map(len, comps), default=0), lubell_sum(family.n, members),
+            min(sizes), max(sizes), len(comps), len(chains))
 
 
 def _check_search_values(n, table, known):
@@ -173,21 +138,6 @@ def _check_search_values(n, table, known):
             assert derived.get((op, *args)) == value, (op, args)
 
 
-def _span(component):
-    """The meet and join of a component's members."""
-    meet = join = component[0]
-    for m in component:
-        meet &= m
-        join |= m
-    return meet, join
-
-
-def _is_diamond(n, component):
-    """True iff the component holds every set between its meet and its join."""
-    meet, join = _span(component)
-    return set(component) == {y for y in range(1 << n) if meet & y == meet and y & join == y}
-
-
 class _Facts:
     """A family's components and what the claim keys ask of them, from the
     definitions."""
@@ -195,14 +145,12 @@ class _Facts:
     def __init__(self, family):
         members = family.members
         self.family = family
-        self.comps = _components(members, _below)
-        self.spans = [_span(c) for c in self.comps]
-        self.heights = [(join ^ meet).bit_count() for meet, join in self.spans]
-        self.diamonds = all(_is_diamond(family.n, c) for c in self.comps)
-        self.isolated = [x for x in members
-                         if not any(_below(x, y) or _below(y, x) for y in members)]
+        self.comps = components(members, pairs(members, comparable))
+        self.heights = [(join ^ meet).bit_count() for meet, join in map(span, self.comps)]
+        self.diamonds = all(map(is_interval, self.comps))
+        self.isolated = [x for x in members if not any(comparable(x, y) for y in members)]
         # every absent set is comparable to a member of each component
-        self.links = all(any(_below(x, y) or _below(y, x) for x in c)
+        self.links = all(any(comparable(x, y) for x in c)
                          for y in range(1 << family.n) if y not in family.member_set
                          for c in self.comps)
         self.rest = {}  # per isolated member, the components of the other members
@@ -229,7 +177,7 @@ class _Facts:
                 return want == (len(comps) == 1)
             if iso not in self.rest:
                 rest = [m for m in self.family.members if m != iso]
-                self.rest[iso] = _components(rest, _below)
+                self.rest[iso] = components(rest, pairs(rest, comparable))
             return want == (len(self.rest[iso]) == 1)
         return want == (len(comps) >= 2 and self.links)  # maximally_disconnected
 
@@ -279,9 +227,7 @@ def _check_certify_and_diamond_sum(family):
                     "size", "component_count", "disconnected", "maximally_disconnected"):
                 assert c.passed == (claim is true), (family, c)
     if facts.diamonds:
-        want = sum((Fraction(1, comb(family.n - h, meet.bit_count()))
-                    for (meet, _), h in zip(facts.spans, facts.heights)), Fraction(0))
-        assert diamond_blym_sum(family) == want, family
+        assert diamond_blym_sum(family) == interval_sum(family.n, facts.comps), family
     else:
         with pytest.raises(PreconditionError):
             diamond_blym_sum(family)

@@ -2,11 +2,16 @@
 
 A subprocess installs an import hook that refuses every top-level module
 outside `sys.stdlib_module_names` and the package itself, then runs the
-code that once needed a third-party graph atlas.
+code that once needed a third-party graph atlas.  The tests' definitional
+reference, `reference.py` beside this file, imports the standard library
+alone as well: nothing from the package it checks.
 """
 
-import subprocess
+import ast
 import sys
+from pathlib import Path
+
+REFERENCE = Path(__file__).with_name("reference.py")
 
 SCRIPT = """
 import sys
@@ -31,9 +36,15 @@ sys.exit(cli.main(["reproduce", "madstar-t4"]))
 """
 
 
-def test_mad_star_runs_on_the_stdlib_alone(src_env):
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=src_env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "passed: True" in proc.stdout
+def test_mad_star_runs_on_the_stdlib_alone(run_python):
+    assert "passed: True" in run_python("-c", SCRIPT, timeout=None, parse=str)
+
+
+def test_reference_imports_only_the_standard_library():
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert [m for m in imported if m.partition(".")[0] not in sys.stdlib_module_names] == []
