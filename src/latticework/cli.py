@@ -334,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--budget-nodes", type=int, default=None, dest="budget_nodes")
+    parser.add_argument("--budget-nodes", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named construction as family JSON")
     p.add_argument("name", choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--ceil-middle", action="store_true", dest="ceil_middle")
+    p.add_argument("--ceil-middle", action="store_true")
     p.add_argument("--bottom", help="diamond bottom corner, comma-separated elements")
     p.add_argument("--top", help="diamond top corner, comma-separated elements")
     p.add_argument("--out", help="also write the family JSON to this file")
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary", help="boundary families and excluded count of a split")
     p.add_argument("--family", required=True)
-    p.add_argument("--split-file", required=True, dest="split_file",
+    p.add_argument("--split-file", required=True,
                    help='JSON {"a": [component indices], "b": [...]}')
     p.set_defaults(func=cmd_boundary)
 
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--kmax", type=int)
-    p.add_argument("--sharp-n", type=int, dest="sharp_n")
+    p.add_argument("--sharp-n", type=int)
     p.add_argument("--family")
     p.set_defaults(func=cmd_verify)
 

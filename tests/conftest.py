@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+# the one graph check reports its failed assertions as the test modules do
+pytest.register_assert_rewrite("graph_oracle")
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 # the one table of proven values: per entry an op, its positional args, the
@@ -35,6 +38,31 @@ def run_python(src_env):
                               capture_output=True, text=True, timeout=timeout)
         assert proc.returncode == 0, proc.stderr
         return parse(proc.stdout)
+
+    return run
+
+
+# What a probe's child makes of one call: read(value) of the expression,
+# evaluated with names bound, or the type name of the exception it raised
+OUTCOME = """
+import json
+
+
+def outcome(call, read=lambda value: "returned", **names):
+    try:
+        return read(eval(call, globals(), names))
+    except Exception as exc:
+        return type(exc).__name__
+"""
+
+
+@pytest.fixture
+def run_probe(run_python):
+    """Run script in a child as `run_python` does, with `outcome` defined
+    for it, and return the JSON it prints."""
+
+    def run(script, timeout=None):
+        return run_python("-c", OUTCOME + script, timeout=timeout)
 
     return run
 

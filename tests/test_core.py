@@ -1,5 +1,6 @@
 import inspect
 import random
+from functools import cache
 from math import comb
 
 import pytest
@@ -8,7 +9,6 @@ import latticework
 from latticework import core
 from latticework.constructions import (
     disconnected_extremal,
-    disconnected_extremal_size,
     sharp_claim,
     sharp_family,
 )
@@ -40,7 +40,7 @@ from latticework.core import (
     mask_of,
     upset_bits,
 )
-from reference import comparable, component_ids, components, covers, pairs
+from graph_oracle import check_graphs
 
 
 def test_mask_round_trip():
@@ -175,6 +175,19 @@ def test_bitset_round_trip_and_closures():
     ]
 
 
+@pytest.fixture
+def labelled(monkeypatch):
+    """The member count of each bitset the closure route hands `_plane_labels`."""
+    calls = []
+
+    def spy(n, bits, cover_only, planes):
+        calls.append(bits.bit_count())
+        return _plane_labels(n, bits, cover_only, planes)
+
+    monkeypatch.setattr(core, "_plane_labels", spy)
+    return calls
+
+
 def _plane_components(n, bits, cover_only):
     # the members of bits grouped by the labels `_plane_labels` writes into
     # its planes, each label checked to be its component's least member
@@ -188,133 +201,95 @@ def _plane_components(n, bits, cover_only):
     return groups
 
 
-def _assert_graph_matches_reference(fam):
-    # the public functions on whichever route their size picks; returns the
-    # reference's edges and components of both graph kinds
-    ms = fam.members
-    # comparable pairs are tested once, and the cover pairs kept from them
-    comparable_edges = pairs(ms, comparable)
-    reference = {}
-    for cover_only in (False, True):
-        g = comparability_graph(fam, cover_only=cover_only)
-        edges = comparable_edges
-        if cover_only:
-            edges = tuple((i, j) for i, j in edges if covers(ms[i], ms[j]))
-        comp_id = component_ids(len(ms), edges)
-        want = components(ms, edges)
-        assert g.component_members == tuple(want)
-        # ids, orders and sizes from the reference's edges alone
-        orders = [0] * len(want)
-        sizes = [0] * len(want)
-        for c in comp_id:
-            orders[c] += 1
-        for i, _ in edges:
-            sizes[comp_id[i]] += 1
-        assert g.component_id == comp_id
-        assert g.component_orders == tuple(orders)
-        assert g.component_sizes == tuple(sizes)
-        assert g.edges == edges
-        assert [list(c) for c in g.component_members] == [
-            [ms[v] for v in vs] for vs in g.components()
-        ]
-        if not cover_only:
-            # the comparability edges are exactly the 2-chains
-            assert count_two_chains(fam) == len(edges)
-            assert is_antichain(fam) == (not edges)
-        reference[cover_only] = edges, want
-    return reference
+def _assert_closure_route(fam, labelled):
+    # the graphs against the reference, then the closure route called
+    # directly, so small families take it too.  Returns per graph kind the
+    # reference's edges, its components and what the route labelled
+    reference = check_graphs(fam)
+    own = {id(m) for m in fam.members}
+    seen = {}
+    for cover_only, (edges, want) in reference.items():
+        labelled.clear()
+        got = _closure_components(fam, cover_only)
+        assert got == want
+        # each member is one of the family's objects, not an equal copy
+        assert all(id(m) in own for c in got for m in c)
+        seen[cover_only] = edges, want, labelled[:]
+    return seen
 
 
-def _assert_matches_pairwise(fam):
-    # the bitset kernels are also called directly, so small families
-    # exercise them too
-    reference = _assert_graph_matches_reference(fam)
-    for cover_only, (_, want) in reference.items():
-        assert _closure_components(fam, cover_only) == want
+def _assert_matches_pairwise(fam, labelled):
+    # the closure route as above, and the plane labeller and the lane
+    # counts called on the whole family
+    seen = _assert_closure_route(fam, labelled)
+    for cover_only, (_, want, _) in seen.items():
         assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == want
     # members strictly inside each member, counted at the larger of each pair
     below = [0] * len(fam)
     sizes = fam.sizes()
-    for i, j in reference[False][0]:
+    for i, j in seen[False][0]:
         below[j if sizes[j] > sizes[i] else i] += 1
     assert _lane_below_counts(fam) == below
+    return seen
 
 
-def test_components_match_pairwise_oracle_on_random_families():
+@cache
+def _graph_families():
+    """The families of the component tests by case, each built once and
+    checked by one test."""
     rng = random.Random(20241112)
+    families = {"random": [full_cube(5)]}
     for n in range(1, 9):
         for _ in range(40):
             size = rng.randint(0, min(1 << n, 60))
-            _assert_matches_pairwise(SetFamily.from_masks(n, rng.sample(range(1 << n), size)))
-    _assert_matches_pairwise(full_cube(5))
+            families["random"].append(SetFamily.from_masks(n, rng.sample(range(1 << n), size)))
 
+    # every construction of at most 2,048 members
+    sharp = {(n, k, ceil): sharp_family(n, k, ceil) for n in range(1, 17) for k in range(n + 1)
+             # the two middles coincide when n - k is even
+             for ceil in {False, (n - k) % 2 == 1} if sharp_claim(n, k, ceil)["size"] <= 2048}
+    extremal = {n: disconnected_extremal(n) for n in range(2, 13)}
+    # Each with what the cover graph hands the plane labeller: the
+    # reach-closures take every component before their steps reach n, so
+    # the labeller is never called, but the cover graph of sharp_family(12,
+    # 9) takes nine steps per diamond and leaves the third to the labeller.
+    # The first two are the 10-cube and the middle layer of [12]
+    families["none left"] = [
+        (sharp.pop((10, 10, False)), []), (sharp.pop((12, 0, False)), []),
+        *[(extremal.pop(n), []) for n in range(8, 13)], (sharp.pop((12, 9, False)), [512]),
+        *[(sharp.pop((12, k, False)), []) for k in (10, 11)], (sharp_family(12, 12), []),
+    ]
+    families["constructions"] = [*extremal.values(), *sharp.values()]
 
-def test_components_match_pairwise_oracle_on_constructions():
-    for n in range(1, 17):
-        if 2 <= n and disconnected_extremal_size(n) <= 2048:
-            _assert_matches_pairwise(disconnected_extremal(n))
-        for k in range(n + 1):
-            # the two middles coincide when n - k is even
-            for ceil in {False, (n - k) % 2 == 1}:
-                if sharp_claim(n, k, ceil)["size"] <= 2048:
-                    _assert_matches_pairwise(sharp_family(n, k, ceil))
-
-
-def test_components_of_many_small_components_in_a_large_cube():
     # 300 two-member components at n = 16: the search stops once its steps
     # reach n and leaves the members left to the plane labeller
     rng = random.Random(20241115)
-    bottoms = rng.sample(layer_masks(15, 7), 300)
-    fam = SetFamily.from_masks(16, [m for b in bottoms for m in (b, b | 1 << 15)])
-    _assert_matches_pairwise(fam)
-    assert comparability_graph(fam).component_orders == (2,) * 300
+    chains = [m for b in rng.sample(layer_masks(15, 7), 300) for m in (b, b | 1 << 15)]
+    families["many small"] = SetFamily.from_masks(16, chains)
 
-
-def test_components_past_the_search_match_pairwise_oracle(monkeypatch):
     # 2-chains B < B + {n} (B in one layer of [n - 1]) are pairwise
     # incomparable, and a few random sets join some of them up: more
     # components than the search takes before it stops at n steps, so the
     # plane labeller sorts the rest
-    labelled = []
-
-    def spy(n, bits, cover_only, planes):
-        labelled.append(bits.bit_count())
-        return _plane_labels(n, bits, cover_only, planes)
-
-    monkeypatch.setattr(core, "_plane_labels", spy)
     rng = random.Random(20241120)
-    cases = 0
+    families["past the search"] = past_the_search = []
     for n in range(5, 11):
         for _ in range(10):
             layer = layer_masks(n - 1, rng.randint(1, n - 2))
             bottoms = rng.sample(layer, rng.randint(min(n, len(layer)), len(layer)))
             top = 1 << (n - 1)
             extra = rng.sample(range(1 << n), rng.randint(0, 3))
-            fam = SetFamily.from_masks(n, [m for b in bottoms for m in (b, b | top)] + extra)
-            _assert_matches_pairwise(fam)
-            labelled.clear()
-            _closure_components(fam, cover_only=False)
-            # no call means nothing was left to label
-            cases += (labelled or [0])[0] > 0
-    assert cases >= 50
+            past_the_search.append(
+                SetFamily.from_masks(n, [m for b in bottoms for m in (b, b | top)] + extra))
 
-
-def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(monkeypatch):
     # n = 17..20 is the only range whose least members need a third label
     # byte.  Sparse random sets plus pairs one element apart: most members
     # are isolated, and the pairs outnumber what the search takes before it
     # stops at n steps, so the plane labeller sees the rest.  Twins that
     # differ only in bits 16 and 17 are incomparable, and their labels agree
     # in the two low bytes
-    labelled = []
-
-    def spy(n, bits, cover_only, planes):
-        labelled.append(bits.bit_count())
-        return _plane_labels(n, bits, cover_only, planes)
-
-    monkeypatch.setattr(core, "_plane_labels", spy)
     rng = random.Random(20241121)
-    high = 0
+    families["two label bytes"] = two_label_bytes = []
     for i in range(30):
         n = 13 + i % 8
         masks = set(rng.sample(range(1 << n), rng.randint(1, 100)))
@@ -324,60 +299,72 @@ def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(monkeypatch)
         for _ in range(10 if n > 17 else 0):
             b = rng.randrange(1 << n) & ~(1 << 17) | 1 << 16
             masks |= {b, b ^ 3 << 16}
-        fam = SetFamily.from_masks(n, sorted(masks)[:300])
-        ms = fam.members
-        for cover_only in (False, True):
-            labelled.clear()
-            got = _closure_components(fam, cover_only)
-            assert got == components(ms, pairs(ms, covers if cover_only else comparable))
-            if n > 16 and (labelled or [0])[0] > 0:
-                high += any(len(c) > 1 and c[0] >> 16 for c in got)
-    assert high >= 10
+        two_label_bytes.append(SetFamily.from_masks(n, sorted(masks)[:300]))
 
+    # random masks at n = 21..40, plus one-element steps and subsets of some
+    # of them, so both comparable and incomparable pairs occur
+    rng = random.Random(20241123)
+    families["past the cap"] = past_the_cap = []
+    for n in range(21, 41):
+        for _ in range(4):
+            size = rng.randint(0, 40)
+            masks = [rng.getrandbits(n) for _ in range(size)]
+            extra = [m | 1 << rng.randrange(n) for m in masks[: size // 2]]
+            extra += [m & rng.getrandbits(n) for m in masks[: size // 3]]
+            past_the_cap += [SetFamily.from_masks(n, masks), SetFamily.from_masks(n, masks + extra)]
 
-def test_closure_route_reads_components_from_bitsets_when_none_are_left(monkeypatch):
-    # the reach-closures take every component before their steps reach n,
-    # so the plane labeller is never called, and every component member is
-    # the family's own mask object.  The cover graph of sharp_family(12, 9)
-    # takes nine steps per diamond and leaves the third to the labeller
-    labelled = []
-
-    def spy(n, bits, cover_only, planes):
-        labelled.append(bits.bit_count())
-        return _plane_labels(n, bits, cover_only, planes)
-
-    monkeypatch.setattr(core, "_plane_labels", spy)
-    families = [full_cube(10), SetFamily(12, tuple(layer_masks(12, 6)))]
-    families += [disconnected_extremal(n) for n in range(8, 13)]
-    nine = sharp_family(12, 9)
-    families += [nine, *(sharp_family(12, k) for k in range(10, 13))]
-    for fam in families:
-        ms = fam.members
-        # comparable pairs are tested once, and the cover pairs kept from them
-        comparable_edges = pairs(ms, comparable)
-        cover_edges = tuple((i, j) for i, j in comparable_edges if covers(ms[i], ms[j]))
-        own = {id(m) for m in ms}
-        for cover_only, edges in ((False, comparable_edges), (True, cover_edges)):
-            labelled.clear()
-            got = _closure_components(fam, cover_only)
-            assert labelled == ([512] if cover_only and fam is nine else [])
-            assert got == components(ms, edges)
-            assert comparability_graph(fam, cover_only).component_members == tuple(got)
-            # each member is one of the family's objects, not an equal copy
-            assert all(id(m) in own for c in got for m in c)
-
-
-def test_plane_labels_link_comparable_members_without_cover_path():
     # {1} lies below the top of [{1,2,3}, {1,2,3} + free] and {2} below it
     # too, so the comparability graph is connected while no member of one
     # diamond is one element away from a member of another
     free = mask_of(range(4, 11))
     masks = [b | sub for b in (0b1, 0b10, 0b111) for sub in range(free + 1) if sub & free == sub]
-    fam = SetFamily.from_masks(10, masks)
-    _assert_matches_pairwise(fam)
-    bits = family_bits(fam)
-    assert len(_plane_components(10, bits, False)) == 1
-    assert len(_plane_components(10, bits, True)) == 3
+    families["no cover path"] = SetFamily.from_masks(10, masks)
+    return families
+
+
+def test_components_match_pairwise_oracle_on_random_families(labelled):
+    for fam in _graph_families()["random"]:
+        _assert_matches_pairwise(fam, labelled)
+
+
+def test_components_match_pairwise_oracle_on_constructions(labelled):
+    for fam in _graph_families()["constructions"]:
+        _assert_matches_pairwise(fam, labelled)
+
+
+def test_closure_route_reads_components_from_bitsets_when_none_are_left(labelled):
+    for fam, cover_calls in _graph_families()["none left"]:
+        seen = _assert_matches_pairwise(fam, labelled)
+        assert [calls for _, _, calls in seen.values()] == [[], cover_calls]
+
+
+def test_components_of_many_small_components_in_a_large_cube(labelled):
+    fam = _graph_families()["many small"]
+    _assert_matches_pairwise(fam, labelled)
+    assert comparability_graph(fam).component_orders == (2,) * 300
+
+
+def test_components_past_the_search_match_pairwise_oracle(labelled):
+    cases = 0
+    for fam in _graph_families()["past the search"]:
+        # no call means nothing was left to label
+        cases += any(_assert_matches_pairwise(fam, labelled)[False][2])
+    assert cases >= 50
+
+
+def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(labelled):
+    high = 0
+    for fam in _graph_families()["two label bytes"]:
+        for _, got, calls in _assert_closure_route(fam, labelled).values():
+            if fam.n > 16 and any(calls):
+                high += any(len(c) > 1 and c[0] >> 16 for c in got)
+    assert high >= 10
+
+
+def test_plane_labels_link_comparable_members_without_cover_path(labelled):
+    seen = _assert_matches_pairwise(_graph_families()["no cover path"], labelled)
+    # the plane labeller's components, one of the comparability graph and three of the cover graph
+    assert [len(want) for _, want, _ in seen.values()] == [1, 3]
 
 
 def _plain_iter_bits(bits):
@@ -440,20 +427,11 @@ def test_comparability_beyond_closure_cap():
 
 
 def test_pairwise_route_past_the_cap_matches_reference():
-    # random masks at n = 21..40, plus one-element steps and subsets of some
-    # of them, so both comparable and incomparable pairs occur
-    rng = random.Random(20241123)
     antichains = chains = 0
-    for n in range(21, 41):
-        for _ in range(4):
-            size = rng.randint(0, 40)
-            masks = [rng.getrandbits(n) for _ in range(size)]
-            extra = [m | 1 << rng.randrange(n) for m in masks[: size // 2]]
-            extra += [m & rng.getrandbits(n) for m in masks[: size // 3]]
-            for fam in (SetFamily.from_masks(n, masks), SetFamily.from_masks(n, masks + extra)):
-                _assert_graph_matches_reference(fam)
-                antichains += is_antichain(fam)
-                chains += count_two_chains(fam) > 0
+    for fam in _graph_families()["past the cap"]:
+        comparable_edges = check_graphs(fam)[False][0]
+        antichains += not comparable_edges
+        chains += bool(comparable_edges)
     assert antichains >= 20 and chains >= 20
 
 
@@ -495,15 +473,7 @@ top = (1 << n) - 1
 chain = SetFamily.from_sets(n, [(1,), range(1, n + 1)])
 pair = SetFamily.from_sets(n, [(1,), (2,)])
 a, b = SetFamily.from_sets(n, [(1,)]), SetFamily.from_sets(n, [(2,)])
-calls = {CALLS}
-out = {}
-for name, call in calls.items():
-    try:
-        eval(call)
-        out[name] = "returned"
-    except Exception as exc:
-        out[name] = type(exc).__name__
-print(json.dumps(out))
+print(json.dumps({name: outcome(call) for name, call in {CALLS}.items()}))
 """
 
 # Every public function that takes a family or a ground size n, called at
@@ -573,7 +543,7 @@ def _takes_family_or_n(fn):
     return any(p.name == "n" or "SetFamily" in str(p.annotation) for p in params)
 
 
-def test_cube_wide_entries_refuse_n40_without_allocating(run_python):
+def test_cube_wide_entries_refuse_n40_without_allocating(run_probe):
     # Run only in a child process under an address-space limit, never in
     # this one: a call that forgets its cap would ask for 2^40 points
     exported = {
@@ -585,7 +555,7 @@ def test_cube_wide_entries_refuse_n40_without_allocating(run_python):
     assert set(CAP_CALLS) == exported
     table = {**CAP_CALLS, **HELPER_CAP_CALLS}
     calls = repr({name: call for name, (call, _) in table.items()})
-    out = run_python("-c", CAP_PROBE.replace("{CALLS}", calls), timeout=None)
+    out = run_probe(CAP_PROBE.replace("{CALLS}", calls))
     assert out == {name: want for name, (_, want) in table.items()}
 
 
@@ -593,13 +563,7 @@ EDGE_PROBE = LIMITED_CHILD + """
 import latticework as lw
 from latticework.constructions import Diamond
 
-out = {}
-for call in {CALLS}:
-    try:
-        out[call] = len(eval(call))
-    except Exception as exc:
-        out[call] = type(exc).__name__
-print(json.dumps(out))
+print(json.dumps({call: outcome(call, len) for call in {CALLS}}))
 """
 
 # The largest input each cube-sized builder accepts, with its size, and the
@@ -619,9 +583,9 @@ EDGE_CALLS = {
 }
 
 
-def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it(run_python):
+def test_each_builder_cap_accepts_its_edge_and_refuses_one_past_it(run_probe):
     # in a limited child process, as above: a lost cap fails on the address space
-    out = run_python("-c", EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))), timeout=None)
+    out = run_probe(EDGE_PROBE.replace("{CALLS}", repr(list(EDGE_CALLS))))
     assert out == EDGE_CALLS
 
 
@@ -629,17 +593,8 @@ GROUND_PROBE = LIMITED_CHILD + """
 import latticework as lw
 from latticework.constructions import Diamond
 
-calls = {CALLS}
-out = {}
-for name, call in calls.items():
-    out[name] = []
-    for n in (-1, 0, 64, 10**20):
-        try:
-            eval(call)
-            out[name].append("returned")
-        except Exception as exc:
-            out[name].append(type(exc).__name__)
-print(json.dumps(out))
+grounds = (-1, 0, 64, 10**20)
+print(json.dumps({name: [outcome(call, n=n) for n in grounds] for name, call in {CALLS}.items()}))
 """
 
 DOMAIN = ["DomainError"] * 4
@@ -669,7 +624,7 @@ GROUND_CALLS = {
 }
 
 
-def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(run_python):
+def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(run_probe):
     # in a limited child process, as above: a missing check may allocate 2^64
     exported = {
         name
@@ -680,7 +635,7 @@ def test_entries_taking_n_refuse_ground_sizes_outside_1_to_63(run_python):
     }
     assert set(GROUND_CALLS) == exported
     calls = repr({name: call for name, (call, _) in GROUND_CALLS.items()})
-    out = run_python("-c", GROUND_PROBE.replace("{CALLS}", calls), timeout=None)
+    out = run_probe(GROUND_PROBE.replace("{CALLS}", calls))
     assert out == {name: want for name, (_, want) in GROUND_CALLS.items()}
 
 

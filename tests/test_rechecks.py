@@ -7,12 +7,16 @@ with monkeypatch and asserts the error and its message.  A check that is
 never reached here could be deleted, or go wrong, without a test noticing.
 """
 
+import json
 import sys
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from latticework import normalize, search, shadow
+from latticework import blym, normalize, search, shadow
+from latticework.cli import main
+from latticework.constructions import disconnected_extremal
 from latticework.core import ComparabilityGraph, SetFamily, VerificationError
 from latticework.normalize import NormalizationError, make_skipless
 from latticework.shadow import excluded_count, kk_cascade
@@ -155,3 +159,33 @@ def test_interval_meet_count_check_is_a_defect_not_bad_input(monkeypatch):
     monkeypatch.setattr(lubell, "factorial", lambda x: factorial(x) + (x == 4))
     with pytest.raises(VerificationError, match="^interval meet count did not divide evenly$"):
         lubell.diamond_meet_count(1, 7, 4)
+
+
+# One planted re-check per command that can reach one, run through the CLI,
+# which exits 1 with the message on stderr and nothing on stdout; normalize
+# and search have theirs in tests/test_cli.py.  analyze and construct reach
+# no re-check site: analyze reads the graph, height, Lubell sum and skip
+# count, construct only builds a family, and none of these re-checks.
+CLI_PLANTS = {
+    "boundary": (shadow, "shade_bits", lambda n, bits: (1 << (1 << n)) - 1,
+                 ["boundary", "--family", "{family}", "--split-file", "{split}"],
+                 "split has an empty boundary side"),
+    "verify": (blym, "lubell", lambda family: Fraction(2),
+               ["verify", "blym", "--family", "{antichain}"],
+               "BLYM sum 2 of an antichain exceeds 1"),
+    "reproduce": (search, "_band", _band_with(_no_rows), ["reproduce", "sperner-n3"],
+                  "witness has a component of order above 1"),
+}
+
+
+@pytest.mark.parametrize("module, name, plant, argv, message", CLI_PLANTS.values(), ids=CLI_PLANTS)
+def test_each_command_exits_one_on_a_planted_recheck(capsys, monkeypatch, tmp_path,
+                                                     module, name, plant, argv, message):
+    files = {"family": disconnected_extremal(4).to_jsonable(), "split": {"a": [0], "b": [1]},
+             "antichain": SetFamily.from_sets(3, [(1,), (2,), (3,)]).to_jsonable()}
+    for key, obj in files.items():
+        (tmp_path / key).write_text(json.dumps(obj))
+    monkeypatch.setattr(module, name, plant)
+    assert main([arg.format_map({key: tmp_path / key for key in files}) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"verification failed: {message}\n")

@@ -199,31 +199,22 @@ def test_layer_pair_refuses_a_top_layer_before_drawing():
 
 
 NEGATIVE_HEIGHT_PROBE = """
-import json, random
-from latticework.core import DomainError
+import random
 from latticework.sampling import _below, random_all_diamond_family, random_interval
 
 rng = random.Random(8)
 state = rng.getstate()
 calls = [
-    lambda: random_interval(rng, 3, -1),
-    lambda: random_all_diamond_family(rng, 3, 2, -1),
-    lambda: _below(rng.getrandbits, 0),
-    lambda: _below(rng.getrandbits, -3),
+    "random_interval(rng, 3, -1)",
+    "random_all_diamond_family(rng, 3, 2, -1)",
+    "_below(rng.getrandbits, 0)",
+    "_below(rng.getrandbits, -3)",
 ]
-out = []
-for call in calls:
-    try:
-        call()
-        out.append("returned")
-    except DomainError:
-        out.append("DomainError")
-    out.append(rng.getstate() == state)
-print(json.dumps(out))
+print(json.dumps([x for call in calls for x in (outcome(call), rng.getstate() == state)]))
 """
 
 
-def test_negative_height_is_refused_before_drawing(run_python):
+def test_negative_height_is_refused_before_drawing(run_probe):
     # getrandbits(0) is 0, so an unguarded draw below 0 never ends: run it
     # in a child process, where a lost guard fails on the timeout
-    assert run_python("-c", NEGATIVE_HEIGHT_PROBE, timeout=20) == ["DomainError", True] * 4
+    assert run_probe(NEGATIVE_HEIGHT_PROBE, timeout=20) == ["DomainError", True] * 4

@@ -3,7 +3,8 @@
 The 4 + 16 + 256 = 276 families of subsets of [1], [2] and [3] are few
 enough to check whole.  Each expected value is built from the
 definitions in `reference.py`, never from the package's kernels:
-components by union-find over every pair of members, Lubell sums as sums
+components by union-find over every pair of members (both graphs
+through the one check of `graph_oracle.py`), Lubell sums as sums
 of 1 / C(n, |X|), a diamond as a component holding every set between its
 meet and its join.  Here the search values are maxima and minima over
 the families themselves, and a maximally disconnected family is one
@@ -31,17 +32,15 @@ from latticework.core import (
     SetFamily,
     comparability_graph,
     count_two_chains,
-    cover_graph,
     height,
-    is_antichain,
 )
 from latticework.family import _mask_relabel_table
 from latticework.lubell import lubell
 from latticework.normalize import find_skips, make_skipless, skip_count
+from graph_oracle import check_graphs
 from reference import (
     comparable,
     components,
-    covers,
     interval_sum,
     is_interval,
     order,
@@ -63,17 +62,7 @@ def _families(n):
 
 def _check_against_definitions(family):
     n, members = family.n, family.members
-    chains = pairs(members, comparable)
-    graphs = ((comparability_graph(family), comparable, chains),
-              (cover_graph(family), covers, pairs(members, covers)))
-    for graph, related, edges in graphs:
-        comps = components(members, edges)
-        assert list(graph.component_members) == comps, family
-        assert graph.edges == edges, family
-        edges_in = [len(pairs(ms, related)) for ms in comps]
-        assert list(graph.component_sizes) == edges_in, family
-    assert count_two_chains(family) == len(chains), family
-    assert is_antichain(family) == (not chains), family
+    comps = check_graphs(family)[False][1]
     assert lubell(family) == lubell_sum(n, members), family
     if members:
         sizes = [m.bit_count() for m in members]
@@ -89,7 +78,7 @@ def _check_against_definitions(family):
         assert r.witness_below in family.member_set and r.witness_above in family.member_set
         assert r.witness_below & r.skip == r.witness_below
         assert r.skip & r.witness_above == r.skip
-    t = max(1, order(members))
+    t = max([1, *map(len, comps)])
     skipless = make_skipless(family, t)
     assert len(skipless) == len(family), family
     assert not skips(n, skipless.members), family
