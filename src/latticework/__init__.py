@@ -2,7 +2,7 @@
 
 Families of subsets of [n] are bitmask-encoded; every quantity is computed
 exactly (integers and fractions, never floats).  The package covers:
-comparability/cover graphs and their components, Lubell averages with a
+comparability graphs and their components, Lubell averages with a
 permutation-enumeration oracle, skipless normalization, extremal
 constructions with independent certification, shadow and boundary
 calculus, rainbow-free layer colourings, and exact searches for small
@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "core": (
         "ComparabilityGraph", "binomial", "comparability_graph", "count_two_chains",
-        "cover_graph", "full_cube", "height", "is_antichain", "is_comparable", "layer_masks",
+        "full_cube", "height", "is_antichain", "is_comparable", "layer_masks",
     ),
     "lubell": (
         "MeetProfile", "average_meet_count", "diamond_meet_count", "lubell",

@@ -49,10 +49,6 @@ class Diamond(_Record):
     def height(self) -> int:
         return (self.top ^ self.bottom).bit_count()
 
-    @property
-    def bottom_layer(self) -> int:
-        return self.bottom.bit_count()
-
 
 def detect_diamond(component: Iterable[int]) -> Diamond | None:
     """The interval [intersection, union] if the component fills it, else None.

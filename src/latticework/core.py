@@ -5,8 +5,7 @@ in `family`, with the package's conventions for them; `core` re-exports
 every name from there, so `core.SetFamily` is `family.SetFamily`.
 
 * The comparability graph of a family has the members as vertices and an
-  edge for every 2-chain X < Y (strict containment).  The cover graph keeps
-  only the edges with |Y| - |X| = 1.
+  edge for every 2-chain X < Y (strict containment).
 * Components and 2-chain counts are computed bit-parallel over the whole
   cube (reach-closures through down- and up-closures, and a packed-lane
   subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
@@ -14,8 +13,7 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
   families of a few members.  On the cube, components grow from least
   members, and what is left when they stop is labelled in one pass with
   its component's least member and grouped by label.  A component is the
-  ascending tuple of the family's own masks, numbered by least member;
-  per-member component numbers and edge lists are built only when asked.
+  ascending tuple of the family's own masks, numbered by least member.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
@@ -127,22 +125,19 @@ def _lane_below_counts(family: SetFamily) -> list[int]:
 
 
 class ComparabilityGraph(_Record):
-    """Comparability (or cover) graph of a family, with its components.
+    """Comparability graph of a family, held as its components.
 
     component_members[c] holds the masks of component c, ascending, and the
-    components are numbered in order of their least members.  Vertices are
-    member indices into family.members: component_id maps each vertex to
-    its component number, and component_orders[c] and component_sizes[c]
-    are the vertex and edge counts of component c.  All of these but the
-    members are derived on first use: comparability edges from the
-    comparability rows of each component's members, cover edges by looking
-    up each member less one of its elements.
+    components are numbered in order of their least members.
+    component_orders[c] and component_sizes[c] are the member and edge
+    counts of component c, derived on first use: the edges from the
+    comparability rows of each component's members where pairs are cheaper,
+    else from the members strictly inside each member, counted on the cube.
     """
 
-    def __init__(self, family: SetFamily, component_members: tuple, cover_only: bool = False):
+    def __init__(self, family: SetFamily, component_members: tuple):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "component_members", component_members)
-        object.__setattr__(self, "cover_only", cover_only)
 
     @property
     def n_components(self) -> int:
@@ -153,52 +148,14 @@ class ComparabilityGraph(_Record):
         return tuple(len(ms) for ms in self.component_members)
 
     @cached_property
-    def component_id(self) -> tuple[int, ...]:
-        component_of = {m: c for c, ms in enumerate(self.component_members) for m in ms}
-        return tuple(component_of[m] for m in self.family.members)
-
-    @cached_property
-    def _rows(self) -> tuple[list[int], ...]:
-        return tuple(_comparability_rows(ms) for ms in self.component_members)
-
-    @cached_property
-    def _covers_below(self) -> list[list[int]]:
-        # for each member, the members one element below it: at most n
-        # lookups per member, not a pass over its component
-        have, singletons = self.family.member_set, [1 << b for b in range(self.family.n)]
-        return [[m ^ e for e in singletons if m & e and m ^ e in have] for m in self.family]
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if self.cover_only:
-            index = {m: v for v, m in enumerate(self.family.members)}
-            below = enumerate(self._covers_below)
-            return tuple(sorted((index[x], v) for v, xs in below for x in xs))
-        out = []
-        for vs, rows in zip(self.components(), self._rows):
-            for i, row in enumerate(rows):
-                # the bits of row i above i
-                out += [(vs[i], vs[j]) for j in iter_bits(row >> i + 1 << i + 1)]
-        return tuple(sorted(out))
-
-    @cached_property
     def component_sizes(self) -> tuple[int, ...]:
         family = self.family
-        if self.cover_only:
-            counts = map(len, self._covers_below)
-        elif _pairwise_is_cheaper(family):
-            return tuple(sum(row.bit_count() for row in rows) // 2 for rows in self._rows)
-        else:
-            counts = _lane_below_counts(family)
+        if _pairwise_is_cheaper(family):
+            return tuple(sum(row.bit_count() for row in _comparability_rows(ms)) // 2
+                         for ms in self.component_members)
         # each edge is counted at its upper member, which lies in its component
-        below = dict(zip(family.members, counts))
+        below = dict(zip(family.members, _lane_below_counts(family)))
         return tuple(sum(map(below.__getitem__, ms)) for ms in self.component_members)
-
-    def components(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n_components)]
-        for v, c in enumerate(self.component_id):
-            out[c].append(v)
-        return out
 
     def component_family(self, c: int) -> SetFamily:
         return SetFamily(self.family.n, self.component_members[c])
@@ -207,31 +164,29 @@ class ComparabilityGraph(_Record):
         return max(self.component_orders, default=0)
 
 
-def comparability_graph(family: SetFamily, cover_only: bool = False) -> ComparabilityGraph:
-    """Build the comparability graph (all 2-chains) or cover graph of a family."""
+def comparability_graph(family: SetFamily) -> ComparabilityGraph:
+    """Build the comparability graph (all 2-chains) of a family."""
     if _pairwise_is_cheaper(family):
         ms = family.members
-        components = _row_components(ms, _comparability_rows(ms, cover_only))
+        components = _row_components(ms, _comparability_rows(ms))
     else:
-        components = _closure_components(family, cover_only)
-    return ComparabilityGraph(family, tuple(components), cover_only)
+        components = _closure_components(family)
+    return ComparabilityGraph(family, tuple(components))
 
 
-def _comparability_rows(ms: tuple[int, ...], cover_only: bool = False) -> list[int]:
-    """Bit j of row i is set iff masks i and j of ms are comparable (with
-    cover_only, one element apart), so no row has its own bit.  Each pair is
-    tested once, the earlier mask inside the later: no mask of ms may lie
-    inside an earlier one, as in ascending masks or one layer then the next.
+def _comparability_rows(ms: tuple[int, ...]) -> list[int]:
+    """Bit j of row i is set iff masks i and j of ms are comparable, so no
+    row has its own bit.  Each pair is tested once, the earlier mask inside
+    the later: no mask of ms may lie inside an earlier one, as in ascending
+    masks or one layer then the next.
     Past PAIRWISE_MEMBER_CAP masks the request is refused.
     """
     if len(ms) > PAIRWISE_MEMBER_CAP:
         raise ResourceLimitError(f"pairwise comparability capped at {PAIRWISE_MEMBER_CAP} members")
     rows = [0] * len(ms)
     for i, x in enumerate(ms):
-        above = x.bit_count() + 1
         for j in range(i + 1, len(ms)):
-            y = ms[j]
-            if x & y == x and (not cover_only or y.bit_count() == above):
+            if x & ms[j] == x:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
@@ -257,14 +212,14 @@ def _row_components(ms: tuple[int, ...], rows: list[int]) -> list[tuple[int, ...
     return out
 
 
-def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, ...]]:
+def _closure_components(family: SetFamily) -> list[tuple[int, ...]]:
     """The components' ascending member tuples, in least-member order, by
     reach-closures on bitsets.
 
     Members comparable to no other member are components of their own, so
     an antichain costs four sweeps however many members it has.  Each other
     component grows from its least member, a step adding every member
-    comparable to (or one element from) the frontier.  If that leaves no
+    comparable to the frontier.  If that leaves no
     member before the steps reach n, the components are read straight from
     their bitsets.  Otherwise each member is labelled with its component's
     least member, one bitset per label bit t (`planes[t]`), `_plane_labels`
@@ -272,15 +227,14 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
     """
     n = family.n
     bits = family_bits(family)
-    below, above = shadow_bits(n, bits), shade_bits(n, bits)
-    if not cover_only:
-        below, above = downset_bits(n, below), upset_bits(n, above)
+    below = downset_bits(n, shadow_bits(n, bits))
+    above = upset_bits(n, shade_bits(n, bits))
     rest = bits & (below | above)
     isolated = bits ^ rest
     found = []
     steps = 0
     while rest and steps < n:
-        component, taken = _reach_closure(n, rest & -rest, rest, cover_only)
+        component, taken = _reach_closure(n, rest & -rest, rest)
         steps += taken
         rest ^= component
         found.append(component)
@@ -293,7 +247,7 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
     for component in found:
         m = (component & -component).bit_length() - 1
         planes = [p | component if m >> t & 1 else p for t, p in enumerate(planes)]
-    _plane_labels(n, rest, cover_only, planes)
+    _plane_labels(n, rest, planes)
     # four bytes per cube point: byte g of point m holds label bits 8g..8g+7
     labels = bytearray(4 << n)
     for g in range(0, n, 8):
@@ -303,13 +257,12 @@ def _closure_components(family: SetFamily, cover_only: bool) -> list[tuple[int, 
     return _group(family.members, map(label, family.members))
 
 
-def _reach_closure(n: int, seeds: int, bits: int, cover_only: bool) -> tuple[int, int]:
+def _reach_closure(n: int, seeds: int, bits: int) -> tuple[int, int]:
     """The members of bits joined to seeds by a path inside bits, and the steps taken."""
-    down, up = (shadow_bits, shade_bits) if cover_only else (downset_bits, upset_bits)
     closure = front = seeds
     steps = 0
     while front:
-        front = (down(n, front) | up(n, front)) & bits & ~closure
+        front = (downset_bits(n, front) | upset_bits(n, front)) & bits & ~closure
         closure |= front
         steps += 1
     return closure, steps
@@ -323,7 +276,7 @@ def _spread(bits: int, j: int = 0) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_SPREAD[j])
 
 
-def _plane_labels(n: int, bits: int, cover_only: bool, planes: list[int]) -> None:
+def _plane_labels(n: int, bits: int, planes: list[int]) -> None:
     """OR into planes[t] the members of a bitset-of-masks whose component's
     least member has bit t: about n reach-closures however many components.
 
@@ -341,7 +294,7 @@ def _plane_labels(n: int, bits: int, cover_only: bool, planes: list[int]) -> Non
     for t, (col, off) in reversed(tuple(enumerate(zip(_columns(n), _complements(n))))):
         seeds = candidates & off
         if seeds != candidates:
-            z, _ = _reach_closure(n, seeds, bits, cover_only)
+            z, _ = _reach_closure(n, seeds, bits)
             planes[t] |= bits & ~z
             candidates &= z ^ col
 
@@ -352,11 +305,6 @@ def _group(masks, ids) -> list[tuple[int, ...]]:
     for m, c in zip(masks, ids):
         groups.setdefault(c, []).append(m)
     return [tuple(g) for g in groups.values()]
-
-
-def cover_graph(family: SetFamily) -> ComparabilityGraph:
-    """Graph of containments that differ by exactly one element."""
-    return comparability_graph(family, cover_only=True)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,6 @@ def comparable(x, y):
     return x != y and (x & y == x or x & y == y)
 
 
-def covers(x, y):
-    """Whether one of x and y is the other with one element added, that is,
-    whether they differ in exactly one element."""
-    return (x ^ y).bit_count() == 1
-
-
 def pairs(members, related):
     """The index pairs (i, j), i < j, of related members: the edges of their graph."""
     s = len(members)
@@ -39,7 +33,7 @@ def pairs(members, related):
                   if related(members[i], members[j])])
 
 
-def component_ids(count, edges):
+def component_numbers(count, edges):
     """The component number of each of count vertices, by union-find over
     the edges, with the components numbered by their least vertex."""
     parent = list(range(count))
@@ -59,7 +53,7 @@ def components(members, edges):
     """The member tuples of the components of the graph on members with
     those edges, in order of their least member."""
     groups = {}
-    for m, c in zip(members, component_ids(len(members), edges)):
+    for m, c in zip(members, component_numbers(len(members), edges)):
         groups.setdefault(c, []).append(m)
     return [tuple(g) for g in groups.values()]
 

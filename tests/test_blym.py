@@ -70,7 +70,7 @@ def _assert_census_matches_detect_diamond(fam, heights=()):
         assert (meet, join) == span(c)
         assert (d is not None) == is_interval(c)
         if d is not None:
-            assert (meet, join, h, meet.bit_count()) == (d.bottom, d.top, d.height, d.bottom_layer)
+            assert (meet, join, h) == (d.bottom, d.top, d.height)
         assert h == (meet ^ join).bit_count()
     first = next((i for i, d in enumerate(found) if d is None), None)
     assert gap == first

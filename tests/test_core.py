@@ -27,7 +27,6 @@ from latticework.core import (
     bits_to_family,
     comparability_graph,
     count_two_chains,
-    cover_graph,
     downset_bits,
     elements_of,
     family_bits,
@@ -99,16 +98,15 @@ def test_relabel_is_an_action():
         fam.relabel((1, 1, 3))
 
 
-def test_comparability_vs_cover_graph():
+def test_comparability_graph_joins_pairs_that_are_not_covers():
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2), (3,)])
     g = comparability_graph(fam)
     # {} < {1} < {1,2} all pairwise comparable, {3} comparable to {} only
-    assert len(g.edges) == 4
-    assert g.n_components == 1
-    cg = cover_graph(fam)
-    # the {} < {1,2} pair is not a cover (size gap 2)
-    assert len(cg.edges) == 3
-    assert cg.max_component_order() == 4
+    assert count_two_chains(fam) == 4
+    assert g.component_sizes == (4,)
+    assert g.n_components == 1 and g.max_component_order() == 4
+    # the {} < {1,2} pair is an edge, though not a cover (size gap 2)
+    assert sum((x ^ y).bit_count() == 1 for x in fam for y in fam if x < y) == 3
 
 
 def test_component_decomposition():
@@ -180,19 +178,19 @@ def labelled(monkeypatch):
     """The member count of each bitset the closure route hands `_plane_labels`."""
     calls = []
 
-    def spy(n, bits, cover_only, planes):
+    def spy(n, bits, planes):
         calls.append(bits.bit_count())
-        return _plane_labels(n, bits, cover_only, planes)
+        return _plane_labels(n, bits, planes)
 
     monkeypatch.setattr(core, "_plane_labels", spy)
     return calls
 
 
-def _plane_components(n, bits, cover_only):
+def _plane_components(n, bits):
     # the members of bits grouped by the labels `_plane_labels` writes into
     # its planes, each label checked to be its component's least member
     planes = [0] * n
-    _plane_labels(n, bits, cover_only, planes)
+    _plane_labels(n, bits, planes)
     members = iter_bits(bits)
     labels = [sum((p >> m & 1) << t for t, p in enumerate(planes)) for m in members]
     groups = _group(members, labels)
@@ -202,35 +200,31 @@ def _plane_components(n, bits, cover_only):
 
 
 def _assert_closure_route(fam, labelled):
-    # the graphs against the reference, then the closure route called
-    # directly, so small families take it too.  Returns per graph kind the
-    # reference's edges, its components and what the route labelled
-    reference = check_graphs(fam)
+    # the graph against the reference, then the closure route called
+    # directly, so small families take it too.  Returns the reference's
+    # edges, its components and what the route labelled
+    edges, want = check_graphs(fam)
+    labelled.clear()
+    got = _closure_components(fam)
+    assert got == want
+    # each member is one of the family's objects, not an equal copy
     own = {id(m) for m in fam.members}
-    seen = {}
-    for cover_only, (edges, want) in reference.items():
-        labelled.clear()
-        got = _closure_components(fam, cover_only)
-        assert got == want
-        # each member is one of the family's objects, not an equal copy
-        assert all(id(m) in own for c in got for m in c)
-        seen[cover_only] = edges, want, labelled[:]
-    return seen
+    assert all(id(m) in own for c in got for m in c)
+    return edges, want, labelled[:]
 
 
 def _assert_matches_pairwise(fam, labelled):
     # the closure route as above, and the plane labeller and the lane
     # counts called on the whole family
-    seen = _assert_closure_route(fam, labelled)
-    for cover_only, (_, want, _) in seen.items():
-        assert sorted(_plane_components(fam.n, family_bits(fam), cover_only)) == want
+    edges, want, calls = _assert_closure_route(fam, labelled)
+    assert sorted(_plane_components(fam.n, family_bits(fam))) == want
     # members strictly inside each member, counted at the larger of each pair
     below = [0] * len(fam)
     sizes = fam.sizes()
-    for i, j in seen[False][0]:
+    for i, j in edges:
         below[j if sizes[j] > sizes[i] else i] += 1
     assert _lane_below_counts(fam) == below
-    return seen
+    return edges, want, calls
 
 
 @cache
@@ -249,15 +243,13 @@ def _graph_families():
              # the two middles coincide when n - k is even
              for ceil in {False, (n - k) % 2 == 1} if sharp_claim(n, k, ceil)["size"] <= 2048}
     extremal = {n: disconnected_extremal(n) for n in range(2, 13)}
-    # Each with what the cover graph hands the plane labeller: the
-    # reach-closures take every component before their steps reach n, so
-    # the labeller is never called, but the cover graph of sharp_family(12,
-    # 9) takes nine steps per diamond and leaves the third to the labeller.
-    # The first two are the 10-cube and the middle layer of [12]
+    # The reach-closures take every component of these before their steps
+    # reach n, so the plane labeller is never called.  The first two are the
+    # 10-cube and the middle layer of [12]
     families["none left"] = [
-        (sharp.pop((10, 10, False)), []), (sharp.pop((12, 0, False)), []),
-        *[(extremal.pop(n), []) for n in range(8, 13)], (sharp.pop((12, 9, False)), [512]),
-        *[(sharp.pop((12, k, False)), []) for k in (10, 11)], (sharp_family(12, 12), []),
+        sharp.pop((10, 10, False)), sharp.pop((12, 0, False)),
+        *[extremal.pop(n) for n in range(8, 13)],
+        *[sharp.pop((12, k, False)) for k in (9, 10, 11)], sharp_family(12, 12),
     ]
     families["constructions"] = [*extremal.values(), *sharp.values()]
 
@@ -333,9 +325,8 @@ def test_components_match_pairwise_oracle_on_constructions(labelled):
 
 
 def test_closure_route_reads_components_from_bitsets_when_none_are_left(labelled):
-    for fam, cover_calls in _graph_families()["none left"]:
-        seen = _assert_matches_pairwise(fam, labelled)
-        assert [calls for _, _, calls in seen.values()] == [[], cover_calls]
+    for fam in _graph_families()["none left"]:
+        assert _assert_matches_pairwise(fam, labelled)[2] == []
 
 
 def test_components_of_many_small_components_in_a_large_cube(labelled):
@@ -348,23 +339,24 @@ def test_components_past_the_search_match_pairwise_oracle(labelled):
     cases = 0
     for fam in _graph_families()["past the search"]:
         # no call means nothing was left to label
-        cases += any(_assert_matches_pairwise(fam, labelled)[False][2])
+        cases += any(_assert_matches_pairwise(fam, labelled)[2])
     assert cases >= 50
 
 
 def test_closure_route_past_two_label_bytes_matches_pairwise_oracle(labelled):
     high = 0
     for fam in _graph_families()["two label bytes"]:
-        for _, got, calls in _assert_closure_route(fam, labelled).values():
-            if fam.n > 16 and any(calls):
-                high += any(len(c) > 1 and c[0] >> 16 for c in got)
+        _, got, calls = _assert_closure_route(fam, labelled)
+        if fam.n > 16 and any(calls):
+            high += any(len(c) > 1 and c[0] >> 16 for c in got)
     assert high >= 10
 
 
 def test_plane_labels_link_comparable_members_without_cover_path(labelled):
-    seen = _assert_matches_pairwise(_graph_families()["no cover path"], labelled)
-    # the plane labeller's components, one of the comparability graph and three of the cover graph
-    assert [len(want) for _, want, _ in seen.values()] == [1, 3]
+    _, want, _ = _assert_matches_pairwise(_graph_families()["no cover path"], labelled)
+    # the plane labeller's components: one, though no member of one diamond
+    # is one element away from a member of another
+    assert len(want) == 1
 
 
 def _plain_iter_bits(bits):
@@ -419,17 +411,15 @@ def test_comparability_beyond_closure_cap():
     assert n > CLOSURE_GROUND_CAP
     fam = SetFamily.from_sets(n, [(1,), (1, 40), (2, 3)])
     g = comparability_graph(fam)
-    assert g.component_id == (0, 1, 0)
     assert g.component_members == ((1, 1 | 1 << 39), (6,))
-    assert g.edges == ((0, 2),)
-    assert cover_graph(fam).component_sizes == (1, 0)
+    assert g.component_sizes == (1, 0)
     assert count_two_chains(fam) == 1
 
 
 def test_pairwise_route_past_the_cap_matches_reference():
     antichains = chains = 0
     for fam in _graph_families()["past the cap"]:
-        comparable_edges = check_graphs(fam)[False][0]
+        comparable_edges, _ = check_graphs(fam)
         antichains += not comparable_edges
         chains += bool(comparable_edges)
     assert antichains >= 20 and chains >= 20
@@ -448,7 +438,7 @@ def test_pairwise_route_refuses_families_past_the_pair_cap():
     # in tests/test_constructions.py stay allowed
     n = CLOSURE_GROUND_CAP + 1
     fam = SetFamily.from_masks(n, layer_masks(n, 5)[: PAIRWISE_MEMBER_CAP + 1])
-    for query in (comparability_graph, cover_graph, count_two_chains, is_antichain):
+    for query in (comparability_graph, count_two_chains, is_antichain):
         with pytest.raises(ResourceLimitError, match="pairwise comparability capped at 8192 members"):
             query(fam)
 
@@ -483,7 +473,6 @@ CAP_CALLS = {
     "binomial": ("lw.binomial(n, 20)", "returned"),
     "comparability_graph": ("lw.comparability_graph(chain)", "returned"),
     "count_two_chains": ("lw.count_two_chains(chain)", "returned"),
-    "cover_graph": ("lw.cover_graph(chain)", "returned"),
     "full_cube": ("lw.full_cube(n)", "ResourceLimitError"),
     "height": ("lw.height(chain)", "returned"),
     "is_antichain": ("lw.is_antichain(chain)", "returned"),

@@ -38,7 +38,7 @@ LayerPairGraph MeetProfile NormalizationError PreconditionError REPRODUCTIONS
 ResourceLimitError SearchResult SetFamily SkipReport StepRecord VERIFIERS
 VerificationError all_diamond_bound average_meet_count avg_degree binomial blym blym_sum
 boundary_pair boundary_report certify colouring comparability_graph constructions core
-count_two_chains cover_graph detect_diamond diamond_blym_sum diamond_claim
+count_two_chains detect_diamond diamond_blym_sum diamond_claim
 diamond_family diamond_meet_count diamond_profile disconnected_claim
 disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
 elements_of excluded_count family family_diamonds find_rainbow_cycle find_skips full_cube

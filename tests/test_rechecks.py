@@ -115,7 +115,7 @@ def test_step_order_recheck_fires_on_a_graph_past_the_bound(monkeypatch):
         # the input passes its precondition; every later graph reads as too wide
         g = graph(family)
         built.append(g)
-        return g if len(built) == 1 else Wide(g.family, g.component_members, g.cover_only)
+        return g if len(built) == 1 else Wide(g.family, g.component_members)
 
     monkeypatch.setattr(normalize, "comparability_graph", wide_after_the_first)
     with pytest.raises(NormalizationError, match=(

@@ -24,7 +24,7 @@ FAMILY = SetFamily(2, (1, 3))
 # every record class -> one valid set of its fields, in parameter order
 FIELDS = {
     SetFamily: {"n": 2, "members": (1, 3)},
-    ComparabilityGraph: {"family": FAMILY, "component_members": ((1, 3),), "cover_only": True},
+    ComparabilityGraph: {"family": FAMILY, "component_members": ((1, 3),)},
     MeetProfile: {"n": 2, "counts": (1, 1, 0, 0)},
     Diamond: {"bottom": 1, "top": 3},
     CheckResult: {"name": "size", "expected": 2, "actual": 2, "passed": True},
@@ -65,8 +65,6 @@ def test_keyword_and_positional_construction_agree(cls):
 
 
 def test_defaults():
-    assert ComparabilityGraph(FAMILY, ((1, 3),)).cover_only is False
-    assert ComparabilityGraph(FAMILY, ((1, 3),)) == ComparabilityGraph(FAMILY, ((1, 3),), False)
     assert CertificationReport(2).checks == ()
     assert CertificationReport(family_size=2) == CertificationReport(2, ())
 
@@ -111,7 +109,7 @@ def test_cached_properties_still_fill_in():
     family = SetFamily(2, (1, 3))
     assert 3 in family and family.member_set == {1, 3}
     graph = ComparabilityGraph(family, ((1, 3),))
-    assert graph.component_orders == (2,) and graph.edges == ((0, 1),)
+    assert graph.component_orders == (2,) and graph.component_sizes == (1,)
     # the cached values do not take part in equality
     assert family == SetFamily(2, (1, 3)) and graph == ComparabilityGraph(family, ((1, 3),))
 

@@ -3,7 +3,7 @@
 The 4 + 16 + 256 = 276 families of subsets of [1], [2] and [3] are few
 enough to check whole.  Each expected value is built from the
 definitions in `reference.py`, never from the package's kernels:
-components by union-find over every pair of members (both graphs
+components by union-find over every pair of members (the graph
 through the one check of `graph_oracle.py`), Lubell sums as sums
 of 1 / C(n, |X|), a diamond as a component holding every set between its
 meet and its join.  Here the search values are maxima and minima over
@@ -62,7 +62,7 @@ def _families(n):
 
 def _check_against_definitions(family):
     n, members = family.n, family.members
-    comps = check_graphs(family)[False][1]
+    _, comps = check_graphs(family)
     assert lubell(family) == lubell_sum(n, members), family
     if members:
         sizes = [m.bit_count() for m in members]
