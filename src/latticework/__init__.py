@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "core": (
         "ComparabilityGraph", "binomial", "comparability_graph", "count_two_chains",
-        "full_cube", "height", "is_antichain", "is_comparable", "layer_masks",
+        "full_cube", "height", "is_antichain", "layer_masks",
     ),
     "lubell": (
         "MeetProfile", "average_meet_count", "diamond_meet_count", "lubell",
@@ -38,11 +38,11 @@ _EXPORTS = {
     ),
     "normalize": (
         "NormalizationError", "SkipReport", "StepRecord", "find_skips", "make_skipless",
-        "make_skipless_with_trace", "skip_count", "skipless_step",
+        "make_skipless_with_trace", "skip_count",
     ),
     "constructions": (
-        "CertificationReport", "CheckResult", "Diamond", "certify", "diamond_claim",
-        "diamond_family", "disconnected_claim", "disconnected_extremal",
+        "CertificationReport", "CheckResult", "Diamond", "certify", "detect_diamond",
+        "diamond_claim", "diamond_family", "disconnected_claim", "disconnected_extremal",
         "disconnected_extremal_size", "full_layer_pair", "sharp_claim", "sharp_family",
     ),
     "shadow": (
@@ -55,8 +55,8 @@ _EXPORTS = {
         "layer_colouring", "xi",
     ),
     "blym": (
-        "DiamondProfile", "all_diamond_bound", "blym_sum", "detect_diamond",
-        "diamond_blym_sum", "diamond_profile", "family_diamonds",
+        "DiamondProfile", "all_diamond_bound", "blym_sum", "diamond_blym_sum",
+        "diamond_profile",
     ),
     "search": (
         "SearchResult", "disconnected_splits", "la_exact", "la_exact_restricted",

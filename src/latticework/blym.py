@@ -20,7 +20,7 @@ from .core import (
     comparability_graph,
     is_antichain,
 )
-from .constructions import Diamond, _diamond_census, detect_diamond  # detect_diamond: re-exported
+from .constructions import _diamond_census
 from .lubell import lubell
 
 
@@ -30,9 +30,6 @@ class DiamondProfile(_Record):
     def __init__(self, n: int, counts: tuple[tuple[int, int, int], ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.counts}
 
     def member_total(self) -> int:
         return sum(c << j for _, j, c in self.counts)
@@ -48,24 +45,13 @@ def blym_sum(family: SetFamily) -> Fraction:
     return total
 
 
-def _diamond_spans(family: SetFamily) -> list[list[int]]:
-    """Meet, join and height per comparability component; error on the first non-diamond."""
+def diamond_profile(family: SetFamily) -> DiamondProfile:
+    """Census of the diamond components; error on the first non-diamond."""
     graph = comparability_graph(family)
-    *spans, gap = _diamond_census(graph.component_members)
+    meets, _, heights, gap = _diamond_census(graph.component_members)
     if gap is not None:
         part = graph.component_family(gap).to_sets()
         raise PreconditionError(f"component {part} is not a diamond")
-    return spans
-
-
-def family_diamonds(family: SetFamily) -> list[Diamond]:
-    """One Diamond per comparability component; error on any non-diamond component."""
-    meets, joins, _ = _diamond_spans(family)
-    return list(map(Diamond, meets, joins))
-
-
-def diamond_profile(family: SetFamily) -> DiamondProfile:
-    meets, _, heights = _diamond_spans(family)
     census: dict[tuple[int, int], int] = {}
     for key in zip(map(int.bit_count, meets), heights):
         census[key] = census.get(key, 0) + 1

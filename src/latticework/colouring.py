@@ -40,23 +40,6 @@ class EdgeColouredGraph(_Record):
             "edges": [[u, v, c] for u, v, c in self.edges],
         }
 
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "EdgeColouredGraph":
-        if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
-            raise DomainError(
-                'graph JSON must be {"vertices": int, "edges": [[u, v, colour], ...]}'
-            )
-        vertices, edges = obj["vertices"], obj["edges"]
-        if type(vertices) is not int:
-            raise DomainError(f"graph JSON vertices must be an integer, got {vertices!r}")
-        if not isinstance(edges, list):
-            raise DomainError(f'graph JSON "edges" must be a list, got {edges!r}')
-        for e in edges:
-            # bool is an int subclass, so True would otherwise read as 1
-            if not isinstance(e, list) or len(e) != 3 or any(type(x) is not int for x in e):
-                raise DomainError(f"graph JSON edge {e!r} is not a list [u, v, colour] of integers")
-        return cls(vertices, tuple(map(tuple, edges)))
-
 
 class LayerPairGraph(_Record):
     """Subfamily of layer k versus subfamily of layer k+1, edges = containments."""

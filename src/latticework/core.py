@@ -43,17 +43,6 @@ from .family import (  # noqa: F401
 NODE_BUDGET = 30_000_000
 
 
-def is_comparable(x: int, y: int) -> bool:
-    """True iff the distinct subsets x, y satisfy x < y or y < x.
-
-    Raises DomainError when x == y: comparability is a relation on pairs of
-    distinct sets here, and silently answering would hide caller bugs.
-    """
-    if x == y:
-        raise DomainError("is_comparable expects distinct sets")
-    return (x & y) == x or (x & y) == y
-
-
 def layer_masks(n: int, k: int) -> list[int]:
     """All masks of cardinality k over [n], sorted by mask value."""
     _check_ground(n)

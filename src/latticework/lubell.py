@@ -53,10 +53,6 @@ class MeetProfile(_Record):
         """sum_i i * s_i, the total number of (permutation, member) meets."""
         return sum(i * c for i, c in enumerate(self.counts))
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def lubell(family: SetFamily) -> Fraction:
     """Closed-form Lubell value: sum over members of 1/C(n, |F|)."""

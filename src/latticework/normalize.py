@@ -111,22 +111,13 @@ def _step(
     return reduced, reduced_skips, StepRecord(added=y, removed=x_max), component
 
 
-def skipless_step(family: SetFamily) -> SetFamily:
-    """One fill-and-delete step; the input must have at least one skip.
-
-    The skip chosen is the lexicographically smallest mask among those of
-    minimum cardinality; the removed member is an inclusion-maximal member
-    of the affected component (largest cardinality, then smallest mask).
-    """
-    skips = _skip_bits(family)
-    if not skips:
-        raise PreconditionError("family is already skipless")
-    reduced, _, _, _ = _step(family, comparability_graph(family), skips)
-    return reduced
-
-
 def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list[StepRecord]]:
     """Iterate skipless steps to a fixed point, recording each step.
+
+    Each step adds the least skip of least cardinality (the smallest mask
+    among those of minimum cardinality) and removes the affected
+    component's member of largest cardinality, then smallest mask, which
+    is inclusion-maximal there.
 
     Raises NormalizationError if any intermediate family violates the
     component-order bound t; the constructive argument says this cannot

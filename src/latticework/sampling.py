@@ -11,12 +11,17 @@ gives the same families as those methods did; `tests/test_sampling.py`
 pins this against reference copies that call the methods.  Sizes are
 checked before the first draw, so a refused call leaves the generator
 untouched.
+
+Every interval has height at most INTERVAL_HEIGHT = 3: its top adds
+randint(0, min(3, len(free))) of the elements outside its bottom.
 """
 
 import random
 
 from .core import DomainError, SetFamily, _check_ground, comparability_graph, layer_masks
 from .constructions import Diamond, diamond_family
+
+INTERVAL_HEIGHT = 3
 
 
 def _below(bits, m: int) -> int:
@@ -29,12 +34,6 @@ def _below(bits, m: int) -> int:
     while r >= m:
         r = bits(k)
     return r
-
-
-def _check_sizes(n: int, max_height: int = 0) -> None:
-    _check_ground(n)
-    if max_height < 0:
-        raise DomainError(f"max_height {max_height} is negative")
 
 
 def random_family(rng: random.Random, n: int, size: int) -> SetFamily:
@@ -63,19 +62,14 @@ def random_antichain(rng: random.Random, n: int, attempts: int) -> SetFamily:
     return SetFamily.from_masks(n, kept)
 
 
-def _interval(bits, n: int, max_height: int) -> tuple[int, int]:
-    # randrange(1 << n), shuffle(free) and randint(0, min(max_height, len(free)))
+def _interval(bits, n: int) -> tuple[int, int]:
+    # randrange(1 << n), shuffle(free) and randint(0, min(INTERVAL_HEIGHT, len(free)))
     bottom = _below(bits, 1 << n)
     free = [1 << i for i in range(n) if not bottom >> i & 1]
     for i in range(len(free) - 1, 0, -1):
         j = _below(bits, i + 1)
         free[i], free[j] = free[j], free[i]
-    return bottom, bottom | sum(free[: _below(bits, min(max_height, len(free)) + 1)])
-
-
-def random_interval(rng: random.Random, n: int, max_height: int) -> Diamond:
-    _check_sizes(n, max_height)
-    return Diamond(*_interval(rng.getrandbits, n, max_height))
+    return bottom, bottom | sum(free[: _below(bits, min(INTERVAL_HEIGHT, len(free)) + 1)])
 
 
 def _union(n: int, diamonds) -> SetFamily:
@@ -84,21 +78,19 @@ def _union(n: int, diamonds) -> SetFamily:
     return SetFamily.from_masks(n, [m for f in families for m in f.members])
 
 
-def random_all_diamond_family(
-    rng: random.Random, n: int, target_components: int, max_height: int = 3
-) -> SetFamily:
+def random_all_diamond_family(rng: random.Random, n: int, target_components: int) -> SetFamily:
     """Union of pairwise non-cross-comparable intervals.
 
     Two intervals admit a comparable cross pair exactly when one bottom
     fits under the other top, so independence is two subset tests.
     """
-    _check_sizes(n, max_height)
+    _check_ground(n)
     bits = rng.getrandbits
     accepted: list[tuple[int, int]] = []
     for _ in range(6 * target_components):
         if len(accepted) == target_components:
             break
-        bottom, top = _interval(bits, n, max_height)
+        bottom, top = _interval(bits, n)
         for b, t in accepted:
             if bottom & t == bottom or b & top == b:
                 break
@@ -129,7 +121,7 @@ def random_order_bounded_family(rng: random.Random, n: int) -> tuple[SetFamily, 
     if style == 0:
         family = random_family(rng, n, rng.randint(0, max(1, (1 << n) // 2)))
     elif style == 1:
-        family = _union(n, [_interval(rng.getrandbits, n, 3) for _ in range(rng.randint(1, 4))])
+        family = _union(n, [_interval(rng.getrandbits, n) for _ in range(rng.randint(1, 4))])
     else:
         family = random_antichain(rng, n, attempts=2 * n)
     if not family.members:

@@ -1,18 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from latticework.blym import (
-    all_diamond_bound,
-    blym_sum,
-    detect_diamond,
-    diamond_blym_sum,
-    diamond_profile,
-    family_diamonds,
-)
-from latticework.constructions import _diamond_census, certify, sharp_family
+from latticework.blym import all_diamond_bound, blym_sum, diamond_blym_sum, diamond_profile
+from latticework.constructions import _diamond_census, certify, detect_diamond, sharp_family
 from latticework import blym
 from latticework.core import (
     DomainError,
@@ -48,17 +42,8 @@ def test_detect_diamond():
     assert detect_diamond(SetFamily.from_masks(3, ())) is None
 
 
-def test_family_diamonds_splits_components():
-    fam = sharp_family(4, 1)
-    ds = family_diamonds(fam)
-    assert len(ds) == comb(3, 1)
-    assert all(d.height == 1 for d in ds)
-    with pytest.raises(PreconditionError):
-        family_diamonds(SetFamily.from_sets(3, [(1,), (1, 2), (2,)]))  # a vee, no top
-
-
 def _assert_census_matches_detect_diamond(fam, heights=()):
-    # the mapped census, certify's diamond check and family_diamonds against
+    # the mapped census, certify's diamond check and diamond_profile against
     # detect_diamond one component at a time; returns whether all are diamonds
     graph = comparability_graph(fam)
     components = graph.component_members
@@ -80,12 +65,14 @@ def _assert_census_matches_detect_diamond(fam, heights=()):
         (check,) = certify(fam, {"diamond_components": want}).checks
         assert check.passed is check.actual is expect
     if first is None:
-        assert family_diamonds(fam) == found
+        census = Counter((meet.bit_count(), (meet ^ join).bit_count())
+                         for meet, join in map(span, components))
+        assert diamond_profile(fam).counts == tuple(sorted(k + (v,) for k, v in census.items()))
         assert diamond_blym_sum(fam) == interval_sum(fam.n, components)
     else:
         part = graph.component_family(first).to_sets()
         with pytest.raises(PreconditionError) as err:
-            family_diamonds(fam)
+            diamond_profile(fam)
         assert str(err.value) == f"component {part} is not a diamond"
     return first is None
 
@@ -113,22 +100,25 @@ def test_diamond_census_matches_detect_diamond():
     assert _assert_census_matches_detect_diamond(SetFamily.from_masks(4, ()), heights=(0, 2))
 
 
-def test_family_diamonds_names_the_first_non_diamond_component():
+def test_diamond_profile_names_the_first_non_diamond_component():
     # components in least-member order: the diamond {{1}}, then {2,3} and
     # {3,4} below {2,3,4}, whose meet {3} is missing
     fam = SetFamily.from_sets(4, [(1,), (2, 3), (3, 4), (2, 3, 4)])
     with pytest.raises(PreconditionError) as err:
-        family_diamonds(fam)
-    assert str(err.value) == "component [(2, 3), (3, 4), (2, 3, 4)] is not a diamond"
-    with pytest.raises(PreconditionError, match="is not a diamond"):
         diamond_profile(fam)
+    assert str(err.value) == "component [(2, 3), (3, 4), (2, 3, 4)] is not a diamond"
+    with pytest.raises(PreconditionError) as err:
+        diamond_profile(SetFamily.from_sets(3, [(1,), (1, 2), (2,)]))  # a vee, no top
+    assert str(err.value) == "component [(1,), (2,), (1, 2)] is not a diamond"
 
 
 def test_diamond_profile_counts():
     prof = diamond_profile(sharp_family(4, 2))
     assert prof.member_total() == len(sharp_family(4, 2))
     # both components sit with bottom on layer 1 and height 2
-    assert prof.as_dict() == {(1, 2): 2}
+    assert prof.counts == ((1, 2, 2),)
+    # C(3, 1) components of height 1, bottoms on layer 1
+    assert diamond_profile(sharp_family(4, 1)).counts == ((1, 1, 3),)
 
 
 def test_diamond_blym_values():

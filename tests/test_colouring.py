@@ -31,25 +31,7 @@ def test_graph_validation():
     with pytest.raises(DomainError):
         EdgeColouredGraph(3, ((0, 1, 1), (1, 0, 2)))  # duplicate edge
     g = EdgeColouredGraph(3, ((0, 1, 1), (1, 2, 2)))
-    assert EdgeColouredGraph.from_jsonable(g.to_jsonable()) == g
-
-
-@pytest.mark.parametrize("obj", [
-    {"vertices": 2.7, "edges": [[0, 1, 1]]},
-    {"vertices": 2, "edges": [[0, 1.9, True]]},
-    {"vertices": True, "edges": []},
-    {"vertices": 2, "edges": [[0, 1, True]]},
-    {"vertices": 2, "edges": [[0, 1]]},
-    {"vertices": 2, "edges": [[0, 1, 1, 1]]},
-    {"vertices": 2, "edges": [(0, 1, 1)]},
-    {"vertices": 2, "edges": "01"},
-    {"edges": []},
-    {"vertices": 2},
-    [2, []],
-])
-def test_graph_json_refuses_non_integers_and_bad_shapes(obj):
-    with pytest.raises(DomainError):
-        EdgeColouredGraph.from_jsonable(obj)
+    assert g.to_jsonable() == {"vertices": 3, "edges": [[0, 1, 1], [1, 2, 2]]}
 
 
 def test_layer_pair_validation():

@@ -9,7 +9,9 @@ had.  The second half runs each CLI command in a fresh process and pins
 the package modules it leaves in `sys.modules`, so an eager import put back
 anywhere on a command's path fails here.  Neither a bare import nor any
 command may load `dataclasses` or `inspect`, which cost a short process
-more than its own work.
+more than its own work.  Those children start with `-S`: they need only the
+stdlib and `src/`, and `site` may import modules of its own from the
+site-packages of whatever interpreter runs the tests.
 """
 
 import ast
@@ -41,12 +43,12 @@ boundary_pair boundary_report certify colouring comparability_graph construction
 count_two_chains detect_diamond diamond_blym_sum diamond_claim
 diamond_family diamond_meet_count diamond_profile disconnected_claim
 disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
-elements_of excluded_count family family_diamonds find_rainbow_cycle find_skips full_cube
-full_layer_pair height is_antichain is_comparable is_proper kk_cascade kk_shadow_bound
+elements_of excluded_count family find_rainbow_cycle find_skips full_cube
+full_layer_pair height is_antichain is_proper kk_cascade kk_shadow_bound
 la_exact la_exact_restricted lambda_star_exact layer_colouring layer_masks lower_shadow
 lubell lubell_by_permutations mad_star_probe make_skipless make_skipless_with_trace
 mask_of max_disconnected meet_profile min_two_chains normalize run_reproduction
-run_verifier sampling search shadow sharp_claim sharp_family skip_count skipless_step
+run_verifier sampling search shadow sharp_claim sharp_family skip_count
 technical_bound_check up_closure verify xi xi_star_exact
 """.split()
 
@@ -79,6 +81,14 @@ def test_lubell_is_the_function_before_and_after_the_search_import(run_python):
     assert latticework.lubell is latticework.search.lubell
 
 
+def test_each_export_is_defined_in_the_module_it_is_listed_under():
+    # a name re-exported through a second module would be listed there
+    for module, names in latticework._EXPORTS.items():
+        for name in names:
+            defined_in = getattr(getattr(latticework, name), "__module__", None)
+            assert defined_in in (None, f"latticework.{module}"), name
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         latticework.no_such_name
@@ -99,7 +109,7 @@ def test_bare_import_loads_only_family_and_lubell(run_python):
         "                  [n for n in dir(latticework) if not n.startswith('_')],\n"
         f"                  [m for m in {SLOW_STDLIB!r} if m in sys.modules]]))\n"
     )
-    loaded, public, slow = run_python("-c", script, timeout=None)
+    loaded, public, slow = run_python("-S", "-c", script, timeout=None)
     assert loaded == ["latticework.family", "latticework.lubell"]
     assert public == PUBLIC_NAMES
     assert slow == []
@@ -164,7 +174,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path, run_python):
     (tmp_path / "split.json").write_text(json.dumps({"a": [1], "b": [0]}))
     for command, (extra, hashes) in FOOTPRINTS.items():
         code, loaded, hashlib_loaded, slow = run_python(
-            "-c", FOOTPRINT_SCRIPT, json.dumps(command.split()), timeout=None, cwd=tmp_path
+            "-S", "-c", FOOTPRINT_SCRIPT, json.dumps(command.split()), timeout=None, cwd=tmp_path
         )
         assert code == 0, command
         assert loaded == sorted(BASE + extra), command

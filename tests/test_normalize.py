@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latticework.core import PreconditionError, SetFamily, comparability_graph, full_cube
+from latticework.core import SetFamily, comparability_graph, full_cube
 from latticework import normalize
 from latticework.normalize import (
     NormalizationError,
@@ -10,7 +10,6 @@ from latticework.normalize import (
     make_skipless,
     make_skipless_with_trace,
     skip_count,
-    skipless_step,
 )
 from latticework.sampling import random_order_bounded_family
 from reference import below, comparable, components, order, pairs, skips
@@ -48,15 +47,11 @@ def test_skipless_families_have_no_skips():
 
 def test_single_step_swaps_one_set():
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2, 3)])
-    out = skipless_step(fam)
+    _, (step, *_) = make_skipless_with_trace(fam, 3)
+    assert step.added not in fam and step.removed in fam
+    out = fam.add(step.added).remove(step.removed)
     assert len(out) == len(fam)
     assert skip_count(out) < skip_count(fam)
-
-
-def test_step_on_a_skipless_family_is_refused():
-    for fam in (full_cube(3), SetFamily.from_sets(4, [(1,), (1, 2), (3,)])):
-        with pytest.raises(PreconditionError):
-            skipless_step(fam)
 
 
 def test_make_skipless_hand_case():
@@ -81,6 +76,7 @@ def test_trace_replays_to_the_result():
 def test_skipless_is_idempotent():
     fam = SetFamily.from_sets(4, [(1,), (1, 2), (3,)])
     assert make_skipless(fam, 2) == fam
+    assert make_skipless_with_trace(full_cube(3), 8) == (full_cube(3), [])
 
 
 def test_randomized_size_and_order_preservation():

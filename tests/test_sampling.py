@@ -2,24 +2,17 @@ import random
 
 import pytest
 
-from latticework.blym import family_diamonds
 from latticework.constructions import Diamond, diamond_family
-from latticework.core import (
-    DomainError,
-    SetFamily,
-    comparability_graph,
-    is_antichain,
-    is_comparable,
-)
+from latticework.core import DomainError, SetFamily, comparability_graph, is_antichain
 from latticework.normalize import skip_count
 from latticework.sampling import (
     random_all_diamond_family,
     random_antichain,
     random_family,
-    random_interval,
     random_layer_pair,
     random_order_bounded_family,
 )
+from reference import comparable, is_interval
 
 
 def test_seeding_is_reproducible():
@@ -36,18 +29,6 @@ def test_random_antichain_is_an_antichain():
             assert is_antichain(fam)
 
 
-def test_random_interval_is_a_diamond():
-    rng = random.Random(2)
-    for n in range(2, 7):
-        for _ in range(40):
-            d = random_interval(rng, n, max_height=3)
-            assert d.bottom & ~d.top == 0
-            assert d.height <= 3
-            ds = family_diamonds(diamond_family(d, n))
-            assert len(ds) == 1
-            assert ds[0] == d
-
-
 def test_all_diamond_family_components():
     rng = random.Random(3)
     for n in range(3, 8):
@@ -55,8 +36,7 @@ def test_all_diamond_family_components():
             fam = random_all_diamond_family(rng, n, target_components=rng.randrange(1, n + 1))
             if len(fam) == 0:
                 continue
-            ds = family_diamonds(fam)  # raises if any component is not an interval
-            assert len(ds) == comparability_graph(fam).n_components
+            assert all(map(is_interval, comparability_graph(fam).component_members))
 
 
 def test_random_layer_pair_layers():
@@ -89,27 +69,27 @@ def _ref_antichain(rng, n, attempts):
         m = rng.randrange(1 << n)
         if m in kept:
             continue
-        if all(not is_comparable(m, other) for other in kept):
+        if all(not comparable(m, other) for other in kept):
             kept.append(m)
     return SetFamily.from_masks(n, kept)
 
 
-def _ref_interval(rng, n, max_height):
+def _ref_interval(rng, n):
     bottom = rng.randrange(1 << n)
     free = [i for i in range(n) if not (bottom >> i) & 1]
     rng.shuffle(free)
     extra = 0
-    for i in free[: rng.randint(0, min(max_height, len(free)))]:
+    for i in free[: rng.randint(0, min(3, len(free)))]:
         extra |= 1 << i
     return Diamond(bottom, bottom | extra)
 
 
-def _ref_all_diamond_family(rng, n, target_components, max_height=3):
+def _ref_all_diamond_family(rng, n, target_components):
     accepted = []
     for _ in range(6 * target_components):
         if len(accepted) == target_components:
             break
-        d = _ref_interval(rng, n, max_height)
+        d = _ref_interval(rng, n)
         ok = True
         for e in accepted:
             if (d.bottom & e.top) == d.bottom or (e.bottom & d.top) == e.bottom:
@@ -130,7 +110,7 @@ def _ref_order_bounded_family(rng, n):
     elif style == 1:
         masks = []
         for _ in range(rng.randint(1, 4)):
-            d = _ref_interval(rng, n, max_height=min(3, n))
+            d = _ref_interval(rng, n)
             masks.extend(diamond_family(d, n).members)
         family = SetFamily.from_masks(n, masks)
     else:
@@ -145,10 +125,9 @@ def test_draws_match_the_random_methods():
     for seed in range(500):
         ref, new = random.Random(seed), random.Random(seed)
         for n in range(1, 11):
-            height, target = (seed + n) % 6, 1 + (seed // 6 + n) % 6
+            target = 1 + (seed // 6 + n) % 6
             calls = [
-                (_ref_interval, random_interval, (n, height)),
-                (_ref_all_diamond_family, random_all_diamond_family, (n, target, height)),
+                (_ref_all_diamond_family, random_all_diamond_family, (n, target)),
                 (_ref_antichain, random_antichain, (n, 2 * target)),
                 (_ref_order_bounded_family, random_order_bounded_family, (n,)),
             ]
@@ -167,7 +146,6 @@ def test_samplers_refuse_bad_ground_before_drawing(n):
     calls = [
         lambda: random_family(rng, n, 1),
         lambda: random_antichain(rng, n, 3),
-        lambda: random_interval(rng, n, 2),
         lambda: random_all_diamond_family(rng, n, 2),
         lambda: random_layer_pair(rng, n, 0),
         lambda: random_order_bounded_family(rng, n),
@@ -198,15 +176,13 @@ def test_layer_pair_refuses_a_top_layer_before_drawing():
     assert rng.getstate() == state
 
 
-NEGATIVE_HEIGHT_PROBE = """
+EMPTY_RANGE_PROBE = """
 import random
-from latticework.sampling import _below, random_all_diamond_family, random_interval
+from latticework.sampling import _below
 
 rng = random.Random(8)
 state = rng.getstate()
 calls = [
-    "random_interval(rng, 3, -1)",
-    "random_all_diamond_family(rng, 3, 2, -1)",
     "_below(rng.getrandbits, 0)",
     "_below(rng.getrandbits, -3)",
 ]
@@ -214,7 +190,7 @@ print(json.dumps([x for call in calls for x in (outcome(call), rng.getstate() ==
 """
 
 
-def test_negative_height_is_refused_before_drawing(run_probe):
+def test_an_empty_draw_range_is_refused_before_drawing(run_probe):
     # getrandbits(0) is 0, so an unguarded draw below 0 never ends: run it
     # in a child process, where a lost guard fails on the timeout
-    assert run_probe(NEGATIVE_HEIGHT_PROBE, timeout=20) == ["DomainError", True] * 4
+    assert run_probe(EMPTY_RANGE_PROBE, timeout=20) == ["DomainError", True] * 2
