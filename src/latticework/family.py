@@ -175,9 +175,6 @@ class SetFamily(_Record):
     def sizes(self) -> list[int]:
         return [m.bit_count() for m in self.members]
 
-    def add(self, mask: int) -> "SetFamily":
-        return SetFamily.from_masks(self.n, self.members + (mask,))
-
     def remove(self, mask: int) -> "SetFamily":
         if mask not in self.member_set:
             raise DomainError(f"mask {mask} not in family")

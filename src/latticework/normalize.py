@@ -5,30 +5,23 @@ A skip of a family F is a set Y outside F squeezed between two members
 and deletes an inclusion-maximal member of the affected component, which
 keeps the cardinality, keeps every component order within the bound, and
 strictly decreases the number of skips.  Iterating reaches a skipless
-family of the same size.  A step reads the affected component from the
-family's comparability graph and the skip from its skip bitset; the
-reduced family's graph and skip bitset re-check the step and serve the
-next one.  Every step is validated after execution instead of trusted:
-the size, the skip-count decrease, the order bound, and that the skip's
-new component lies inside the rewritten one are all re-checked.
+family of the same size.  The steps run on the family's bitset-of-masks:
+the affected component is the skip's reach-closure, a step flips two bits,
+and the family is built once, at the end.  Every step is validated after
+execution instead of trusted: the size, the skip-count decrease, the order
+bound, and that the skip's new component lies inside the rewritten one are
+all re-checked, the last two by reach-closures on the whole new bitset.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 
 from .core import (
-    ComparabilityGraph,
-    DomainError,
-    PreconditionError,
-    SetFamily,
-    VerificationError,
-    comparability_graph,
-    downset_bits,
-    family_bits,
-    iter_bits,
-    upset_bits,
-    _Record,
+    DomainError, PreconditionError, SetFamily, VerificationError, bits_to_family,
+    comparability_graph, downset_bits, family_bits, iter_bits, upset_bits, _layer,
+    _reach_closure, _Record,
 )
 
 
@@ -53,10 +46,15 @@ class StepRecord(_Record):
         object.__setattr__(self, "removed", removed)
 
 
-def _skip_bits(family: SetFamily) -> int:
-    # The sets between two members that are not members themselves.
-    bits = family_bits(family)
-    return downset_bits(family.n, bits) & upset_bits(family.n, bits) & ~bits
+def _skip_bits(n: int, bits: int) -> int:
+    # The sets between two members of a bitset-of-masks that are not members.
+    return downset_bits(n, bits) & upset_bits(n, bits) & ~bits
+
+
+@cache
+def _layer_bits(n: int) -> tuple[int, ...]:
+    """The masks of each cardinality 0..n over [n], as bitsets."""
+    return tuple(family_bits(_layer(n, k)) for k in range(n + 1))
 
 
 def find_skips(family: SetFamily) -> list[SkipReport]:
@@ -64,7 +62,7 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
     members = family.members
     out = []
     # iter_bits ascends and the sort is stable: (cardinality, mask) order
-    for y in sorted(iter_bits(_skip_bits(family)), key=int.bit_count):
+    for y in sorted(iter_bits(_skip_bits(family.n, family_bits(family))), key=int.bit_count):
         # members ascend, so the first one inside y is the least, and the least
         # one around y comes after y's own place: each scan stops at its witness
         below = next(x for x in members if x & y == x)
@@ -77,38 +75,19 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
 
 def skip_count(family: SetFamily) -> int:
     """Number of skips (cheaper than materialising witness reports)."""
-    return _skip_bits(family).bit_count()
+    return _skip_bits(family.n, family_bits(family)).bit_count()
 
 
-def _component_below(graph: ComparabilityGraph, y: int) -> tuple[int, ...]:
-    """Members of the component of the members contained in y, a member or a skip.
-
-    A skip y lies strictly between members X < Z of one component C, and a
-    member W < y has W < Z, a member W > y has W > X: y's component in F + y
-    is C + {y}, and C is the one component with a member contained in y.
-    """
-    return next(ms for ms in graph.component_members if any((m & y) == m for m in ms))
-
-
-def _step(
-    family: SetFamily, graph: ComparabilityGraph, skips: int
-) -> tuple[SetFamily, int, StepRecord, tuple[int, ...]]:
-    """One validated step: the reduced family, its skip bitset, the step taken
-    and the members of the component it rewrote."""
-    # iter_bits ascends, so min keeps the smallest mask of least cardinality
-    y = min(iter_bits(skips), key=int.bit_count)
-    component = _component_below(graph, y)
-    # a member of largest cardinality is inclusion-maximal in the component
-    x_max = max(component, key=lambda m: (m.bit_count(), -m))
-    reduced = family.add(y).remove(x_max)
-    if len(reduced) != len(family):
-        raise NormalizationError("step changed the family cardinality")
-    reduced_skips = _skip_bits(reduced)
-    if reduced_skips.bit_count() >= skips.bit_count():
-        raise NormalizationError(
-            f"skip count failed to decrease: added {y}, removed {x_max}"
-        )
-    return reduced, reduced_skips, StepRecord(added=y, removed=x_max), component
+def _components_meeting(n: int, bits: int, seed: int, region: int) -> list[int]:
+    """The components of a bitset-of-masks that meet region, as bitsets, the
+    one holding the bit seed first: a reach-closure on the whole bitset each."""
+    out = []
+    while seed:
+        component, _ = _reach_closure(n, seed, bits)
+        out.append(component)
+        region &= ~component
+        seed = region & -region
+    return out
 
 
 def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list[StepRecord]]:
@@ -130,30 +109,47 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
         raise PreconditionError(
             f"a component has order {graph.max_component_order()} > t = {t}"
         )
-    current, skips = family, _skip_bits(family)
+    n, bits = family.n, family_bits(family)
+    skips = _skip_bits(n, bits)
     trace: list[StepRecord] = []
     while skips:
-        reduced, skips, step, component = _step(current, graph, skips)
-        y, x_max = step.added, step.removed
-        reduced_graph = comparability_graph(reduced)
-        if reduced_graph.max_component_order() > t:
+        layers = _layer_bits(n)
+        low = next(filter(None, (skips & layer for layer in layers)))
+        y_bit = low & -low
+        # y's component in F + y: its old component C, with y
+        reached, _ = _reach_closure(n, y_bit, bits | y_bit)
+        # the least mask of C's highest layer is inclusion-maximal in C
+        top = next(filter(None, (reached & bits & layer for layer in reversed(layers))))
+        x_bit = top & -top
+        y, x_max = y_bit.bit_length() - 1, x_bit.bit_length() - 1
+        bits = (bits | y_bit) ^ x_bit
+        if bits.bit_count() != len(family):
+            raise NormalizationError("step changed the family cardinality")
+        reduced_skips = _skip_bits(n, bits)
+        if reduced_skips.bit_count() >= skips.bit_count():
+            raise NormalizationError(
+                f"skip count failed to decrease: added {y}, removed {x_max}"
+            )
+        # A member comparable to y lies below or above it, hence in C, and
+        # members of C reach only members of C: the new components meeting C
+        # with y in place of x_max lie inside it, and the others are unchanged.
+        allowed = reached ^ x_bit
+        components = _components_meeting(n, bits, y_bit, allowed)
+        order = max(map(int.bit_count, components))
+        if order > t:
             raise NormalizationError(
                 "order bound violated after step "
                 f"{len(trace)}: added {y}, removed {x_max}, "
-                f"max order {reduced_graph.max_component_order()} > {t}"
+                f"max order {order} > {t}"
             )
-        # A member comparable to y lies below or above it, hence in y's old
-        # component C, and members of C reach only members of C: y's new
-        # component lies in C with y swapped in for the removed member.
-        allowed = (set(component) - {x_max}) | {y}
-        if not allowed.issuperset(_component_below(reduced_graph, y)):
+        if components[0] & ~allowed:
             raise NormalizationError(
                 f"step {len(trace)}: the component of {y} is not inside its old "
                 f"component with {y} in place of {x_max}"
             )
-        trace.append(step)
-        current, graph = reduced, reduced_graph
-    return current, trace
+        trace.append(StepRecord(added=y, removed=x_max))
+        skips = reduced_skips
+    return (bits_to_family(n, bits) if trace else family), trace
 
 
 def make_skipless(family: SetFamily, t: int) -> SetFamily:

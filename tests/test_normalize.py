@@ -11,7 +11,7 @@ from latticework.normalize import (
     make_skipless_with_trace,
     skip_count,
 )
-from latticework.sampling import random_order_bounded_family
+from latticework.sampling import random_family, random_order_bounded_family
 from reference import below, comparable, components, order, pairs, skips
 
 
@@ -49,7 +49,7 @@ def test_single_step_swaps_one_set():
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2, 3)])
     _, (step, *_) = make_skipless_with_trace(fam, 3)
     assert step.added not in fam and step.removed in fam
-    out = fam.add(step.added).remove(step.removed)
+    out = SetFamily.from_masks(3, fam.members + (step.added,)).remove(step.removed)
     assert len(out) == len(fam)
     assert skip_count(out) < skip_count(fam)
 
@@ -68,7 +68,7 @@ def test_trace_replays_to_the_result():
     out, steps = make_skipless_with_trace(fam, 4)
     current = fam
     for step in steps:
-        current = current.add(step.added).remove(step.removed)
+        current = SetFamily.from_masks(4, current.members + (step.added,)).remove(step.removed)
     assert current == out
     assert skip_count(out) == 0
 
@@ -120,23 +120,41 @@ def _reference_skipless(fam, t):
 
 def test_normalization_matches_the_reference_step():
     rng = random.Random(17)
-    for i in range(300):
-        fam, t = random_order_bounded_family(rng, 3 + i % 4)
+    cases = [random_order_bounded_family(rng, 3 + i % 4) for i in range(300)]
+    # flat draws at n = 7 and 8, each at density 1/8, 1/4 and 1/2
+    rng = random.Random(23)
+    flat = [random_family(rng, n, (1 << n) // share) for n in (7, 8) for share in (8, 4, 2)]
+    orders = [order(fam.members) for fam in flat]
+    assert orders[2::3] == [64, 128]  # at 1/2 one component holds every member
+    cases += zip(flat, orders)
+    # {1}, {2} and {3} meet only in {1, 2, 3}: the one step, adding {1, 2}
+    # and removing {1, 2, 3}, splits their component in two
+    cases.append((SetFamily.from_sets(3, [(1,), (2,), (3,), (1, 2, 3)]), 4))
+    for fam, t in cases:
         want, want_steps = _reference_skipless(fam, t)
         out, steps = make_skipless_with_trace(fam, t)
         assert out == want
         assert [(s.added, s.removed) for s in steps] == want_steps
+    assert want_steps == [(3, 7)] and len(components(want.members, pairs(want.members, comparable))) == 2
+
+
+def test_the_step_rechecks_each_part_of_a_split_component():
+    # the step on {1}, {2}, {3} and {1, 2, 3} adds {1, 2} = 3 and removes
+    # {1, 2, 3}: the order check reads both parts of what is left
+    bits = 1 << 1 | 1 << 2 | 1 << 3 | 1 << 4
+    assert normalize._components_meeting(3, bits, 1 << 3, bits) == [0b1110, 0b10000]
 
 
 def test_a_component_leaving_the_rewritten_one_raises(monkeypatch):
-    real = normalize._component_below
+    real = normalize._components_meeting
 
-    def leaky(graph, y):
-        # after the step y is a member: report a foreign mask in its component
-        members = real(graph, y)
-        return members + (1 << graph.family.n,) if y in graph.family else members
+    def leaky(n, bits, seed, region):
+        # y's new component reports a foreign mask in place of its least
+        # member, so its order still holds
+        first, *rest = real(n, bits, seed, region)
+        return [first ^ (first & -first) | 1 << (1 << n), *rest]
 
-    monkeypatch.setattr(normalize, "_component_below", leaky)
+    monkeypatch.setattr(normalize, "_components_meeting", leaky)
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2, 3)])
     with pytest.raises(NormalizationError, match="step 0: the component of"):
         make_skipless_with_trace(fam, 3)

@@ -17,7 +17,7 @@ import pytest
 from latticework import blym, normalize, search, shadow
 from latticework.cli import main
 from latticework.constructions import disconnected_extremal
-from latticework.core import ComparabilityGraph, SetFamily, VerificationError
+from latticework.core import SetFamily, VerificationError
 from latticework.normalize import NormalizationError, make_skipless
 from latticework.shadow import excluded_count, kk_cascade
 
@@ -91,33 +91,23 @@ SKIPPED = SetFamily.from_sets(3, [(), (1, 2)])
 
 def test_step_size_recheck_fires_on_a_member_taken_for_a_skip(monkeypatch):
     # the empty set is a member, so adding it leaves the family one short
-    monkeypatch.setattr(normalize, "_skip_bits", lambda family: 1)
+    monkeypatch.setattr(normalize, "_skip_bits", lambda n, bits: 1)
     with pytest.raises(NormalizationError, match="^step changed the family cardinality$"):
         make_skipless(SKIPPED, 2)
 
 
 def test_step_skip_recheck_fires_on_a_count_that_stays(monkeypatch):
-    monkeypatch.setattr(normalize, "_skip_bits", lambda family: 0b110)
+    monkeypatch.setattr(normalize, "_skip_bits", lambda n, bits: 0b110)
     with pytest.raises(NormalizationError,
                        match="^skip count failed to decrease: added 1, removed 3$"):
         make_skipless(SKIPPED, 2)
 
 
 def test_step_order_recheck_fires_on_a_graph_past_the_bound(monkeypatch):
-    class Wide(ComparabilityGraph):
-        def max_component_order(self):
-            return 99
-
-    graph = normalize.comparability_graph
-    built = []
-
-    def wide_after_the_first(family):
-        # the input passes its precondition; every later graph reads as too wide
-        g = graph(family)
-        built.append(g)
-        return g if len(built) == 1 else Wide(g.family, g.component_members)
-
-    monkeypatch.setattr(normalize, "comparability_graph", wide_after_the_first)
+    # the input passes its precondition graph; the component the step leaves
+    # reads as 99 members
+    monkeypatch.setattr(normalize, "_components_meeting",
+                        lambda n, bits, seed, region: [(1 << 99) - 1])
     with pytest.raises(NormalizationError, match=(
             "^order bound violated after step 0: added 1, removed 3, max order 99 > 2$")):
         make_skipless(SKIPPED, 2)
