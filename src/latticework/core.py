@@ -7,22 +7,26 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
 * The comparability graph of a family has the members as vertices and an
   edge for every 2-chain X < Y (strict containment).
 * Components and 2-chain counts are computed bit-parallel over the whole
-  cube (reach-closures through down- and up-closures, and a packed-lane
-  subset sum) for n <= CLOSURE_GROUND_CAP, and by testing every pair of
-  members beyond it (for at most PAIRWISE_MEMBER_CAP members) and for
-  families of a few members.  On the cube, components grow from least
-  members, and what is left when they stop is labelled in one pass with
-  its component's least member and grouped by label.  A component is the
-  ascending tuple of the family's own masks, numbered by least member.
+  cube (reach-closures, and a packed-lane subset sum) for n <=
+  CLOSURE_GROUND_CAP, and by testing every pair of members beyond it (for
+  at most PAIRWISE_MEMBER_CAP members) and for families of a few
+  members.  A reach-closure grows by half-steps, the up-closure and the
+  down-closure in turn, each taken inside the family; each is idempotent,
+  so it stops at the first half-step after the first that adds nothing.
+  On the cube, components grow from least members, and what is left when
+  they stop is labelled in one pass with its component's least member and
+  grouped by label.  A component is the ascending tuple of the family's
+  own masks, numbered by least member.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
   `bits_to_family` convert between a family and its bitset-of-masks,
   `_comparability_rows` tests each pair of a member list in which no mask
   lies inside an earlier one, `_row_components` grows components along
-  those rows.  `_full`, `_columns` and `_complements`, cached per n, hold
-  the cube and the masks having (lacking) each bit; `_full` checks the
-  ground size, then the closure cap, for them and for the cube-sized
-  builders in `core` and `constructions`.
+  those rows.  `_full`, `_columns`, `_down_steps` and `_up_steps`, cached
+  per n, hold the cube, the masks having each bit, and the (mask, shift)
+  pairs that the four sweeps read; `_full` checks the ground size, then
+  the closure cap, for them and for the cube-sized builders in `core` and
+  `constructions`.
 """
 
 from __future__ import annotations
@@ -120,8 +124,9 @@ class ComparabilityGraph(_Record):
     components are numbered in order of their least members.
     component_orders[c] and component_sizes[c] are the member and edge
     counts of component c, derived on first use: the edges from the
-    comparability rows of each component's members where pairs are cheaper,
-    else from the members strictly inside each member, counted on the cube.
+    comparability rows of the family where pairs are cheaper (the rows the
+    graph was built from), else from the members strictly inside each
+    member, counted on the cube.
     """
 
     def __init__(self, family: SetFamily, component_members: tuple):
@@ -137,14 +142,21 @@ class ComparabilityGraph(_Record):
         return tuple(len(ms) for ms in self.component_members)
 
     @cached_property
+    def _rows(self) -> list[int]:
+        # `comparability_graph` sets them when it builds from pairs
+        return _comparability_rows(self.family.members)
+
+    @cached_property
     def component_sizes(self) -> tuple[int, ...]:
         family = self.family
         if _pairwise_is_cheaper(family):
-            return tuple(sum(row.bit_count() for row in _comparability_rows(ms)) // 2
-                         for ms in self.component_members)
-        # each edge is counted at its upper member, which lies in its component
-        below = dict(zip(family.members, _lane_below_counts(family)))
-        return tuple(sum(map(below.__getitem__, ms)) for ms in self.component_members)
+            # a member's degree counts each of its edges, so each edge twice
+            counts, ends = map(int.bit_count, self._rows), 2
+        else:
+            # each edge is counted at its upper member, which lies in its component
+            counts, ends = _lane_below_counts(family), 1
+        count = dict(zip(family.members, counts))
+        return tuple(sum(map(count.__getitem__, ms)) // ends for ms in self.component_members)
 
     def component_family(self, c: int) -> SetFamily:
         return SetFamily(self.family.n, self.component_members[c])
@@ -155,12 +167,13 @@ class ComparabilityGraph(_Record):
 
 def comparability_graph(family: SetFamily) -> ComparabilityGraph:
     """Build the comparability graph (all 2-chains) of a family."""
-    if _pairwise_is_cheaper(family):
-        ms = family.members
-        components = _row_components(ms, _comparability_rows(ms))
-    else:
-        components = _closure_components(family)
-    return ComparabilityGraph(family, tuple(components))
+    if not _pairwise_is_cheaper(family):
+        return ComparabilityGraph(family, tuple(_closure_components(family)))
+    ms = family.members
+    rows = _comparability_rows(ms)
+    graph = ComparabilityGraph(family, tuple(_row_components(ms, rows)))
+    object.__setattr__(graph, "_rows", rows)  # kept for component_sizes
+    return graph
 
 
 def _comparability_rows(ms: tuple[int, ...]) -> list[int]:
@@ -207,12 +220,12 @@ def _closure_components(family: SetFamily) -> list[tuple[int, ...]]:
 
     Members comparable to no other member are components of their own, so
     an antichain costs four sweeps however many members it has.  Each other
-    component grows from its least member, a step adding every member
-    comparable to the frontier.  If that leaves no
-    member before the steps reach n, the components are read straight from
-    their bitsets.  Otherwise each member is labelled with its component's
-    least member, one bitset per label bit t (`planes[t]`), `_plane_labels`
-    labels the rest, and the members are grouped once by label.
+    component is the reach-closure of its least member.  If that leaves no
+    member before the half-steps reach n, the components are read straight
+    from their bitsets.  Otherwise each member is labelled with its
+    component's least member, one bitset per label bit t (`planes[t]`),
+    `_plane_labels` labels the rest, and the members are grouped once by
+    label.
     """
     n = family.n
     bits = family_bits(family)
@@ -247,14 +260,26 @@ def _closure_components(family: SetFamily) -> list[tuple[int, ...]]:
 
 
 def _reach_closure(n: int, seeds: int, bits: int) -> tuple[int, int]:
-    """The members of bits joined to seeds by a path inside bits, and the steps taken."""
-    closure = front = seeds
-    steps = 0
-    while front:
-        front = (downset_bits(n, front) | upset_bits(n, front)) & bits & ~closure
-        closure |= front
+    """The members of bits joined to seeds by a path inside bits, and the
+    half-steps taken.
+
+    The closure X grows by half-steps, up and down in turn: X |= upset(X) &
+    bits, then X |= downset(X) & bits.  Containments in one direction
+    compose, so a shortest path alternates, and one of d edges takes about d
+    half-steps of n passes each.  A half-step is idempotent (upset(X |
+    (upset(X) & bits)) is upset(X)), so once a half-step after the first adds
+    nothing, X is closed both ways and the closure stops.
+    """
+    if not seeds:
+        return 0, 0
+    closure, steps = seeds, 0
+    while True:
+        sweep = downset_bits if steps & 1 else upset_bits
+        grown = closure | sweep(n, closure) & bits
         steps += 1
-    return closure, steps
+        if grown == closure and steps > 1:
+            return closure, steps
+        closure = grown
 
 
 _SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
@@ -280,7 +305,7 @@ def _plane_labels(n: int, bits: int, planes: list[int]) -> None:
     candidate lacks t.
     """
     candidates = bits
-    for t, (col, off) in reversed(tuple(enumerate(zip(_columns(n), _complements(n))))):
+    for t, (col, (off, _)) in reversed(tuple(enumerate(zip(_columns(n), _up_steps(n))))):
         seeds = candidates & off
         if seeds != candidates:
             z, _ = _reach_closure(n, seeds, bits)
@@ -351,37 +376,44 @@ def _columns(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _complements(n: int) -> tuple[int, ...]:
-    return tuple(_full(n) ^ col for col in _columns(n))
+def _down_steps(n: int) -> tuple[tuple[int, int], ...]:
+    # per ground bit i: the masks having it, and the shift 2^i that drops it
+    return tuple((col, 1 << i) for i, col in enumerate(_columns(n)))
+
+
+@cache
+def _up_steps(n: int) -> tuple[tuple[int, int], ...]:
+    # per ground bit i: the masks lacking it, and the shift 2^i that adds it
+    return tuple((_full(n) ^ col, 1 << i) for i, col in enumerate(_columns(n)))
 
 
 def downset_bits(n: int, bits: int) -> int:
     """Bitset of all masks below-or-equal some mask in bits."""
-    for i, col in enumerate(_columns(n)):
-        bits |= (bits & col) >> (1 << i)
+    for col, shift in _down_steps(n):
+        bits |= (bits & col) >> shift
     return bits
 
 
 def upset_bits(n: int, bits: int) -> int:
     """Bitset of all masks above-or-equal some mask in bits."""
-    for i, off in enumerate(_complements(n)):
-        bits |= (bits & off) << (1 << i)
+    for off, shift in _up_steps(n):
+        bits |= (bits & off) << shift
     return bits
 
 
 def shadow_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element below some mask in bits."""
     out = 0
-    for i, col in enumerate(_columns(n)):
-        out |= (bits & col) >> (1 << i)
+    for col, shift in _down_steps(n):
+        out |= (bits & col) >> shift
     return out
 
 
 def shade_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element above some mask in bits."""
     out = 0
-    for i, off in enumerate(_complements(n)):
-        out |= (bits & off) << (1 << i)
+    for off, shift in _up_steps(n):
+        out |= (bits & off) << shift
     return out
 
 

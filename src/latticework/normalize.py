@@ -10,7 +10,11 @@ the affected component is the skip's reach-closure, a step flips two bits,
 and the family is built once, at the end.  Every step is validated after
 execution instead of trusted: the size, the skip-count decrease, the order
 bound, and that the skip's new component lies inside the rewritten one are
-all re-checked, the last two by reach-closures on the whole new bitset.
+all re-checked, the last two by reach-closures on the whole new bitset.  A
+reach-closure (`core._reach_closure`) grows by half-steps, the up-closure
+and the down-closure inside the bitset in turn, and stops at the first
+half-step after the first that adds nothing: each half-step is idempotent,
+so the closure is then closed both ways.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from latticework.core import (
     _group,
     _lane_below_counts,
     _plane_labels,
+    _reach_closure,
     binomial,
     bits_to_family,
     comparability_graph,
@@ -36,9 +37,12 @@ from latticework.core import (
     iter_bits,
     layer_masks,
     mask_of,
+    shade_bits,
+    shadow_bits,
     upset_bits,
 )
 from graph_oracle import check_graphs
+from reference import below, comparable, components, pairs
 
 
 def test_mask_round_trip():
@@ -166,6 +170,53 @@ def test_bitset_round_trip_and_closures():
         (2, 3),
         (1, 2, 3),
     ]
+    # the four sweeps against their per-mask definitions, on the empty
+    # bitset, the full cube and seeded bitsets of several densities
+    rng = random.Random(20261020)
+    for n in range(1, 9):
+        cube = range(1 << n)
+        cases = [0, (1 << (1 << n)) - 1]
+        for density in (1, 4, 16):
+            cases.append(family_bits([m for m in cube if rng.randrange(density) == 0]))
+        for bits in cases:
+            ms = iter_bits(bits)
+            assert downset_bits(n, bits) == family_bits(
+                [y for y in cube if any(y == x or below(y, x) for x in ms)])
+            assert upset_bits(n, bits) == family_bits(
+                [y for y in cube if any(y == x or below(x, y) for x in ms)])
+            # one element away: a proper subset with one element fewer
+            assert shadow_bits(n, bits) == family_bits(
+                [y for y in cube if any(below(y, x) and (x ^ y).bit_count() == 1 for x in ms)])
+            assert shade_bits(n, bits) == family_bits(
+                [y for y in cube if any(below(x, y) and (x ^ y).bit_count() == 1 for x in ms)])
+
+
+def test_reach_closure_matches_reference():
+    # the closure of seeds inside bits is the seeds and every reference
+    # component of bits that they meet.  Two adjacent layers and sparse draws
+    # give long zigzag paths; single seeds are often maximal, so the first
+    # (upward) half-step adds nothing while the closure still grows
+    rng = random.Random(20261021)
+    cases = 0
+    for n in range(1, 11):
+        cube = 1 << n
+        draws = [[m for m in range(cube) if rng.randrange(density) == 0] for density in (2, 6)]
+        draws.append(rng.sample(range(cube), min(cube, 2 * n)))
+        k = n // 2
+        draws.append([m for m in range(cube) if m.bit_count() in (k, k + 1) and rng.randrange(3)])
+        for ms in draws:
+            ms = sorted(ms)[:300]
+            want = components(ms, pairs(ms, comparable))
+            bits = family_bits(ms)
+            seed_sets = [[]]
+            seed_sets += [[rng.choice(ms)] for _ in range(3)] if ms else []
+            seed_sets += [rng.sample(ms, min(len(ms), 3))]
+            for seeds in seed_sets:
+                closure, _ = _reach_closure(n, family_bits(seeds), bits)
+                met = [m for c in want if set(c) & set(seeds) for m in c]
+                assert closure == family_bits(seeds + met), (n, ms, seeds)
+                cases += len(met) > len(seeds)
+    assert cases >= 100
 
 
 @pytest.fixture
