@@ -10,9 +10,9 @@ pin down an excluded region, and |family| <= 2^n - excluded.
 """
 
 from latticework.constructions import disconnected_extremal, disconnected_extremal_size
-from latticework.core import comparability_graph
+from latticework.core import SetFamily, comparability_graph
 from latticework.search import disconnected_splits, max_disconnected, min_two_chains
-from latticework.shadow import boundary_pair, boundary_report, excluded_count
+from latticework.shadow import boundary_report
 
 # exact maxima by search, matching the closed-form construction sizes
 for n in (2, 3, 4, 5):
@@ -29,12 +29,11 @@ print("extremal n=4 split:", a.to_sets(), "|", b.to_sets())
 
 # boundary families: minimal sets outside both down-closures, maximal
 # sets outside both up-closures
-pair = boundary_pair(a, b)
-print("upper boundary:", pair.fplus.to_sets())
-print("lower boundary:", pair.fminus.to_sets())
+rep = boundary_report(a, b)
+print("upper boundary:", SetFamily.from_jsonable(rep["fplus"]).to_sets())
+print("lower boundary:", SetFamily.from_jsonable(rep["fminus"]).to_sets())
 
 # the excluded count certifies the size bound, here with equality
-rep = boundary_report(a, b)
 print("excluded points:", rep["excluded_count"],
       " size bound: 2^4 -", rep["excluded_count"], "=",
       16 - rep["excluded_count"], " family size:", rep["family_size"])
@@ -44,7 +43,7 @@ for n in (2, 3, 4):
     splits = disconnected_splits(n)
     tight = sum(
         1 for x, y in splits
-        if len(x) + len(y) == (1 << n) - excluded_count(x, y)
+        if len(x) + len(y) == (1 << n) - boundary_report(x, y)["excluded_count"]
     )
     print(f"n={n}: {len(splits)} maximal splits,",
           f"{tight} meet the size bound with equality")

@@ -46,9 +46,8 @@ _EXPORTS = {
         "disconnected_extremal_size", "full_layer_pair", "sharp_claim", "sharp_family",
     ),
     "shadow": (
-        "BoundaryPair", "CascadeRep", "boundary_pair", "boundary_report", "down_closure",
-        "excluded_count", "kk_cascade", "kk_shadow_bound", "lower_shadow",
-        "technical_bound_check", "up_closure",
+        "CascadeRep", "boundary_report", "down_closure", "kk_cascade", "kk_shadow_bound",
+        "lower_shadow", "technical_bound_check", "up_closure",
     ),
     "colouring": (
         "EdgeColouredGraph", "LayerPairGraph", "avg_degree", "find_rainbow_cycle", "is_proper",

@@ -7,6 +7,8 @@ size of an r-fold shadow of an m-member k-uniform family.
 
 A split's boundary takes one pass, `_boundary`: the sets outside ↓F are
 ↑F⁺ and those outside ↑F are ↓F⁻, so no closure of F⁺ or F⁻ is taken again.
+`boundary_report` is its one public view: F⁺, F⁻, both regions and the
+excluded count.
 """
 
 from .core import (
@@ -39,14 +41,6 @@ class CascadeRep(_Record):
 
     def shadow_bound(self, r: int) -> int:
         return sum(binomial(top, low - r) for top, low in self.terms)
-
-
-class BoundaryPair(_Record):
-    """Minimal sets missed by both down-closures / maximal missed by both up-closures."""
-
-    def __init__(self, fplus: SetFamily, fminus: SetFamily):
-        object.__setattr__(self, "fplus", fplus)
-        object.__setattr__(self, "fminus", fminus)
 
 
 def down_closure(family: SetFamily) -> SetFamily:
@@ -176,18 +170,6 @@ def _boundary(a: SetFamily, b: SetFamily) -> tuple[int, int, int, int]:
     if not (fplus and fminus):
         raise VerificationError("split has an empty boundary side")
     return fplus, fminus, up, down
-
-
-def boundary_pair(a: SetFamily, b: SetFamily) -> BoundaryPair:
-    """Minimal sets outside both down-closures and maximal sets outside both up-closures."""
-    fplus, fminus, _, _ = _boundary(a, b)
-    return BoundaryPair(bits_to_family(a.n, fplus), bits_to_family(a.n, fminus))
-
-
-def excluded_count(a: SetFamily, b: SetFamily) -> int:
-    """|up_closure(fplus)| + |down_closure(fminus)| for the split's boundary pair."""
-    _, _, up, down = _boundary(a, b)
-    return up.bit_count() + down.bit_count()
 
 
 def boundary_report(a: SetFamily, b: SetFamily) -> dict:

@@ -297,7 +297,7 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
     from .constructions import disconnected_extremal_size
     from .search import disconnected_splits
-    from .shadow import boundary_pair
+    from .shadow import _boundary
 
     splits = disconnected_splits(n, budget_nodes)
     failures: list[dict] = []
@@ -317,9 +317,9 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
         if ua & db or da & ub:
             _push(failures, {**label, "reason": "cross-side closures intersect"})
             continue
-        bp = boundary_pair(a, b)
-        up_plus = upset_bits(n, family_bits(bp.fplus))
-        down_minus = downset_bits(n, family_bits(bp.fminus))
+        fplus, fminus, _, _ = _boundary(a, b)
+        # re-derived from the boundary itself, not read off _boundary's regions
+        up_plus, down_minus = upset_bits(n, fplus), downset_bits(n, fminus)
         if up_plus & ab or down_minus & ab:
             _push(failures, {**label, "reason": "boundary closure touches the family"})
             continue
@@ -349,7 +349,7 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
     from .search import disconnected_splits
-    from .shadow import boundary_pair
+    from .shadow import _boundary
 
     # disconnected_splits refuses n <= 0, but passes n = 1 with no split
     if n == 1:
@@ -358,9 +358,9 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     failures: list[dict] = []
     checked = 0
     for a, b in splits:
-        bp = boundary_pair(a, b)
-        plus_sizes = sorted(f.bit_count() for f in bp.fplus.members)
-        minus_sizes = sorted(f.bit_count() for f in bp.fminus.members)
+        fplus, fminus, _, _ = _boundary(a, b)
+        plus_sizes = sorted(map(int.bit_count, iter_bits(fplus)))
+        minus_sizes = sorted(map(int.bit_count, iter_bits(fminus)))
         for k in plus_sizes:
             checked += 1
             have = sum(1 for s in minus_sizes if s >= k - 2)

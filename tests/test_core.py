@@ -540,10 +540,8 @@ CAP_CALLS = {
     "full_layer_pair": ("lw.full_layer_pair(n, 19)", "ResourceLimitError"),
     "sharp_claim": ("lw.sharp_claim(n, 3)", "returned"),
     "sharp_family": ("lw.sharp_family(n, 3)", "ResourceLimitError"),
-    "boundary_pair": ("lw.boundary_pair(a, b)", "ResourceLimitError"),
     "boundary_report": ("lw.boundary_report(a, b)", "ResourceLimitError"),
     "down_closure": ("lw.down_closure(chain)", "ResourceLimitError"),
-    "excluded_count": ("lw.excluded_count(a, b)", "ResourceLimitError"),
     "lower_shadow": ("lw.lower_shadow(pair)", "ResourceLimitError"),
     "technical_bound_check": ("lw.technical_bound_check(chain, 'k_plus_one')", "ResourceLimitError"),
     "up_closure": ("lw.up_closure(chain)", "ResourceLimitError"),

@@ -14,7 +14,7 @@ from latticework.core import (
 )
 from latticework.lubell import average_meet_count
 from latticework.normalize import make_skipless
-from latticework.shadow import excluded_count, technical_bound_check
+from latticework.shadow import boundary_report, technical_bound_check
 
 
 def _at(n, *sets):
@@ -36,8 +36,8 @@ GUARDS = {
     "technical_bound_check size": (
         lambda: technical_bound_check(SetFamily(3, ()), "k_plus_one"), PreconditionError,
         "family too small for the requested mode"),
-    "excluded_count cubes": (lambda: excluded_count(_at(3, (1,)), _at(4, (2,))), DomainError,
-                             "split sides live in different cubes"),
+    "boundary_report cubes": (lambda: boundary_report(_at(3, (1,)), _at(4, (2,))), DomainError,
+                              "split sides live in different cubes"),
     "LayerPairGraph cubes": (lambda: LayerPairGraph(_at(3, (1,)), _at(4, (1, 2))), DomainError,
                              "layer pair sides live in different cubes"),
     "find_rainbow_cycle vertices": (

@@ -34,16 +34,16 @@ SLOW_STDLIB = ("dataclasses", "inspect")
 # `[n for n in dir(latticework) if not n.startswith("_")]` after a bare
 # `import latticework`, as the eager package gave it
 PUBLIC_NAMES = """
-BoundaryPair BudgetExhaustedError CascadeRep CertificationReport CheckResult
+BudgetExhaustedError CascadeRep CertificationReport CheckResult
 ComparabilityGraph Diamond DiamondProfile DomainError EdgeColouredGraph LatticeError
 LayerPairGraph MeetProfile NormalizationError PreconditionError REPRODUCTIONS
 ResourceLimitError SearchResult SetFamily SkipReport StepRecord VERIFIERS
 VerificationError all_diamond_bound average_meet_count avg_degree binomial blym blym_sum
-boundary_pair boundary_report certify colouring comparability_graph constructions core
+boundary_report certify colouring comparability_graph constructions core
 count_two_chains detect_diamond diamond_blym_sum diamond_claim
 diamond_family diamond_meet_count diamond_profile disconnected_claim
 disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
-elements_of excluded_count family find_rainbow_cycle find_skips full_cube
+elements_of family find_rainbow_cycle find_skips full_cube
 full_layer_pair height is_antichain is_proper kk_cascade kk_shadow_bound
 la_exact la_exact_restricted lambda_star_exact layer_colouring layer_masks lower_shadow
 lubell lubell_by_permutations mad_star_probe make_skipless make_skipless_with_trace

@@ -19,7 +19,7 @@ from latticework.cli import main
 from latticework.constructions import disconnected_extremal
 from latticework.core import SetFamily, VerificationError
 from latticework.normalize import NormalizationError, make_skipless
-from latticework.shadow import excluded_count, kk_cascade
+from latticework.shadow import boundary_report, kk_cascade
 
 
 def _band_with(change):
@@ -139,7 +139,7 @@ def test_boundary_recheck_fires_on_a_split_of_every_set(monkeypatch):
     monkeypatch.setattr(shadow, "_split_bits", lambda a, b: (1 << 8) - 1)
     a, b = SetFamily.from_sets(3, [(1,)]), SetFamily.from_sets(3, [(2,)])
     with pytest.raises(VerificationError, match="^split has an empty boundary side$"):
-        excluded_count(a, b)
+        boundary_report(a, b)
 
 
 def test_interval_meet_count_check_is_a_defect_not_bad_input(monkeypatch):

@@ -16,7 +16,7 @@ from latticework.core import ComparabilityGraph, DomainError, SetFamily
 from latticework.lubell import MeetProfile
 from latticework.normalize import SkipReport, StepRecord
 from latticework.search import SearchResult
-from latticework.shadow import BoundaryPair, CascadeRep
+from latticework.shadow import CascadeRep
 from latticework.verify import Reproduction
 
 FAMILY = SetFamily(2, (1, 3))
@@ -34,7 +34,6 @@ FIELDS = {
     SkipReport: {"skip": 1, "witness_below": 0, "witness_above": 3},
     StepRecord: {"added": 1, "removed": 2},
     CascadeRep: {"k": 2, "terms": ((4, 2), (1, 1))},
-    BoundaryPair: {"fplus": FAMILY, "fminus": SetFamily(2, ())},
     SearchResult: {"value": Fraction(4, 3), "witness": FAMILY, "nodes_explored": 7,
                    "proven_optimal": True},
     Reproduction: {"name": "r", "summary": "s", "expected": 1, "op": "la_exact", "args": (2, 1)},
@@ -48,7 +47,7 @@ def test_every_record_class_is_listed():
 
     subclasses = {cls.__name__ for cls in core._Record.__subclasses__()}
     assert subclasses == {cls.__name__ for cls in FIELDS}
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
 
 
 @RECORDS

@@ -14,10 +14,8 @@ from latticework.core import (
     shadow_bits,
 )
 from latticework.shadow import (
-    boundary_pair,
     boundary_report,
     down_closure,
-    excluded_count,
     kk_cascade,
     kk_shadow_bound,
     lower_shadow,
@@ -136,24 +134,23 @@ def test_technical_bound_examples():
 
 
 def test_boundary_pair_minimal_case():
-    bp = boundary_pair(fam(2, (1,)), fam(2, (2,)))
-    assert bp.fplus.to_sets() == [(1, 2)]
-    assert bp.fminus.to_sets() == [()]
+    rep = boundary_report(fam(2, (1,)), fam(2, (2,)))
+    assert SetFamily.from_jsonable(rep["fplus"]).to_sets() == [(1, 2)]
+    assert SetFamily.from_jsonable(rep["fminus"]).to_sets() == [()]
 
 
 def test_boundary_pair_rejects_crossing_chains():
     with pytest.raises(PreconditionError):
-        boundary_pair(fam(3, (1,)), fam(3, (1, 2)))
+        boundary_report(fam(3, (1,)), fam(3, (1, 2)))
     with pytest.raises(PreconditionError):
-        boundary_pair(SetFamily.from_masks(3, ()), fam(3, (1,)))
+        boundary_report(SetFamily.from_masks(3, ()), fam(3, (1,)))
 
 
 def test_split_sides_sharing_a_member_are_refused():
     # {2,3} lies on both sides: refused as a split, naming the shared member
     a, b = fam(4, (1,), (2, 3)), fam(4, (2, 3), (4,))
-    for call in (boundary_pair, boundary_report):
-        with pytest.raises(PreconditionError, match="shared member 0x6"):
-            call(a, b)
+    with pytest.raises(PreconditionError, match="shared member 0x6"):
+        boundary_report(a, b)
 
 
 def _pairwise_split_refusal(a, b):
@@ -178,12 +175,12 @@ def test_split_refusal_matches_pairwise_scan():
         )
         want = _pairwise_split_refusal(a, b)
         try:
-            bp = boundary_pair(a, b)
+            rep = boundary_report(a, b)
         except PreconditionError as exc:
             got = str(exc)
         else:
             got = None
-            assert bp.fplus.members and bp.fminus.members
+            assert rep["fplus"]["sets"] and rep["fminus"]["sets"]
         assert got == want, (a, b)
         kinds.add(want and want.split()[0])
     assert kinds == {None, "shared", "cross-comparable"}
@@ -206,17 +203,17 @@ print(json.dumps([rep["family_size"], rep["excluded_count"], rep["bound_holds"]]
 
 
 def test_boundary_nonempty_on_any_valid_split():
-    bp = boundary_pair(fam(3, (1, 2)), fam(3, (3,)))
-    assert len(bp.fplus) >= 1 and len(bp.fminus) >= 1
+    rep = boundary_report(fam(3, (1, 2)), fam(3, (3,)))
+    assert len(rep["fplus"]["sets"]) >= 1 and len(rep["fminus"]["sets"]) >= 1
 
 
 def test_excluded_count_values():
-    assert excluded_count(fam(2, (1,)), fam(2, (2,))) == 2
+    assert boundary_report(fam(2, (1,)), fam(2, (2,)))["excluded_count"] == 2
     ext4 = disconnected_extremal(4)
     g = comparability_graph(ext4)
     a = g.component_family(0)
     b = g.component_family(1)
-    assert excluded_count(a, b) == 6
+    assert boundary_report(a, b)["excluded_count"] == 6
 
 
 def test_boundary_report_shape():
@@ -248,11 +245,12 @@ def test_boundary_regions_are_the_closures_of_the_boundary_pair():
     # against the closures of the pair itself
     maximal = [s for n in range(2, 6) for s in disconnected_splits(n, None)]
     for a, b in maximal + list(_random_splits(random.Random(29), 300)):
-        pair = boundary_pair(a, b)
         rep = boundary_report(a, b)
-        assert rep["up_closure_of_fplus"] == len(up_closure(pair.fplus)), (a, b)
-        assert rep["down_closure_of_fminus"] == len(down_closure(pair.fminus)), (a, b)
-        assert excluded_count(a, b) == rep["excluded_count"], (a, b)
+        up = len(up_closure(SetFamily.from_jsonable(rep["fplus"])))
+        down = len(down_closure(SetFamily.from_jsonable(rep["fminus"])))
+        assert rep["up_closure_of_fplus"] == up, (a, b)
+        assert rep["down_closure_of_fminus"] == down, (a, b)
+        assert rep["excluded_count"] == up + down, (a, b)
 
 
 def test_cube_bitsets_refuse_grounds_past_the_closure_cap():
@@ -263,4 +261,4 @@ def test_cube_bitsets_refuse_grounds_past_the_closure_cap():
     with pytest.raises(ResourceLimitError):
         lower_shadow(fam(24, (1,), (2,)))
     with pytest.raises(ResourceLimitError):
-        boundary_pair(fam(63, (1,)), fam(63, (2,)))
+        boundary_report(fam(63, (1,)), fam(63, (2,)))

@@ -6,7 +6,7 @@ import pytest
 
 from latticework.constructions import sharp_family
 from latticework import verify
-from latticework.core import DomainError, ResourceLimitError, SetFamily
+from latticework.core import DomainError, ResourceLimitError, SetFamily, family_bits
 from latticework.verify import (
     MAX_REPORTED_FAILURES,
     REPRODUCTIONS,
@@ -153,14 +153,17 @@ def test_key_lemma_suite_fails_without_a_lower_boundary(monkeypatch):
     from latticework.search import disconnected_splits
 
     # with no set below, each set of size k >= 2 above lacks its k - 1 partners
-    pair = shadow.boundary_pair
-    monkeypatch.setattr(
-        shadow, "boundary_pair",
-        lambda a, b: shadow.BoundaryPair(pair(a, b).fplus, SetFamily.from_masks(a.n, ())),
-    )
-    rep = verify_key_lemma(n=3)
     splits = disconnected_splits(3)
-    above = [(a, b, sorted(f.bit_count() for f in pair(a, b).fplus)) for a, b in splits]
+    above = [(a, b, sorted(map(len, shadow.boundary_report(a, b)["fplus"]["sets"])))
+             for a, b in splits]
+    boundary = shadow._boundary
+
+    def no_lower_boundary(a, b):
+        fplus, _, up, down = boundary(a, b)
+        return fplus, 0, up, down
+
+    monkeypatch.setattr(shadow, "_boundary", no_lower_boundary)
+    rep = verify_key_lemma(n=3)
     assert rep["splits"] == 9 and not rep["passed"]
     assert rep["checked"] == sum(len(sizes) for _, _, sizes in above)
     want = [
@@ -267,17 +270,20 @@ def test_colouring_suite_passes():
 
 
 def test_fact_ab_suite_passes():
-    for n in (2, 3):
+    for n in (2, 3, 5):
         rep = verify_fact_ab(n=n)
         assert rep["passed"], rep["failures"]
         assert rep["extremal_tight_count"] >= 1
+    # n = 5 is the largest input: the 2,175 maximal splits of [5]
+    assert (rep["splits"], rep["excluded_floor"], rep["extremal_tight_count"]) == (2175, 10, 20)
 
 
 def test_key_lemma_suite_passes():
-    for n in (2, 3):
+    for n in (2, 3, 5):
         rep = verify_key_lemma(n=n)
         assert rep["passed"], rep["failures"]
         assert rep["checked"] > 0
+    assert (rep["splits"], rep["checked"]) == (2175, 14570)
 
 
 def test_run_verifier_dispatch():
@@ -323,14 +329,16 @@ def test_key_lemma_suite_fails_without_an_upper_boundary(monkeypatch):
     from latticework.search import disconnected_splits
 
     # with no set above, each set of size s <= n - 2 below lacks its n - s - 1 partners
-    pair = shadow.boundary_pair
-    monkeypatch.setattr(
-        shadow, "boundary_pair",
-        lambda a, b: shadow.BoundaryPair(SetFamily.from_masks(a.n, ()), pair(a, b).fminus),
-    )
-    rep = verify_key_lemma(n=3)
-    below = [(a, b, sorted(f.bit_count() for f in pair(a, b).fminus))
+    below = [(a, b, sorted(map(len, shadow.boundary_report(a, b)["fminus"]["sets"])))
              for a, b in disconnected_splits(3)]
+    boundary = shadow._boundary
+
+    def no_upper_boundary(a, b):
+        _, fminus, up, down = boundary(a, b)
+        return 0, fminus, up, down
+
+    monkeypatch.setattr(shadow, "_boundary", no_upper_boundary)
+    rep = verify_key_lemma(n=3)
     assert rep["splits"] == 9 and not rep["passed"]
     assert rep["checked"] == sum(len(sizes) for _, _, sizes in below)
     want = [
@@ -368,8 +376,13 @@ def test_fact_ab_fails_when_the_boundary_touches_the_family(monkeypatch):
     from latticework import shadow
 
     # a boundary above that is the first side itself
-    pair = shadow.boundary_pair
-    monkeypatch.setattr(shadow, "boundary_pair", lambda a, b: shadow.BoundaryPair(a, pair(a, b).fminus))
+    boundary = shadow._boundary
+
+    def first_side_above(a, b):
+        _, fminus, up, down = boundary(a, b)
+        return family_bits(a), fminus, up, down
+
+    monkeypatch.setattr(shadow, "_boundary", first_side_above)
     a, b = fam(3, (1,)), fam(3, (2, 3))
     rep = _fact_ab_on(monkeypatch, [(a, b)])
     assert rep["failures"] == [
@@ -380,7 +393,7 @@ def test_fact_ab_fails_when_the_boundary_touches_the_family(monkeypatch):
 def test_fact_ab_fails_below_the_excluded_floor(monkeypatch):
     from latticework import constructions
     from latticework.search import disconnected_splits
-    from latticework.shadow import excluded_count
+    from latticework.shadow import boundary_report
 
     # a claimed extremal size one too small raises the floor past the
     # extremal splits' excluded count
@@ -391,7 +404,7 @@ def test_fact_ab_fails_below_the_excluded_floor(monkeypatch):
     want = [
         {"a": a.to_jsonable(), "b": b.to_jsonable(), "excluded": e, "floor": floor}
         for a, b in disconnected_splits(3)
-        if (e := excluded_count(a, b)) < floor
+        if (e := boundary_report(a, b)["excluded_count"]) < floor
     ]
     assert want and rep["failures"] == want[:MAX_REPORTED_FAILURES]
     assert rep["extremal_tight_count"] == 0 and not rep["passed"]
