@@ -8,6 +8,10 @@ value is compared with one derived from the comparability components that
 `core.comparability_graph` computes from the masks, whatever the family's
 size; a component is a diamond when its members fill the interval between
 their meet and their join.  Bitsets of members come from `core.family_bits`.
+The builders hand each family over with its bitset (`sharp_family` doubles
+its bottoms' bitset once per tail element, `disconnected_extremal` keeps the
+one it builds from), so certifying it scans no member into a bitset again;
+that bitset is checked against the members by their count and largest mask.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import (
     layer_masks,
     upset_bits,
     _check_ground,
+    _family_with_bits,
     _full,
     _layer,
     _Record,
@@ -87,12 +92,17 @@ def sharp_family(n: int, k: int, ceil_middle: bool = False) -> SetFamily:
     _full(n)  # checks the ground size, then the closure cap
     base = n - k
     mid = (base + 1) // 2 if ceil_middle else base // 2
-    # the k tail elements are the bits base..n-1, above every bottom, so the
-    # tails in the outer loop give ascending masks; `_layer`, unlike
-    # layer_masks, also takes the empty ground set that k = n leaves
-    bottoms = _layer(base, mid)
-    tails = [sub << base for sub in range(1 << k)]
-    return SetFamily(n, tuple([bottom | tail for tail in tails for bottom in bottoms]))
+    # `_layer`, unlike layer_masks, also takes the empty ground set that
+    # k = n leaves.  Each tail element (bits base..n-1) doubles the masks so
+    # far: with it, mask m is m + 2^i, above every mask without it, so the
+    # masks stay ascending and the bitset doubles by one shift.
+    members = _layer(base, mid)
+    bits = family_bits(members)
+    for i in range(base, n):
+        bit = 1 << i
+        members += [m | bit for m in members]
+        bits |= bits << bit
+    return _family_with_bits(n, tuple(members), bits)
 
 
 def diamond_family(d: Diamond, n: int) -> SetFamily:
@@ -229,15 +239,22 @@ def links_every_component(family: SetFamily, component_members: Sequence[Sequenc
     A disconnected family is maximal exactly when this holds.  A new set
     connects the graph iff it is comparable to at least one member of each
     existing component, so one closure bitset per component answers all
-    absent sets at once.
+    absent sets at once.  The components partition the family, so the
+    largest one's bitset is the family's kept bitset less the others'.
     """
     n = family.n
-    absent = _full(n) ^ family_bits(family)
-    linking = absent
-    for comp in component_members:
+    full = _full(n)  # checks the ground size, then the closure cap
+    rest = family_bits(family)
+    linking = absent = full ^ rest
+    comps = sorted(component_members, key=len)
+    for comp in comps[:-1]:
         bits = family_bits(comp)
+        rest ^= bits
         # linking holds the absent sets comparable to every component so far
         linking &= downset_bits(n, bits) | upset_bits(n, bits)
+    if comps:
+        # the largest component holds the members that no other one holds
+        linking &= downset_bits(n, rest) | upset_bits(n, rest)
     return linking == absent
 
 

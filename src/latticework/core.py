@@ -19,14 +19,18 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
   own masks, numbered by least member.
 * The bit-level helpers here are the package's only copies of their ideas:
   `iter_bits` lists the set bits of a bitset, `family_bits` and
-  `bits_to_family` convert between a family and its bitset-of-masks,
-  `_comparability_rows` tests each pair of a member list in which no mask
-  lies inside an earlier one, `_row_components` grows components along
-  those rows.  `_full`, `_columns`, `_down_steps` and `_up_steps`, cached
-  per n, hold the cube, the masks having each bit, and the (mask, shift)
-  pairs that the four sweeps read; `_full` checks the ground size, then
-  the closure cap, for them and for the cube-sized builders in `core` and
-  `constructions`.
+  `bits_to_family` convert between a family and its bitset-of-masks.  A
+  `SetFamily` keeps its bitset: `family_bits` scans a family's members at
+  most once, and `_family_with_bits` (behind `bits_to_family`, `full_cube`
+  and the `constructions` builders) builds a family of ascending members
+  with the bitset they came with, cross-checked by count and largest mask
+  instead of member by member.  `_comparability_rows` tests each pair of
+  a member list in which no mask lies inside an earlier one, and
+  `_row_components` grows components along those rows.  `_full`,
+  `_columns`, `_down_steps` and `_up_steps`, cached per n, hold the cube,
+  the masks having each bit, and the (mask, shift) pairs that the four
+  sweeps read; `_full` checks the ground size, then the closure cap, for
+  them and for the cube-sized builders in `core` and `constructions`.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ def _layer(n: int, k: int) -> list[int]:
 
 def full_cube(n: int) -> SetFamily:
     """The whole lattice 2^[n] as a family."""
-    _full(n)  # checks the ground size, then the closure cap
-    return SetFamily(n, tuple(range(1 << n)))
+    full = _full(n)  # checks the ground size, then the closure cap
+    return _family_with_bits(n, tuple(range(1 << n)), full)
 
 
 def height(family: SetFamily) -> int:
@@ -335,7 +339,21 @@ PAIRWISE_MEMBER_CAP = 1 << 13
 
 
 def family_bits(masks) -> int:
-    """Bitset with bit m set for each mask m of a family or collection of masks."""
+    """Bitset with bit m set for each mask m of a family or collection of masks.
+
+    A `SetFamily` keeps its bitset, once computed, on the instance (never as
+    a field), so each family is scanned at most once.
+    """
+    if masks.__class__ is not SetFamily:
+        return _scan_bits(masks)
+    bits = masks.__dict__.get("_bits")
+    if bits is None:
+        bits = _scan_bits(masks.members)
+        object.__setattr__(masks, "_bits", bits)
+    return bits
+
+
+def _scan_bits(masks) -> int:
     top = max(masks, default=-1)
     if top >= 1 << CLOSURE_GROUND_CAP:
         raise ResourceLimitError(f"cube-wide closures capped at n={CLOSURE_GROUND_CAP} (mask {top})")
@@ -347,7 +365,29 @@ def family_bits(masks) -> int:
 
 
 def bits_to_family(n: int, bits: int) -> SetFamily:
-    return SetFamily(n, tuple(iter_bits(bits)))
+    return _family_with_bits(n, tuple(iter_bits(bits)), bits)
+
+
+def _family_with_bits(n: int, members: tuple[int, ...], bits: int) -> SetFamily:
+    """The family of ascending members, keeping their bitset.
+
+    Members and bitset are cross-checked in O(1) big-int steps, by their
+    count and their largest mask, not member by member as
+    `SetFamily.__init__` does: a disagreement is a defect.
+    """
+    _check_ground(n)
+    top = bits.bit_length() - 1
+    if top >= 1 << n:
+        raise DomainError(f"mask {top} does not fit in ground set [{n}]")
+    last = members[-1] if members else -1
+    if bits.bit_count() != len(members) or top != last:
+        raise VerificationError(f"bitset of {bits.bit_count()} masks up to {top} disagrees "
+                                f"with {len(members)} members up to {last}")
+    family = SetFamily.__new__(SetFamily)
+    object.__setattr__(family, "n", n)
+    object.__setattr__(family, "members", members)
+    object.__setattr__(family, "_bits", bits)
+    return family
 
 
 def _bit_column(n: int, i: int) -> int:

@@ -66,7 +66,8 @@ class _Record:
     takes about three times as long.)  Records of the same class are equal
     when their field tuples are, and hash as that tuple; fields (and any
     other attribute) cannot be assigned or deleted afterwards.  Instances
-    keep a dict, so `cached_property` still works.
+    keep a dict, so `cached_property` still works; what an instance keeps
+    there (a `SetFamily`'s bitset, say) never enters equality, hash or repr.
     """
 
     def __init_subclass__(cls):
@@ -131,7 +132,12 @@ def _check_ground(n: int) -> None:
 
 
 class SetFamily(_Record):
-    """A duplicate-free family of subsets of [n], sorted by mask value."""
+    """A duplicate-free family of subsets of [n], sorted by mask value.
+
+    `SetFamily(n, members)` validates every member.  A family may also keep
+    its bitset-of-masks (`core.family_bits`), which is not a field: it never
+    enters equality, hash, repr or the JSON form.
+    """
 
     def __init__(self, n: int, members: tuple[int, ...]):
         object.__setattr__(self, "n", n)

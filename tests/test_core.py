@@ -41,6 +41,8 @@ from latticework.core import (
     shadow_bits,
     upset_bits,
 )
+from latticework.normalize import make_skipless_with_trace
+from latticework.shadow import lower_shadow
 from graph_oracle import check_graphs
 from reference import below, comparable, components, pairs
 
@@ -66,6 +68,10 @@ def test_family_construction_and_validation():
         SetFamily.from_masks(2, (1, 4, 6))
     with pytest.raises(DomainError):
         SetFamily(2, (3, 1))  # unsorted raw tuple rejected
+    # every member is checked, not only the count and the largest
+    for members in ((0, 2, 1, 3), (0, 1, 1, 3)):
+        with pytest.raises(DomainError, match="^members must be strictly increasing masks$"):
+            SetFamily(2, members)
 
 
 def test_family_json_round_trip():
@@ -450,6 +456,50 @@ def test_family_bits_matches_definition():
     # a mask past the closure cap is refused before anything is allocated
     with pytest.raises(ResourceLimitError):
         family_bits([0, 1 << CLOSURE_GROUND_CAP])
+
+
+def _kept_bits(fam):
+    # the bitset a family keeps, read without computing it
+    return vars(fam)["_bits"]
+
+
+def test_every_builder_keeps_the_bitset_of_its_members():
+    rng = random.Random(20261020)
+    built = [full_cube(n) for n in range(1, 13)]
+    built += [sharp_family(n, k, ceil) for n in range(1, 13) for k in range(n + 1)
+              for ceil in (False, True)]
+    built += [disconnected_extremal(n) for n in range(2, 13)]
+    for n in range(1, 11):
+        for _ in range(4):
+            bits = family_bits(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            built.append(bits_to_family(n, bits))
+            layer = layer_masks(n, rng.randint(1, n))
+            top = SetFamily.from_masks(n, rng.sample(layer, rng.randint(1, len(layer))))
+            built.append(lower_shadow(top))
+    stepped = 0
+    for n in range(3, 9):
+        for _ in range(6):
+            fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(2, 1 << (n - 1))))
+            done, trace = make_skipless_with_trace(fam, len(fam))
+            if trace:
+                built.append(done)
+                stepped += 1
+    assert stepped >= 20
+    for fam in built:
+        # a fresh scan of the member tuple, which keeps nothing
+        assert _kept_bits(fam) == family_bits(fam.members), fam
+
+
+def test_a_kept_bitset_leaves_equality_hash_repr_and_json_alone():
+    for kept in (sharp_family(6, 2), disconnected_extremal(5), full_cube(3), bits_to_family(4, 0)):
+        plain = SetFamily(kept.n, kept.members)
+        assert "_bits" not in vars(plain)
+        assert plain == kept and kept == plain
+        assert hash(plain) == hash(kept) and repr(plain) == repr(kept)
+        assert plain.to_json() == kept.to_json()
+        # computing the plain family's bitset keeps it, and changes nothing else
+        assert family_bits(plain) == _kept_bits(plain) == _kept_bits(kept)
+        assert (plain, hash(plain), repr(plain)) == (kept, hash(kept), repr(kept))
 
 
 def test_comparability_beyond_closure_cap():

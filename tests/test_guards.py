@@ -10,6 +10,7 @@ from latticework.core import (
     PreconditionError,
     ResourceLimitError,
     SetFamily,
+    bits_to_family,
     elements_of,
 )
 from latticework.lubell import average_meet_count
@@ -45,6 +46,8 @@ GUARDS = {
         "exhaustive cycle search capped at 64 vertices, length 64"),
     "diamond_family top": (lambda: diamond_family(Diamond(0, 8), 3), DomainError,
                            "diamond does not fit in the ground set"),
+    "bits_to_family mask": (lambda: bits_to_family(3, 1 << 8), DomainError,
+                            "mask 8 does not fit in ground set [3]"),
     "elements_of mask": (lambda: elements_of(-1), DomainError, "mask must be non-negative"),
     "remove absent": (lambda: SetFamily(3, (1,)).remove(2), DomainError,
                       "mask 2 not in family"),

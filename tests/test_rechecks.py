@@ -14,7 +14,7 @@ from math import comb, factorial
 
 import pytest
 
-from latticework import blym, normalize, search, shadow
+from latticework import blym, constructions, core, normalize, search, shadow
 from latticework.cli import main
 from latticework.constructions import disconnected_extremal
 from latticework.core import SetFamily, VerificationError
@@ -151,12 +151,41 @@ def test_interval_meet_count_check_is_a_defect_not_bad_input(monkeypatch):
         lubell.diamond_meet_count(1, 7, 4)
 
 
+# A family built with its bitset is cross-checked against it by count and
+# largest mask; each builder's route plants a bitset that disagrees.
+BITS_PLANTS = {
+    "bits_to_family count": (core, "iter_bits", lambda bits: [],
+                             lambda: core.bits_to_family(3, 0b101),
+                             "bitset of 2 masks up to 2 disagrees with 0 members up to -1"),
+    "disconnected_extremal top": (core, "iter_bits", lambda bits: list(range(bits.bit_count())),
+                                  lambda: disconnected_extremal(3),
+                                  "bitset of 4 masks up to 6 disagrees with 4 members up to 3"),
+    "sharp_family count": (constructions, "family_bits", lambda masks: 1,
+                           lambda: constructions.sharp_family(4, 1),
+                           "bitset of 2 masks up to 8 disagrees with 6 members up to 12"),
+    "full_cube count": (core, "_full", lambda n: (1 << (1 << n)) - 2, lambda: core.full_cube(2),
+                        "bitset of 3 masks up to 3 disagrees with 4 members up to 3"),
+}
+
+
+@pytest.mark.parametrize("module, name, plant, call, message", BITS_PLANTS.values(),
+                         ids=BITS_PLANTS)
+def test_kept_bitset_recheck_fires_on_members_that_disagree(monkeypatch, module, name, plant,
+                                                             call, message):
+    monkeypatch.setattr(module, name, plant)
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        call()
+
+
 # One planted re-check per command that can reach one, run through the CLI,
 # which exits 1 with the message on stderr and nothing on stdout; normalize
-# and search have theirs in tests/test_cli.py.  analyze and construct reach
-# no re-check site: analyze reads the graph, height, Lubell sum and skip
-# count, construct only builds a family, and none of these re-checks.
+# and search have theirs in tests/test_cli.py.  analyze reaches no re-check
+# site: it reads the graph, height, Lubell sum and skip count of a family
+# read from JSON, and none of these re-checks.
 CLI_PLANTS = {
+    "construct": (constructions, "family_bits", lambda masks: 1,
+                  ["construct", "sharp", "--n", "4", "--k", "1"],
+                  "bitset of 2 masks up to 8 disagrees with 6 members up to 12"),
     "boundary": (shadow, "shade_bits", lambda n, bits: (1 << (1 << n)) - 1,
                  ["boundary", "--family", "{family}", "--split-file", "{split}"],
                  "split has an empty boundary side"),

@@ -133,13 +133,13 @@ def test_technical_bound_examples():
         technical_bound_check(fam(3, (1, 2), (1, 3)), "nope")
 
 
-def test_boundary_pair_minimal_case():
+def test_boundary_report_minimal_case():
     rep = boundary_report(fam(2, (1,)), fam(2, (2,)))
     assert SetFamily.from_jsonable(rep["fplus"]).to_sets() == [(1, 2)]
     assert SetFamily.from_jsonable(rep["fminus"]).to_sets() == [()]
 
 
-def test_boundary_pair_rejects_crossing_chains():
+def test_boundary_report_rejects_crossing_chains():
     with pytest.raises(PreconditionError):
         boundary_report(fam(3, (1,)), fam(3, (1, 2)))
     with pytest.raises(PreconditionError):
@@ -207,7 +207,7 @@ def test_boundary_nonempty_on_any_valid_split():
     assert len(rep["fplus"]["sets"]) >= 1 and len(rep["fminus"]["sets"]) >= 1
 
 
-def test_excluded_count_values():
+def test_boundary_report_excluded_count_values():
     assert boundary_report(fam(2, (1,)), fam(2, (2,)))["excluded_count"] == 2
     ext4 = disconnected_extremal(4)
     g = comparability_graph(ext4)
@@ -240,9 +240,9 @@ def _random_splits(rng, count):
         yield SetFamily.from_masks(n, sorted(a)), SetFamily.from_masks(n, sorted(b))
 
 
-def test_boundary_regions_are_the_closures_of_the_boundary_pair():
+def test_boundary_report_regions_are_the_closures_of_fplus_and_fminus():
     # the report reads ↑F⁺ and ↓F⁻ as the sets outside ↓F and ↑F; check that
-    # against the closures of the pair itself
+    # against the closures of F⁺ and F⁻ themselves
     maximal = [s for n in range(2, 6) for s in disconnected_splits(n, None)]
     for a, b in maximal + list(_random_splits(random.Random(29), 300)):
         rep = boundary_report(a, b)
