@@ -4,6 +4,9 @@ Each suite replays one of the structural facts the package is built around,
 over exhaustive or seeded-random inputs, and returns a plain dict of one
 shape: "suite", "params", the suite's own counts, "passed" and "failures"
 (at most MAX_REPORTED_FAILURES, each enough to locate a counterexample).
+A suite is a lazy stream of cases, each an iterable of failure dicts, plus
+what a failing case reports.  One loop, `_collect`, counts the cases and
+caps the failures; a case's draws come right before its checks.
 The BLYM suites share one sum check, and given one family they report its
 "sum" and "tight" without "params".  The reproduction registry is one table
 of rows, each a name, a summary, an expected value and the op and args that
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Callable
+from itertools import chain, combinations, starmap
+from typing import Callable, Iterable
 
 from .core import (
     NODE_BUDGET,
@@ -49,9 +52,15 @@ TECHNICAL_FAMILY_CAP = 1_000_000
 SAMPLE_CAP = 100_000
 
 
-def _push(failures: list, item: dict) -> None:
-    if len(failures) < MAX_REPORTED_FAILURES:
-        failures.append(item)
+def _collect(cases: Iterable[Iterable[dict]]) -> tuple[int, list[dict]]:
+    """Run each case to its end, in order: the count, and the first failures."""
+    checked, failures = 0, []
+    for case in cases:
+        checked += 1
+        for failure in case:
+            if len(failures) < MAX_REPORTED_FAILURES:
+                failures.append(failure)
+    return checked, failures
 
 
 def _cap_samples(samples: int) -> None:
@@ -70,24 +79,25 @@ def _report(suite: str, params: dict, failures: list, passed: bool = True, **fac
     }
 
 
-def _sums(total: Callable[[SetFamily], Fraction], cases) -> tuple[int, int, list[dict]]:
-    """Check a chain-meet sum over (family, label) cases, in order.
+def _sums(suite: str, params: dict, total: Callable[[SetFamily], Fraction], cases) -> dict:
+    """Check a chain-meet sum over (family, label) cases, in order, as a suite result.
 
     A labelled case is an extremal family whose sum must be exactly 1; a
-    drawn case (label None) must sum to at most 1.  Returns the cases
-    checked, the tight ones (sum 1) and the failures.
+    drawn case (label None) must sum to at most 1.  The result counts the
+    cases checked and the tight ones (sum 1).
     """
-    failures: list[dict] = []
-    checked = tight = 0
-    for fam, label in cases:
+    tight: list[bool] = []
+
+    def failures_of(fam: SetFamily, label: str | None):
         s = total(fam)
-        checked += 1
-        tight += s == 1
+        tight.append(s == 1)
         if label is not None and s != 1:
-            _push(failures, {"case": label, "sum": str(s)})
+            yield {"case": label, "sum": str(s)}
         elif label is None and s > 1:
-            _push(failures, {"family": fam.to_jsonable(), "sum": str(s)})
-    return checked, tight, failures
+            yield {"family": fam.to_jsonable(), "sum": str(s)}
+
+    checked, failures = _collect(failures_of(fam, label) for fam, label in cases)
+    return _report(suite, params, failures, checked=checked, tight_count=sum(tight))
 
 
 def _family_sum(suite: str, total: Callable[[SetFamily], Fraction], family: SetFamily) -> dict:
@@ -97,6 +107,11 @@ def _family_sum(suite: str, total: Callable[[SetFamily], Fraction], family: SetF
     except PreconditionError as exc:
         return {"suite": suite, "passed": False, "failures": [{"reason": str(exc)}]}
     return {"suite": suite, "sum": str(s), "tight": s == 1, "passed": s <= 1, "failures": []}
+
+
+def _split_failure(a: SetFamily, b: SetFamily, **facts) -> tuple[dict]:
+    """A case with one failure, naming its split before the facts."""
+    return ({"a": a.to_jsonable(), "b": b.to_jsonable(), **facts},)
 
 
 def verify_blym(
@@ -122,9 +137,8 @@ def verify_blym(
         (random_antichain(rng, n, attempts=rng.randrange(1, 2 * binomial(n, n // 2) + 2)), None)
         for _ in range(samples)
     )
-    checked, tight, failures = _sums(blym_sum, chain(layers, drawn))
     params = {"n": n, "samples": samples, "seed": seed}
-    return _report("blym", params, failures, checked=checked, tight_count=tight)
+    return _sums("blym", params, blym_sum, chain(layers, drawn))
 
 
 def verify_diamond_blym(
@@ -159,9 +173,8 @@ def verify_diamond_blym(
         for k in range(nn + 1)
     )
     cases = chain(((fam, None) for fam in drawn if len(fam)), sharp)
-    checked, tight, failures = _sums(diamond_blym_sum, cases)
     params = {"n": n, "samples": samples, "seed": seed, "sharp_n": sharp_n}
-    return _report("diamond-blym", params, failures, checked=checked, tight_count=tight)
+    return _sums("diamond-blym", params, diamond_blym_sum, cases)
 
 
 def verify_kk(
@@ -177,8 +190,6 @@ def verify_kk(
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     layer = layer_masks(n, k)
     width = len(layer)
-    failures: list[dict] = []
-    checked = 0
     exhaustive = width <= KK_EXHAUSTIVE_CAP
     # a layer too wide to exhaust is only sampled, so it needs a sample
     least = 0 if exhaustive else 1
@@ -188,28 +199,19 @@ def verify_kk(
         )
     _cap_samples(samples)
 
-    def check(masks: tuple[int, ...]) -> None:
-        nonlocal checked
-        checked += 1
+    def failures_of(masks: tuple[int, ...]):
         m = len(masks)
         cur = SetFamily.from_masks(n, masks)
         for r in range(1, k + 1):
             cur = lower_shadow(cur)
             bound = kk_shadow_bound(m, k, r)
             if len(cur) < bound:
-                _push(
-                    failures,
-                    {"family_size": m, "r": r, "shadow": len(cur), "bound": bound},
-                )
+                yield {"family_size": m, "r": r, "shadow": len(cur), "bound": bound}
 
-    if exhaustive:
-        for pick in range(1, 1 << width):
-            check(tuple(layer[i] for i in iter_bits(pick)))
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            m = rng.randrange(1, width + 1)
-            check(tuple(sorted(rng.sample(layer, m))))
+    rng = random.Random(seed)  # each drawn pick draws its size, then its sets
+    drawn = (tuple(sorted(rng.sample(layer, rng.randrange(1, width + 1)))) for _ in range(samples))
+    every = (tuple(layer[i] for i in iter_bits(pick)) for pick in range(1, 1 << width))
+    checked, failures = _collect(map(failures_of, every if exhaustive else drawn))
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
     return _report("kk", params, failures, exhaustive=exhaustive, checked=checked)
 
@@ -228,25 +230,27 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
             pools.append((n, k, pool))
             families += binomial(len(pool), k + 1) + binomial(len(pool), k)
             if families > TECHNICAL_FAMILY_CAP:
-                raise ResourceLimitError(f"technical suite capped at {TECHNICAL_FAMILY_CAP} families")
-    failures: list[dict] = []
-    checked = 0
-    for n, k, pool in pools:
-        for mode, size in (("k_plus_one", k + 1), ("k", k)):
-            for combo in combinations(pool, size):
-                fam = SetFamily.from_masks(n, combo)
-                checked += 1
-                if not technical_bound_check(fam, mode):
-                    _push(
-                        failures,
-                        {
-                            "n": n,
-                            "k": k,
-                            "mode": mode,
-                            "family": fam.to_jsonable(),
-                            "closure": len(down_closure(fam)),
-                        },
-                    )
+                raise ResourceLimitError(
+                    f"technical suite capped at {TECHNICAL_FAMILY_CAP} families"
+                )
+
+    def failures_of(n: int, k: int, mode: str, combo: tuple[int, ...]):
+        fam = SetFamily.from_masks(n, combo)
+        if not technical_bound_check(fam, mode):
+            yield {
+                "n": n,
+                "k": k,
+                "mode": mode,
+                "family": fam.to_jsonable(),
+                "closure": len(down_closure(fam)),
+            }
+
+    checked, failures = _collect(
+        failures_of(n, k, mode, combo)
+        for n, k, pool in pools
+        for mode, size in (("k_plus_one", k + 1), ("k", k))
+        for combo in combinations(pool, size)
+    )
     return _report("technical", {"nmax": nmax, "kmax": kmax}, failures, checked=checked)
 
 
@@ -265,30 +269,25 @@ def verify_colouring(
         raise DomainError(f"need 1 <= n and 0 <= samples, got n={n}, samples={samples}")
     _cap_samples(samples)
     rng = random.Random(seed)
-    failures: list[dict] = []
-    checked = 0
     ks = [k] if k is not None else range(n)  # not a list: the first pair refuses n > 63
 
-    def check(a: SetFamily, b: SetFamily, label: str) -> None:
-        nonlocal checked
+    def pairs():
+        for kk in ks:
+            yield *full_layer_pair(n, kk), f"full layers ({kk},{kk + 1}) of [{n}]"
+            for i in range(samples):  # each draws its density, then its pair
+                a, b = random_layer_pair(rng, n, kk, density=rng.uniform(0.2, 0.95))
+                if len(a) and len(b):
+                    yield a, b, f"sample {i} at k={kk}"
+
+    def failures_of(a: SetFamily, b: SetFamily, label: str):
         g = LayerPairGraph(a, b)
         eg = layer_colouring(g)
-        checked += 1
         if not is_proper(eg):
-            _push(failures, {"case": label, "reason": "colouring not proper"})
-            return
+            return ({"case": label, "reason": "colouring not proper"},)
         cyc = find_rainbow_cycle(eg, max(3, g.order()))
-        if cyc is not None:
-            _push(failures, {"case": label, "cycle": cyc})
+        return () if cyc is None else ({"case": label, "cycle": cyc},)
 
-    for kk in ks:
-        a, b = full_layer_pair(n, kk)
-        check(a, b, f"full layers ({kk},{kk + 1}) of [{n}]")
-        for i in range(samples):
-            a, b = random_layer_pair(rng, n, kk, density=rng.uniform(0.2, 0.95))
-            if len(a) == 0 or len(b) == 0:
-                continue
-            check(a, b, f"sample {i} at k={kk}")
+    checked, failures = _collect(starmap(failures_of, pairs()))
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
     return _report("colouring", params, failures, checked=checked)
 
@@ -300,45 +299,40 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     from .shadow import _boundary
 
     splits = disconnected_splits(n, budget_nodes)
-    failures: list[dict] = []
-    extremal_hits = 0
     best = disconnected_extremal_size(n)
     # the extremal family meets the size bound 2^n - excluded with equality
     floor = (1 << n) - best
-    for a, b in splits:
+    tight: list[bool] = []
+
+    def failures_of(a: SetFamily, b: SetFamily):  # the split's first failure, if any
         bits_a, bits_b = family_bits(a), family_bits(b)
         ab = bits_a | bits_b
         ua, da = upset_bits(n, bits_a), downset_bits(n, bits_a)
         ub, db = upset_bits(n, bits_b), downset_bits(n, bits_b)
-        label = {"a": a.to_jsonable(), "b": b.to_jsonable()}
         if ua & da != bits_a or ub & db != bits_b:
-            _push(failures, {**label, "reason": "closure meet is not the side itself"})
-            continue
+            return _split_failure(a, b, reason="closure meet is not the side itself")
         if ua & db or da & ub:
-            _push(failures, {**label, "reason": "cross-side closures intersect"})
-            continue
+            return _split_failure(a, b, reason="cross-side closures intersect")
         fplus, fminus, _, _ = _boundary(a, b)
         # re-derived from the boundary itself, not read off _boundary's regions
         up_plus, down_minus = upset_bits(n, fplus), downset_bits(n, fminus)
         if up_plus & ab or down_minus & ab:
-            _push(failures, {**label, "reason": "boundary closure touches the family"})
-            continue
+            return _split_failure(a, b, reason="boundary closure touches the family")
         if up_plus & down_minus:
             # Guaranteed disjoint only because these splits are maximal.
-            _push(failures, {**label, "reason": "boundary closures intersect"})
-            continue
+            return _split_failure(a, b, reason="boundary closures intersect")
         excluded = up_plus.bit_count() + down_minus.bit_count()
         size = len(a) + len(b)
         if excluded < floor:
-            _push(failures, {**label, "excluded": excluded, "floor": floor})
-            continue
+            return _split_failure(a, b, excluded=excluded, floor=floor)
         if size > (1 << n) - excluded:
-            _push(failures, {**label, "size": size, "excluded": excluded})
-            continue
-        if size == best and excluded == floor:
-            extremal_hits += 1
-    facts = {"splits": len(splits), "excluded_floor": floor, "extremal_tight_count": extremal_hits}
-    return _report("fact-ab", {"n": n}, failures, passed=extremal_hits >= 1, **facts)
+            return _split_failure(a, b, size=size, excluded=excluded)
+        tight.append(size == best and excluded == floor)
+        return ()
+
+    _, failures = _collect(starmap(failures_of, splits))
+    facts = {"splits": len(splits), "excluded_floor": floor, "extremal_tight_count": sum(tight)}
+    return _report("fact-ab", {"n": n}, failures, passed=any(tight), **facts)
 
 
 def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
@@ -355,28 +349,20 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     if n == 1:
         raise DomainError("disconnected families need n >= 2")
     splits = disconnected_splits(n, budget_nodes)
-    failures: list[dict] = []
-    checked = 0
-    for a, b in splits:
-        fplus, fminus, _, _ = _boundary(a, b)
-        plus_sizes = sorted(map(int.bit_count, iter_bits(fplus)))
-        minus_sizes = sorted(map(int.bit_count, iter_bits(fminus)))
-        for k in plus_sizes:
-            checked += 1
-            have = sum(1 for s in minus_sizes if s >= k - 2)
-            if have < k - 1:
-                _push(
-                    failures,
-                    {"a": a.to_jsonable(), "b": b.to_jsonable(), "above_size": k, "have": have},
-                )
-        for s in minus_sizes:
-            checked += 1
-            have = sum(1 for k in plus_sizes if k <= s + 2)
-            if have < n - s - 1:
-                _push(
-                    failures,
-                    {"a": a.to_jsonable(), "b": b.to_jsonable(), "below_size": s, "have": have},
-                )
+
+    def cases():  # one per boundary set, so `checked` counts boundary sets
+        for a, b in splits:
+            fplus, fminus, _, _ = _boundary(a, b)
+            plus_sizes = sorted(map(int.bit_count, iter_bits(fplus)))
+            minus_sizes = sorted(map(int.bit_count, iter_bits(fminus)))
+            for k in plus_sizes:
+                have = sum(1 for s in minus_sizes if s >= k - 2)
+                yield () if have >= k - 1 else _split_failure(a, b, above_size=k, have=have)
+            for s in minus_sizes:
+                have = sum(1 for k in plus_sizes if k <= s + 2)
+                yield () if have >= n - s - 1 else _split_failure(a, b, below_size=s, have=have)
+
+    checked, failures = _collect(cases())
     return _report("key-lemma", {"n": n}, failures, splits=len(splits), checked=checked)
 
 
