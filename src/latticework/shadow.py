@@ -5,10 +5,10 @@ so a closure costs n big-int operations instead of one power-set walk per
 member.  The cascade machinery gives the classical lower bound on the
 size of an r-fold shadow of an m-member k-uniform family.
 
-A split's boundary takes one pass, `_boundary`: the sets outside ↓F are
-↑F⁺ and those outside ↑F are ↓F⁻, so no closure of F⁺ or F⁻ is taken again.
-`boundary_report` is its one public view: F⁺, F⁻, both regions and the
-excluded count.
+A split (A, B) takes four closure sweeps, `_side_closures`, and one pass,
+`_boundary`: the sets outside ↓F = ↓A ∪ ↓B are ↑F⁺ and those outside
+↑F = ↑A ∪ ↑B are ↓F⁻, so no closure is taken twice.  `boundary_report`
+is their one public view: F⁺, F⁻, both regions and the excluded count.
 """
 
 from .core import (
@@ -132,37 +132,37 @@ def technical_bound_check(s: SetFamily, mode: str) -> bool:
     return not s.members or downset_bits(s.n, family_bits(s)).bit_count() >= floor
 
 
-def _split_bits(a: SetFamily, b: SetFamily) -> int:
-    """The bitset of both sides' members, refused unless the sides form a disconnected split."""
+def _side_closures(a: SetFamily, b: SetFamily) -> tuple[int, int, int, int]:
+    """The closures (↑a, ↓a, ↑b, ↓b), refused unless the sides are nonempty and in one cube."""
     if a.n != b.n:
         raise DomainError("split sides live in different cubes")
     if not a.members or not b.members:
         raise PreconditionError("both sides of a split must be nonempty")
-    n = a.n
-    bits_a, bits_b = family_bits(a), family_bits(b)
+    n, bits_a, bits_b = a.n, family_bits(a), family_bits(b)
+    ua, da = upset_bits(n, bits_a), downset_bits(n, bits_a)
+    return ua, da, upset_bits(n, bits_b), downset_bits(n, bits_b)
+
+
+def _boundary(a: SetFamily, b: SetFamily,
+              ua: int, da: int, ub: int, db: int) -> tuple[int, int, int, int]:
+    """The bitsets (fplus, fminus, ↑fplus, ↓fminus) of a split, from its sides' closures.
+
+    The sets outside ↓F = ↓a ∪ ↓b form an up-set whose minimal members are
+    fplus, so it is ↑fplus; dually, the sets outside ↑F = ↑a ∪ ↑b are ↓fminus.
+    """
     # the members of a equal or comparable to some member of b; the least
     # such x and the first member y of b around it are the first pair a
     # scan of a, then b, in ascending order would meet
-    hit = bits_a & (downset_bits(n, bits_b) | upset_bits(n, bits_b))
+    hit = family_bits(a) & (db | ub)
     if hit:
         x = (hit & -hit).bit_length() - 1
         y = next(m for m in b.members if m & x in (m, x))
         if x == y:
             raise PreconditionError(f"shared member {x:#x}: not a disconnected split")
         raise PreconditionError(f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split")
-    return bits_a | bits_b
-
-
-def _boundary(a: SetFamily, b: SetFamily) -> tuple[int, int, int, int]:
-    """The bitsets (fplus, fminus, up, down) of a split, with up = ↑fplus, down = ↓fminus.
-
-    The sets outside ↓F form an up-set whose minimal members are fplus, so
-    that up-set is ↑fplus; dually, the sets outside ↑F are ↓fminus.
-    """
-    both = _split_bits(a, b)
     n = a.n
-    up = _full(n) ^ downset_bits(n, both)
-    down = _full(n) ^ upset_bits(n, both)
+    up = _full(n) ^ (da | db)
+    down = _full(n) ^ (ua | ub)
     # minimal members have no lower cover inside, maximal ones no upper cover
     fplus = up & ~shade_bits(n, up)
     fminus = down & ~shadow_bits(n, down)
@@ -178,7 +178,7 @@ def boundary_report(a: SetFamily, b: SetFamily) -> dict:
     Closure disjointness is a consequence of optimality, not of the split
     preconditions, so it is reported instead of assumed.
     """
-    fplus, fminus, up, down = _boundary(a, b)
+    fplus, fminus, up, down = _boundary(a, b, *_side_closures(a, b))
     n = a.n
     family_size = len(a) + len(b)
     excluded = up.bit_count() + down.bit_count()

@@ -296,7 +296,7 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
     from .constructions import disconnected_extremal_size
     from .search import disconnected_splits
-    from .shadow import _boundary
+    from .shadow import _boundary, _side_closures
 
     splits = disconnected_splits(n, budget_nodes)
     best = disconnected_extremal_size(n)
@@ -305,15 +305,15 @@ def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     tight: list[bool] = []
 
     def failures_of(a: SetFamily, b: SetFamily):  # the split's first failure, if any
+        closures = ua, da, ub, db = _side_closures(a, b)
         bits_a, bits_b = family_bits(a), family_bits(b)
         ab = bits_a | bits_b
-        ua, da = upset_bits(n, bits_a), downset_bits(n, bits_a)
-        ub, db = upset_bits(n, bits_b), downset_bits(n, bits_b)
         if ua & da != bits_a or ub & db != bits_b:
             return _split_failure(a, b, reason="closure meet is not the side itself")
+        # covers `_boundary`'s refusal: x in a, comparable to b, is in ↑a∩↓b or ↓a∩↑b
         if ua & db or da & ub:
             return _split_failure(a, b, reason="cross-side closures intersect")
-        fplus, fminus, _, _ = _boundary(a, b)
+        fplus, fminus, _, _ = _boundary(a, b, *closures)
         # re-derived from the boundary itself, not read off _boundary's regions
         up_plus, down_minus = upset_bits(n, fplus), downset_bits(n, fminus)
         if up_plus & ab or down_minus & ab:
@@ -343,7 +343,7 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
     from .search import disconnected_splits
-    from .shadow import _boundary
+    from .shadow import _boundary, _side_closures
 
     # disconnected_splits refuses n <= 0, but passes n = 1 with no split
     if n == 1:
@@ -352,7 +352,7 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
 
     def cases():  # one per boundary set, so `checked` counts boundary sets
         for a, b in splits:
-            fplus, fminus, _, _ = _boundary(a, b)
+            fplus, fminus, _, _ = _boundary(a, b, *_side_closures(a, b))
             plus_sizes = sorted(map(int.bit_count, iter_bits(fplus)))
             minus_sizes = sorted(map(int.bit_count, iter_bits(fminus)))
             for k in plus_sizes:

@@ -6,7 +6,13 @@ import pytest
 
 from latticework.constructions import sharp_family
 from latticework import verify
-from latticework.core import DomainError, ResourceLimitError, SetFamily, family_bits
+from latticework.core import (
+    DomainError,
+    PreconditionError,
+    ResourceLimitError,
+    SetFamily,
+    family_bits,
+)
 from latticework.verify import (
     MAX_REPORTED_FAILURES,
     REPRODUCTIONS,
@@ -158,8 +164,8 @@ def test_key_lemma_suite_fails_without_a_lower_boundary(monkeypatch):
              for a, b in splits]
     boundary = shadow._boundary
 
-    def no_lower_boundary(a, b):
-        fplus, _, up, down = boundary(a, b)
+    def no_lower_boundary(a, b, *closures):
+        fplus, _, up, down = boundary(a, b, *closures)
         return fplus, 0, up, down
 
     monkeypatch.setattr(shadow, "_boundary", no_lower_boundary)
@@ -333,8 +339,8 @@ def test_key_lemma_suite_fails_without_an_upper_boundary(monkeypatch):
              for a, b in disconnected_splits(3)]
     boundary = shadow._boundary
 
-    def no_upper_boundary(a, b):
-        _, fminus, up, down = boundary(a, b)
+    def no_upper_boundary(a, b, *closures):
+        _, fminus, up, down = boundary(a, b, *closures)
         return 0, fminus, up, down
 
     monkeypatch.setattr(shadow, "_boundary", no_upper_boundary)
@@ -378,8 +384,8 @@ def test_fact_ab_fails_when_the_boundary_touches_the_family(monkeypatch):
     # a boundary above that is the first side itself
     boundary = shadow._boundary
 
-    def first_side_above(a, b):
-        _, fminus, up, down = boundary(a, b)
+    def first_side_above(a, b, *closures):
+        _, fminus, up, down = boundary(a, b, *closures)
         return family_bits(a), fminus, up, down
 
     monkeypatch.setattr(shadow, "_boundary", first_side_above)
@@ -419,3 +425,67 @@ def test_fact_ab_fails_when_the_closures_outgrow_the_cube(monkeypatch):
     a, b = fam(3, (1,), (1, 2)), fam(3, (3,), (2, 3))
     rep = _fact_ab_on(monkeypatch, [(a, b)])
     assert rep["failures"] == [{"a": a.to_jsonable(), "b": b.to_jsonable(), "size": 4, "excluded": 12}]
+
+
+# a split no path may take: boundary_report and key-lemma raise the error,
+# and fact-ab raises it too (True) or reports the split as crossing (False)
+BAD_SPLITS = {
+    "empty side": (fam(3, (1,)), SetFamily.from_masks(3, ()), PreconditionError,
+                   "both sides of a split must be nonempty", True),
+    "different cubes": (fam(3, (1,)), fam(4, (2,)), DomainError,
+                        "split sides live in different cubes", True),
+    "shared member": (fam(3, (1,), (2,)), fam(3, (2,), (3,)), PreconditionError,
+                      "shared member 0x2: not a disconnected split", False),
+    "cross pair": (fam(3, (1,)), fam(3, (1, 2)), PreconditionError,
+                   "cross-comparable pair 0x1 vs 0x3: not a disconnected split", False),
+}
+
+
+@pytest.mark.parametrize("a, b, error, message, fact_ab_raises", BAD_SPLITS.values(),
+                         ids=list(BAD_SPLITS))
+def test_every_split_path_refuses_a_bad_split(monkeypatch, a, b, error, message, fact_ab_raises):
+    from latticework import search
+    from latticework.shadow import boundary_report
+
+    monkeypatch.setattr(search, "disconnected_splits", lambda n, budget: [(a, b)])
+    refusing = [lambda: boundary_report(a, b), lambda: verify_key_lemma(3)]
+    if fact_ab_raises:
+        refusing.append(lambda: verify_fact_ab(3))
+    else:
+        crossing = {"a": a.to_jsonable(), "b": b.to_jsonable(),
+                    "reason": "cross-side closures intersect"}
+        assert verify_fact_ab(3)["failures"] == [crossing]
+    for run in refusing:
+        with pytest.raises(error) as info:
+            run()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, per_split", [
+    ("fact-ab", (3, 3, 1, 1)),
+    ("key-lemma", (2, 2, 1, 1)),
+    ("boundary_report", (2, 2, 1, 1)),
+])
+def test_each_split_path_sweeps_the_cube_a_fixed_number_of_times(monkeypatch, path, per_split):
+    from latticework import shadow
+    from latticework.search import disconnected_splits
+
+    splits = disconnected_splits(4)
+    # the up-set, down-set, shade and shadow sweeps that shadow and verify make
+    counts = dict.fromkeys(("upset_bits", "downset_bits", "shade_bits", "shadow_bits"), 0)
+    for module in (shadow, verify):
+        for name in counts:
+            if hasattr(module, name):
+                kernel = getattr(module, name)
+
+                def counted(n, bits, name=name, kernel=kernel):
+                    counts[name] += 1
+                    return kernel(n, bits)
+
+                monkeypatch.setattr(module, name, counted)
+    if path == "boundary_report":
+        for a, b in splits:
+            shadow.boundary_report(a, b)
+    else:
+        assert run_verifier(path, n=4)["splits"] == len(splits) == 78
+    assert tuple(counts.values()) == tuple(78 * sweeps for sweeps in per_split)

@@ -13,13 +13,16 @@ it here in this process, and prints, for each corpus, its entry count and
 the first entry that differs or is missing on one side.  It exits 1 when
 any entry differs, 2 when the corpus cannot run at REV, else 0.
 
-There is one corpus so far, `suites`: the report of every property suite
+There are two corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
-planted variant swaps one public name (a kernel or a bound the suite
-imports when it runs) for a stand-in that fails, so the failure lists,
-their order and the five-failure cap are in the corpus too, sampled kk and
-colouring included.  Each entry is `"<suite> <params> | <plant>"`.
+planted variant swaps one public name (a kernel, a bound or the split
+enumerator the suite imports when it runs) for a stand-in that fails, so
+the failure lists, their order and the five-failure cap are in the corpus
+too, sampled kk and colouring included.  Each entry is
+`"<suite> <params> | <plant>"`.  `splits` holds `disconnected_splits(n)`
+for n = 1..5, in order, the `boundary_report` of each of those splits, and
+the refusals of `boundary_report` on fixed bad splits.
 
 Standard library only; not part of the test suite.
 """
@@ -51,10 +54,10 @@ def planted(module, name: str, make):
         setattr(module, name, original)
 
 
-def outcome(run, suite: str, params: dict) -> dict:
-    """A suite's report, or the refusal it raises, as one JSON-able value."""
+def outcome(run, *args, **params):
+    """A run's result, or the refusal it raises, as one JSON-able value."""
     try:
-        return run(suite, **params)
+        return run(*args, **params)
     except Exception as exc:  # a refusal is an output of the grid too
         return {"error": type(exc).__name__, "message": str(exc)}
 
@@ -138,7 +141,37 @@ def plants() -> list[tuple[str, object, str, object, list[tuple[str, dict]]]]:
         ("splits with a side's first member dropped", search, "disconnected_splits",
          each_split(drop_first), splits),
         ("splits (a, a)", search, "disconnected_splits", each_split(lambda a, b: (a, a)), splits),
+        ("splits with an empty second side", search, "disconnected_splits",
+         each_split(lambda a, b: (a, SetFamily.from_masks(b.n, ()))), splits),
+        ("splits with the second side a cube up", search, "disconnected_splits",
+         each_split(lambda a, b: (a, SetFamily.from_masks(b.n + 1, b.members))), splits),
     ]
+
+
+def split_entries() -> dict:
+    """The `splits` corpus: each entry's JSON-able value, by name."""
+    from latticework.core import SetFamily
+    from latticework.search import disconnected_splits
+    from latticework.shadow import boundary_report
+
+    entries = {}
+    for n in range(1, 6):
+        splits = disconnected_splits(n)
+        entries[f"disconnected_splits n={n}"] = [[a.to_jsonable(), b.to_jsonable()]
+                                                 for a, b in splits]
+        for i, (a, b) in enumerate(splits):
+            entries[f"boundary_report n={n} split {i}"] = boundary_report(a, b)
+    bad = {
+        "empty side": ((3, (1,)), (3, ())),
+        "different cubes": ((3, (1,)), (4, (2,))),
+        "shared member": ((3, (1, 2)), (3, (2, 4))),
+        "cross pair": ((3, (1,)), (3, (3,))),
+        "n=21": ((21, (1,)), (21, (2,))),
+    }
+    for label, sides in bad.items():
+        a, b = (SetFamily.from_masks(n, masks) for n, masks in sides)
+        entries[f"boundary_report refuses {label}"] = outcome(boundary_report, a, b)
+    return entries
 
 
 def entry_name(suite: str, params: dict, plant: str) -> str:
@@ -163,8 +196,9 @@ def manifest() -> dict:
         if key in suites:
             raise ValueError(f"corpus entry {key!r} named twice")
         with planted(*plant) if plant else nullcontext():
-            suites[key] = digest(outcome(run_verifier, suite, params))
-    return {"suites": suites}
+            suites[key] = digest(outcome(run_verifier, suite, **params))
+    splits = {key: digest(value) for key, value in split_entries().items()}
+    return {"suites": suites, "splits": splits}
 
 
 def against(rev: str) -> int:

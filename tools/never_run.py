@@ -8,8 +8,10 @@ for example `python tools/never_run.py -q tests/test_blym.py`.  It runs
 `pytest.main` with those arguments under the standard library's line
 tracer (`trace.Trace`, counting only, with the interpreter's own
 directories ignored) and then prints, per module of `src/latticework`, the
-executable lines that never ran.  Only this process is traced: lines that
-run only in child processes are listed as never run.  Tracing slows a run
+executable lines that never ran.  The lines are read from each module's
+text as it was before the run, and a module whose file changed during the
+run is named on stderr.  Only this process is traced: lines that run only
+in child processes are listed as never run.  Tracing slows a run
 down many times over, so give it a few test files rather than the suite.
 """
 
@@ -23,9 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "latticework"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The first line of each statement in a module, its functions and classes."""
-    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+def executable_lines(path: Path, source: str) -> set[int]:
+    """The first line of each statement in a module's source, its functions and classes."""
+    lines, codes = set(), [compile(source, str(path), "exec")]
     while codes:
         code = codes.pop()
         lines.update(line for _, line in dis.findlinestarts(code) if line)
@@ -41,12 +43,17 @@ def main(args: list[str]) -> int:
     # trace decides once per module base name whether to ignore it, so the
     # first ignored __init__.py (or a same-named module) would hide ours
     tracer.ignore._ignore.update(dict.fromkeys((path.stem for path in PACKAGE.glob("*.py")), 0))
+    # the text the run imports; a file edited after this is not what ran
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     code = tracer.runfunc(pytest.main, args)
     ran: dict[str, set[int]] = {}
     for (filename, line), _ in tracer.results().counts.items():
         ran.setdefault(str(Path(filename).resolve()), set()).add(line)
-    for path in sorted(PACKAGE.glob("*.py")):
-        missed = sorted(executable_lines(path) - ran.get(str(path), set()))
+    for path, source in sources.items():
+        if path.read_text() != source:
+            print(f"warning: {path.name} changed during the run; its lines are from the text "
+                  "it had before the run", file=sys.stderr)
+        missed = sorted(executable_lines(path, source) - ran.get(str(path), set()))
         print(f"{path.name}: {', '.join(map(str, missed)) or '-'}")
     return code
 
