@@ -37,8 +37,8 @@ _EXPORTS = {
         "lubell_by_permutations", "meet_profile",
     ),
     "normalize": (
-        "NormalizationError", "SkipReport", "StepRecord", "find_skips", "make_skipless",
-        "make_skipless_with_trace", "skip_count",
+        "NormalizationError", "find_skips", "make_skipless", "make_skipless_with_trace",
+        "skip_count",
     ),
     "constructions": (
         "CertificationReport", "CheckResult", "Diamond", "certify", "detect_diamond",
@@ -46,8 +46,8 @@ _EXPORTS = {
         "disconnected_extremal_size", "full_layer_pair", "sharp_claim", "sharp_family",
     ),
     "shadow": (
-        "CascadeRep", "boundary_report", "down_closure", "kk_cascade", "kk_shadow_bound",
-        "lower_shadow", "technical_bound_check", "up_closure",
+        "CascadeRep", "boundary_report", "kk_cascade", "kk_shadow_bound", "lower_shadow",
+        "technical_bound_check",
     ),
     "colouring": (
         "EdgeColouredGraph", "LayerPairGraph", "avg_degree", "find_rainbow_cycle", "is_proper",

@@ -247,7 +247,7 @@ def cmd_normalize(args) -> tuple[dict, dict, int]:
         "skips_after": skip_count(out),
     }
     if args.trace:
-        results["trace"] = [[s.added, s.removed] for s in steps]
+        results["trace"] = steps
     if args.out:
         _write_family(args.out, out)
         results["written_to"] = args.out
@@ -274,8 +274,6 @@ def cmd_boundary(args) -> tuple[dict, dict, int]:
         raise _UsageError(
             f"split must use each of the {g.n_components} component indices exactly once"
         )
-    if not side_a or not side_b:
-        raise _UsageError("both sides of the split must be nonempty")
 
     def side(indices: list[int]) -> SetFamily:
         return SetFamily.from_masks(fam.n, (m for i in indices for m in g.component_members[i]))

@@ -25,29 +25,12 @@ from functools import cache
 from .core import (
     DomainError, PreconditionError, SetFamily, VerificationError, bits_to_family,
     comparability_graph, downset_bits, family_bits, iter_bits, upset_bits, _layer,
-    _reach_closure, _Record,
+    _reach_closure,
 )
 
 
 class NormalizationError(VerificationError):
     """A validated property of the normalization step failed its re-check."""
-
-
-class SkipReport(_Record):
-    """A skip Y together with one witness pair X <= Y <= Z from the family."""
-
-    def __init__(self, skip: int, witness_below: int, witness_above: int):
-        object.__setattr__(self, "skip", skip)
-        object.__setattr__(self, "witness_below", witness_below)
-        object.__setattr__(self, "witness_above", witness_above)
-
-
-class StepRecord(_Record):
-    """One normalization step: the mask added and the mask removed."""
-
-    def __init__(self, added: int, removed: int):
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "removed", removed)
 
 
 def _skip_bits(n: int, bits: int) -> int:
@@ -61,8 +44,11 @@ def _layer_bits(n: int) -> tuple[int, ...]:
     return tuple(family_bits(_layer(n, k)) for k in range(n + 1))
 
 
-def find_skips(family: SetFamily) -> list[SkipReport]:
-    """All skips of the family, sorted by (cardinality, mask value)."""
+def find_skips(family: SetFamily) -> list[tuple[int, int, int]]:
+    """All skips of the family, sorted by (cardinality, mask value).
+
+    Each is a tuple (skip, least member below it, least member above it).
+    """
     members = family.members
     out = []
     # iter_bits ascends and the sort is stable: (cardinality, mask) order
@@ -73,12 +59,12 @@ def find_skips(family: SetFamily) -> list[SkipReport]:
         i = bisect_left(members, y)
         while members[i] & y != y:
             i += 1
-        out.append(SkipReport(y, below, members[i]))
+        out.append((y, below, members[i]))
     return out
 
 
 def skip_count(family: SetFamily) -> int:
-    """Number of skips (cheaper than materialising witness reports)."""
+    """Number of skips (cheaper than listing them with their witnesses)."""
     return _skip_bits(family.n, family_bits(family)).bit_count()
 
 
@@ -94,8 +80,9 @@ def _components_meeting(n: int, bits: int, seed: int, region: int) -> list[int]:
     return out
 
 
-def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list[StepRecord]]:
-    """Iterate skipless steps to a fixed point, recording each step.
+def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list[tuple[int, int]]]:
+    """Iterate skipless steps to a fixed point, recording each step as a
+    tuple (mask added, mask removed).
 
     Each step adds the least skip of least cardinality (the smallest mask
     among those of minimum cardinality) and removes the affected
@@ -115,7 +102,7 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
         )
     n, bits = family.n, family_bits(family)
     skips = _skip_bits(n, bits)
-    trace: list[StepRecord] = []
+    trace = []
     while skips:
         layers = _layer_bits(n)
         low = next(filter(None, (skips & layer for layer in layers)))
@@ -151,7 +138,7 @@ def make_skipless_with_trace(family: SetFamily, t: int) -> tuple[SetFamily, list
                 f"step {len(trace)}: the component of {y} is not inside its old "
                 f"component with {y} in place of {x_max}"
             )
-        trace.append(StepRecord(added=y, removed=x_max))
+        trace.append((y, x_max))
         skips = reduced_skips
     return (bits_to_family(n, bits) if trace else family), trace
 

@@ -1,9 +1,10 @@
 """Shadows, closures and the boundary families of a disconnected split.
 
-down_closure / up_closure work on whole-cube bitsets (one bit per mask),
-so a closure costs n big-int operations instead of one power-set walk per
-member.  The cascade machinery gives the classical lower bound on the
-size of an r-fold shadow of an m-member k-uniform family.
+A closure ↓F or ↑F, like a shadow, is taken on a whole-cube bitset (one
+bit per mask) by `core.downset_bits` or `core.upset_bits`: n big-int
+operations instead of one power-set walk per member.  The cascade
+machinery gives the classical lower bound on the size of an r-fold shadow
+of an m-member k-uniform family.
 
 A split (A, B) takes four closure sweeps, `_side_closures`, and one pass,
 `_boundary`: the sets outside ↓F = ↓A ∪ ↓B are ↑F⁺ and those outside
@@ -41,22 +42,6 @@ class CascadeRep(_Record):
 
     def shadow_bound(self, r: int) -> int:
         return sum(binomial(top, low - r) for top, low in self.terms)
-
-
-def down_closure(family: SetFamily) -> SetFamily:
-    """All subsets of some member, the family itself and (if nonempty) the empty set included."""
-    if not family.members:
-        return family
-    n = family.n
-    return bits_to_family(n, downset_bits(n, family_bits(family)))
-
-
-def up_closure(family: SetFamily) -> SetFamily:
-    """All supersets of some member."""
-    if not family.members:
-        return family
-    n = family.n
-    return bits_to_family(n, upset_bits(n, family_bits(family)))
 
 
 def lower_shadow(family: SetFamily) -> SetFamily:
@@ -113,8 +98,8 @@ def kk_shadow_bound(m: int, k: int, r: int) -> int:
 def technical_bound_check(s: SetFamily, mode: str) -> bool:
     """Down-closure size bound for a small family of large-enough sets.
 
-    mode "k_plus_one": |s| = k+1 sets of size >= k give |down_closure| >= 2^(k+1)-1.
-    mode "k":          |s| = k   sets of size >= k give |down_closure| >= 2^(k+1)-2.
+    mode "k_plus_one": |s| = k+1 sets of size >= k give |↓s| >= 2^(k+1)-1.
+    mode "k":          |s| = k   sets of size >= k give |↓s| >= 2^(k+1)-2.
     """
     if mode == "k_plus_one":
         k = len(s) - 1

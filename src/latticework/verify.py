@@ -218,7 +218,7 @@ def verify_kk(
 
 def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
     """Down-closure floors hold for every qualifying family, exhaustively."""
-    from .shadow import down_closure, technical_bound_check
+    from .shadow import technical_bound_check
 
     if nmax < 2 or kmax < 1:
         raise DomainError(f"need 2 <= nmax and 1 <= kmax, got nmax={nmax}, kmax={kmax}")
@@ -242,7 +242,7 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
                 "k": k,
                 "mode": mode,
                 "family": fam.to_jsonable(),
-                "closure": len(down_closure(fam)),
+                "closure": downset_bits(n, family_bits(fam)).bit_count(),
             }
 
     checked, failures = _collect(

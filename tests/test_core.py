@@ -591,10 +591,8 @@ CAP_CALLS = {
     "sharp_claim": ("lw.sharp_claim(n, 3)", "returned"),
     "sharp_family": ("lw.sharp_family(n, 3)", "ResourceLimitError"),
     "boundary_report": ("lw.boundary_report(a, b)", "ResourceLimitError"),
-    "down_closure": ("lw.down_closure(chain)", "ResourceLimitError"),
     "lower_shadow": ("lw.lower_shadow(pair)", "ResourceLimitError"),
     "technical_bound_check": ("lw.technical_bound_check(chain, 'k_plus_one')", "ResourceLimitError"),
-    "up_closure": ("lw.up_closure(chain)", "ResourceLimitError"),
     "xi": ("lw.xi(a, SetFamily.from_sets(n, [(1, 2)]))", "returned"),
     "all_diamond_bound": ("lw.all_diamond_bound(n, 3)", "returned"),
     "blym_sum": ("lw.blym_sum(pair)", "returned"),

@@ -37,19 +37,19 @@ PUBLIC_NAMES = """
 BudgetExhaustedError CascadeRep CertificationReport CheckResult
 ComparabilityGraph Diamond DiamondProfile DomainError EdgeColouredGraph LatticeError
 LayerPairGraph MeetProfile NormalizationError PreconditionError REPRODUCTIONS
-ResourceLimitError SearchResult SetFamily SkipReport StepRecord VERIFIERS
+ResourceLimitError SearchResult SetFamily VERIFIERS
 VerificationError all_diamond_bound average_meet_count avg_degree binomial blym blym_sum
 boundary_report certify colouring comparability_graph constructions core
 count_two_chains detect_diamond diamond_blym_sum diamond_claim
 diamond_family diamond_meet_count diamond_profile disconnected_claim
-disconnected_extremal disconnected_extremal_size disconnected_splits down_closure
+disconnected_extremal disconnected_extremal_size disconnected_splits
 elements_of family find_rainbow_cycle find_skips full_cube
 full_layer_pair height is_antichain is_proper kk_cascade kk_shadow_bound
 la_exact la_exact_restricted lambda_star_exact layer_colouring layer_masks lower_shadow
 lubell lubell_by_permutations mad_star_probe make_skipless make_skipless_with_trace
 mask_of max_disconnected meet_profile min_two_chains normalize run_reproduction
 run_verifier sampling search shadow sharp_claim sharp_family skip_count
-technical_bound_check up_closure verify xi xi_star_exact
+technical_bound_check verify xi xi_star_exact
 """.split()
 
 

@@ -19,13 +19,13 @@ def test_skip_detection_hand_case():
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2, 3)])
     skips = find_skips(fam)
     assert skip_count(fam) == 5
-    reported = {s.skip for s in skips}
+    reported = {y for y, _, _ in skips}
     assert len(reported) == 5
-    for s in skips:
-        assert s.witness_below in fam.member_set
-        assert s.witness_above in fam.member_set
-        assert s.witness_below & s.skip == s.witness_below
-        assert s.skip & s.witness_above == s.skip
+    for y, below, above in skips:
+        assert below in fam.member_set
+        assert above in fam.member_set
+        assert below & y == below
+        assert y & above == y
 
 
 def test_skip_witnesses_match_member_scans():
@@ -36,8 +36,7 @@ def test_skip_witnesses_match_member_scans():
         n = rng.randint(2, 8)
         masks = rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1)))
         fam = SetFamily.from_masks(n, sorted(masks))
-        got = [(s.skip, s.witness_below, s.witness_above) for s in find_skips(fam)]
-        assert got == skips(n, fam.members), (n, masks)
+        assert find_skips(fam) == skips(n, fam.members), (n, masks)
 
 
 def test_skipless_families_have_no_skips():
@@ -47,9 +46,9 @@ def test_skipless_families_have_no_skips():
 
 def test_single_step_swaps_one_set():
     fam = SetFamily.from_sets(3, [(), (1,), (1, 2, 3)])
-    _, (step, *_) = make_skipless_with_trace(fam, 3)
-    assert step.added not in fam and step.removed in fam
-    out = SetFamily.from_masks(3, fam.members + (step.added,)).remove(step.removed)
+    _, ((added, removed), *_) = make_skipless_with_trace(fam, 3)
+    assert added not in fam and removed in fam
+    out = SetFamily.from_masks(3, fam.members + (added,)).remove(removed)
     assert len(out) == len(fam)
     assert skip_count(out) < skip_count(fam)
 
@@ -67,8 +66,8 @@ def test_trace_replays_to_the_result():
     fam = SetFamily.from_sets(4, [(), (1,), (1, 2, 3), (1, 2, 3, 4)])
     out, steps = make_skipless_with_trace(fam, 4)
     current = fam
-    for step in steps:
-        current = SetFamily.from_masks(4, current.members + (step.added,)).remove(step.removed)
+    for added, removed in steps:
+        current = SetFamily.from_masks(4, current.members + (added,)).remove(removed)
     assert current == out
     assert skip_count(out) == 0
 
@@ -134,7 +133,7 @@ def test_normalization_matches_the_reference_step():
         want, want_steps = _reference_skipless(fam, t)
         out, steps = make_skipless_with_trace(fam, t)
         assert out == want
-        assert [(s.added, s.removed) for s in steps] == want_steps
+        assert steps == want_steps
     assert want_steps == [(3, 7)] and len(components(want.members, pairs(want.members, comparable))) == 2
 
 

@@ -14,7 +14,6 @@ from latticework.colouring import EdgeColouredGraph, LayerPairGraph
 from latticework.constructions import CertificationReport, CheckResult, Diamond
 from latticework.core import ComparabilityGraph, DomainError, SetFamily
 from latticework.lubell import MeetProfile
-from latticework.normalize import SkipReport, StepRecord
 from latticework.search import SearchResult
 from latticework.shadow import CascadeRep
 from latticework.verify import Reproduction
@@ -31,8 +30,6 @@ FIELDS = {
     CertificationReport: {"family_size": 2, "checks": (CheckResult("size", 2, 2, True),)},
     EdgeColouredGraph: {"n_vertices": 3, "edges": ((0, 1, 1), (1, 2, 2))},
     LayerPairGraph: {"a": SetFamily(2, (1,)), "b": SetFamily(2, (3,))},
-    SkipReport: {"skip": 1, "witness_below": 0, "witness_above": 3},
-    StepRecord: {"added": 1, "removed": 2},
     CascadeRep: {"k": 2, "terms": ((4, 2), (1, 1))},
     SearchResult: {"value": Fraction(4, 3), "witness": FAMILY, "nodes_explored": 7,
                    "proven_optimal": True},
@@ -47,7 +44,7 @@ def test_every_record_class_is_listed():
 
     subclasses = {cls.__name__ for cls in core._Record.__subclasses__()}
     assert subclasses == {cls.__name__ for cls in FIELDS}
-    assert len(FIELDS) == 14
+    assert len(FIELDS) == 12
 
 
 @RECORDS
@@ -71,21 +68,21 @@ def test_defaults():
 def test_a_differing_field_makes_records_unequal():
     assert SetFamily(2, (1, 3)) != SetFamily(2, (1, 2))
     assert SetFamily(2, (1, 3)) != SetFamily(3, (1, 3))
-    assert StepRecord(1, 2) != StepRecord(2, 1)
-    assert len({StepRecord(1, 2), StepRecord(1, 2), StepRecord(2, 1)}) == 2
+    assert CascadeRep(1, 2) != CascadeRep(2, 1)
+    assert len({CascadeRep(1, 2), CascadeRep(1, 2), CascadeRep(2, 1)}) == 2
 
 
 def test_records_of_different_classes_are_unequal():
     assert SetFamily(2, (1, 3)) != MeetProfile(2, (1, 3))
-    assert Diamond(1, 3) != StepRecord(1, 3)
-    assert StepRecord(1, 3) != Diamond(1, 3)
+    assert Diamond(1, 3) != CascadeRep(1, 3)
+    assert CascadeRep(1, 3) != Diamond(1, 3)
     assert SetFamily(2, (1, 3)) != (2, (1, 3))
-    assert Diamond(1, 3).__eq__(StepRecord(1, 3)) is NotImplemented
+    assert Diamond(1, 3).__eq__(CascadeRep(1, 3)) is NotImplemented
 
 
 def test_repr():
     assert repr(SetFamily(n=2, members=(1, 3))) == "SetFamily(n=2, members=(1, 3))"
-    assert repr(StepRecord(added=1, removed=2)) == "StepRecord(added=1, removed=2)"
+    assert repr(CascadeRep(k=2, terms=((4, 2),))) == "CascadeRep(k=2, terms=((4, 2),))"
     result = SearchResult(Fraction(4, 3), FAMILY, 7, True)
     assert repr(result) == (
         "SearchResult(value=Fraction(4, 3), witness=SetFamily(n=2, members=(1, 3)),"

@@ -9,18 +9,20 @@ from latticework.core import (
     PreconditionError,
     ResourceLimitError,
     SetFamily,
+    bits_to_family,
+    downset_bits,
+    family_bits,
     layer_masks,
     shade_bits,
     shadow_bits,
+    upset_bits,
 )
 from latticework.shadow import (
     boundary_report,
-    down_closure,
     kk_cascade,
     kk_shadow_bound,
     lower_shadow,
     technical_bound_check,
-    up_closure,
 )
 from latticework.constructions import disconnected_extremal
 from latticework.core import comparability_graph
@@ -31,20 +33,23 @@ def fam(n, *sets):
     return SetFamily.from_sets(n, sets)
 
 
+def closure(kernel, family):
+    """The closure `kernel` (downset_bits or upset_bits) of a family, as a bitset."""
+    return kernel(family.n, family_bits(family))
+
+
 def test_down_closure():
-    assert len(down_closure(fam(2, (1, 2)))) == 4
-    assert down_closure(fam(2, (1,))).to_sets() == [(), (1,)]
-    assert len(down_closure(fam(3, (1, 2), (2, 3)))) == 6
-    empty = SetFamily.from_masks(3, ())
-    assert down_closure(empty) == empty
+    assert closure(downset_bits, fam(2, (1, 2))).bit_count() == 4
+    assert bits_to_family(2, closure(downset_bits, fam(2, (1,)))).to_sets() == [(), (1,)]
+    assert closure(downset_bits, fam(3, (1, 2), (2, 3))).bit_count() == 6
+    assert closure(downset_bits, SetFamily.from_masks(3, ())) == 0
 
 
 def test_up_closure():
-    assert len(up_closure(fam(3, ()))) == 8
-    assert up_closure(fam(2, (1,))).to_sets() == [(1,), (1, 2)]
-    assert len(up_closure(fam(3, (1,), (2,)))) == 6
-    empty = SetFamily.from_masks(3, ())
-    assert up_closure(empty) == empty
+    assert closure(upset_bits, fam(3, ())).bit_count() == 8
+    assert bits_to_family(2, closure(upset_bits, fam(2, (1,)))).to_sets() == [(1,), (1, 2)]
+    assert closure(upset_bits, fam(3, (1,), (2,))).bit_count() == 6
+    assert closure(upset_bits, SetFamily.from_masks(3, ())) == 0
 
 
 def test_lower_shadow():
@@ -120,10 +125,10 @@ def test_shadow_bound_values():
 
 def test_technical_bound_examples():
     assert technical_bound_check(fam(3, (1, 2), (1, 3), (2, 3)), "k_plus_one")
-    assert len(down_closure(fam(3, (1, 2), (1, 3), (2, 3)))) == 7
+    assert closure(downset_bits, fam(3, (1, 2), (1, 3), (2, 3))).bit_count() == 7
     assert technical_bound_check(fam(4, (1, 2), (3, 4)), "k")
     assert technical_bound_check(fam(3, (1, 2), (1, 3)), "k")
-    assert len(down_closure(fam(3, (1, 2), (1, 3)))) == 6  # tight
+    assert closure(downset_bits, fam(3, (1, 2), (1, 3))).bit_count() == 6  # tight
     # the mode fixes k from the cardinality; members must reach size k
     with pytest.raises(PreconditionError):
         technical_bound_check(fam(3, (1,), (2,), (3,)), "k_plus_one")  # k=2, sizes 1
@@ -246,8 +251,8 @@ def test_boundary_report_regions_are_the_closures_of_fplus_and_fminus():
     maximal = [s for n in range(2, 6) for s in disconnected_splits(n, None)]
     for a, b in maximal + list(_random_splits(random.Random(29), 300)):
         rep = boundary_report(a, b)
-        up = len(up_closure(SetFamily.from_jsonable(rep["fplus"])))
-        down = len(down_closure(SetFamily.from_jsonable(rep["fminus"])))
+        up = closure(upset_bits, SetFamily.from_jsonable(rep["fplus"])).bit_count()
+        down = closure(downset_bits, SetFamily.from_jsonable(rep["fminus"])).bit_count()
         assert rep["up_closure_of_fplus"] == up, (a, b)
         assert rep["down_closure_of_fminus"] == down, (a, b)
         assert rep["excluded_count"] == up + down, (a, b)

@@ -73,11 +73,11 @@ def _check_against_definitions(family):
     found = skips(n, members)
     assert skip_count(family) == len(found), family
     reports = find_skips(family)
-    assert [r.skip for r in reports] == [y for y, _, _ in found], family
-    for r in reports:
-        assert r.witness_below in family.member_set and r.witness_above in family.member_set
-        assert r.witness_below & r.skip == r.witness_below
-        assert r.skip & r.witness_above == r.skip
+    assert [y for y, _, _ in reports] == [y for y, _, _ in found], family
+    for y, below, above in reports:
+        assert below in family.member_set and above in family.member_set
+        assert below & y == below
+        assert y & above == y
     t = max([1, *map(len, comps)])
     skipless = make_skipless(family, t)
     assert len(skipless) == len(family), family

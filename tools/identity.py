@@ -13,7 +13,7 @@ it here in this process, and prints, for each corpus, its entry count and
 the first entry that differs or is missing on one side.  It exits 1 when
 any entry differs, 2 when the corpus cannot run at REV, else 0.
 
-There are two corpora.  `suites` holds the report of every property suite
+There are three corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
 planted variant swaps one public name (a kernel, a bound or the split
@@ -22,15 +22,21 @@ the failure lists, their order and the five-failure cap are in the corpus
 too, sampled kk and colouring included.  Each entry is
 `"<suite> <params> | <plant>"`.  `splits` holds `disconnected_splits(n)`
 for n = 1..5, in order, the `boundary_report` of each of those splits, and
-the refusals of `boundary_report` on fixed bad splits.
+the refusals of `boundary_report` on fixed bad splits.  `normalize` holds
+`find_skips` and `make_skipless_with_trace` (the family and its trace) on
+seeded order-bounded draws, on the chains {∅, [n]} and on flat random
+families.  A record in an entry is digested as the list of its fields, so
+an entry hashes alike whether a version returns records or plain tuples.
 
-Standard library only; not part of the test suite.
+Standard library only.  The full run is not part of the test suite;
+`tests/test_identity.py` checks the corpus definitions.
 """
 
 import argparse
 import hashlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -174,31 +180,66 @@ def split_entries() -> dict:
     return entries
 
 
+def normalize_entries() -> dict:
+    """The `normalize` corpus: each entry's JSON-able value, by name."""
+    from latticework.core import SetFamily, comparability_graph
+    from latticework.normalize import find_skips, make_skipless_with_trace
+    from latticework.sampling import random_family, random_order_bounded_family
+
+    def normalized(fam, t):
+        out, trace = make_skipless_with_trace(fam, t)
+        return {"skips": find_skips(fam), "family": out.to_jsonable(), "trace": trace}
+
+    cases = {}
+    for n in range(3, 11):
+        for seed in range(50):
+            cases[f"random_order_bounded_family n={n} seed={seed}"] = (
+                random_order_bounded_family(random.Random(seed), n))
+    for n in range(2, 15):
+        cases[f"{{∅, [{n}]}} t=2"] = SetFamily.from_masks(n, (0, (1 << n) - 1)), 2
+    for n in range(10, 15):
+        fam = random_family(random.Random(1), n, 1 << (n - 2))
+        cases[f"random_family n={n} seed=1 size={len(fam)}"] = (
+            fam, comparability_graph(fam).max_component_order())
+    return {name: outcome(normalized, fam, t) for name, (fam, t) in cases.items()}
+
+
 def entry_name(suite: str, params: dict, plant: str) -> str:
     shown = " ".join(f"{key}={value}" for key, value in params.items()) or "defaults"
     return f"{suite} {shown} | {plant}"
 
 
+def suite_runs() -> list[tuple[str, str, dict, tuple | None]]:
+    """(entry name, suite, params, plant or None) for each entry of the `suites` corpus."""
+    runs = [(suite, params, "plain", None) for suite, params in suite_grid()]
+    runs += [(suite, params, label, (module, name, make))
+             for label, module, name, make, cases in plants() for suite, params in cases]
+    return [(entry_name(suite, params, label), suite, params, plant)
+            for suite, params, label, plant in runs]
+
+
+def fields(record) -> list:
+    """A record's field values, in order: how `digest` encodes a `_Record`."""
+    return [getattr(record, name) for name in record._fields]
+
+
 def digest(value) -> str:
-    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(value, default=fields).encode()).hexdigest()
 
 
 def manifest() -> dict:
     """This tree's `{corpus: {entry: sha256}}`, computed in this process."""
     from latticework.verify import run_verifier
 
-    runs = [(suite, params, "plain", None) for suite, params in suite_grid()]
-    runs += [(suite, params, label, (module, name, make))
-             for label, module, name, make, cases in plants() for suite, params in cases]
     suites = {}
-    for suite, params, label, plant in runs:
-        key = entry_name(suite, params, label)
+    for key, suite, params, plant in suite_runs():
         if key in suites:
             raise ValueError(f"corpus entry {key!r} named twice")
         with planted(*plant) if plant else nullcontext():
             suites[key] = digest(outcome(run_verifier, suite, **params))
     splits = {key: digest(value) for key, value in split_entries().items()}
-    return {"suites": suites, "splits": splits}
+    normalize = {key: digest(value) for key, value in normalize_entries().items()}
+    return {"suites": suites, "splits": splits, "normalize": normalize}
 
 
 def against(rev: str) -> int:
