@@ -34,14 +34,16 @@ at n <= 4 and `min_two_chains` re-check through `comparability_graph` or
 rows the searches walk, so a defect in it would pass those checks.
 ROADMAP item 6 plans a checker that shares no code with the searches.
 
-Closed splits take each closure from byte tables: one AND of the
-incomparability rows per byte of the shrunk intent.  The searches over a
-band of layers read its masks and pairwise relation from `_band`, built
-once per (n, band); it and the other reusable tables are cached with
-`functools.cache`, never a search's result.  The relabelling tables come
-from `family._mask_relabel_table`.  Bitsets of universe indices outside the
-inner loops are walked with `core.iter_bits`.  Only `xi_star_exact` and
-`mad_star_probe` use `colouring`, and they import it when called.
+Closed splits take each closure from three 1,024-entry tables, one AND of
+the incomparability rows per 10-bit chunk of the shrunk intent, and walk
+the indices through precomputed steps; `_split_tables` builds both once per
+n.  The searches over a band of layers read its masks and pairwise relation
+from `_band`, built once per (n, band); these and the other reusable tables
+are cached with `functools.cache`, never a search's result.  The
+relabelling tables come from `family._mask_relabel_table`.  Bitsets of
+universe indices outside the inner loops are walked with `core.iter_bits`.
+Only `xi_star_exact` and `mad_star_probe` use `colouring`, and they import
+it when called.
 """
 
 from fractions import Fraction
@@ -391,47 +393,52 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
 # enumerates every such closed split exactly once.
 
 
+@cache
+def _split_tables(cmp_rows: tuple[int, ...]) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """Close-by-one over the rows of `_band(n, 1, n - 1)`: tails[s] holds steps
+    s, s + 1, ..., step i being (i, 1 << i, (1 << i) - 1, the indices
+    incomparable to i), and tables[c][b] the AND of the rows of b's bits in
+    the c-th 10-bit index chunk; n <= 5 leaves at most 30 indices, so three
+    chunks cover them.  Keyed by the rows, one entry per n, so a `_band`
+    swapped for changed rows gets tables of its own."""
+    full = (1 << len(cmp_rows)) - 1
+    steps = tuple((i, 1 << i, (1 << i) - 1, full ^ row ^ (1 << i))
+                  for i, row in enumerate(cmp_rows))
+    tables = []
+    for c in range(0, 30, 10):
+        tab = [full]
+        for b in range(1, 1 << min(max(len(steps) - c, 0), 10)):
+            low = b & -b
+            tab.append(tab[b ^ low] & steps[c + low.bit_length() - 1][3])
+        tables.append(tuple(tab))
+    return tuple(steps[s:] for s in range(len(steps) + 1)), tuple(tables)
+
+
 def _closed_splits(n: int, budget: _Budget):
     """The universe, its comparability rows and the (extent, common
     incomparables) index-bitmask pairs, as many as the budget reached."""
     universe, cmp_rows = _band(n, 1, n - 1)
-    size = len(universe)
-    full = (1 << size) - 1
-    # row i: the universe members incomparable to universe[i]
-    rows = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
-    # tables[c][b]: the AND of the rows of the set bits of byte b of index
-    # chunk c; n <= 5 leaves at most 30 indices, so four chunks cover them
-    tables = []
-    for c in range(0, 32, 8):
-        tab = [full]
-        for b in range(1, 1 << min(max(size - c, 0), 8)):
-            low = b & -b
-            tab.append(tab[b ^ low] & rows[c + low.bit_length() - 1])
-        tables.append(tab)
-    t0, t1, t2, t3 = tables
-
+    tails, (t0, t1, t2) = _split_tables(cmp_rows)
+    tick = budget.tick
     found: list[tuple[int, int]] = []
 
     def cbo(extent, intent, start):
         if extent and intent:
             found.append((extent, intent))
-        # the indices outside extent, from the one-bit set `start` up
-        free = (full ^ extent) & -start
-        while free:
-            low = free & -free
-            free ^= low
-            shrunk = intent & rows[low.bit_length() - 1]
+        for i, low, below, row in tails[start]:
+            if extent & low:
+                continue
+            shrunk = intent & row
             if not shrunk:
                 continue
-            budget.tick()
-            closed = (t0[shrunk & 255] & t1[shrunk >> 8 & 255]
-                      & t2[shrunk >> 16 & 255] & t3[shrunk >> 24])
-            if (closed ^ extent) & (low - 1):
+            tick()
+            closed = t0[shrunk & 1023] & t1[shrunk >> 10 & 1023] & t2[shrunk >> 20]
+            if (closed ^ extent) & below:
                 continue
-            cbo(closed, shrunk, low << 1)
+            cbo(closed, shrunk, i + 1)
 
     with budget:
-        cbo(0, full, 1)
+        cbo(0, (1 << len(universe)) - 1, 0)
     return universe, cmp_rows, found
 
 
@@ -484,8 +491,9 @@ def disconnected_splits(
             continue
         seen.add(key)
         if _links_every_component(extent | intent, cmp_rows):
-            a = SetFamily.from_masks(n, [universe[i] for i in iter_bits(extent)])
-            b = SetFamily.from_masks(n, [universe[i] for i in iter_bits(intent)])
+            # ascending indices of the ascending universe: sorted, distinct masks
+            a = SetFamily(n, tuple([universe[i] for i in iter_bits(extent)]))
+            b = SetFamily(n, tuple([universe[i] for i in iter_bits(intent)]))
             out.append((a, b))
     return out
 
@@ -576,7 +584,13 @@ def xi_star_exact(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResu
 
 
 def min_two_chains(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
-    """Exact minimum 2-chain count over families of exactly m subsets of [n]."""
+    """Exact minimum 2-chain count over families of exactly m subsets of [n].
+
+    Each m-subset of the cube is one node, in `itertools.combinations`
+    order; the first family of a strictly smaller count is kept, and a count
+    of 0 stops the search.  A depth-first walk carries each prefix's bitset
+    and count, so a family costs one AND and one bit count.
+    """
     if not 1 <= n <= 4:
         raise DomainError("2-chain minimisation exhausts all families; 1 <= n <= 4 only")
     cube = 1 << n
@@ -585,23 +599,39 @@ def min_two_chains(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchRes
     # for masks x < y, comparable means x is a subset of y
     _, rows = _band(n, 0, n)
     subs_row = [row & ((1 << y) - 1) for y, row in enumerate(rows)]
-    best = best_combo = None
+    best, best_bits = cube * cube, None  # above every count, at most m(m - 1)/2
     budget = _Budget(budget_nodes)
+    tick = budget.tick
+
+    def walk(start, depth, bits, cnt):
+        """Add `depth` more masks from `start` up to the prefix `bits` of count
+        `cnt`; True once a count of 0 is found."""
+        nonlocal best, best_bits
+        if depth == 1:
+            for y in range(start, cube):
+                tick()
+                c = cnt + (subs_row[y] & bits).bit_count()
+                if c < best:
+                    best = c
+                    best_bits = bits | 1 << y
+                    if not c:
+                        return True
+            return False
+        for y in range(start, cube - depth + 1):
+            if walk(y + 1, depth - 1, bits | 1 << y, cnt + (subs_row[y] & bits).bit_count()):
+                return True
+        return False
+
     with budget:
-        for combo in combinations(range(cube), m):
-            budget.tick()
-            bits = 0
-            cnt = 0
-            for mask in combo:
-                cnt += (subs_row[mask] & bits).bit_count()
-                bits |= 1 << mask
-            if best is None or cnt < best:
-                best = cnt
-                best_combo = combo
-                if best == 0:
-                    break
-    witness = None if best_combo is None else SetFamily.from_masks(n, best_combo)
-    if witness is not None and count_two_chains(witness) != best:
+        if m:
+            walk(0, m, 0, 0)
+        else:  # the empty family, the one combination of none
+            tick()
+            best, best_bits = 0, 0
+    if best_bits is None:
+        return SearchResult(None, None, budget.nodes, budget.proven)
+    witness = SetFamily(n, tuple(iter_bits(best_bits)))
+    if count_two_chains(witness) != best:
         raise VerificationError(f"witness has {count_two_chains(witness)} 2-chains, not {best}")
     return SearchResult(best, witness, budget.nodes, budget.proven)
 

@@ -26,6 +26,11 @@ def test_every_suite_entry_is_named_once():
     assert len(set(names)) == len(names)
 
 
+def test_every_search_entry_is_named_once():
+    names = [name for name, *_ in load_tool().search_runs()]
+    assert names and len(set(names)) == len(names)
+
+
 def test_the_normalize_corpus_builds_to_plain_json():
     entries = load_tool().normalize_entries()
     assert len(entries) == 418

@@ -39,6 +39,7 @@ from latticework.search import (
     _edge_order,
     _graphs_of_order,
     _group_lanes,
+    _split_tables,
     disconnected_splits,
     la_exact,
     la_exact_restricted,
@@ -363,8 +364,14 @@ def test_searches_leave_cached_tables_as_built():
         skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
         lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
     mad_star_probe(4)
-    for table in (_band, _group_lanes, _columns, _prefix_columns):
+    max_disconnected(5)
+    for table in (_band, _group_lanes, _columns, _prefix_columns, _split_tables):
         assert table.cache_info().currsize > 0, table
+    for n in range(1, 6):
+        rows = _band(n, 1, n - 1)[1]
+        tails, tables = _split_tables(rows)
+        assert (tails, tables) == _split_tables.__wrapped__(rows), n
+        assert all(type(t) is tuple for t in (tails, tables, *tails, *tails[0], *tables)), n
     for n in range(1, 5):
         for kmin in range(n + 1):
             for kmax in range(kmin - 1, n + 1):
@@ -612,6 +619,49 @@ def test_min_two_chains_supersaturation_bound():
         for q in (1, 2):
             value = min_two_chains(n, width + q).value
             assert value >= q * (n // 2 + 1)
+
+
+def min_two_chains_by_combinations(n, m, budget_nodes=None):
+    """Reference for min_two_chains: one node per m-subset of the cube in
+    `combinations` order, each counted member by member against the masks
+    before it, keeping the first strict minimum and stopping at 0.
+
+    Returns (value, witness masks, nodes, proven_optimal).
+    """
+    cube = 1 << n
+    # for masks x < y, comparable means x is a subset of y
+    subs_row = [sum(1 << x for x in range(y) if comparable(x, y)) for y in range(cube)]
+    limit = inf if budget_nodes is None else max(budget_nodes, 0)
+    best = best_combo = None
+    nodes = 0
+    for combo in combinations(range(cube), m):
+        nodes += 1
+        if nodes > limit:
+            return best, best_combo, nodes, False
+        bits = cnt = 0
+        for mask in combo:
+            cnt += (subs_row[mask] & bits).bit_count()
+            bits |= 1 << mask
+        if best is None or cnt < best:
+            best, best_combo = cnt, combo
+            if best == 0:
+                break
+    return best, best_combo, nodes, True
+
+
+def test_min_two_chains_matches_combinations():
+    for n in range(1, 5):
+        for m in range((1 << n) + 1):
+            total = min_two_chains_by_combinations(n, m)[2]
+            if n <= 3:
+                budgets = range(-1, total + 2)
+            else:
+                budgets = (-1, 0, 1, 100, total - 1, total, None)
+            for budget in budgets:
+                res = min_two_chains(n, m, budget)
+                got = (res.value, plain_witness(res.witness), res.nodes_explored,
+                       res.proven_optimal)
+                assert got == min_two_chains_by_combinations(n, m, budget), (n, m, budget)
 
 
 def test_mad_star_frozen_table(known):

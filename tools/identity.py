@@ -13,7 +13,7 @@ it here in this process, and prints, for each corpus, its entry count and
 the first entry that differs or is missing on one side.  It exits 1 when
 any entry differs, 2 when the corpus cannot run at REV, else 0.
 
-There are three corpora.  `suites` holds the report of every property suite
+There are four corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
 planted variant swaps one public name (a kernel, a bound or the split
@@ -25,8 +25,14 @@ for n = 1..5, in order, the `boundary_report` of each of those splits, and
 the refusals of `boundary_report` on fixed bad splits.  `normalize` holds
 `find_skips` and `make_skipless_with_trace` (the family and its trace) on
 seeded order-bounded draws, on the chains {∅, [n]} and on flat random
-families.  A record in an entry is digested as the list of its fields, so
-an entry hashes alike whether a version returns records or plain tuples.
+families.  `search` holds each public search's result (value, witness,
+`nodes_explored`, `proven_optimal`) at the `search` benchmark workload's
+parameters, and over budget sweeps: every budget from -1 to the node count
+for `max_disconnected(2..4)` and `min_two_chains(n, m)` at n <= 3, and nine
+budgets for `max_disconnected(5)`, `min_two_chains(4, 6..8)` and
+`disconnected_splits(5)`, whose refusals are entries too.  A record in an
+entry is digested as the list of its fields, so an entry hashes alike
+whether a version returns records or plain tuples.
 
 Standard library only.  The full run is not part of the test suite;
 `tests/test_identity.py` checks the corpus definitions.
@@ -204,6 +210,64 @@ def normalize_entries() -> dict:
     return {name: outcome(normalized, fam, t) for name, (fam, t) in cases.items()}
 
 
+# the `search` workload's items, written out here so the corpus keeps them
+# when that workload changes
+SEARCH_ITEMS = [
+    *(("la_exact", (n, t)) for n in (4, 5) for t in range(1, 9)),
+    *(("la_exact_restricted", args) for args in (
+        (5, 4, 1, 3), (5, 8, 2, 3), (5, 3, 1, 4), (4, 4, 1, 2), (5, 6, 0, 3),
+        (5, 2, 2, 3), (5, 2, 1, 3), (5, 3, 2, 3), (5, 4, 2, 3))),
+    *(("max_disconnected", (n,)) for n in (2, 3, 4, 5)),
+    *(("disconnected_splits", (n,)) for n in (4, 5)),
+    *(("min_two_chains", args)
+      for args in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8))),
+    *(("xi_star_exact", (5, m)) for m in (4, 5, 6, 8, 10, 11, 12)),
+    *(("mad_star_probe", (t,)) for t in (3, 4, 5, 6)),
+    *(("lambda_star_exact", (n, t)) for n in (3, 4) for t in (1, 2, 3)),
+]
+
+
+def search_runs() -> list[tuple[str, str, tuple, int | None]]:
+    """(entry name, search, args, budget) for each entry of the `search` corpus.
+
+    The budget sweeps end at each search's own node count, so building this
+    list runs those searches once, unbounded.
+    """
+    from latticework import search
+
+    def total(name, args):
+        return getattr(search, name)(*args, None).nodes_explored
+
+    runs = [(name, args, None) for name, args in SEARCH_ITEMS]  # at the default budget
+    swept = [("max_disconnected", (n,)) for n in (2, 3, 4)]
+    swept += [("min_two_chains", (n, m)) for n in (1, 2, 3) for m in range(0, (1 << n) + 1)]
+    for name, args in swept:
+        runs += [(name, args, budget) for budget in range(-1, total(name, args) + 1)]
+    # disconnected_splits(5) walks the enumeration that max_disconnected(5) counts
+    sampled = [("max_disconnected", (5,), total("max_disconnected", (5,)))]
+    sampled += [("min_two_chains", (4, m), total("min_two_chains", (4, m))) for m in (6, 7, 8)]
+    sampled.append(("disconnected_splits", (5,), sampled[0][2]))
+    for name, args, nodes in sampled:
+        runs += [(name, args, budget)
+                 for budget in (-1, 0, 1, 10, 100, 1_000, 10_000, nodes - 1, nodes)]
+    return [(f"{name}{args}" + ("" if budget is None else f" budget={budget}"), name, args, budget)
+            for name, args, budget in runs]
+
+
+def search_entries() -> dict:
+    """The `search` corpus: each entry's JSON-able value, by name."""
+    from latticework import search
+
+    def run(name, args, budget):
+        found = getattr(search, name)
+        result = found(*args) if budget is None else found(*args, budget)
+        if name == "disconnected_splits":
+            return [[a.to_jsonable(), b.to_jsonable()] for a, b in result]
+        return result.to_jsonable()
+
+    return {key: outcome(run, name, args, budget) for key, name, args, budget in search_runs()}
+
+
 def entry_name(suite: str, params: dict, plant: str) -> str:
     shown = " ".join(f"{key}={value}" for key, value in params.items()) or "defaults"
     return f"{suite} {shown} | {plant}"
@@ -239,7 +303,8 @@ def manifest() -> dict:
             suites[key] = digest(outcome(run_verifier, suite, **params))
     splits = {key: digest(value) for key, value in split_entries().items()}
     normalize = {key: digest(value) for key, value in normalize_entries().items()}
-    return {"suites": suites, "splits": splits, "normalize": normalize}
+    searches = {key: digest(value) for key, value in search_entries().items()}
+    return {"suites": suites, "splits": splits, "normalize": normalize, "search": searches}
 
 
 def against(rev: str) -> int:
