@@ -8,12 +8,14 @@ component's index bitset, the OR of its members' comparability rows and
 its size.  A new member walks that list once, joining every component its
 row meets, and only the candidates in the joined component's `near` need
 their order checked again.  Each child gets its own list, so nothing is
-undone on the way back.  In `la_exact`, subtrees die when
-current size plus the surviving candidate pool cannot beat the incumbent,
-and shallow prefixes that are not lexicographically minimal under
-ground-element relabelling (plus complementation when the layer band is
-symmetric) are discarded.  Min-lex canonicity is inherited by prefixes, so
-the canonical copy of every optimal family survives.
+undone on the way back; `la_exact` writes the member at depth d into
+chosen[d] of a list sized to the universe.  Subtrees die when current size
+plus the surviving candidate pool cannot beat the incumbent, tested before
+the call, so a dead child costs no call; and shallow prefixes that are not
+lexicographically minimal under ground-element relabelling (plus
+complementation when the layer band is symmetric) are discarded.  Min-lex
+canonicity is inherited by prefixes, so the canonical copy of every optimal
+family survives.
 
 Budgets are node counts, never wall clocks, counted by one `_Budget`: every
 search defaults to NODE_BUDGET, None is unbounded, a negative budget acts
@@ -37,9 +39,12 @@ ROADMAP item 6 plans a checker that shares no code with the searches.
 Closed splits take each closure from three 1,024-entry tables, one AND of
 the incomparability rows per 10-bit chunk of the shrunk intent, and walk
 the indices through precomputed steps; `_split_tables` builds both once per
-n.  The searches over a band of layers read its masks and pairwise relation
-from `_band`, built once per (n, band); these and the other reusable tables
-are cached with `functools.cache`, never a search's result.  The
+n.  `disconnected_splits` reads two more per chunk from `_side_tables`: the
+OR of the comparability rows, to grow a component a whole frontier at a
+time, and the universe masks, to decode a side.  The searches over a band
+of layers read its masks and pairwise relation from `_band`, built once per
+(n, band); these and the other reusable tables are cached with
+`functools.cache`, never a search's result.  The
 relabelling tables come from `family._mask_relabel_table`.  Bitsets of
 universe indices outside the inner loops are walked with `core.iter_bits`.
 Only `xi_star_exact` and `mad_star_probe` use `colouring`, and they import
@@ -208,7 +213,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     # symmetry of the universe only when the band is centred
     columns, ones, guards = _group_lanes(n, with_complement=(kmin + kmax == n))
 
-    chosen: list[int] = []
+    chosen = [0] * size
     budget = _Budget(budget_nodes)
     tick = budget.tick
 
@@ -225,34 +230,36 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
         diff = (images ^ family * ones) | guards
         return not diff & ~(diff - ones) & images
 
-    def expand(pool, comps):
-        """Branch on each index of pool; every member joins chosen within order t.
-        comps holds each component of chosen as (members, near, order)."""
+    def expand(pool, comps, depth):
+        """Branch on each index of pool as chosen[depth]; every member joins
+        chosen[:depth] within order t.  comps holds each component of
+        chosen[:depth] as (members, near, order)."""
         nonlocal best_val, best_masks
+        up = depth + 1
         while pool:
-            if len(chosen) + pool.bit_count() <= best_val:
+            if depth + pool.bit_count() <= best_val:
                 return
             low = pool & -pool
             i = low.bit_length() - 1
             pool ^= low
             tick()
-            # the components i meets join it; the others stay apart
-            row = cmp_bits[i]
-            members, near, order = low, row, 1
-            apart = []
-            for c in comps:
-                m, nr, o = c
-                if m & row:
-                    members |= m
-                    near |= nr
-                    order += o
-                else:
-                    apart.append(c)
-            chosen.append(i)
-            if len(chosen) > best_val:
-                best_val = len(chosen)
-                best_masks = [universe[j] for j in chosen]
-            if len(chosen) > _CANON_DEPTH or canonical([universe[j] for j in chosen]):
+            chosen[depth] = i
+            if up > best_val:
+                best_val = up
+                best_masks = [universe[j] for j in chosen[:up]]
+            if up > _CANON_DEPTH or canonical([universe[j] for j in chosen[:up]]):
+                # the components i meets join it; the others stay apart
+                row = cmp_bits[i]
+                members, near, order = low, row, 1
+                apart = []
+                for c in comps:
+                    m, nr, o = c
+                    if m & row:
+                        members |= m
+                        near |= nr
+                        order += o
+                    else:
+                        apart.append(c)
                 # a candidate away from the joined component keeps the order
                 # checked one level up; one in `near` would form the joined
                 # component, itself and the apart components it meets
@@ -283,12 +290,13 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
                                     sum_o += o
                             if sum_o > room:
                                 child ^= lo
-                apart.append((members, near, order))
-                expand(child, apart)
-            chosen.pop()
+                # the child's own loop test, so a dead child costs no call
+                if up + child.bit_count() > best_val:
+                    apart.append((members, near, order))
+                    expand(child, apart, up)
 
     with budget:
-        expand((1 << size) - 1, [])
+        expand((1 << size) - 1, [], 0)
 
     witness = SetFamily.from_masks(n, best_masks)
     if len(witness) != best_val:
@@ -483,6 +491,8 @@ def disconnected_splits(
     universe, cmp_rows, found = _closed_splits(n, budget)
     if not budget.proven:
         raise BudgetExhaustedError(f"split enumeration stopped after {budget.nodes} nodes")
+    reach, (m0, m1, m2) = _side_tables(universe, cmp_rows)
+    full = (1 << len(universe)) - 1
     out = []
     seen = set()
     for extent, intent in found:
@@ -490,36 +500,54 @@ def disconnected_splits(
         if key in seen:
             continue
         seen.add(key)
-        if _links_every_component(extent | intent, cmp_rows):
-            # ascending indices of the ascending universe: sorted, distinct masks
-            a = SetFamily(n, tuple([universe[i] for i in iter_bits(extent)]))
-            b = SetFamily(n, tuple([universe[i] for i in iter_bits(intent)]))
+        if _links_every_component(extent | intent, full, reach):
+            # the chunks hold ascending masks of the ascending universe, so
+            # each side is sorted and distinct
+            a = SetFamily(n, m0[extent & 1023] + m1[extent >> 10 & 1023] + m2[extent >> 20])
+            b = SetFamily(n, m0[intent & 1023] + m1[intent >> 10 & 1023] + m2[intent >> 20])
             out.append((a, b))
     return out
 
 
-def _links_every_component(members: int, cmp_rows: list[int]) -> bool:
-    """`constructions.links_every_component` on a bitset of universe indices.
+@cache
+def _side_tables(universe: tuple[int, ...], cmp_rows: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """For `disconnected_splits` over `_band(n, 1, n - 1)`: reach[c][b] is
+    the OR of the rows of b's bits in the c-th 10-bit index chunk, and
+    masks[c][b] their universe masks in ascending order.  Keyed by the
+    universe and its rows, as `_split_tables` is by the rows."""
+    reach, masks = [], []
+    for c in range(0, 30, 10):
+        rows, sides = [0], [()]
+        # index i doubles the chunk: the entries with its bit add its row and mask
+        for i in range(c, min(c + 10, len(universe))):
+            rows += [r | cmp_rows[i] for r in rows]
+            sides += [side + (universe[i],) for side in sides]
+        reach.append(tuple(rows))
+        masks.append(tuple(sides))
+    return tuple(reach), tuple(masks)
 
-    The empty set and [n] lie outside the universe and are comparable to
+
+def _links_every_component(members: int, full: int, reach: tuple[tuple[int, ...], ...]) -> bool:
+    """`constructions.links_every_component` on a bitset of universe indices,
+    out of `full`, with `_side_tables`' reach tables.
+
+    Each component grows from its least index by whole frontiers: the OR of
+    its members' rows, three table reads, until that adds no member.  The
+    empty set and [n] lie outside the universe and are comparable to
     everything, so only the absent universe members can fail to link.
     """
-    absent = ((1 << len(cmp_rows)) - 1) ^ members
+    r0, r1, r2 = reach
+    absent = full ^ members
     left = members
     while left:
-        comp = frontier = left & -left
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            row = cmp_rows[low.bit_length() - 1]
-            reach |= row
-            grown = row & left & ~comp
-            comp |= grown
-            frontier |= grown
+        comp, grown = 0, left & -left
+        while grown != comp:
+            comp = grown
+            near = r0[comp & 1023] | r1[comp >> 10 & 1023] | r2[comp >> 20]
+            grown = comp | near & left
         left ^= comp
         # an absent set links the components only if it reaches each one
-        if absent & ~reach:
+        if absent & ~near:
             return False
     return True
 

@@ -39,6 +39,7 @@ from latticework.search import (
     _edge_order,
     _graphs_of_order,
     _group_lanes,
+    _side_tables,
     _split_tables,
     disconnected_splits,
     la_exact,
@@ -176,9 +177,28 @@ LA_BAND_NODES_N5 = {
     (4, 5): (0, 0, 0, 0, 5, 6, 6, 6),
     (5, 5): (0, 0, 0, 0, 0, 0, 0, 0),
 }
+# the same at n = 4, for la_exact_restricted(4, t, kmin, kmax)
+LA_BAND_NODES_N4 = {
+    (0, 0): (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1): (0, 0, 0, 4, 5, 5, 5, 5),
+    (0, 2): (9, 18, 21, 31, 33, 127, 132, 97),
+    (0, 3): (19, 50, 74, 82, 127, 224, 424, 1596),
+    (0, 4): (17, 45, 69, 77, 115, 198, 377, 2667),
+    (1, 1): (0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 2): (9, 18, 21, 31, 33, 39, 36, 28),
+    (1, 3): (17, 45, 69, 77, 115, 198, 377, 455),
+    (1, 4): (19, 50, 74, 82, 127, 224, 424, 900),
+    (2, 2): (0, 0, 0, 0, 0, 0, 0, 0),
+    (2, 3): (8, 18, 18, 24, 31, 44, 27, 31),
+    (2, 4): (8, 18, 18, 24, 31, 73, 59, 82),
+    (3, 3): (0, 0, 0, 0, 0, 0, 0, 0),
+    (3, 4): (0, 0, 0, 4, 5, 5, 5, 5),
+    (4, 4): (0, 0, 0, 0, 0, 0, 0, 0),
+}
 LA_RESTRICTED_NODES.update(
-    ((5, t, kmin, kmax), nodes)
-    for (kmin, kmax), row in LA_BAND_NODES_N5.items()
+    ((n, t, kmin, kmax), nodes)
+    for n, bands in ((4, LA_BAND_NODES_N4), (5, LA_BAND_NODES_N5))
+    for (kmin, kmax), row in bands.items()
     for t, nodes in enumerate(row, start=1)
 )
 
@@ -364,14 +384,22 @@ def test_searches_leave_cached_tables_as_built():
         skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
         lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
     mad_star_probe(4)
+    # only disconnected_splits reads the side tables; max_disconnected builds none
+    _side_tables.cache_clear()
     max_disconnected(5)
-    for table in (_band, _group_lanes, _columns, _prefix_columns, _split_tables):
+    assert _side_tables.cache_info().currsize == 0
+    disconnected_splits(5)
+    assert _side_tables.cache_info().currsize == 1
+    for table in (_band, _group_lanes, _columns, _prefix_columns, _split_tables, _side_tables):
         assert table.cache_info().currsize > 0, table
     for n in range(1, 6):
-        rows = _band(n, 1, n - 1)[1]
+        universe, rows = _band(n, 1, n - 1)
         tails, tables = _split_tables(rows)
         assert (tails, tables) == _split_tables.__wrapped__(rows), n
         assert all(type(t) is tuple for t in (tails, tables, *tails, *tails[0], *tables)), n
+        reach, sides = _side_tables(universe, rows)
+        assert (reach, sides) == _side_tables.__wrapped__(universe, rows), n
+        assert all(type(t) is tuple for t in (reach, sides, *reach, *sides, *sides[0])), n
     for n in range(1, 5):
         for kmin in range(n + 1):
             for kmax in range(kmin - 1, n + 1):

@@ -28,9 +28,11 @@ seeded order-bounded draws, on the chains {∅, [n]} and on flat random
 families.  `search` holds each public search's result (value, witness,
 `nodes_explored`, `proven_optimal`) at the `search` benchmark workload's
 parameters, and over budget sweeps: every budget from -1 to the node count
-for `max_disconnected(2..4)` and `min_two_chains(n, m)` at n <= 3, and nine
-budgets for `max_disconnected(5)`, `min_two_chains(4, 6..8)` and
-`disconnected_splits(5)`, whose refusals are entries too.  A record in an
+for `max_disconnected(2..4)`, `min_two_chains(n, m)` at n <= 3 and
+`la_exact(n, t)` at n <= 3 (t = 1..8) and n = 4 (t = 1..7), and nine budgets
+for `max_disconnected(5)`, `min_two_chains(4, 6..8)`,
+`disconnected_splits(5)`, `la_exact(4, 8)`, `la_exact(5, 1..8)` and the
+`la_exact_restricted` items, whose refusals are entries too.  A record in an
 entry is digested as the list of its fields, so an entry hashes alike
 whether a version returns records or plain tuples.
 
@@ -241,12 +243,18 @@ def search_runs() -> list[tuple[str, str, tuple, int | None]]:
     runs = [(name, args, None) for name, args in SEARCH_ITEMS]  # at the default budget
     swept = [("max_disconnected", (n,)) for n in (2, 3, 4)]
     swept += [("min_two_chains", (n, m)) for n in (1, 2, 3) for m in range(0, (1 << n) + 1)]
+    swept += [("la_exact", (n, t)) for n in (1, 2, 3) for t in range(1, 9)]
+    swept += [("la_exact", (4, t)) for t in range(1, 8)]
     for name, args in swept:
         runs += [(name, args, budget) for budget in range(-1, total(name, args) + 1)]
     # disconnected_splits(5) walks the enumeration that max_disconnected(5) counts
     sampled = [("max_disconnected", (5,), total("max_disconnected", (5,)))]
     sampled += [("min_two_chains", (4, m), total("min_two_chains", (4, m))) for m in (6, 7, 8)]
     sampled.append(("disconnected_splits", (5,), sampled[0][2]))
+    sampled += [("la_exact", args, total("la_exact", args))
+                for args in ((4, 8), *((5, t) for t in range(1, 9)))]
+    sampled += [(name, args, total(name, args))
+                for name, args in SEARCH_ITEMS if name == "la_exact_restricted"]
     for name, args, nodes in sampled:
         runs += [(name, args, budget)
                  for budget in (-1, 0, 1, 10, 100, 1_000, 10_000, nodes - 1, nodes)]
