@@ -36,18 +36,18 @@ at n <= 4 and `min_two_chains` re-check through `comparability_graph` or
 rows the searches walk, so a defect in it would pass those checks.
 ROADMAP item 6 plans a checker that shares no code with the searches.
 
-Closed splits take each closure from three 1,024-entry tables, one AND of
-the incomparability rows per 10-bit chunk of the shrunk intent, and walk
-the indices through precomputed steps; `_split_tables` builds both once per
-n.  `disconnected_splits` reads two more per chunk from `_side_tables`: the
-OR of the comparability rows, to grow a component a whole frontier at a
-time, and the universe masks, to decode a side.  The searches over a band
-of layers read its masks and pairwise relation from `_band`, built once per
-(n, band); these and the other reusable tables are cached with
-`functools.cache`, never a search's result.  The
-relabelling tables come from `family._mask_relabel_table`.  Bitsets of
-universe indices outside the inner loops are walked with `core.iter_bits`.
-Only `xi_star_exact` and `mad_star_probe` use `colouring`, and they import
+Closed splits walk the indices through precomputed steps and take each
+closure from three 1,024-entry tables, one AND of the incomparability rows
+per 10-bit chunk of the shrunk intent.  `disconnected_splits` reads two
+more tables per chunk: the OR of the comparability rows, to grow a
+component a whole frontier at a time, and the universe masks, to decode a
+side.  One `_split_tables` entry holds them all, built once per n.  The
+searches over a band of layers read its masks and pairwise relation from
+`_band`, built once per (n, band); these and the other reusable tables are
+cached with `functools.cache`, never a search's result.  The relabelling
+tables come from `family._mask_relabel_table`.  Bitsets of universe indices
+outside the inner loops are walked with `core.iter_bits`.  Only
+`xi_star_exact` and `mad_star_probe` use `colouring`, and they import
 it when called.
 """
 
@@ -402,31 +402,44 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
 
 
 @cache
-def _split_tables(cmp_rows: tuple[int, ...]) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """Close-by-one over the rows of `_band(n, 1, n - 1)`: tails[s] holds steps
-    s, s + 1, ..., step i being (i, 1 << i, (1 << i) - 1, the indices
-    incomparable to i), and tables[c][b] the AND of the rows of b's bits in
-    the c-th 10-bit index chunk; n <= 5 leaves at most 30 indices, so three
-    chunks cover them.  Keyed by the rows, one entry per n, so a `_band`
-    swapped for changed rows gets tables of its own."""
-    full = (1 << len(cmp_rows)) - 1
-    steps = tuple((i, 1 << i, (1 << i) - 1, full ^ row ^ (1 << i))
-                  for i, row in enumerate(cmp_rows))
-    tables = []
+def _split_tables(universe: tuple[int, ...], cmp_rows: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Every table of the split walk over `_band(n, 1, n - 1)`, keyed by its
+    universe and rows, one entry per n, so a `_band` swapped for changed rows
+    gets tables of its own.
+
+    tails[s] holds close-by-one steps s, s + 1, ..., step i being (i, 1 << i,
+    (1 << i) - 1, the indices incomparable to i).  For the bitset b of the
+    c-th 10-bit index chunk, meet[c][b] is the AND of its bits' incomparability
+    rows, reach[c][b] the OR of their comparability rows and masks[c][b] their
+    universe masks in ascending order; n <= 5 leaves at most 30 indices, so
+    three chunks cover them."""
+    full = (1 << len(universe)) - 1
+    apart = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
+    steps = tuple((i, 1 << i, (1 << i) - 1, a) for i, a in enumerate(apart))
+    meet, reach, masks = [], [], []
     for c in range(0, 30, 10):
-        tab = [full]
-        for b in range(1, 1 << min(max(len(steps) - c, 0), 10)):
-            low = b & -b
-            tab.append(tab[b ^ low] & steps[c + low.bit_length() - 1][3])
-        tables.append(tuple(tab))
-    return tuple(steps[s:] for s in range(len(steps) + 1)), tuple(tables)
+        ands, ors, sides = [full], [0], [()]
+        # index i doubles the chunk: the entries with its bit add its rows and mask
+        for i in range(c, min(c + 10, len(universe))):
+            ands += [a & apart[i] for a in ands]
+            ors += [r | cmp_rows[i] for r in ors]
+            sides += [side + (universe[i],) for side in sides]
+        meet.append(tuple(ands))
+        reach.append(tuple(ors))
+        masks.append(tuple(sides))
+    tails = tuple(steps[s:] for s in range(len(steps) + 1))
+    return tails, tuple(meet), tuple(reach), tuple(masks)
 
 
 def _closed_splits(n: int, budget: _Budget):
     """The universe, its comparability rows and the (extent, common
-    incomparables) index-bitmask pairs, as many as the budget reached."""
+    incomparables) index-bitmask pairs, as many as the budget reached.
+
+    The extents come grouped by their least index, ascending: a child adds
+    no index below its step, so every extent under step i keeps least index i.
+    """
     universe, cmp_rows = _band(n, 1, n - 1)
-    tails, (t0, t1, t2) = _split_tables(cmp_rows)
+    tails, (t0, t1, t2), _, _ = _split_tables(universe, cmp_rows)
     tick = budget.tick
     found: list[tuple[int, int]] = []
 
@@ -483,7 +496,8 @@ def disconnected_splits(
     Closed splits are filtered by the exact maximality test: a
     disconnected family is maximal iff no single absent set keeps it
     disconnected (single additions suffice, because any disconnected
-    superset yields one).
+    superset yields one).  Each split comes once, side a holding the
+    smaller least mask.
     """
     if not 1 <= n <= 5:
         raise DomainError("split enumeration is exhaustive only for 1 <= n <= 5")
@@ -491,15 +505,14 @@ def disconnected_splits(
     universe, cmp_rows, found = _closed_splits(n, budget)
     if not budget.proven:
         raise BudgetExhaustedError(f"split enumeration stopped after {budget.nodes} nodes")
-    reach, (m0, m1, m2) = _side_tables(universe, cmp_rows)
+    _, _, reach, (m0, m1, m2) = _split_tables(universe, cmp_rows)
     full = (1 << len(universe)) - 1
     out = []
-    seen = set()
     for extent, intent in found:
-        key = (extent, intent) if extent <= intent else (intent, extent)
-        if key in seen:
+        # each split is closed from both sides; extents come grouped by least
+        # index, so the side with the smaller least index is met first as extent
+        if extent & -extent > intent & -intent:
             continue
-        seen.add(key)
         if _links_every_component(extent | intent, full, reach):
             # the chunks hold ascending masks of the ascending universe, so
             # each side is sorted and distinct
@@ -509,27 +522,9 @@ def disconnected_splits(
     return out
 
 
-@cache
-def _side_tables(universe: tuple[int, ...], cmp_rows: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """For `disconnected_splits` over `_band(n, 1, n - 1)`: reach[c][b] is
-    the OR of the rows of b's bits in the c-th 10-bit index chunk, and
-    masks[c][b] their universe masks in ascending order.  Keyed by the
-    universe and its rows, as `_split_tables` is by the rows."""
-    reach, masks = [], []
-    for c in range(0, 30, 10):
-        rows, sides = [0], [()]
-        # index i doubles the chunk: the entries with its bit add its row and mask
-        for i in range(c, min(c + 10, len(universe))):
-            rows += [r | cmp_rows[i] for r in rows]
-            sides += [side + (universe[i],) for side in sides]
-        reach.append(tuple(rows))
-        masks.append(tuple(sides))
-    return tuple(reach), tuple(masks)
-
-
 def _links_every_component(members: int, full: int, reach: tuple[tuple[int, ...], ...]) -> bool:
     """`constructions.links_every_component` on a bitset of universe indices,
-    out of `full`, with `_side_tables`' reach tables.
+    out of `full`, with `_split_tables`' reach tables.
 
     Each component grows from its least index by whole frontiers: the OR of
     its members' rows, three table reads, until that adds no member.  The

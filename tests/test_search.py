@@ -39,7 +39,6 @@ from latticework.search import (
     _edge_order,
     _graphs_of_order,
     _group_lanes,
-    _side_tables,
     _split_tables,
     disconnected_splits,
     la_exact,
@@ -384,22 +383,15 @@ def test_searches_leave_cached_tables_as_built():
         skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
         lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
     mad_star_probe(4)
-    # only disconnected_splits reads the side tables; max_disconnected builds none
-    _side_tables.cache_clear()
-    max_disconnected(5)
-    assert _side_tables.cache_info().currsize == 0
-    disconnected_splits(5)
-    assert _side_tables.cache_info().currsize == 1
-    for table in (_band, _group_lanes, _columns, _prefix_columns, _split_tables, _side_tables):
+    for table in (_band, _group_lanes, _columns, _prefix_columns, _split_tables):
         assert table.cache_info().currsize > 0, table
     for n in range(1, 6):
         universe, rows = _band(n, 1, n - 1)
-        tails, tables = _split_tables(rows)
-        assert (tails, tables) == _split_tables.__wrapped__(rows), n
-        assert all(type(t) is tuple for t in (tails, tables, *tails, *tails[0], *tables)), n
-        reach, sides = _side_tables(universe, rows)
-        assert (reach, sides) == _side_tables.__wrapped__(universe, rows), n
-        assert all(type(t) is tuple for t in (reach, sides, *reach, *sides, *sides[0])), n
+        tables = _split_tables(universe, rows)
+        assert tables == _split_tables.__wrapped__(universe, rows), n
+        tails, meet, reach, sides = tables
+        parts = (tables, *tables, *tails, *tails[0], *meet, *reach, *sides, *sides[0])
+        assert all(type(t) is tuple for t in parts), n
     for n in range(1, 5):
         for kmin in range(n + 1):
             for kmax in range(kmin - 1, n + 1):

@@ -28,13 +28,15 @@ seeded order-bounded draws, on the chains {∅, [n]} and on flat random
 families.  `search` holds each public search's result (value, witness,
 `nodes_explored`, `proven_optimal`) at the `search` benchmark workload's
 parameters, and over budget sweeps: every budget from -1 to the node count
-for `max_disconnected(2..4)`, `min_two_chains(n, m)` at n <= 3 and
-`la_exact(n, t)` at n <= 3 (t = 1..8) and n = 4 (t = 1..7), and nine budgets
-for `max_disconnected(5)`, `min_two_chains(4, 6..8)`,
-`disconnected_splits(5)`, `la_exact(4, 8)`, `la_exact(5, 1..8)` and the
-`la_exact_restricted` items, whose refusals are entries too.  A record in an
-entry is digested as the list of its fields, so an entry hashes alike
-whether a version returns records or plain tuples.
+for `max_disconnected(2..4)`, `min_two_chains(n, m)` at n <= 3,
+`la_exact(n, t)` at n <= 3 (t = 1..8) and n = 4 (t = 1..7),
+`lambda_star_exact(n, t)` at n <= 3 (t = 1..8), `xi_star_exact(n, m)` at
+n <= 4 for every order m of an adjacent layer pair and `mad_star_probe(t)`
+at t <= 7, and nine budgets for `max_disconnected(5)`,
+`min_two_chains(4, 6..8)`, `disconnected_splits(5)`, `la_exact(4, 8)`,
+`la_exact(5, 1..8)` and the `la_exact_restricted` items, whose refusals are
+entries too.  A record in an entry is digested as the list of its fields,
+so an entry hashes alike whether a version returns records or plain tuples.
 
 Standard library only.  The full run is not part of the test suite;
 `tests/test_identity.py` checks the corpus definitions.
@@ -52,6 +54,7 @@ import tarfile
 import tempfile
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,6 +248,11 @@ def search_runs() -> list[tuple[str, str, tuple, int | None]]:
     swept += [("min_two_chains", (n, m)) for n in (1, 2, 3) for m in range(0, (1 << n) + 1)]
     swept += [("la_exact", (n, t)) for n in (1, 2, 3) for t in range(1, 9)]
     swept += [("la_exact", (4, t)) for t in range(1, 8)]
+    swept += [("lambda_star_exact", (n, t)) for n in (1, 2, 3) for t in range(1, 9)]
+    # the orders m of an adjacent layer pair of [n], the ones xi_star_exact accepts
+    swept += [("xi_star_exact", (n, m)) for n in (1, 2, 3, 4)
+              for m in range(1, max(comb(n, k) + comb(n, k + 1) for k in range(n)) + 1)]
+    swept += [("mad_star_probe", (t,)) for t in range(1, 8)]
     for name, args in swept:
         runs += [(name, args, budget) for budget in range(-1, total(name, args) + 1)]
     # disconnected_splits(5) walks the enumeration that max_disconnected(5) counts
