@@ -63,6 +63,7 @@ from .core import (
     SetFamily,
     VerificationError,
     binomial,
+    bits_to_family,
     comparability_graph,
     count_two_chains,
     iter_bits,
@@ -383,7 +384,7 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
     with budget:
         walk(cube, 0, 0, [])
 
-    witness = SetFamily.from_masks(n, iter_bits(best_bits))
+    witness = bits_to_family(n, best_bits)
     value = Fraction(best_num, factorial_n)
 
     if lubell(witness) != value:
@@ -433,10 +434,12 @@ def _split_tables(universe: tuple[int, ...], cmp_rows: tuple[int, ...]) -> tuple
 
 def _closed_splits(n: int, budget: _Budget):
     """The universe, its comparability rows and the (extent, common
-    incomparables) index-bitmask pairs, as many as the budget reached.
+    incomparables) index-bitmask pairs the budget reached, one per split.
 
     The extents come grouped by their least index, ascending: a child adds
     no index below its step, so every extent under step i keeps least index i.
+    So a split is met first with its side of smaller least index as extent,
+    and only that orientation is kept.
     """
     universe, cmp_rows = _band(n, 1, n - 1)
     tails, (t0, t1, t2), _, _ = _split_tables(universe, cmp_rows)
@@ -444,7 +447,7 @@ def _closed_splits(n: int, budget: _Budget):
     found: list[tuple[int, int]] = []
 
     def cbo(extent, intent, start):
-        if extent and intent:
+        if 0 < extent & -extent < intent & -intent:
             found.append((extent, intent))
         for i, low, below, row in tails[start]:
             if extent & low:
@@ -509,10 +512,6 @@ def disconnected_splits(
     full = (1 << len(universe)) - 1
     out = []
     for extent, intent in found:
-        # each split is closed from both sides; extents come grouped by least
-        # index, so the side with the smaller least index is met first as extent
-        if extent & -extent > intent & -intent:
-            continue
         if _links_every_component(extent | intent, full, reach):
             # the chunks hold ascending masks of the ascending universe, so
             # each side is sorted and distinct
@@ -653,7 +652,7 @@ def min_two_chains(n: int, m: int, budget_nodes: int = NODE_BUDGET) -> SearchRes
             best, best_bits = 0, 0
     if best_bits is None:
         return SearchResult(None, None, budget.nodes, budget.proven)
-    witness = SetFamily(n, tuple(iter_bits(best_bits)))
+    witness = bits_to_family(n, best_bits)
     if count_two_chains(witness) != best:
         raise VerificationError(f"witness has {count_two_chains(witness)} 2-chains, not {best}")
     return SearchResult(best, witness, budget.nodes, budget.proven)

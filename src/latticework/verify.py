@@ -33,6 +33,7 @@ from .core import (
     family_bits,
     iter_bits,
     layer_masks,
+    shadow_bits,
     upset_bits,
     _full,
     _Record,
@@ -48,7 +49,7 @@ TECHNICAL_FAMILY_CAP = 1_000_000
 # the sampled suites (blym, diamond-blym, colouring, kk) refuse more samples
 # than this, 50 times the largest default (kk's 2,000).  At the default n
 # (kk at n = 6, k = 3, its smallest sampled layer) 100,000 samples take
-# 5-19 s to draw and check (Python 3.11.7, one core).
+# 2-13 s to draw and check (Python 3.11.7, one core).
 SAMPLE_CAP = 100_000
 
 
@@ -184,7 +185,7 @@ def verify_kk(
     seed: int = 0,
 ) -> dict:
     """Iterated shadows of single-layer families meet the cascade bound."""
-    from .shadow import kk_shadow_bound, lower_shadow
+    from .shadow import kk_shadow_bound
 
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -199,18 +200,17 @@ def verify_kk(
         )
     _cap_samples(samples)
 
-    def failures_of(masks: tuple[int, ...]):
-        m = len(masks)
-        cur = SetFamily.from_masks(n, masks)
+    def failures_of(masks: list[int]):
+        m, cur = len(masks), sum(1 << mask for mask in masks)  # shadowed as one bitset
         for r in range(1, k + 1):
-            cur = lower_shadow(cur)
+            cur = shadow_bits(n, cur)
             bound = kk_shadow_bound(m, k, r)
-            if len(cur) < bound:
-                yield {"family_size": m, "r": r, "shadow": len(cur), "bound": bound}
+            if cur.bit_count() < bound:
+                yield {"family_size": m, "r": r, "shadow": cur.bit_count(), "bound": bound}
 
     rng = random.Random(seed)  # each drawn pick draws its size, then its sets
-    drawn = (tuple(sorted(rng.sample(layer, rng.randrange(1, width + 1)))) for _ in range(samples))
-    every = (tuple(layer[i] for i in iter_bits(pick)) for pick in range(1, 1 << width))
+    drawn = (rng.sample(layer, rng.randrange(1, width + 1)) for _ in range(samples))
+    every = ([layer[i] for i in iter_bits(pick)] for pick in range(1, 1 << width))
     checked, failures = _collect(map(failures_of, every if exhaustive else drawn))
     params = {"n": n, "k": k, "samples": samples, "seed": seed}
     return _report("kk", params, failures, exhaustive=exhaustive, checked=checked)
@@ -235,7 +235,7 @@ def verify_technical(nmax: int = 6, kmax: int = 3) -> dict:
                 )
 
     def failures_of(n: int, k: int, mode: str, combo: tuple[int, ...]):
-        fam = SetFamily.from_masks(n, combo)
+        fam = SetFamily(n, combo)  # combinations of the ascending pool ascend
         if not technical_bound_check(fam, mode):
             yield {
                 "n": n,

@@ -19,7 +19,8 @@ refusals of the grid's invalid points, plus planted-failure variants.  A
 planted variant swaps one public name (a kernel, a bound or the split
 enumerator the suite imports when it runs) for a stand-in that fails, so
 the failure lists, their order and the five-failure cap are in the corpus
-too, sampled kk and colouring included.  Each entry is
+too, sampled kk and colouring included.  Sampled kk reaches README's
+sizes, (8, 4), (9, 4) and (10, 5), plain and planted.  Each entry is
 `"<suite> <params> | <plant>"`.  `splits` holds `disconnected_splits(n)`
 for n = 1..5, in order, the `boundary_report` of each of those splits, and
 the refusals of `boundary_report` on fixed bad splits.  `normalize` holds
@@ -101,6 +102,10 @@ def suite_grid() -> list[tuple[str, dict]]:
         for seed in range(1, 5):
             grid.append(("kk", {"n": n, "k": k, "samples": 60, "seed": seed}))
     grid.append(("kk", {"n": 6, "k": 3, "samples": 0, "seed": 0}))
+    # README's sizes: the largest sampled layers of the corpus
+    for n, k in ((8, 4), (9, 4), (10, 5)):
+        for seed in range(3):
+            grid.append(("kk", {"n": n, "k": k, "samples": 40, "seed": seed}))
     for nmax in range(1, 5):
         for kmax in range(0, 4):
             grid.append(("technical", {"nmax": nmax, "kmax": kmax}))
@@ -121,6 +126,7 @@ def plants() -> list[tuple[str, object, str, object, list[tuple[str, dict]]]]:
 
     sampled_kk = [("kk", {"n": n, "k": k, "samples": 30, "seed": s})
                   for n, k in ((6, 3), (7, 2)) for s in range(4)]
+    sampled_kk += [("kk", {"n": 10, "k": 5, "samples": 40, "seed": s}) for s in range(4)]
     exhaustive_kk = [("kk", {"n": n, "k": k}) for n, k in ((3, 1), (4, 2), (5, 2), (5, 3))]
     sampled_colouring = [("colouring", {"n": n, "k": k, "samples": 12, "seed": s})
                          for n, k in ((3, None), (4, 1), (5, 2)) for s in range(4)]
