@@ -38,17 +38,17 @@ ROADMAP item 6 plans a checker that shares no code with the searches.
 
 Closed splits walk the indices through precomputed steps and take each
 closure from three 1,024-entry tables, one AND of the incomparability rows
-per 10-bit chunk of the shrunk intent.  `disconnected_splits` reads two
-more tables per chunk: the OR of the comparability rows, to grow a
-component a whole frontier at a time, and the universe masks, to decode a
-side.  One `_split_tables` entry holds them all, built once per n.  The
-searches over a band of layers read its masks and pairwise relation from
-`_band`, built once per (n, band); these and the other reusable tables are
-cached with `functools.cache`, never a search's result.  The relabelling
-tables come from `family._mask_relabel_table`.  Bitsets of universe indices
-outside the inner loops are walked with `core.iter_bits`.  Only
-`xi_star_exact` and `mad_star_probe` use `colouring`, and they import
-it when called.
+per 10-bit chunk of the shrunk intent.  `_maximal_splits` grows each
+component a frontier at a time from the chunks' ORs of comparability rows,
+and gives `verify` each split as two cube bitsets, which only
+`disconnected_splits` decodes, from the chunks' universe masks.  One
+`_split_tables` entry holds them all, built once per n.  The searches over
+a band of layers read its masks and pairwise relation from `_band`, built
+once per (n, band); these and the other reusable tables are cached with
+`functools.cache`, never a search's result.  The relabelling tables come
+from `family._mask_relabel_table`.  Bitsets of universe indices outside
+the inner loops are walked with `core.iter_bits`.  Only `xi_star_exact`
+and `mad_star_probe` use `colouring`, and they import it when called.
 """
 
 from fractions import Fraction
@@ -69,6 +69,7 @@ from .core import (
     iter_bits,
     layer_masks,
     _comparability_rows,
+    _family_with_bits,
     _mask_relabel_table,
     _Record,
 )
@@ -491,34 +492,37 @@ def max_disconnected(n: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     return SearchResult(best_val, witness, budget.nodes, budget.proven)
 
 
-def disconnected_splits(
-    n: int, budget_nodes: int = NODE_BUDGET
-) -> list[tuple[SetFamily, SetFamily]]:
-    """All maximal disconnected families at ground size n, as (side, side) splits.
-
-    Closed splits are filtered by the exact maximality test: a
-    disconnected family is maximal iff no single absent set keeps it
-    disconnected (single additions suffice, because any disconnected
-    superset yields one).  Each split comes once, side a holding the
-    smaller least mask.
-    """
+def _maximal_splits(n: int, budget_nodes: int | None) -> list[tuple[int, int]]:
+    """The maximal splits at ground size n as (a, b) cube bitsets, bit m set
+    for each mask m of a side, a holding the smaller least mask.  A closed
+    split is maximal iff no single absent set keeps it disconnected (any
+    disconnected superset yields one).  The band's universe is every mask but
+    ∅ and [n], ascending, so index i is mask i + 1 and a side's cube bitset is
+    its extent << 1."""
     if not 1 <= n <= 5:
         raise DomainError("split enumeration is exhaustive only for 1 <= n <= 5")
     budget = _Budget(budget_nodes)
     universe, cmp_rows, found = _closed_splits(n, budget)
     if not budget.proven:
         raise BudgetExhaustedError(f"split enumeration stopped after {budget.nodes} nodes")
-    _, _, reach, (m0, m1, m2) = _split_tables(universe, cmp_rows)
+    _, _, reach, _ = _split_tables(universe, cmp_rows)
     full = (1 << len(universe)) - 1
-    out = []
-    for extent, intent in found:
-        if _links_every_component(extent | intent, full, reach):
-            # the chunks hold ascending masks of the ascending universe, so
-            # each side is sorted and distinct
-            a = SetFamily(n, m0[extent & 1023] + m1[extent >> 10 & 1023] + m2[extent >> 20])
-            b = SetFamily(n, m0[intent & 1023] + m1[intent >> 10 & 1023] + m2[intent >> 20])
-            out.append((a, b))
-    return out
+    return [(extent << 1, intent << 1) for extent, intent in found
+            if _links_every_component(extent | intent, full, reach)]
+
+
+def disconnected_splits(
+    n: int, budget_nodes: int = NODE_BUDGET
+) -> list[tuple[SetFamily, SetFamily]]:
+    """All maximal disconnected families at ground size n, as (side, side)
+    splits: `_maximal_splits` decoded, each side keeping its bitset."""
+    splits = _maximal_splits(n, budget_nodes)
+    _, _, _, (m0, m1, m2) = _split_tables(*_band(n, 1, n - 1))
+
+    def side(i):  # ascending chunks of the ascending universe: sorted, distinct members
+        return _family_with_bits(n, m0[i & 1023] + m1[i >> 10 & 1023] + m2[i >> 20], i << 1)
+
+    return [(side(a >> 1), side(b >> 1)) for a, b in splits]
 
 
 def _links_every_component(members: int, full: int, reach: tuple[tuple[int, ...], ...]) -> bool:

@@ -6,10 +6,11 @@ operations instead of one power-set walk per member.  The cascade
 machinery gives the classical lower bound on the size of an r-fold shadow
 of an m-member k-uniform family.
 
-A split (A, B) takes four closure sweeps, `_side_closures`, and one pass,
-`_boundary`: the sets outside ↓F = ↓A ∪ ↓B are ↑F⁺ and those outside
-↑F = ↑A ∪ ↑B are ↓F⁻, so no closure is taken twice.  `boundary_report`
-is their one public view: F⁺, F⁻, both regions and the excluded count.
+A split (A, B) passes from `search` to `verify` and here as two cube
+bitsets.  Four closure sweeps, `_side_closures`, and one pass, `_boundary`,
+give its boundary: the sets outside ↓F = ↓A ∪ ↓B are ↑F⁺ and those outside
+↑F = ↑A ∪ ↑B are ↓F⁻, so no closure is taken twice.  `boundary_report`, on
+two families, is their one public view: F⁺, F⁻, regions, excluded count.
 """
 
 from .core import (
@@ -22,6 +23,7 @@ from .core import (
     bits_to_family,
     downset_bits,
     family_bits,
+    iter_bits,
     shade_bits,
     shadow_bits,
     upset_bits,
@@ -117,18 +119,16 @@ def technical_bound_check(s: SetFamily, mode: str) -> bool:
     return not s.members or downset_bits(s.n, family_bits(s)).bit_count() >= floor
 
 
-def _side_closures(a: SetFamily, b: SetFamily) -> tuple[int, int, int, int]:
-    """The closures (↑a, ↓a, ↑b, ↓b), refused unless the sides are nonempty and in one cube."""
-    if a.n != b.n:
+def _side_closures(n: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """(↑a, ↓a, ↑b, ↓b) of cube bitsets a, b; both must be nonempty and in [n]'s cube."""
+    if (a | b) >> (1 << n):
         raise DomainError("split sides live in different cubes")
-    if not a.members or not b.members:
+    if not a or not b:
         raise PreconditionError("both sides of a split must be nonempty")
-    n, bits_a, bits_b = a.n, family_bits(a), family_bits(b)
-    ua, da = upset_bits(n, bits_a), downset_bits(n, bits_a)
-    return ua, da, upset_bits(n, bits_b), downset_bits(n, bits_b)
+    return upset_bits(n, a), downset_bits(n, a), upset_bits(n, b), downset_bits(n, b)
 
 
-def _boundary(a: SetFamily, b: SetFamily,
+def _boundary(n: int, a: int, b: int,
               ua: int, da: int, ub: int, db: int) -> tuple[int, int, int, int]:
     """The bitsets (fplus, fminus, ↑fplus, ↓fminus) of a split, from its sides' closures.
 
@@ -138,14 +138,13 @@ def _boundary(a: SetFamily, b: SetFamily,
     # the members of a equal or comparable to some member of b; the least
     # such x and the first member y of b around it are the first pair a
     # scan of a, then b, in ascending order would meet
-    hit = family_bits(a) & (db | ub)
+    hit = a & (db | ub)
     if hit:
         x = (hit & -hit).bit_length() - 1
-        y = next(m for m in b.members if m & x in (m, x))
+        y = next(m for m in iter_bits(b) if m & x in (m, x))
         if x == y:
             raise PreconditionError(f"shared member {x:#x}: not a disconnected split")
         raise PreconditionError(f"cross-comparable pair {x:#x} vs {y:#x}: not a disconnected split")
-    n = a.n
     up = _full(n) ^ (da | db)
     down = _full(n) ^ (ua | ub)
     # minimal members have no lower cover inside, maximal ones no upper cover
@@ -163,8 +162,12 @@ def boundary_report(a: SetFamily, b: SetFamily) -> dict:
     Closure disjointness is a consequence of optimality, not of the split
     preconditions, so it is reported instead of assumed.
     """
-    fplus, fminus, up, down = _boundary(a, b, *_side_closures(a, b))
+    if a.n != b.n:
+        raise DomainError("split sides live in different cubes")
     n = a.n
+    # an empty side is refused before a member too large to scan
+    sides = (family_bits(a), family_bits(b)) if a.members and b.members else (0, 0)
+    fplus, fminus, up, down = _boundary(n, *sides, *_side_closures(n, *sides))
     family_size = len(a) + len(b)
     excluded = up.bit_count() + down.bit_count()
     return {

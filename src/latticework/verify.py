@@ -29,6 +29,7 @@ from .core import (
     ResourceLimitError,
     SetFamily,
     binomial,
+    bits_to_family,
     downset_bits,
     family_bits,
     iter_bits,
@@ -110,9 +111,10 @@ def _family_sum(suite: str, total: Callable[[SetFamily], Fraction], family: SetF
     return {"suite": suite, "sum": str(s), "tight": s == 1, "passed": s <= 1, "failures": []}
 
 
-def _split_failure(a: SetFamily, b: SetFamily, **facts) -> tuple[dict]:
-    """A case with one failure, naming its split before the facts."""
-    return ({"a": a.to_jsonable(), "b": b.to_jsonable(), **facts},)
+def _split_failure(n: int, a: int, b: int, **facts) -> tuple[dict]:
+    """A case with one failure, naming its split (cube bitsets) before the facts."""
+    return ({"a": bits_to_family(n, a).to_jsonable(), "b": bits_to_family(n, b).to_jsonable(),
+             **facts},)
 
 
 def verify_blym(
@@ -295,38 +297,37 @@ def verify_colouring(
 def verify_fact_ab(n: int = 3, budget_nodes: int = NODE_BUDGET) -> dict:
     """Closure identities and the excluded-count floor over all maximal splits."""
     from .constructions import disconnected_extremal_size
-    from .search import disconnected_splits
+    from .search import _maximal_splits
     from .shadow import _boundary, _side_closures
 
-    splits = disconnected_splits(n, budget_nodes)
+    splits = _maximal_splits(n, budget_nodes)
     best = disconnected_extremal_size(n)
     # the extremal family meets the size bound 2^n - excluded with equality
     floor = (1 << n) - best
     tight: list[bool] = []
 
-    def failures_of(a: SetFamily, b: SetFamily):  # the split's first failure, if any
-        closures = ua, da, ub, db = _side_closures(a, b)
-        bits_a, bits_b = family_bits(a), family_bits(b)
-        ab = bits_a | bits_b
-        if ua & da != bits_a or ub & db != bits_b:
-            return _split_failure(a, b, reason="closure meet is not the side itself")
+    def failures_of(a: int, b: int):  # the split's first failure, if any
+        closures = ua, da, ub, db = _side_closures(n, a, b)
+        ab = a | b
+        if ua & da != a or ub & db != b:
+            return _split_failure(n, a, b, reason="closure meet is not the side itself")
         # covers `_boundary`'s refusal: x in a, comparable to b, is in ↑a∩↓b or ↓a∩↑b
         if ua & db or da & ub:
-            return _split_failure(a, b, reason="cross-side closures intersect")
-        fplus, fminus, _, _ = _boundary(a, b, *closures)
+            return _split_failure(n, a, b, reason="cross-side closures intersect")
+        fplus, fminus, _, _ = _boundary(n, a, b, *closures)
         # re-derived from the boundary itself, not read off _boundary's regions
         up_plus, down_minus = upset_bits(n, fplus), downset_bits(n, fminus)
         if up_plus & ab or down_minus & ab:
-            return _split_failure(a, b, reason="boundary closure touches the family")
+            return _split_failure(n, a, b, reason="boundary closure touches the family")
         if up_plus & down_minus:
             # Guaranteed disjoint only because these splits are maximal.
-            return _split_failure(a, b, reason="boundary closures intersect")
+            return _split_failure(n, a, b, reason="boundary closures intersect")
         excluded = up_plus.bit_count() + down_minus.bit_count()
-        size = len(a) + len(b)
+        size = a.bit_count() + b.bit_count()
         if excluded < floor:
-            return _split_failure(a, b, excluded=excluded, floor=floor)
+            return _split_failure(n, a, b, excluded=excluded, floor=floor)
         if size > (1 << n) - excluded:
-            return _split_failure(a, b, size=size, excluded=excluded)
+            return _split_failure(n, a, b, size=size, excluded=excluded)
         tight.append(size == best and excluded == floor)
         return ()
 
@@ -342,25 +343,25 @@ def verify_key_lemma(n: int = 4, budget_nodes: int = NODE_BUDGET) -> dict:
     lower boundary holds at least k-1 sets of size at least k-2; dually, F of
     size s below forces at least n-s-1 sets of size at most s+2 above.
     """
-    from .search import disconnected_splits
+    from .search import _maximal_splits
     from .shadow import _boundary, _side_closures
 
-    # disconnected_splits refuses n <= 0, but passes n = 1 with no split
+    # _maximal_splits refuses n <= 0, but passes n = 1 with no split
     if n == 1:
         raise DomainError("disconnected families need n >= 2")
-    splits = disconnected_splits(n, budget_nodes)
+    splits = _maximal_splits(n, budget_nodes)
 
     def cases():  # one per boundary set, so `checked` counts boundary sets
         for a, b in splits:
-            fplus, fminus, _, _ = _boundary(a, b, *_side_closures(a, b))
+            fplus, fminus, _, _ = _boundary(n, a, b, *_side_closures(n, a, b))
             plus_sizes = sorted(map(int.bit_count, iter_bits(fplus)))
             minus_sizes = sorted(map(int.bit_count, iter_bits(fminus)))
             for k in plus_sizes:
                 have = sum(1 for s in minus_sizes if s >= k - 2)
-                yield () if have >= k - 1 else _split_failure(a, b, above_size=k, have=have)
+                yield () if have >= k - 1 else _split_failure(n, a, b, above_size=k, have=have)
             for s in minus_sizes:
                 have = sum(1 for k in plus_sizes if k <= s + 2)
-                yield () if have >= n - s - 1 else _split_failure(a, b, below_size=s, have=have)
+                yield () if have >= n - s - 1 else _split_failure(n, a, b, below_size=s, have=have)
 
     checked, failures = _collect(cases())
     return _report("key-lemma", {"n": n}, failures, splits=len(splits), checked=checked)

@@ -139,7 +139,7 @@ def test_boundary_recheck_fires_on_a_split_of_every_set(monkeypatch):
     # ↓F and ↑F are every set; the second side's closures stay empty, since
     # a member of the first inside them would be refused before the re-check
     every = (1 << 8) - 1
-    monkeypatch.setattr(shadow, "_side_closures", lambda a, b: (every, every, 0, 0))
+    monkeypatch.setattr(shadow, "_side_closures", lambda n, a, b: (every, every, 0, 0))
     a, b = SetFamily.from_sets(3, [(1,)]), SetFamily.from_sets(3, [(2,)])
     with pytest.raises(VerificationError, match="^split has an empty boundary side$"):
         boundary_report(a, b)

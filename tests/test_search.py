@@ -39,6 +39,7 @@ from latticework.search import (
     _edge_order,
     _graphs_of_order,
     _group_lanes,
+    _maximal_splits,
     _split_tables,
     disconnected_splits,
     la_exact,
@@ -476,6 +477,15 @@ def test_disconnected_splits_match_graph_filter():
                 want.append((side_a, side_b))
         got = [(a.members, b.members) for a, b in disconnected_splits(n)]
         assert got == want, n
+
+
+def test_maximal_splits_are_the_bitsets_of_disconnected_splits():
+    for n in range(1, 6):
+        splits = disconnected_splits(n, None)
+        assert _maximal_splits(n, None) == [(family_bits(a), family_bits(b)) for a, b in splits]
+        # each side keeps the bitset of its members: universe index i is mask i + 1
+        for side in (side for split in splits for side in split):
+            assert side.__dict__["_bits"] == family_bits(side.members), (n, side)
 
 
 def test_disconnected_splits_budget():

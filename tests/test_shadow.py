@@ -267,3 +267,6 @@ def test_cube_bitsets_refuse_grounds_past_the_closure_cap():
         lower_shadow(fam(24, (1,), (2,)))
     with pytest.raises(ResourceLimitError):
         boundary_report(fam(63, (1,)), fam(63, (2,)))
+    # an empty side is refused before a member too large to scan
+    with pytest.raises(PreconditionError, match="^both sides of a split must be nonempty$"):
+        boundary_report(fam(21, (21,)), SetFamily.from_masks(21, ()))

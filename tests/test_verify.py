@@ -164,8 +164,8 @@ def test_key_lemma_suite_fails_without_a_lower_boundary(monkeypatch):
              for a, b in splits]
     boundary = shadow._boundary
 
-    def no_lower_boundary(a, b, *closures):
-        fplus, _, up, down = boundary(a, b, *closures)
+    def no_lower_boundary(n, a, b, ua, da, ub, db):
+        fplus, _, up, down = boundary(n, a, b, ua, da, ub, db)
         return fplus, 0, up, down
 
     monkeypatch.setattr(shadow, "_boundary", no_lower_boundary)
@@ -339,8 +339,8 @@ def test_key_lemma_suite_fails_without_an_upper_boundary(monkeypatch):
              for a, b in disconnected_splits(3)]
     boundary = shadow._boundary
 
-    def no_upper_boundary(a, b, *closures):
-        _, fminus, up, down = boundary(a, b, *closures)
+    def no_upper_boundary(n, a, b, ua, da, ub, db):
+        _, fminus, up, down = boundary(n, a, b, ua, da, ub, db)
         return 0, fminus, up, down
 
     monkeypatch.setattr(shadow, "_boundary", no_upper_boundary)
@@ -359,7 +359,8 @@ def test_key_lemma_suite_fails_without_an_upper_boundary(monkeypatch):
 def _fact_ab_on(monkeypatch, splits):
     from latticework import search
 
-    monkeypatch.setattr(search, "disconnected_splits", lambda n, budget: splits)
+    bits = [(family_bits(a), family_bits(b)) for a, b in splits]
+    monkeypatch.setattr(search, "_maximal_splits", lambda n, budget: bits)
     return verify_fact_ab(n=3)
 
 
@@ -384,9 +385,9 @@ def test_fact_ab_fails_when_the_boundary_touches_the_family(monkeypatch):
     # a boundary above that is the first side itself
     boundary = shadow._boundary
 
-    def first_side_above(a, b, *closures):
-        _, fminus, up, down = boundary(a, b, *closures)
-        return family_bits(a), fminus, up, down
+    def first_side_above(n, a, b, ua, da, ub, db):
+        _, fminus, up, down = boundary(n, a, b, ua, da, ub, db)
+        return a, fminus, up, down
 
     monkeypatch.setattr(shadow, "_boundary", first_side_above)
     a, b = fam(3, (1,)), fam(3, (2, 3))
@@ -427,12 +428,34 @@ def test_fact_ab_fails_when_the_closures_outgrow_the_cube(monkeypatch):
     assert rep["failures"] == [{"a": a.to_jsonable(), "b": b.to_jsonable(), "size": 4, "excluded": 12}]
 
 
+def test_passing_split_suites_build_no_family(run_python):
+    # the suites read the splits as bitsets and build a family only to report
+    # a failure; a child process, since a class's __new__ cannot be restored
+    code = """
+import json
+from latticework.core import SetFamily
+from latticework.search import disconnected_splits
+from latticework.verify import verify_fact_ab, verify_key_lemma
+built = []
+def counted(cls, *args):
+    built.append(cls)
+    return object.__new__(cls)
+SetFamily.__new__ = counted
+passed = verify_fact_ab(4)["passed"] and verify_key_lemma(4)["passed"]
+suites = len(built)
+print(json.dumps([passed, suites, len(disconnected_splits(4)), len(built) - suites]))
+"""
+    assert run_python("-c", code, timeout=60) == [True, 0, 78, 2 * 78]
+
+
 # a split no path may take: boundary_report and key-lemma raise the error,
-# and fact-ab raises it too (True) or reports the split as crossing (False)
+# and fact-ab raises it too (True) or reports the split as crossing (False);
+# the suites take the sides as cube bitsets, so the different cubes' second
+# side, {4}, leaves the cube of [3]
 BAD_SPLITS = {
     "empty side": (fam(3, (1,)), SetFamily.from_masks(3, ()), PreconditionError,
                    "both sides of a split must be nonempty", True),
-    "different cubes": (fam(3, (1,)), fam(4, (2,)), DomainError,
+    "different cubes": (fam(3, (1,)), fam(4, (4,)), DomainError,
                         "split sides live in different cubes", True),
     "shared member": (fam(3, (1,), (2,)), fam(3, (2,), (3,)), PreconditionError,
                       "shared member 0x2: not a disconnected split", False),
@@ -447,7 +470,8 @@ def test_every_split_path_refuses_a_bad_split(monkeypatch, a, b, error, message,
     from latticework import search
     from latticework.shadow import boundary_report
 
-    monkeypatch.setattr(search, "disconnected_splits", lambda n, budget: [(a, b)])
+    monkeypatch.setattr(search, "_maximal_splits",
+                        lambda n, budget: [(family_bits(a), family_bits(b))])
     refusing = [lambda: boundary_report(a, b), lambda: verify_key_lemma(3)]
     if fact_ab_raises:
         refusing.append(lambda: verify_fact_ab(3))

@@ -16,11 +16,12 @@ any entry differs, 2 when the corpus cannot run at REV, else 0.
 There are four corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
-planted variant swaps one public name (a kernel, a bound or the split
-enumerator the suite imports when it runs) for a stand-in that fails, so
-the failure lists, their order and the five-failure cap are in the corpus
-too, sampled kk and colouring included.  Sampled kk reaches README's
-sizes, (8, 4), (9, 4) and (10, 5), plain and planted.  Each entry is
+planted variant swaps one module-level name (a kernel, a bound, or
+`search._maximal_splits`, the cube-bitset splits the split suites import
+when they run) for a stand-in that fails, so the failure lists, their
+order and the five-failure cap are in the corpus too, sampled kk and
+colouring included.  Sampled kk reaches README's sizes, (8, 4), (9, 4)
+and (10, 5), plain and planted.  Each entry is
 `"<suite> <params> | <plant>"`.  `splits` holds `disconnected_splits(n)`
 for n = 1..5, in order, the `boundary_report` of each of those splits, and
 the refusals of `boundary_report` on fixed bad splits.  `normalize` holds
@@ -122,7 +123,6 @@ def suite_grid() -> list[tuple[str, dict]]:
 def plants() -> list[tuple[str, object, str, object, list[tuple[str, dict]]]]:
     """(label, module, name, stand-in maker, (suite, params) list) per planted variant."""
     from latticework import blym, colouring, constructions, search, shadow
-    from latticework.core import SetFamily
 
     sampled_kk = [("kk", {"n": n, "k": k, "samples": 30, "seed": s})
                   for n, k in ((6, 3), (7, 2)) for s in range(4)]
@@ -135,11 +135,8 @@ def plants() -> list[tuple[str, object, str, object, list[tuple[str, dict]]]]:
                      for n in (3, 5) for s in range(3)]
     splits = [(suite, {"n": n}) for suite in ("fact-ab", "key-lemma") for n in (3, 4, 5)]
 
-    def each_split(change):
-        return lambda real: lambda n, budget=None: [change(a, b) for a, b in real(n)]
-
-    def drop_first(a, b):  # non-maximal, so the key lemma can fail; a side stays non-empty
-        return SetFamily.from_masks(a.n, a.members[1:] or a.members), b
+    def each_split(change):  # the splits as cube bitsets, changed
+        return lambda real: lambda n, budget: [change(n, a, b) for a, b in real(n, budget)]
 
     return [
         ("kk_shadow_bound+1", shadow, "kk_shadow_bound",
@@ -161,13 +158,15 @@ def plants() -> list[tuple[str, object, str, object, list[tuple[str, dict]]]]:
          lambda real: lambda n: real(n) + 1, splits),
         ("disconnected_extremal_size-1", constructions, "disconnected_extremal_size",
          lambda real: lambda n: real(n) - 1, splits),
-        ("splits with a side's first member dropped", search, "disconnected_splits",
-         each_split(drop_first), splits),
-        ("splits (a, a)", search, "disconnected_splits", each_split(lambda a, b: (a, a)), splits),
-        ("splits with an empty second side", search, "disconnected_splits",
-         each_split(lambda a, b: (a, SetFamily.from_masks(b.n, ()))), splits),
-        ("splits with the second side a cube up", search, "disconnected_splits",
-         each_split(lambda a, b: (a, SetFamily.from_masks(b.n + 1, b.members))), splits),
+        # the first drops its least member, non-maximal, so the key lemma can
+        # fail while the side stays non-empty; the last leaves the cube of [n]
+        ("splits with a side's first member dropped", search, "_maximal_splits",
+         each_split(lambda n, a, b: (a & (a - 1) or a, b)), splits),
+        ("splits (a, a)", search, "_maximal_splits", each_split(lambda n, a, b: (a, a)), splits),
+        ("splits with an empty second side", search, "_maximal_splits",
+         each_split(lambda n, a, b: (a, 0)), splits),
+        ("splits with the second side a cube up", search, "_maximal_splits",
+         each_split(lambda n, a, b: (a, b << (1 << n))), splits),
     ]
 
 
