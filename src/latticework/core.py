@@ -27,10 +27,10 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
   instead of member by member.  `_comparability_rows` tests each pair of
   a member list in which no mask lies inside an earlier one, and
   `_row_components` grows components along those rows.  `_full`,
-  `_columns`, `_down_steps` and `_up_steps`, cached per n, hold the cube,
-  the masks having each bit, and the (mask, shift) pairs that the four
-  sweeps read; `_full` checks the ground size, then the closure cap, for
-  them and for the cube-sized builders in `core` and `constructions`.
+  `_down_steps` and `_up_steps`, cached per n, hold the cube and the
+  (mask, shift) pairs the four sweeps read; `_down_steps` is the one cache
+  of the bit columns.  `_full` checks the ground size, then the closure
+  cap, for them and for the cube-sized builders in `core` and `constructions`.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _closure_components(family: SetFamily) -> list[tuple[int, ...]]:
         points = _spread(bits)
         tuples = [tuple(compress(family.members, compress(_spread(c), points))) for c in found]
         return sorted([*zip(compress(family.members, compress(_spread(isolated), points))), *tuples])
-    planes = [isolated & col for col in _columns(n)]
+    planes = [isolated & col for col, _ in _down_steps(n)]
     for component in found:
         m = (component & -component).bit_length() - 1
         planes = [p | component if m >> t & 1 else p for t, p in enumerate(planes)]
@@ -309,7 +309,7 @@ def _plane_labels(n: int, bits: int, planes: list[int]) -> None:
     candidate lacks t.
     """
     candidates = bits
-    for t, (col, (off, _)) in reversed(tuple(enumerate(zip(_columns(n), _up_steps(n))))):
+    for t, ((col, _), (off, _)) in reversed(tuple(enumerate(zip(_down_steps(n), _up_steps(n))))):
         seeds = candidates & off
         if seeds != candidates:
             z, _ = _reach_closure(n, seeds, bits)
@@ -410,21 +410,16 @@ def _full(n: int) -> int:
 
 
 @cache
-def _columns(n: int) -> tuple[int, ...]:
-    _full(n)  # checks the closure cap
-    return tuple(_bit_column(n, i) for i in range(n))
-
-
-@cache
 def _down_steps(n: int) -> tuple[tuple[int, int], ...]:
     # per ground bit i: the masks having it, and the shift 2^i that drops it
-    return tuple((col, 1 << i) for i, col in enumerate(_columns(n)))
+    _full(n)  # checks the ground size, then the closure cap
+    return tuple((_bit_column(n, i), 1 << i) for i in range(n))
 
 
 @cache
 def _up_steps(n: int) -> tuple[tuple[int, int], ...]:
     # per ground bit i: the masks lacking it, and the shift 2^i that adds it
-    return tuple((_full(n) ^ col, 1 << i) for i, col in enumerate(_columns(n)))
+    return tuple((_full(n) ^ col, shift) for col, shift in _down_steps(n))
 
 
 def downset_bits(n: int, bits: int) -> int:

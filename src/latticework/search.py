@@ -3,19 +3,19 @@
 The order-bounded searches run depth-first over masks in increasing
 numeric order, so every family is visited through exactly one (sorted)
 tuple.  A node holds the comparability components of its chosen masks as
-a short list, in `la_exact` of (members, near, order) triples: the
-component's index bitset, the OR of its members' comparability rows and
-its size.  A new member walks that list once, joining every component its
-row meets, and only the candidates in the joined component's `near` need
-their order checked again.  Each child gets its own list, so nothing is
-undone on the way back; `la_exact` writes the member at depth d into
-chosen[d] of a list sized to the universe.  Subtrees die when current size
-plus the surviving candidate pool cannot beat the incumbent, tested before
-the call, so a dead child costs no call; and shallow prefixes that are not
-lexicographically minimal under ground-element relabelling (plus
-complementation when the layer band is symmetric) are discarded.  Min-lex
-canonicity is inherited by prefixes, so the canonical copy of every optimal
-family survives.
+a short list, in `la_exact` of (members, near) pairs: the component's
+index bitset, whose bit count is its order, and the OR of its members'
+comparability rows.  A new member walks that list once, joining every
+component its row meets, and only the candidates in the joined
+component's `near` need their order checked again.  Each child gets its
+own list, so nothing is undone on the way back; `la_exact` writes the
+member at depth d into chosen[d] of a list sized to the universe.
+Subtrees die when current size plus the surviving candidate pool cannot
+beat the incumbent, tested before the call, so a dead child costs no
+call; and shallow prefixes that are not lexicographically minimal under
+ground-element relabelling (plus complementation when the layer band is
+symmetric) are discarded.  Min-lex canonicity is inherited by prefixes,
+so the canonical copy of every optimal family survives.
 
 Budgets are node counts, never wall clocks, counted by one `_Budget`: every
 search defaults to NODE_BUDGET, None is unbounded, a negative budget acts
@@ -235,7 +235,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
     def expand(pool, comps, depth):
         """Branch on each index of pool as chosen[depth]; every member joins
         chosen[:depth] within order t.  comps holds each component of
-        chosen[:depth] as (members, near, order)."""
+        chosen[:depth] as (members, near)."""
         nonlocal best_val, best_masks
         up = depth + 1
         while pool:
@@ -252,30 +252,30 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
             if up > _CANON_DEPTH or canonical([universe[j] for j in chosen[:up]]):
                 # the components i meets join it; the others stay apart
                 row = cmp_bits[i]
-                members, near, order = low, row, 1
+                members, near = low, row
                 apart = []
                 for c in comps:
-                    m, nr, o = c
+                    m, nr = c
                     if m & row:
                         members |= m
                         near |= nr
-                        order += o
                     else:
                         apart.append(c)
                 # a candidate away from the joined component keeps the order
                 # checked one level up; one in `near` would form the joined
                 # component, itself and the apart components it meets
                 child = pool
-                if order >= t:
+                room = t - members.bit_count() - 1
+                if room < 0:
                     child &= ~near
                 else:
                     # an apart component larger than the room left rules out
                     # every candidate next to it and to the joined one; the
                     # smaller ones can only overflow it together
-                    room = t - order - 1
                     small = []
                     total = 0
-                    for _, nr, o in apart:
+                    for m, nr in apart:
+                        o = m.bit_count()
                         if o > room:
                             child &= ~(near & nr)
                         else:
@@ -294,7 +294,7 @@ def _la_search(n, t, kmin, kmax, budget_nodes):
                                 child ^= lo
                 # the child's own loop test, so a dead child costs no call
                 if up + child.bit_count() > best_val:
-                    apart.append((members, near, order))
+                    apart.append((members, near))
                     expand(child, apart, up)
 
     with budget:

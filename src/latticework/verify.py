@@ -45,7 +45,7 @@ MAX_REPORTED_FAILURES = 5
 # samples wider layers.
 KK_EXHAUSTIVE_CAP = 12
 # verify_technical refuses inputs that ask for more families than this; its
-# default nmax=6, kmax=3 asks for 162,482 (about 1.2 s).
+# default nmax=6, kmax=3 asks for 162,482 (0.63-0.66 s, Python 3.11.7, 2 vCPUs).
 TECHNICAL_FAMILY_CAP = 1_000_000
 # the sampled suites (blym, diamond-blym, colouring, kk) refuse more samples
 # than this, 50 times the largest default (kk's 2,000).  At the default n

@@ -31,6 +31,12 @@ def test_every_search_entry_is_named_once():
     assert names and len(set(names)) == len(names)
 
 
+def test_the_graph_corpus_names_397_families_once():
+    # the definitions only: building the families takes about 2 s
+    names = [name for name, *_ in load_tool().graph_runs()]
+    assert len(names) == 397 and len(set(names)) == len(names)
+
+
 def test_the_normalize_corpus_builds_to_plain_json():
     entries = load_tool().normalize_entries()
     assert len(entries) == 418

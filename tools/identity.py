@@ -11,9 +11,13 @@ stdout).  `--against REV` unpacks REV's `src/` with `git archive` into a
 temporary directory, runs the same corpus there in one child process, runs
 it here in this process, and prints, for each corpus, its entry count and
 the first entry that differs or is missing on one side.  It exits 1 when
-any entry differs, 2 when the corpus cannot run at REV, else 0.
+any entry differs, 2 when the corpus cannot run at REV, else 0.  REV runs
+this tool's plants too, so `--against` exits 2 with an `AttributeError`
+when a plant names an attribute that REV lacks.  Then compare manifests
+instead: write REV's with REV's own tool in a `git archive REV` copy
+(`--write`), write this tree's with this tool, and diff the two files.
 
-There are four corpora.  `suites` holds the report of every property suite
+There are five corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
 planted variant swaps one module-level name (a kernel, a bound, or
@@ -37,8 +41,15 @@ n <= 4 for every order m of an adjacent layer pair and `mad_star_probe(t)`
 at t <= 7, and nine budgets for `max_disconnected(5)`,
 `min_two_chains(4, 6..8)`, `disconnected_splits(5)`, `la_exact(4, 8)`,
 `la_exact(5, 1..8)` and the `la_exact_restricted` items, whose refusals are
-entries too.  A record in an entry is digested as the list of its fields,
-so an entry hashes alike whether a version returns records or plain tuples.
+entries too.  `graph` holds `component_members`, `component_sizes`,
+`count_two_chains` and `is_antichain` of `sharp_family(n, k, ceil)` for
+n = 1..16, every k and both middles, `disconnected_extremal(n)` for
+n = 2..16, `full_cube(n)` for n = 1..12 and one `random_family` of
+`rng.randint(1, min(2^n, 600))` members per n = 3..24 and seed 0..2
+(`rng = Random(seed)`): the cube's closure route with and without label
+planes, the pairwise route, and ground sets past the closure cap.  A
+record in an entry is digested as the list of its fields, so an entry
+hashes alike whether a version returns records or plain tuples.
 
 Standard library only.  The full run is not part of the test suite;
 `tests/test_identity.py` checks the corpus definitions.
@@ -289,6 +300,40 @@ def search_entries() -> dict:
     return {key: outcome(run, name, args, budget) for key, name, args, budget in search_runs()}
 
 
+def graph_runs() -> list[tuple[str, str, tuple]]:
+    """(entry name, builder, args) for each family of the `graph` corpus."""
+    runs = [(f"sharp_family{args}", "sharp_family", args)
+            for n in range(1, 17) for k in range(n + 1) for args in ((n, k, False), (n, k, True))]
+    runs += [(f"disconnected_extremal({n})", "disconnected_extremal", (n,)) for n in range(2, 17)]
+    runs += [(f"full_cube({n})", "full_cube", (n,)) for n in range(1, 13)]
+    runs += [(f"random_family n={n} seed={seed}", "random_family", (n, seed))
+             for n in range(3, 25) for seed in range(3)]
+    return runs
+
+
+def graph_entries() -> dict:
+    """The `graph` corpus: each entry's JSON-able value, by name."""
+    from latticework import constructions, core, sampling
+
+    def drawn(n, seed):
+        rng = random.Random(seed)
+        return sampling.random_family(rng, n, rng.randint(1, min(1 << n, 600)))
+
+    builders = {"sharp_family": constructions.sharp_family, "full_cube": core.full_cube,
+                "disconnected_extremal": constructions.disconnected_extremal,
+                "random_family": drawn}
+
+    def facts(name, args):
+        family = builders[name](*args)
+        graph = core.comparability_graph(family)
+        return {"component_members": graph.component_members,
+                "component_sizes": graph.component_sizes,
+                "count_two_chains": core.count_two_chains(family),
+                "is_antichain": core.is_antichain(family)}
+
+    return {key: outcome(facts, name, args) for key, name, args in graph_runs()}
+
+
 def entry_name(suite: str, params: dict, plant: str) -> str:
     shown = " ".join(f"{key}={value}" for key, value in params.items()) or "defaults"
     return f"{suite} {shown} | {plant}"
@@ -325,7 +370,9 @@ def manifest() -> dict:
     splits = {key: digest(value) for key, value in split_entries().items()}
     normalize = {key: digest(value) for key, value in normalize_entries().items()}
     searches = {key: digest(value) for key, value in search_entries().items()}
-    return {"suites": suites, "splits": splits, "normalize": normalize, "search": searches}
+    graph = {key: digest(value) for key, value in graph_entries().items()}
+    return {"suites": suites, "splits": splits, "normalize": normalize, "search": searches,
+            "graph": graph}
 
 
 def against(rev: str) -> int:
