@@ -26,11 +26,12 @@ every name from there, so `core.SetFamily` is `family.SetFamily`.
   with the bitset they came with, cross-checked by count and largest mask
   instead of member by member.  `_comparability_rows` tests each pair of
   a member list in which no mask lies inside an earlier one, and
-  `_row_components` grows components along those rows.  `_full`,
-  `_down_steps` and `_up_steps`, cached per n, hold the cube and the
-  (mask, shift) pairs the four sweeps read; `_down_steps` is the one cache
-  of the bit columns.  `_full` checks the ground size, then the closure
-  cap, for them and for the cube-sized builders in `core` and `constructions`.
+  `_row_components` grows components along those rows.  `_full` and
+  `_steps`, cached per n, hold the cube and the one table the four sweeps
+  read: per ground bit i, the masks lacking it.  A down-sweep may shift
+  before it masks, as the masks from 2^n - 2^i up all have bit i.  `_full`
+  checks the ground size, then the closure cap, for them and for the
+  cube-sized builders in `core` and `constructions`.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def _closure_components(family: SetFamily) -> list[tuple[int, ...]]:
         points = _spread(bits)
         tuples = [tuple(compress(family.members, compress(_spread(c), points))) for c in found]
         return sorted([*zip(compress(family.members, compress(_spread(isolated), points))), *tuples])
-    planes = [isolated & col for col, _ in _down_steps(n)]
+    planes = [isolated ^ isolated & off for off, _ in _steps(n)]
     for component in found:
         m = (component & -component).bit_length() - 1
         planes = [p | component if m >> t & 1 else p for t, p in enumerate(planes)]
@@ -309,12 +310,12 @@ def _plane_labels(n: int, bits: int, planes: list[int]) -> None:
     candidate lacks t.
     """
     candidates = bits
-    for t, ((col, _), (off, _)) in reversed(tuple(enumerate(zip(_down_steps(n), _up_steps(n))))):
+    for t, (off, _) in reversed(tuple(enumerate(_steps(n)))):
         seeds = candidates & off
         if seeds != candidates:
             z, _ = _reach_closure(n, seeds, bits)
             planes[t] |= bits & ~z
-            candidates &= z ^ col
+            candidates ^= candidates & (z ^ off)
 
 
 def _group(masks, ids) -> list[tuple[int, ...]]:
@@ -391,9 +392,9 @@ def _family_with_bits(n: int, members: tuple[int, ...], bits: int) -> SetFamily:
 
 
 def _bit_column(n: int, i: int) -> int:
-    # Positions m (0 <= m < 2^n) whose i-th ground bit is set: one block of
-    # 2^i ones above 2^i zeros, doubled until it spans the cube.
-    col = ((1 << (1 << i)) - 1) << (1 << i)
+    # Positions m (0 <= m < 2^n) whose i-th ground bit is clear: one block
+    # of 2^i ones, doubled until it spans the cube.
+    col = (1 << (1 << i)) - 1
     width = 2 << i
     while width < 1 << n:
         col |= col << width
@@ -410,28 +411,24 @@ def _full(n: int) -> int:
 
 
 @cache
-def _down_steps(n: int) -> tuple[tuple[int, int], ...]:
-    # per ground bit i: the masks having it, and the shift 2^i that drops it
+def _steps(n: int) -> tuple[tuple[int, int], ...]:
+    # per ground bit i: the masks lacking it, and the shift 2^i that adds or
+    # drops it.  A down-sweep may shift first: m - 2^i lacks bit i iff m has
+    # it, and positions past the cube land on masks from 2^n - 2^i up, which have it.
     _full(n)  # checks the ground size, then the closure cap
     return tuple((_bit_column(n, i), 1 << i) for i in range(n))
 
 
-@cache
-def _up_steps(n: int) -> tuple[tuple[int, int], ...]:
-    # per ground bit i: the masks lacking it, and the shift 2^i that adds it
-    return tuple((_full(n) ^ col, shift) for col, shift in _down_steps(n))
-
-
 def downset_bits(n: int, bits: int) -> int:
     """Bitset of all masks below-or-equal some mask in bits."""
-    for col, shift in _down_steps(n):
-        bits |= (bits & col) >> shift
+    for off, shift in _steps(n):
+        bits |= (bits >> shift) & off
     return bits
 
 
 def upset_bits(n: int, bits: int) -> int:
     """Bitset of all masks above-or-equal some mask in bits."""
-    for off, shift in _up_steps(n):
+    for off, shift in _steps(n):
         bits |= (bits & off) << shift
     return bits
 
@@ -439,15 +436,15 @@ def upset_bits(n: int, bits: int) -> int:
 def shadow_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element below some mask in bits."""
     out = 0
-    for col, shift in _down_steps(n):
-        out |= (bits & col) >> shift
+    for off, shift in _steps(n):
+        out |= (bits >> shift) & off
     return out
 
 
 def shade_bits(n: int, bits: int) -> int:
     """Bitset of the masks one element above some mask in bits."""
     out = 0
-    for off, shift in _up_steps(n):
+    for off, shift in _steps(n):
         out |= (bits & off) << shift
     return out
 
@@ -473,10 +470,8 @@ def is_antichain(family: SetFamily) -> bool:
     """True iff no member strictly contains another."""
     if _pairwise_is_cheaper(family):
         return not any(_comparability_rows(family.members))
-    bits = family_bits(family)
-    shadow = shadow_bits(family.n, bits)
-    strict_down = downset_bits(family.n, shadow) if shadow else 0
-    return (bits & strict_down) == 0
+    n, bits = family.n, family_bits(family)
+    return not bits & downset_bits(n, shadow_bits(n, bits))
 
 
 def binomial(n: int, k: int) -> int:

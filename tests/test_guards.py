@@ -30,6 +30,8 @@ GUARDS = {
                             "component order bound must be >= 1"),
     "xi_star_exact m": (lambda: search.xi_star_exact(3, 0), DomainError,
                         "order m out of range for adjacent layer pairs"),
+    "xi_star_exact large m": (lambda: search.xi_star_exact(4, 13), DomainError,
+                              "order m out of range for adjacent layer pairs"),
     "min_two_chains m": (lambda: search.min_two_chains(3, 9), DomainError,
                          "no family of size 9 in a cube of 8 sets"),
     "make_skipless t": (lambda: make_skipless(SetFamily(3, (1,)), 0), DomainError,
@@ -43,6 +45,9 @@ GUARDS = {
                              "layer pair sides live in different cubes"),
     "find_rainbow_cycle vertices": (
         lambda: find_rainbow_cycle(EdgeColouredGraph(65, ()), 3), ResourceLimitError,
+        "exhaustive cycle search capped at 64 vertices, length 64"),
+    "find_rainbow_cycle length": (
+        lambda: find_rainbow_cycle(EdgeColouredGraph(3, ()), 65), ResourceLimitError,
         "exhaustive cycle search capped at 64 vertices, length 64"),
     "diamond_family top": (lambda: diamond_family(Diamond(0, 8), 3), DomainError,
                            "diamond does not fit in the ground set"),

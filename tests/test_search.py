@@ -22,7 +22,7 @@ from latticework.core import (
     ResourceLimitError,
     SetFamily,
     VerificationError,
-    _down_steps,
+    _steps,
     comparability_graph,
     count_two_chains,
     downset_bits,
@@ -384,7 +384,7 @@ def test_searches_leave_cached_tables_as_built():
         skip_count(SetFamily.from_masks(n, [0, (1 << n) - 1]))
         lubell_by_permutations(SetFamily.from_masks(n, [0, 1]))
     mad_star_probe(4)
-    for table in (_band, _group_lanes, _down_steps, _prefix_columns, _split_tables):
+    for table in (_band, _group_lanes, _steps, _prefix_columns, _split_tables):
         assert table.cache_info().currsize > 0, table
     for n in range(1, 6):
         universe, rows = _band(n, 1, n - 1)
@@ -400,7 +400,7 @@ def test_searches_leave_cached_tables_as_built():
         for with_complement in (False, True):
             got = _group_lanes(n, with_complement)
             assert got == _group_lanes.__wrapped__(n, with_complement)
-        assert _down_steps(n) == _down_steps.__wrapped__(n)
+        assert _steps(n) == _steps.__wrapped__(n)
         assert _prefix_columns(n) == _prefix_columns.__wrapped__(n)
 
 
