@@ -42,11 +42,13 @@ from .core import (
 
 
 class Diamond(_Record):
-    """A full interval [bottom, top] in the Boolean lattice."""
+    """A full interval [bottom, top] in the Boolean lattice; both corners are masks, so >= 0."""
 
     def __init__(self, bottom: int, top: int):
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "top", top)
+        if bottom < 0 or top < 0:
+            raise DomainError("diamond corners must be non-negative masks")
         if bottom & ~top:
             raise DomainError("diamond bottom must be a subset of top")
 

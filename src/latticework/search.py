@@ -36,17 +36,18 @@ at n <= 4 and `min_two_chains` re-check through `comparability_graph` or
 rows the searches walk, so a defect in it would pass those checks.
 ROADMAP item 6 plans a checker that shares no code with the searches.
 
-Closed splits walk the indices through precomputed steps and take each
-closure from three 1,024-entry tables, one AND of the incomparability rows
-per 10-bit chunk of the shrunk intent.  `_maximal_splits` grows each
-component a frontier at a time from the chunks' ORs of comparability rows,
-and gives `verify` each split as two cube bitsets, which only
-`disconnected_splits` decodes, from the chunks' universe masks.  One
-`_split_tables` entry holds them all, built once per n.  The searches over
-a band of layers read its masks and pairwise relation from `_band`, built
-once per (n, band); these and the other reusable tables are cached with
-`functools.cache`, never a search's result.  The relabelling tables come
-from `family._mask_relabel_table`.  Bitsets of universe indices outside
+Closed splits walk the indices through precomputed steps and read one
+table of three 1,024-entry chunks: per 10-bit chunk of indices, the OR of
+the chunk's bits and their comparability rows.  A closure is the
+complement of that OR over the shrunk intent, and `_maximal_splits` grows
+each component a frontier at a time from the same ORs.  It gives `verify`
+each split as two cube bitsets, which only `disconnected_splits` decodes,
+through `bits_to_family`.  One `_split_tables` entry holds the steps and
+the table, built once per n.  The searches over a band of layers read its
+masks and pairwise relation from `_band`, built once per (n, band); these
+and the other reusable tables are cached with `functools.cache`, never a
+search's result.  The relabelling tables come from
+`family._mask_relabel_table`.  Bitsets of universe indices outside
 the inner loops are walked with `core.iter_bits`.  Only `xi_star_exact`
 and `mad_star_probe` use `colouring`, and they import it when called.
 """
@@ -69,7 +70,6 @@ from .core import (
     iter_bits,
     layer_masks,
     _comparability_rows,
-    _family_with_bits,
     _mask_relabel_table,
     _Record,
 )
@@ -404,46 +404,43 @@ def lambda_star_exact(n: int, t: int, budget_nodes: int = NODE_BUDGET) -> Search
 
 
 @cache
-def _split_tables(universe: tuple[int, ...], cmp_rows: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Every table of the split walk over `_band(n, 1, n - 1)`, keyed by its
-    universe and rows, one entry per n, so a `_band` swapped for changed rows
-    gets tables of its own.
+def _split_tables(cmp_rows: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The tables of the split walk over `_band(n, 1, n - 1)`, keyed by its
+    rows, one entry per n, so a `_band` swapped for changed rows gets tables
+    of its own.
 
     tails[s] holds close-by-one steps s, s + 1, ..., step i being (i, 1 << i,
     (1 << i) - 1, the indices incomparable to i).  For the bitset b of the
-    c-th 10-bit index chunk, meet[c][b] is the AND of its bits' incomparability
-    rows, reach[c][b] the OR of their comparability rows and masks[c][b] their
-    universe masks in ascending order; n <= 5 leaves at most 30 indices, so
-    three chunks cover them."""
-    full = (1 << len(universe)) - 1
-    apart = [full ^ row ^ (1 << i) for i, row in enumerate(cmp_rows)]
-    steps = tuple((i, 1 << i, (1 << i) - 1, a) for i, a in enumerate(apart))
-    meet, reach, masks = [], [], []
+    c-th 10-bit index chunk, near[c][b] is the OR of b and its bits'
+    comparability rows, so the indices outside it are those incomparable to
+    every bit of b; n <= 5 leaves at most 30 indices, so three chunks cover
+    them."""
+    full = (1 << len(cmp_rows)) - 1
+    steps = tuple((i, 1 << i, (1 << i) - 1, full ^ row ^ 1 << i) for i, row in enumerate(cmp_rows))
+    near = []
     for c in range(0, 30, 10):
-        ands, ors, sides = [full], [0], [()]
-        # index i doubles the chunk: the entries with its bit add its rows and mask
-        for i in range(c, min(c + 10, len(universe))):
-            ands += [a & apart[i] for a in ands]
-            ors += [r | cmp_rows[i] for r in ors]
-            sides += [side + (universe[i],) for side in sides]
-        meet.append(tuple(ands))
-        reach.append(tuple(ors))
-        masks.append(tuple(sides))
+        ors = [0]
+        # index i doubles the chunk: the entries with its bit add it and its row
+        for i in range(c, min(c + 10, len(cmp_rows))):
+            ors += [r | cmp_rows[i] | 1 << i for r in ors]
+        near.append(tuple(ors))
     tails = tuple(steps[s:] for s in range(len(steps) + 1))
-    return tails, tuple(meet), tuple(reach), tuple(masks)
+    return tails, tuple(near)
 
 
-def _closed_splits(n: int, budget: _Budget):
-    """The universe, its comparability rows and the (extent, common
-    incomparables) index-bitmask pairs the budget reached, one per split.
+def _closed_splits(n: int, budget: _Budget) -> list[tuple[int, int]]:
+    """The (extent, common incomparables) index-bitmask pairs the budget
+    reached, one per split.
 
-    The extents come grouped by their least index, ascending: a child adds
-    no index below its step, so every extent under step i keeps least index i.
-    So a split is met first with its side of smaller least index as extent,
-    and only that orientation is kept.
+    Each closure, the AND of the shrunk intent's incomparability rows, is
+    the complement of its `near`.  The extents come grouped by their least
+    index, ascending: a child adds no index below its step, so every extent
+    under step i keeps least index i.  So a split is met first with its side
+    of smaller least index as extent, and only that orientation is kept.
     """
-    universe, cmp_rows = _band(n, 1, n - 1)
-    tails, (t0, t1, t2), _, _ = _split_tables(universe, cmp_rows)
+    _, cmp_rows = _band(n, 1, n - 1)
+    tails, (t0, t1, t2) = _split_tables(cmp_rows)
+    full = (1 << len(cmp_rows)) - 1
     tick = budget.tick
     found: list[tuple[int, int]] = []
 
@@ -457,14 +454,15 @@ def _closed_splits(n: int, budget: _Budget):
             if not shrunk:
                 continue
             tick()
-            closed = t0[shrunk & 1023] & t1[shrunk >> 10 & 1023] & t2[shrunk >> 20]
-            if (closed ^ extent) & below:
+            near = t0[shrunk & 1023] | t1[shrunk >> 10 & 1023] | t2[shrunk >> 20]
+            # the closure full ^ near agrees with extent below i
+            if (near ^ extent) & below != below:
                 continue
-            cbo(closed, shrunk, i + 1)
+            cbo(full ^ near, shrunk, i + 1)
 
     with budget:
-        cbo(0, (1 << len(universe)) - 1, 0)
-    return universe, cmp_rows, found
+        cbo(0, full, 0)
+    return found
 
 
 def max_disconnected(n: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
@@ -474,16 +472,16 @@ def max_disconnected(n: int, budget_nodes: int = NODE_BUDGET) -> SearchResult:
     if n > 5:
         raise DomainError("split enumeration is exhaustive only up to n = 5")
     budget = _Budget(budget_nodes)
-    universe, _, found = _closed_splits(n, budget)
+    found = _closed_splits(n, budget)
     best_val = 0
-    best_bits = (0, 0)
+    best_bits = 0
     for extent, intent in found:
         v = extent.bit_count() + intent.bit_count()
         if v > best_val:
             best_val = v
-            best_bits = (extent, intent)
-    masks = [universe[i] for i in iter_bits(best_bits[0] | best_bits[1])]
-    witness = SetFamily.from_masks(n, masks)
+            best_bits = extent | intent
+    # universe index i is mask i + 1
+    witness = bits_to_family(n, best_bits << 1)
     if witness.members:
         if len(witness) != best_val:
             raise VerificationError(f"witness has {len(witness)} members, not {best_val}")
@@ -502,13 +500,14 @@ def _maximal_splits(n: int, budget_nodes: int | None) -> list[tuple[int, int]]:
     if not 1 <= n <= 5:
         raise DomainError("split enumeration is exhaustive only for 1 <= n <= 5")
     budget = _Budget(budget_nodes)
-    universe, cmp_rows, found = _closed_splits(n, budget)
+    found = _closed_splits(n, budget)
     if not budget.proven:
         raise BudgetExhaustedError(f"split enumeration stopped after {budget.nodes} nodes")
-    _, _, reach, _ = _split_tables(universe, cmp_rows)
-    full = (1 << len(universe)) - 1
+    _, cmp_rows = _band(n, 1, n - 1)
+    _, near = _split_tables(cmp_rows)
+    full = (1 << len(cmp_rows)) - 1
     return [(extent << 1, intent << 1) for extent, intent in found
-            if _links_every_component(extent | intent, full, reach)]
+            if _links_every_component(extent | intent, full, near)]
 
 
 def disconnected_splits(
@@ -516,36 +515,32 @@ def disconnected_splits(
 ) -> list[tuple[SetFamily, SetFamily]]:
     """All maximal disconnected families at ground size n, as (side, side)
     splits: `_maximal_splits` decoded, each side keeping its bitset."""
-    splits = _maximal_splits(n, budget_nodes)
-    _, _, _, (m0, m1, m2) = _split_tables(*_band(n, 1, n - 1))
-
-    def side(i):  # ascending chunks of the ascending universe: sorted, distinct members
-        return _family_with_bits(n, m0[i & 1023] + m1[i >> 10 & 1023] + m2[i >> 20], i << 1)
-
-    return [(side(a >> 1), side(b >> 1)) for a, b in splits]
+    return [(bits_to_family(n, a), bits_to_family(n, b))
+            for a, b in _maximal_splits(n, budget_nodes)]
 
 
-def _links_every_component(members: int, full: int, reach: tuple[tuple[int, ...], ...]) -> bool:
+def _links_every_component(members: int, full: int, near: tuple[tuple[int, ...], ...]) -> bool:
     """`constructions.links_every_component` on a bitset of universe indices,
-    out of `full`, with `_split_tables`' reach tables.
+    out of `full`, with `_split_tables`' near tables.
 
     Each component grows from its least index by whole frontiers: the OR of
-    its members' rows, three table reads, until that adds no member.  The
+    its members and their rows, three table reads, until that adds no
+    member; its own bits are never absent, so they change no test.  The
     empty set and [n] lie outside the universe and are comparable to
     everything, so only the absent universe members can fail to link.
     """
-    r0, r1, r2 = reach
+    r0, r1, r2 = near
     absent = full ^ members
     left = members
     while left:
         comp, grown = 0, left & -left
         while grown != comp:
             comp = grown
-            near = r0[comp & 1023] | r1[comp >> 10 & 1023] | r2[comp >> 20]
-            grown = comp | near & left
+            reach = r0[comp & 1023] | r1[comp >> 10 & 1023] | r2[comp >> 20]
+            grown = comp | reach & left
         left ^= comp
         # an absent set links the components only if it reaches each one
-        if absent & ~near:
+        if absent & ~reach:
             return False
     return True
 

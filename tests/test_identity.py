@@ -37,6 +37,16 @@ def test_the_graph_corpus_names_397_families_once():
     assert len(names) == 397 and len(set(names)) == len(names)
 
 
+def test_the_certify_corpus_names_400_reports_once():
+    # the definitions only: 304 sharp families, 15 disconnected ones and the
+    # 81 intervals of [4], each [bottom, top] with bottom a subset of top
+    runs = load_tool().certify_runs()
+    names = [name for name, *_ in runs]
+    assert len(names) == 400 and len(set(names)) == len(names)
+    intervals = [args for _, builder, args in runs if builder == "diamond_family"]
+    assert len(intervals) == 3 ** 4 and all(bottom & ~top == 0 for bottom, top in intervals)
+
+
 def test_the_normalize_corpus_builds_to_plain_json():
     entries = load_tool().normalize_entries()
     assert len(entries) == 418

@@ -39,26 +39,34 @@ def _no_rows(masks, rows):
     return masks, (0,) * len(rows)
 
 
+def _band_plant(change):
+    return "_band", _band_with(change)
+
+
+# (name, stand-in) of the search module: mostly a changed band
 BAND_PLANTS = {
     # la(4, 3) = 7 beats the seed of 6, so the witness is built from the band
-    "la_exact size": (_first_mask_only, lambda: search.la_exact(4, 3),
+    "la_exact size": (_band_plant(_first_mask_only), lambda: search.la_exact(4, 3),
                       "witness has 1 members, not 7"),
-    "la_exact order": (_no_rows, lambda: search.la_exact(3, 2),
+    "la_exact order": (_band_plant(_no_rows), lambda: search.la_exact(3, 2),
                        "witness has a component of order above 2"),
-    "lambda_star_exact order": (_no_rows, lambda: search.lambda_star_exact(3, 1),
+    "lambda_star_exact order": (_band_plant(_no_rows), lambda: search.lambda_star_exact(3, 1),
                                 "witness has a component of order above 1"),
-    "max_disconnected size": (_first_mask_only, lambda: search.max_disconnected(4),
-                              "witness has 1 members, not 10"),
-    "max_disconnected connected": (_no_rows, lambda: search.max_disconnected(3),
+    # the witness is built from the splits' bits, which no band change can
+    # make overlap: a split whose sides share an index counts it twice
+    "max_disconnected size": (("_closed_splits", lambda n, budget: [(0b11, 0b10)]),
+                              lambda: search.max_disconnected(4),
+                              "witness has 2 members, not 3"),
+    "max_disconnected connected": (_band_plant(_no_rows), lambda: search.max_disconnected(3),
                                    "witness is connected"),
-    "min_two_chains count": (_no_rows, lambda: search.min_two_chains(3, 4),
+    "min_two_chains count": (_band_plant(_no_rows), lambda: search.min_two_chains(3, 4),
                              "witness has 5 2-chains, not 0"),
 }
 
 
-@pytest.mark.parametrize("change, call, message", BAND_PLANTS.values(), ids=BAND_PLANTS)
-def test_search_witness_recheck_fires_on_a_changed_band(monkeypatch, change, call, message):
-    monkeypatch.setattr(search, "_band", _band_with(change))
+@pytest.mark.parametrize("plant, call, message", BAND_PLANTS.values(), ids=BAND_PLANTS)
+def test_search_witness_recheck_fires_on_a_changed_band(monkeypatch, plant, call, message):
+    monkeypatch.setattr(search, *plant)
     with pytest.raises(VerificationError, match=f"^{message}$"):
         call()
 

@@ -11,7 +11,7 @@ import pytest
 
 from latticework.blym import DiamondProfile
 from latticework.colouring import EdgeColouredGraph, LayerPairGraph
-from latticework.constructions import CertificationReport, CheckResult, Diamond
+from latticework.constructions import CertificationReport, CheckResult, Diamond, detect_diamond
 from latticework.core import ComparabilityGraph, DomainError, SetFamily
 from latticework.lubell import MeetProfile
 from latticework.search import SearchResult
@@ -118,6 +118,10 @@ def test_cached_properties_still_fill_in():
     lambda: SetFamily(n=64, members=()),
     lambda: Diamond(1, 2),
     lambda: Diamond(bottom=3, top=1),
+    # negative corners pass the subset test
+    lambda: Diamond(0, -1),
+    lambda: Diamond(-2, -1),
+    lambda: detect_diamond([-1, 0]),
 ])
 def test_invalid_fields_raise_domain_error(build):
     with pytest.raises(DomainError):

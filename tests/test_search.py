@@ -27,6 +27,7 @@ from latticework.core import (
     count_two_chains,
     downset_bits,
     family_bits,
+    iter_bits,
     upset_bits,
 )
 from latticework.lubell import _prefix_columns, lubell, lubell_by_permutations
@@ -387,12 +388,20 @@ def test_searches_leave_cached_tables_as_built():
     for table in (_band, _group_lanes, _steps, _prefix_columns, _split_tables):
         assert table.cache_info().currsize > 0, table
     for n in range(1, 6):
-        universe, rows = _band(n, 1, n - 1)
-        tables = _split_tables(universe, rows)
-        assert tables == _split_tables.__wrapped__(universe, rows), n
-        tails, meet, reach, sides = tables
-        parts = (tables, *tables, *tails, *tails[0], *meet, *reach, *sides, *sides[0])
+        _, rows = _band(n, 1, n - 1)
+        tables = _split_tables(rows)
+        assert tables == _split_tables.__wrapped__(rows), n
+        tails, near = tables
+        parts = (tables, *tables, *tails, *tails[0], *near)
         assert all(type(t) is tuple for t in parts), n
+        # the walk's closure: outside near lie the indices incomparable to every bit
+        full = (1 << len(rows)) - 1
+        for c, chunk in enumerate(near):
+            for b, reach in enumerate(chunk):
+                apart = full
+                for i in iter_bits(b << 10 * c):
+                    apart &= full ^ rows[i] ^ 1 << i
+                assert full ^ reach == apart, (n, c, b)
     for n in range(1, 5):
         for kmin in range(n + 1):
             for kmax in range(kmin - 1, n + 1):
@@ -463,7 +472,9 @@ def test_disconnected_splits_match_graph_filter():
     # the maximality filter of disconnected_splits, restated through the
     # family-level comparability graph and links_every_component
     for n in range(1, 6):
-        universe, _, found = _closed_splits(n, _Budget(None))
+        universe, _ = _band(n, 1, n - 1)
+        assert universe == tuple(range(1, (1 << n) - 1))
+        found = _closed_splits(n, _Budget(None))
         want = []
         seen = set()
         for extent, intent in found:
@@ -562,8 +573,8 @@ def test_closed_splits_match_common_loop():
         assert sorted(kept + [(intent, extent) for extent, intent in kept]) == sorted(every), n
         for budget in (-1, 0, 1, 5, 1000, total - 1, total, None):
             budget_counter = _Budget(budget)
-            universe, _, found = _closed_splits(n, budget_counter)
-            assert universe == tuple(range(1, (1 << n) - 1))
+            found = _closed_splits(n, budget_counter)
+            assert _band(n, 1, n - 1)[0] == tuple(range(1, (1 << n) - 1))
             want, nodes = closed_splits_by_common(n, budget)
             assert (found, budget_counter.nodes) == (first_orientations(want), nodes), (n, budget)
 

@@ -17,7 +17,7 @@ when a plant names an attribute that REV lacks.  Then compare manifests
 instead: write REV's with REV's own tool in a `git archive REV` copy
 (`--write`), write this tree's with this tool, and diff the two files.
 
-There are five corpora.  `suites` holds the report of every property suite
+There are six corpora.  `suites` holds the report of every property suite
 in `latticework.verify` over a fixed grid of params and seeds, with the
 refusals of the grid's invalid points, plus planted-failure variants.  A
 planted variant swaps one module-level name (a kernel, a bound, or
@@ -47,7 +47,11 @@ n = 1..16, every k and both middles, `disconnected_extremal(n)` for
 n = 2..16, `full_cube(n)` for n = 1..12 and one `random_family` of
 `rng.randint(1, min(2^n, 600))` members per n = 3..24 and seed 0..2
 (`rng = Random(seed)`): the cube's closure route with and without label
-planes, the pairwise route, and ground sets past the closure cap.  A
+planes, the pairwise route, and ground sets past the closure cap.
+`certify` holds one `certify` report per family: `sharp_claim` on each
+sharp family of the `graph` corpus, `disconnected_claim` on
+`disconnected_extremal(n)` for n = 2..16 and `diamond_claim` on the
+`diamond_family` of each of the 81 intervals [bottom, top] of [4].  A
 record in an entry is digested as the list of its fields, so an entry
 hashes alike whether a version returns records or plain tuples.
 
@@ -334,6 +338,31 @@ def graph_entries() -> dict:
     return {key: outcome(facts, name, args) for key, name, args in graph_runs()}
 
 
+def certify_runs() -> list[tuple[str, str, tuple]]:
+    """(entry name, builder, args) for each report of the `certify` corpus."""
+    runs = [run for run in graph_runs() if run[1] in ("sharp_family", "disconnected_extremal")]
+    # the 81 intervals of [4]: each element below, inside or outside [bottom, top]
+    runs += [(f"diamond_family({bottom}, {top})", "diamond_family", (bottom, top))
+             for top in range(16) for bottom in range(16) if not bottom & ~top]
+    return runs
+
+
+def certify_entries() -> dict:
+    """The `certify` corpus: each entry's JSON-able value, by name."""
+    from latticework import constructions as c
+
+    cases = {"sharp_family": (c.sharp_family, c.sharp_claim),
+             "disconnected_extremal": (c.disconnected_extremal, c.disconnected_claim),
+             "diamond_family": (lambda bottom, top: c.diamond_family(c.Diamond(bottom, top), 4),
+                                lambda bottom, top: c.diamond_claim(c.Diamond(bottom, top)))}
+
+    def report(name, args):
+        build, claim = cases[name]
+        return c.certify(build(*args), claim(*args))
+
+    return {key: outcome(report, name, args) for key, name, args in certify_runs()}
+
+
 def entry_name(suite: str, params: dict, plant: str) -> str:
     shown = " ".join(f"{key}={value}" for key, value in params.items()) or "defaults"
     return f"{suite} {shown} | {plant}"
@@ -371,8 +400,9 @@ def manifest() -> dict:
     normalize = {key: digest(value) for key, value in normalize_entries().items()}
     searches = {key: digest(value) for key, value in search_entries().items()}
     graph = {key: digest(value) for key, value in graph_entries().items()}
+    certify = {key: digest(value) for key, value in certify_entries().items()}
     return {"suites": suites, "splits": splits, "normalize": normalize, "search": searches,
-            "graph": graph}
+            "graph": graph, "certify": certify}
 
 
 def against(rev: str) -> int:
